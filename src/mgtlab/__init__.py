@@ -9,7 +9,6 @@ first-order system.
 from .cosine import (
     BoundaryProbeResult,
     CosineFamily,
-    WaveSolution,
     boundary_convolution_probe,
     cosine_apply,
     kop_apply,
@@ -17,22 +16,18 @@ from .cosine import (
 )
 from .modal_oracle import (
     ModeOde,
-    OracleBundle,
     characteristic_roots,
     integrate_mode,
     solve_by_modes,
     stability_threshold_scan,
 )
 from .reduction import (
-    DerivedConstants,
     ForcingData,
     MgtData,
     MgtParams,
     ReducedProblem,
     SolutionBundle,
-    build_affine,
     build_kernel,
-    derive_constants,
     forcing_transform,
     reduce_problem,
     solve_mgt,
@@ -45,6 +40,7 @@ from .spectral import (
     EigenBasis,
     SpectralField,
     TimeGrid,
+    Trajectory,
     build_basis,
     dirichlet_map,
     normal_trace,

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import prefix_trapezoid
-from .spectral import BoundarySignal, EigenBasis, SpectralField, TimeGrid
-
-VARIANTS = ("Rplus", "AinvRminus", "ARminus", "A2Rplus")
+from .spectral import BoundarySignal, EigenBasis, SpectralField, TimeGrid, Trajectory
 
 
 @dataclass(frozen=True)
@@ -95,48 +93,16 @@ def kop_apply(fam: CosineFamily, f: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return conv / fam.basis.sqrt_eigenvalues
 
 
-@dataclass
-class WaveSolution:
-    """Trajectory of a Dirichlet wave solve in total eigen-coefficients."""
-
-    basis: EigenBasis
-    grid: TimeGrid
-    speed: float
-    coeffs: np.ndarray      # (steps+1, modes), lifting contribution included
-    dcoeffs: np.ndarray     # time derivative of the above
-    g: BoundarySignal | None
-
-    def interior_coeffs(self) -> np.ndarray:
-        if self.g is None:
-            return self.coeffs.copy()
-        lift = self.g.values @ self.basis.lift_matrix()
-        return self.coeffs - lift
-
-    def trace_series(self) -> np.ndarray:
-        """(steps+1, boundary nodes) outward normal derivative series."""
-        from .spectral import lifting_normal_derivative_interval
-
-        dn = self.basis.normal_derivatives()
-        out = self.interior_coeffs() @ dn.T
-        if self.g is not None:
-            lift_dn = np.array([lifting_normal_derivative_interval(row)
-                                for row in self.g.values])
-            out = out + lift_dn
-        return out
-
-    def field_at(self, m: int) -> SpectralField:
-        boundary = None if self.g is None else self.g.values[m]
-        return SpectralField(self.basis, self.interior_coeffs()[m], boundary)
-
-
 def wave_solve(fam: CosineFamily, z0: SpectralField, z1: SpectralField,
                f: np.ndarray | None, g: BoundarySignal | None,
-               grid: TimeGrid) -> WaveSolution:
+               grid: TimeGrid) -> Trajectory:
     """Solve z_tt = speed^2 Lap z + f, z|Gamma = g, by the explicit representation.
 
     Per mode: cos(omega t) z0 + sin(omega t)/omega z1
               + (1/omega) int sin(omega(t-s)) f(s) ds
-              + omega int sin(omega(t-s)) <D g(s), e_k> ds.
+              + omega int sin(omega(t-s)) <D g(s), e_k> ds,
+    whose second derivative is -omega^2 z + f + omega^2 <D g, e_k>.  The
+    trajectory holds the zero-trace part; g's lifting completes it.
     """
     basis = fam.basis
     times, dt = grid.times, grid.dt
@@ -156,10 +122,18 @@ def wave_solve(fam: CosineFamily, z0: SpectralField, z1: SpectralField,
     if g is not None:
         if g.grid.steps != grid.steps or g.grid.horizon != grid.horizon:
             raise ValueError("boundary signal and solve share one time grid")
-        dhat = g.values @ basis.lift_matrix()
+        lift = basis.lift_matrix()
+        dhat = g.values @ lift
         coeffs += omega * conv_sin(omega, dhat, times, dt)
         dcoeffs += omega**2 * conv_cos(omega, dhat, times, dt)
-    return WaveSolution(basis, grid, fam.speed, coeffs, dcoeffs, g)
+    ddcoeffs = -omega**2 * coeffs
+    if f is not None:
+        ddcoeffs += f
+    if g is None:
+        return Trajectory(basis, grid, coeffs, dcoeffs, ddcoeffs, None)
+    ddcoeffs += omega**2 * dhat
+    return Trajectory(basis, grid, coeffs - dhat, dcoeffs - g.dvalues @ lift,
+                      ddcoeffs - g.ddvalues @ lift, g)
 
 
 @dataclass
@@ -172,9 +146,6 @@ class BoundaryProbeResult:
 
     def sup_minus(self) -> float:
         return float(np.max(self.minus_entry))
-
-    def sup_plus(self) -> float:
-        return float(np.max(self.plus_entry))
 
 
 def boundary_convolution_probe(fam: CosineFamily, g: BoundarySignal,

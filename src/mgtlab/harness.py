@@ -24,6 +24,7 @@ from .spectral import (
     TimeGrid,
     build_basis,
     grid_sobolev_norm,
+    trajectory_on_grid,
 )
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import CosineFamily, boundary_convolution_probe
@@ -73,6 +74,9 @@ class ScenarioConfig:
             raise ConfigError("modes must be a nonempty list of positive ints")
         if self.horizon <= 0 or self.steps < 2:
             raise ConfigError("need horizon > 0 and steps >= 2")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         if any(v <= 0 for v in merged.values()):
@@ -92,7 +96,12 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+            raise ConfigError(f"invalid config value: {exc}") from exc
 
     def mgt_params(self) -> MgtParams:
         try:
@@ -177,24 +186,18 @@ def write_summary_json(path: Path, summary: dict) -> None:
 
 def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
     """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes."""
-    from .spectral import trajectory_on_grid
-
     basis = bundle.basis
     sel = slice(None, None, stride)
     hx = 1.0 / n
-    w_vals = trajectory_on_grid(basis, bundle.w[sel], bundle.w_boundary[sel], n)
-    wt_vals = trajectory_on_grid(basis, bundle.wt[sel], bundle.wt_boundary[sel], n)
-    wtt_vals = trajectory_on_grid(basis, bundle.wtt[sel], bundle.wtt_boundary[sel], n)
-    out = {
-        "t": bundle.grid.times[sel],
-        "w_H2": np.array([grid_sobolev_norm(r, (hx,), 2) for r in w_vals]),
-        "wt_H1": np.array([grid_sobolev_norm(r, (hx,), 1) for r in wt_vals]),
-        "wtt_L2": np.array([grid_sobolev_norm(r, (hx,), 0) for r in wtt_vals]),
-        "w_H2_spectral_interior": np.sqrt(
-            ((1.0 + basis.eigenvalues) ** 2 * bundle.w[sel] ** 2).sum(axis=1)),
-        "trace_w": np.linalg.norm(bundle.trace_w[sel], axis=1),
-        "trace_wt": np.linalg.norm(bundle.trace_wt[sel], axis=1),
-    }
+    out = {"t": bundle.grid.times[sel]}
+    for which, key, s in (("w", "w_H2", 2), ("wt", "wt_H1", 1), ("wtt", "wtt_L2", 0)):
+        vals = trajectory_on_grid(basis, bundle.interior(which)[sel],
+                                  bundle.boundary_values(which)[sel], n)
+        out[key] = np.array([grid_sobolev_norm(r, (hx,), s) for r in vals])
+    out["w_H2_spectral_interior"] = np.sqrt(
+        ((1.0 + basis.eigenvalues) ** 2 * bundle.w[sel] ** 2).sum(axis=1))
+    for which in ("w", "wt"):
+        out[f"trace_{which}"] = np.linalg.norm(bundle.trace(which).series[sel], axis=1)
     return out
 
 
@@ -206,8 +209,9 @@ def trace_space_norms(bundle: SolutionBundle) -> tuple[float, float]:
     """
     dt = bundle.grid.dt
     sq = lambda arr: np.trapezoid((arr**2).sum(axis=1), dx=dt)
-    h1 = float(np.sqrt(sq(bundle.trace_w) + sq(bundle.trace_wt)))
-    l2 = float(np.sqrt(sq(bundle.trace_wt)))
+    trace_w, trace_wt = bundle.trace("w").series, bundle.trace("wt").series
+    h1 = float(np.sqrt(sq(trace_w) + sq(trace_wt)))
+    l2 = float(np.sqrt(sq(trace_wt)))
     return h1, l2
 
 
@@ -225,23 +229,6 @@ def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     num = np.max(np.linalg.norm(a - b, axis=1))
     den = max(np.max(np.linalg.norm(b, axis=1)), 1e-300)
     return float(num / den)
-
-
-def mgt_residual_order(data_factory, params: MgtParams, base_steps: int,
-                       levels: int = 3, horizon: float = 1.0) -> tuple[list[float], float]:
-    """Sup residual of the projected equation at halving dt; returns slope.
-
-    The residual uses one-sided differencing of w_tt in time, so a first-order
-    decay is the expected floor.
-    """
-    sups = []
-    for lev in range(levels):
-        grid = TimeGrid(horizon, base_steps * 2**lev)
-        data = data_factory()
-        bundle = solve_mgt(data, params, grid)
-        sups.append(discrete_equation_residual(bundle, data))
-    slopes = [np.log2(sups[i] / sups[i + 1]) for i in range(levels - 1)]
-    return sups, float(min(slopes))
 
 
 def discrete_equation_residual(bundle: SolutionBundle, data: MgtData) -> float:

@@ -16,23 +16,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .reduction import MgtData, MgtParams
-from .spectral import EigenBasis, TimeGrid
+from .spectral import TimeGrid, Trajectory
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 
 
 @dataclass
 class ModeOde:
-    """One projected mode: cubic coefficients plus the boundary-flux source."""
+    """One projected mode: eigenvalue, equation constants and the flux source."""
 
     index: int
     mu: float
     params: MgtParams
     source: Callable[[float], float] | None = None
-
-    def cubic_coefficients(self) -> np.ndarray:
-        p = self.params
-        return np.array([1.0, p.alpha, p.b * self.mu, p.c**2 * self.mu])
 
 
 def _rk4(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -151,39 +147,11 @@ def stability_threshold_scan(param_grid: Sequence[MgtParams],
     return rows
 
 
-@dataclass
-class OracleBundle:
-    """Reference trajectories in total eigen-coefficients, with traces."""
-
-    basis: EigenBasis
-    grid: TimeGrid
-    params: MgtParams
-    w: np.ndarray
-    wt: np.ndarray
-    wtt: np.ndarray
-    w_boundary: np.ndarray
-    wt_boundary: np.ndarray
-
-    def interior(self, which: str = "w") -> np.ndarray:
-        total = {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
-        boundary = {"w": self.w_boundary, "wt": self.wt_boundary,
-                    "wtt": None}[which]
-        if boundary is None:
-            raise ValueError("no boundary series stored for w_tt")
-        return total - boundary @ self.basis.lift_matrix()
-
-    def trace_series(self, which: str = "w") -> np.ndarray:
-        from .spectral import lifting_normal_derivative_interval
-
-        dn = self.basis.normal_derivatives()
-        boundary = {"w": self.w_boundary, "wt": self.wt_boundary}[which]
-        out = self.interior(which) @ dn.T
-        out += np.array([lifting_normal_derivative_interval(row) for row in boundary])
-        return out
-
-
-def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> OracleBundle:
+def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     """Integrate every projected mode with RK4; the cross-validation oracle.
+
+    The states are total eigen-coefficients, so the trajectory carries no
+    boundary signal.
 
     Requires analytic g and g_t callables when Dirichlet data is present,
     because the source carries one time derivative of the boundary flux.
@@ -217,11 +185,4 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> OracleBu
     y0 = np.stack([data.w0.total_coeffs(), data.w1.total_coeffs(),
                    data.w2.total_coeffs()])
     states = _rk4(rhs, y0, grid)
-    sig = (data.g.sample(grid) if data.g is not None
-           else None)
-    nodes = basis.domain.boundary_size
-    w_boundary = sig.values if sig is not None else np.zeros((grid.steps + 1, nodes))
-    wt_boundary = sig.dvalues if sig is not None else np.zeros((grid.steps + 1, nodes))
-    return OracleBundle(basis, grid, params,
-                        w=states[:, 0], wt=states[:, 1], wtt=states[:, 2],
-                        w_boundary=w_boundary, wt_boundary=wt_boundary)
+    return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)

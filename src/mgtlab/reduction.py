@@ -1,9 +1,9 @@
 """Reduction of the MGT Cauchy-Dirichlet problem to per-mode Volterra solves.
 
-Pipeline: derive the constants of the exponential transform v = e^{gamma t/2} w,
-assemble the per-mode memory kernel and the affine histories H, H_t, H_tt,
-run three collocated Volterra solves for (v, v_t, v_tt), and undo the
-transform to recover (w, w_t, w_tt) together with their boundary traces.
+Pipeline: take the constants of the exponential transform v = e^{gamma t/2} w
+from MgtParams, assemble the per-mode memory kernel and the affine histories
+H, H_t, H_tt, run three collocated Volterra solves for (v, v_t, v_tt), and
+undo the transform to recover (w, w_t, w_tt) with the Dirichlet data.
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import CosineFamily, WaveSolution, conv_cos, conv_sin, kop_apply, wave_solve
+from .cosine import CosineFamily, conv_cos, conv_sin, kop_apply, wave_solve
 from .quadrature import prefix_exponential, prefix_trapezoid
 from .spectral import (
     BoundaryData,
@@ -25,7 +25,8 @@ from .spectral import (
     EigenBasis,
     SpectralField,
     TimeGrid,
-    lifting_normal_derivative_interval,
+    Trajectory,
+    normal_trace,
 )
 from .volterra import ScalarKernel, VolterraProblem, solve_picard
 
@@ -33,7 +34,7 @@ COMPAT_TOL = 1e-8
 
 
 class ReductionError(RuntimeError):
-    """Raised when a Volterra solve inside the reduction fails to converge."""
+    """Raised when a Volterra solve fails to converge or yields non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -72,46 +73,23 @@ class MgtParams:
         return -self.gamma * (self.gamma - self.alpha) ** 2
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Derived constants and the exponential coefficient functions."""
-
-    gamma: float
-    volterra_beta: float
-    decay_exponent: float
-    kernel_scale: float
-    memory_weight: Callable[[np.ndarray], np.ndarray]   # K(t)
-    h0: Callable[[np.ndarray], np.ndarray]
-    h1: Callable[[np.ndarray], np.ndarray]
-    h2: Callable[[np.ndarray], np.ndarray]
-
-
-def derive_constants(params: MgtParams) -> DerivedConstants:
-    """All derived constants, recomputed from (alpha, b, c).
+def _data_source(params: MgtParams, times: np.ndarray, w0tot: np.ndarray,
+                 w1tot: np.ndarray) -> np.ndarray:
+    """h0(t) w0 + h1(t) w1, the initial-data part of the transformed source.
 
     The signs of h0 and h1 are fixed by consistency of the transformed
     problem with the original equation: the memory residual
     R = v_tt + b mu v - beta v - K*v satisfies R' = rho R, hence
     R(t) = e^{rho t} [w2_k + gamma w1_k + (gamma^2/4 - beta + b mu) w0_k],
     which identifies h0 = gamma (gamma - alpha) e^{rho t} and
-    h1 = gamma e^{rho t}.  (At gamma = 0 the operator factorizes as
+    h1 = gamma e^{rho t}; the remaining term is h2 = e^{rho t} times
+    w2 - b Lap w0.  (At gamma = 0 the operator factorizes as
     (d/dt + alpha)(d^2/dt^2 + b mu) and only the h2 term survives, which the
     formulas reproduce.)  The cross-route oracle agreement pins these signs.
     """
     gamma = params.gamma
-    rho = params.decay_exponent
-    kappa = params.kernel_scale
-    alpha = params.alpha
-    return DerivedConstants(
-        gamma=gamma,
-        volterra_beta=params.volterra_beta,
-        decay_exponent=rho,
-        kernel_scale=kappa,
-        memory_weight=lambda t: kappa * np.exp(rho * np.asarray(t, dtype=float)),
-        h0=lambda t: gamma * (gamma - alpha) * np.exp(rho * np.asarray(t, dtype=float)),
-        h1=lambda t: gamma * np.exp(rho * np.asarray(t, dtype=float)),
-        h2=lambda t: np.exp(rho * np.asarray(t, dtype=float)),
-    )
+    hs = np.exp(params.decay_exponent * times)[:, None]
+    return gamma * (gamma - params.alpha) * hs * w0tot + gamma * hs * w1tot
 
 
 @dataclass
@@ -243,7 +221,7 @@ class KernelFamily:
             t = np.asarray(t, dtype=float)
             return a * np.sin(omega * t) + b * np.cos(omega * t) + c * np.exp(rho * t)
 
-        return ScalarKernel(evaluate=evaluate, smoothness="analytic")
+        return ScalarKernel(evaluate=evaluate)
 
     @property
     def size(self) -> int:
@@ -301,8 +279,7 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
     agreement with H is a quadrature-error check exercised by the tests.
     """
     basis = data.basis
-    consts = derive_constants(params)
-    gamma, rho = consts.gamma, consts.decay_exponent
+    gamma, rho = params.gamma, params.decay_exponent
     mu = basis.eigenvalues
     omega = np.sqrt(params.b) * basis.sqrt_eigenvalues
     times, dt = grid.times, grid.dt
@@ -335,9 +312,7 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
     # w0 is harmonic so Lap w0 only sees the zero-trace coefficients
     source_fixed = w2tot + params.b * mu * data.w0.coeffs
     hs = np.exp(rho * times)[:, None]
-    source = (consts.h0(times)[:, None] * w0tot
-              + consts.h1(times)[:, None] * w1tot
-              + hs * source_fixed)
+    source = _data_source(params, times, w0tot, w1tot) + hs * source_fixed
     source_t = rho * source
     source_0 = source[0]
 
@@ -376,17 +351,6 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
         f_samples=fsamp, H_raw=H_raw)
 
 
-def build_affine(data: MgtData, params: MgtParams, fam: CosineFamily,
-                 grid: TimeGrid, validate: bool = False):
-    """Affine histories (H, H_t, H_tt) per mode; thin wrapper over the reducer."""
-    if abs(fam.speed - np.sqrt(params.b)) > 1e-12:
-        raise ValueError("family speed must equal sqrt(b)")
-    rp = reduce_problem(data, params, grid, validate=validate)
-    if validate:
-        return rp.H, rp.Ht, rp.Htt, rp.H_raw
-    return rp.H, rp.Ht, rp.Htt
-
-
 def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
                       grid: TimeGrid) -> np.ndarray:
     """Trapezoid collocation for the structured kernel, via running sums.
@@ -420,64 +384,20 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
 
 
 @dataclass
-class SolutionBundle:
-    """Trajectories of (w, w_t, w_tt) plus boundary traces and diagnostics.
+class SolutionBundle(Trajectory):
+    """The solved trajectory plus the transformed solution and diagnostics.
 
-    Interior arrays hold zero-trace eigen-coefficients of shape
-    (steps+1, modes); the matching boundary arrays carry the Dirichlet data
-    whose harmonic lifting completes each field.  v/vt/vtt keep the total
-    coefficients of the transformed solution for cross-checks.
+    w/wt/wtt are zero-trace coefficients completed by the lifting of the
+    sampled Dirichlet data; v/vt/vtt keep the total coefficients of the
+    transformed solution for cross-checks.
     """
 
-    basis: EigenBasis
-    grid: TimeGrid
     params: MgtParams
-    w: np.ndarray
-    wt: np.ndarray
-    wtt: np.ndarray
-    w_boundary: np.ndarray
-    wt_boundary: np.ndarray
-    wtt_boundary: np.ndarray
     v: np.ndarray
     vt: np.ndarray
     vtt: np.ndarray
-    trace_w: np.ndarray
-    trace_wt: np.ndarray
     reduced: ReducedProblem
     metadata: dict
-
-    def interior(self, which: str) -> np.ndarray:
-        return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
-
-    def boundary(self, which: str) -> np.ndarray:
-        return {"w": self.w_boundary, "wt": self.wt_boundary,
-                "wtt": self.wtt_boundary}[which]
-
-    def total(self, which: str) -> np.ndarray:
-        return self.interior(which) + self.boundary(which) @ self.basis.lift_matrix()
-
-    def field(self, m: int, which: str = "w") -> SpectralField:
-        return SpectralField(self.basis, self.interior(which)[m],
-                             self.boundary(which)[m])
-
-
-def _trace_series(basis: EigenBasis, interior: np.ndarray,
-                  boundary: np.ndarray) -> np.ndarray:
-    dn = basis.normal_derivatives()
-    out = interior @ dn.T
-    out += np.array([lifting_normal_derivative_interval(row) for row in boundary])
-    return out
-
-
-def _trace_converged(basis: EigenBasis, interior: np.ndarray,
-                     rtol: float = 0.05) -> bool:
-    dn = basis.normal_derivatives()
-    order = np.argsort(basis.eigenvalues, kind="stable")
-    half = order[: max(1, len(order) // 2)]
-    full = interior @ dn.T
-    part = interior[:, half] @ dn[:, half].T
-    scale = np.max(np.abs(full)) + 1e-12
-    return bool(np.max(np.abs(full - part)) <= rtol * scale)
 
 
 def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
@@ -510,8 +430,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
         vt = _solve_structured(rp.kernels, rhs_vt, grid)
         vtt = _solve_structured(rp.kernels, rhs_vtt, grid)
     else:
-        kernel = ScalarKernel(evaluate=lambda t: rp.kernels.evaluate(t),
-                              smoothness="analytic")
+        kernel = ScalarKernel(evaluate=lambda t: rp.kernels.evaluate(t))
         sols = []
         terms = []
         for rhs in (rhs_v, rhs_vt, rhs_vtt):
@@ -534,33 +453,31 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
     wt_int = damp * (vt_int - 0.5 * gamma * v_int)
     wtt_int = damp * (vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int)
 
-    sig = rp.boundary_signal
+    for name, arr in (("w", w_int), ("wt", wt_int), ("wtt", wtt_int)):
+        # min/max propagate NaN and +-inf without an array-sized temporary
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            first = np.argmin(np.all(np.isfinite(arr), axis=1))
+            raise ReductionError(
+                f"non-finite {name} from t = {times[first]:.6g} on: the "
+                "exponentially weighted transform left the float range")
+
+    bundle = SolutionBundle(rp.basis, grid, w_int, wt_int, wtt_int,
+                            rp.boundary_signal, params=params, v=v, vt=vt,
+                            vtt=vtt, reduced=rp, metadata=meta)
     if rp.basis.domain.kind == "interval":
-        trace_w = _trace_series(rp.basis, w_int, sig.values)
-        trace_wt = _trace_series(rp.basis, wt_int, sig.dvalues)
-        meta["trace_w_converged"] = _trace_converged(rp.basis, w_int)
-        meta["trace_wt_converged"] = _trace_converged(rp.basis, wt_int)
+        meta["trace_w_converged"] = bundle.trace("w").converged
+        meta["trace_wt_converged"] = bundle.trace("wt").converged
     else:
         # pointwise normal traces are an interval-only diagnostic
-        trace_w = np.zeros((grid.steps + 1, 0))
-        trace_wt = np.zeros((grid.steps + 1, 0))
         meta["traces"] = "unavailable on the square"
-
-    return SolutionBundle(
-        basis=rp.basis, grid=grid, params=params,
-        w=w_int, wt=wt_int, wtt=wtt_int,
-        w_boundary=sig.values.copy(), wt_boundary=sig.dvalues.copy(),
-        wtt_boundary=sig.ddvalues.copy(),
-        v=v, vt=vt, vtt=vtt,
-        trace_w=trace_w, trace_wt=trace_wt,
-        reduced=rp, metadata=meta)
+    return bundle
 
 
 @dataclass
 class TraceDecomposition:
     """Split v = z + v21 + v22 with the traces of each piece."""
 
-    wave_part: WaveSolution
+    wave_part: Trajectory
     v21: np.ndarray
     v22: np.ndarray
     identity_error: float
@@ -586,17 +503,14 @@ def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
         bundle = solve_mgt(data, params, grid)
     rp = bundle.reduced
     basis, times, dt = rp.basis, grid.times, grid.dt
-    consts = derive_constants(params)
-    gamma, rho = consts.gamma, consts.decay_exponent
+    gamma, rho = params.gamma, params.decay_exponent
     fam = CosineFamily(basis, speed=np.sqrt(params.b))
 
     grow = np.exp(rho * times)[:, None]
     decayed = np.exp(-rho * times)[:, None]
-    memory = consts.kernel_scale * grow * prefix_trapezoid(decayed * bundle.v, dt)
-    f0 = consts.volterra_beta * bundle.v + memory
-    w0tot = data.w0.total_coeffs()
-    w1tot = data.w1.total_coeffs()
-    f1 = consts.h0(times)[:, None] * w0tot + consts.h1(times)[:, None] * w1tot
+    memory = params.kernel_scale * grow * prefix_trapezoid(decayed * bundle.v, dt)
+    f0 = params.volterra_beta * bundle.v + memory
+    f1 = _data_source(params, times, data.w0.total_coeffs(), data.w1.total_coeffs())
 
     z0 = data.w0
     z1 = SpectralField(basis,
@@ -612,16 +526,15 @@ def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
     v21 = kop_apply(fam, f2, grid) / root_b
     v22 = kop_apply(fam, rp.ftilde, grid) / root_b
 
-    diff = bundle.v - z.coeffs - v21 - v22
+    diff = bundle.v - z.total("w") - v21 - v22
     scale = max(np.max(np.linalg.norm(bundle.v, axis=1)), 1e-300)
     identity_error = float(np.max(np.linalg.norm(diff, axis=1)) / scale)
 
-    dn = basis.normal_derivatives()
     return TraceDecomposition(
         wave_part=z, v21=v21, v22=v22,
         identity_error=identity_error,
         identity_ok=identity_error <= identity_rtol,
-        trace_z=z.trace_series(),
-        trace_v21=v21 @ dn.T,
-        trace_v22=v22 @ dn.T,
-        trace_wt=bundle.trace_wt)
+        trace_z=z.trace("w").series,
+        trace_v21=normal_trace(basis, v21).series,
+        trace_v22=normal_trace(basis, v22).series,
+        trace_wt=bundle.trace("wt").series)

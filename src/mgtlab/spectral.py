@@ -1,4 +1,4 @@
-"""Domains, Dirichlet eigenbases, spectral fields, liftings, norms and traces.
+"""Domains, eigenbases, fields, trajectories, liftings, norms and traces.
 
 Everything downstream computes on the closed-form sine spectrum of the
 Dirichlet Laplacian on the unit interval or the unit square.  A field is a
@@ -22,6 +22,9 @@ SQUARE = "square"
 # terms kept when evaluating the square-domain harmonic lifting
 _SQUARE_LIFT_TERMS = 128
 
+# relative gap allowed between half-spectrum and full normal-trace sums
+_TRACE_RTOL = 0.05
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -37,10 +40,6 @@ class DomainSpec:
             raise ValueError("grid_points_per_axis must be >= 8")
 
     @property
-    def dimension(self) -> int:
-        return 1 if self.kind == INTERVAL else 2
-
-    @property
     def boundary_size(self) -> int:
         """Number of boundary values carried by data (2 nodes or 4 edges)."""
         return 2 if self.kind == INTERVAL else 4
@@ -48,11 +47,10 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, T] carrying the default quadrature rule tag."""
+    """Uniform grid on [0, T]."""
 
     horizon: float
     steps: int
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -69,7 +67,7 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
     def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.steps * factor, self.rule)
+        return TimeGrid(self.horizon, self.steps * factor)
 
 
 class EigenBasis:
@@ -254,13 +252,15 @@ def lifting_values_square(boundary: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def lifting_normal_derivative_interval(boundary: np.ndarray) -> np.ndarray:
-    """Outward normal derivative of the affine lifting at the two nodes."""
-    a, b = boundary
-    return np.array([a - b, b - a])
-
-
 # -- Sobolev norms ----------------------------------------------------------
+
+
+def _l2sq(arr: np.ndarray, spacings) -> float:
+    """Squared L2 norm of grid samples: nested trapezoid rules, last axis first."""
+    out = arr**2
+    for h in reversed(list(spacings)):
+        out = np.trapezoid(out, dx=h, axis=-1)
+    return float(out)
 
 
 def grid_sobolev_norm(values: np.ndarray, spacings, s: int) -> float:
@@ -273,23 +273,17 @@ def grid_sobolev_norm(values: np.ndarray, spacings, s: int) -> float:
     if len(spacings) != values.ndim:
         raise ValueError("one spacing per axis is required")
 
-    def l2sq(arr):
-        out = arr**2
-        for h in reversed(spacings):
-            out = np.trapezoid(out, dx=h, axis=-1)
-        return float(out)
-
-    total = l2sq(values)
+    total = _l2sq(values, spacings)
     if s >= 1:
         grads = [np.gradient(values, h, axis=ax, edge_order=2)
                  for ax, h in enumerate(spacings)]
-        total += sum(l2sq(g) for g in grads)
+        total += sum(_l2sq(g, spacings) for g in grads)
     if s == 2:
         # one term per multi-index: (2,0), (1,1), (0,2) in 2D
         for ax1, g in enumerate(grads):
             for ax2 in range(ax1, values.ndim):
                 gg = np.gradient(g, spacings[ax2], axis=ax2, edge_order=2)
-                total += l2sq(gg)
+                total += _l2sq(gg, spacings)
     return float(np.sqrt(total))
 
 
@@ -324,33 +318,33 @@ def sobolev_norm(target, s: int, method: str = "spectral",
 # -- boundary traces --------------------------------------------------------
 
 
-class TraceResult(NamedTuple):
-    value: float
+class NormalTrace(NamedTuple):
+    series: np.ndarray   # (steps+1, 2) outward normal derivatives at x=0, x=1
     converged: bool
 
 
-def normal_trace(field: SpectralField, node: int, rtol: float = 0.05) -> TraceResult:
-    """Outward normal derivative of the field at a boundary node.
+def normal_trace(basis: EigenBasis, interior: np.ndarray,
+                 boundary: np.ndarray | None = None) -> NormalTrace:
+    """Outward normal derivative series of a trajectory on the interval.
 
-    The eigen-sum is Cauchy-tested: the partial sums over the lower half of
-    the spectrum and over all modes must agree within rtol, else the result
-    is flagged non-convergent and the value reported as NaN.
+    interior holds zero-trace coefficients (steps+1, modes); boundary, when
+    given, holds the node values (steps+1, 2) whose affine lifting a + (b-a)x
+    contributes d_nu = [a - b, b - a].  The eigen-sum is Cauchy-tested on the
+    zero-trace part: partial sums over the lower half of the spectrum must
+    stay within 5% of the sup of the full series.
     """
-    basis = field.basis
     if basis.domain.kind != INTERVAL:
         raise NotImplementedError("normal traces are implemented on the interval")
-    dn = basis.normal_derivatives()[node]
-    order = np.argsort(basis.eigenvalues, kind="stable")
-    contrib = (field.coeffs * dn)[order]
-    full = float(np.sum(contrib))
-    half = float(np.sum(contrib[: max(1, len(contrib) // 2)]))
-    if field.boundary is not None:
-        lift = float(lifting_normal_derivative_interval(field.boundary)[node])
-        full += lift
-        half += lift
-    if abs(full - half) <= rtol * abs(full) + 1e-12:
-        return TraceResult(full, True)
-    return TraceResult(float("nan"), False)
+    dn = basis.normal_derivatives()
+    series = interior @ dn.T
+    half = np.argsort(basis.eigenvalues, kind="stable")[: max(1, basis.size // 2)]
+    part = interior[:, half] @ dn[:, half].T
+    scale = np.max(np.abs(series)) + 1e-12
+    converged = bool(np.max(np.abs(series - part)) <= _TRACE_RTOL * scale)
+    if boundary is not None:
+        slope = boundary[:, 0] - boundary[:, 1]
+        series += np.column_stack([slope, -slope])
+    return NormalTrace(series, converged)
 
 
 # -- time-sampled boundary data ----------------------------------------------
@@ -424,6 +418,46 @@ class BoundaryData:
     def zero(cls, nodes: int = 2) -> "BoundaryData":
         z = np.zeros(nodes)
         return cls(g=lambda t: z, gt=lambda t: z, gtt=lambda t: z, nodes=nodes)
+
+
+@dataclass
+class Trajectory:
+    """Coefficient trajectories of (w, w_t, w_tt), each of shape (steps+1, modes).
+
+    As in SpectralField, the coefficients are the whole function when
+    boundary is None; otherwise they are the zero-trace part, and the harmonic
+    lifting of boundary.values / dvalues / ddvalues completes w / w_t / w_tt.
+    """
+
+    basis: EigenBasis
+    grid: TimeGrid
+    w: np.ndarray
+    wt: np.ndarray
+    wtt: np.ndarray
+    boundary: BoundarySignal | None
+
+    def interior(self, which: str) -> np.ndarray:
+        return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
+
+    def boundary_values(self, which: str) -> np.ndarray | None:
+        if self.boundary is None:
+            return None
+        sig = self.boundary
+        return {"w": sig.values, "wt": sig.dvalues, "wtt": sig.ddvalues}[which]
+
+    def total(self, which: str) -> np.ndarray:
+        """L2 eigen-coefficients of the whole function, lifting included."""
+        if self.boundary is None:
+            return self.interior(which)
+        return self.interior(which) + self.boundary_values(which) @ self.basis.lift_matrix()
+
+    def trace(self, which: str) -> NormalTrace:
+        return normal_trace(self.basis, self.interior(which), self.boundary_values(which))
+
+    def field(self, m: int, which: str = "w") -> SpectralField:
+        boundary = self.boundary_values(which)
+        return SpectralField(self.basis, self.interior(which)[m],
+                             None if boundary is None else boundary[m])
 
 
 def trajectory_on_grid(basis: EigenBasis, interior: np.ndarray,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import grid_sobolev_norm
+from .spectral import _l2sq, grid_sobolev_norm, trajectory_on_grid
 
 AD = np.diag([1.0, 1.0, 0.0]).astype(complex)
 B_ROW = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -190,13 +190,6 @@ def weighted_norm(u: np.ndarray, k: int, weight_beta: float, spacings) -> float:
     return float(np.sqrt(total))
 
 
-def _l2sq(arr: np.ndarray, spacings) -> float:
-    out = arr**2
-    for h in reversed(list(spacings)):
-        out = np.trapezoid(out, dx=h, axis=-1)
-    return float(out)
-
-
 def _derivatives_up_to(u: np.ndarray, k: int, spacings):
     """Yield (multi-index, finite-difference derivative) for all |a| <= k."""
     from itertools import product
@@ -255,8 +248,6 @@ def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
 
 def _probe_sides(bundle, data, which: str, beta: float, space_points: int,
                  stride: int = 1) -> tuple[float, float]:
-    from .spectral import trajectory_on_grid
-
     basis = bundle.basis
     grid = bundle.grid
     sel = slice(None, None, stride)
@@ -265,15 +256,13 @@ def _probe_sides(bundle, data, which: str, beta: float, space_points: int,
     hx = 1.0 / space_points
     spac = (dt, hx)
 
-    w_vals = trajectory_on_grid(basis, bundle.w[sel], bundle.w_boundary[sel], space_points)
-    wt_vals = trajectory_on_grid(basis, bundle.wt[sel], bundle.wt_boundary[sel], space_points)
-    wtt_vals = trajectory_on_grid(basis, bundle.wtt[sel], bundle.wtt_boundary[sel], space_points)
-    trace_w = bundle.trace_w[sel]
-    trace_wt = bundle.trace_wt[sel]
-
-    rp = bundle.reduced
-    sig = rp.boundary_signal
-    g, g_t, g_tt = sig.values[sel], sig.dvalues[sel], sig.ddvalues[sel]
+    w_vals, wt_vals, wtt_vals = (
+        trajectory_on_grid(basis, bundle.interior(comp)[sel],
+                           bundle.boundary_values(comp)[sel], space_points)
+        for comp in ("w", "wt", "wtt"))
+    trace_w = bundle.trace("w").series[sel]
+    trace_wt = bundle.trace("wt").series[sel]
+    g, g_t, g_tt = (bundle.boundary_values(comp)[sel] for comp in ("w", "wt", "wtt"))
 
     if which == "resolvent_4a":
         env = np.exp(-beta * times)[:, None]
@@ -325,8 +314,6 @@ def _probe_sides(bundle, data, which: str, beta: float, space_points: int,
 
 def _forcing_values(bundle, basis, space_points: int) -> np.ndarray:
     """Physical-space samples of the interior forcing over the time grid."""
-    from .spectral import trajectory_on_grid
-
     fsamp = bundle.reduced.f_samples
     if fsamp is None or not np.any(fsamp):
         return np.zeros((bundle.grid.steps + 1, space_points + 1))

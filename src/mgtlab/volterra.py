@@ -28,7 +28,6 @@ class ScalarKernel:
     """Continuous convolution kernel t -> l(t), vectorized over sample arrays."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    smoothness: str = "smooth"
 
     def samples(self, grid: TimeGrid) -> np.ndarray:
         return np.asarray(self.evaluate(grid.times), dtype=float)

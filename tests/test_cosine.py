@@ -102,16 +102,20 @@ def test_wave_solve_eigenmode():
     grid = TimeGrid(1.0, 500)
     sol = wave_solve(FAM, unit_field(0), SpectralField(BASIS, np.zeros(8)),
                      None, None, grid)
-    exact = np.cos(np.sqrt(BASIS.eigenvalues[0]) * grid.times)
-    assert np.max(np.abs(sol.coeffs[:, 0] - exact)) < 1e-12
-    assert np.max(np.abs(sol.coeffs[:, 1:])) == 0.0
+    omega = np.sqrt(BASIS.eigenvalues[0])
+    exact = np.cos(omega * grid.times)
+    assert np.max(np.abs(sol.w[:, 0] - exact)) < 1e-12
+    assert np.max(np.abs(sol.w[:, 1:])) == 0.0
+    assert np.max(np.abs(sol.wt[:, 0] + omega * np.sin(omega * grid.times))) < 1e-11
+    assert np.max(np.abs(sol.wtt[:, 0] + omega**2 * exact)) < 1e-10
 
 
 def test_wave_solve_zero_data():
     grid = TimeGrid(1.0, 50)
     zero = SpectralField(BASIS, np.zeros(8))
     sol = wave_solve(FAM, zero, zero, None, None, grid)
-    assert np.all(sol.coeffs == 0.0)
+    for which in ("w", "wt", "wtt"):
+        assert np.all(sol.total(which) == 0.0)
 
 
 def test_wave_solve_matches_cosine_superposition():
@@ -125,10 +129,10 @@ def test_wave_solve_matches_cosine_superposition():
     for m, t in enumerate(grid.times):
         expected = (np.cos(np.outer([t], omega))[0] * z0.coeffs
                     + np.sin(np.outer([t], omega))[0] / omega * z1.coeffs)
-        assert np.array_equal(sol.coeffs[m], expected)
+        assert np.array_equal(sol.w[m], expected)
         alt = (variant_symbol(FAM, t, "Rplus") * z0.coeffs
                + variant_symbol(FAM, t, "AinvRminus") / FAM.speed * z1.coeffs)
-        assert np.allclose(sol.coeffs[m], alt, rtol=1e-13, atol=1e-13)
+        assert np.allclose(sol.w[m], alt, rtol=1e-13, atol=1e-13)
 
 
 def test_wave_energy_conservation():
@@ -138,7 +142,7 @@ def test_wave_energy_conservation():
     z0 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
     z1 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
     sol = wave_solve(FAM, z0, z1, None, None, grid)
-    energy = (sol.dcoeffs**2 + BASIS.eigenvalues * sol.coeffs**2).sum(axis=1)
+    energy = (sol.wt**2 + BASIS.eigenvalues * sol.w**2).sum(axis=1)
     assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-12
 
 
@@ -153,13 +157,35 @@ def test_wave_solve_dirichlet_vs_finite_difference():
                      gt=lambda t: np.array([np.cos(t), 0.0]),
                      gtt=lambda t: np.array([-np.sin(t), 0.0]))
     sol = wave_solve(fam, zero, zero, None, g.sample(grid), grid)
-    vals = trajectory_on_grid(basis, sol.interior_coeffs(),
-                              sol.g.values, 256)
+    vals = trajectory_on_grid(basis, sol.w, sol.boundary.values, 256)
     _, ref = leapfrog_wave(256, grid, lambda x: 0.0 * x, lambda x: 0.0 * x,
                            g=lambda t: (np.sin(t), 0.0))
     num = np.sqrt(np.mean((vals - ref) ** 2))
     den = np.sqrt(np.mean(ref**2))
     assert num / den < 1e-2
+
+
+def test_wave_solve_derivatives_match_differencing():
+    # forcing plus Dirichlet data: w_t and w_tt of the whole function against
+    # centered differences of w, second order in dt
+    rng = np.random.default_rng(4)
+    z0 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
+    z1 = SpectralField(BASIS, np.zeros(8))
+    g = BoundaryData(g=lambda t: np.array([np.sin(t), 0.5 * t**2]),
+                     gt=lambda t: np.array([np.cos(t), t]),
+                     gtt=lambda t: np.array([-np.sin(t), 1.0]))
+    errs = []
+    for steps in (400, 800):
+        grid = TimeGrid(1.0, steps)
+        f = np.outer(np.cos(grid.times), np.ones(8) / (1 + np.arange(8.0)))
+        sol = wave_solve(FAM, z0, z1, f, g.sample(grid), grid)
+        w = sol.total("w")
+        dw = (w[2:] - w[:-2]) / (2 * grid.dt)
+        ddw = (w[2:] - 2 * w[1:-1] + w[:-2]) / grid.dt**2
+        errs.append((np.max(np.abs(dw - sol.total("wt")[1:-1])),
+                     np.max(np.abs(ddw - sol.total("wtt")[1:-1]))))
+    for coarse, fine in zip(*errs):
+        assert coarse / fine > 3.0
 
 
 def test_kop_smoothing_bounded_under_mode_refinement():

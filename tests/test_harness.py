@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mgtlab.cli import main
@@ -37,6 +38,8 @@ def test_config_validation_errors():
         ScenarioConfig(domain_kind="torus")
     with pytest.raises(ConfigError):
         ScenarioConfig(tolerances={"cross_route": -1.0})
+    with pytest.raises(ConfigError, match="cross_rout"):
+        ScenarioConfig(tolerances={"cross_rout": 1e-3})
 
 
 def test_config_from_json_rejects_unknown_fields(tmp_path):
@@ -44,6 +47,16 @@ def test_config_from_json_rejects_unknown_fields(tmp_path):
     path.write_text(json.dumps({"modez": [4]}))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json(path)
+
+
+@pytest.mark.parametrize("raw", [{"modes": ["a"]}, {"steps": "100"},
+                                 {"tolerances": {"cross_route": "x"}}])
+def test_config_from_json_rejects_mistyped_values(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_json(path)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -152,6 +165,33 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_bad_tolerance_name(tmp_path):
     code = main(["solve", "--out", str(tmp_path), "--tol", "nope=1"])
     assert code == 2
+    # a misspelled name in a config file is rejected, not silently ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": {"cross_rout": 1e-3}}))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--modes", "0"], ["--modes=-3,4"], ["--modes", ","],
+                                   ["--tol", "cross_route=0"]])
+def test_cli_invalid_override_is_config_error(tmp_path, flags):
+    code = main(["solve", "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert not (tmp_path / "o" / "error.json").exists()
+
+
+def test_cli_non_finite_solve_writes_record(tmp_path):
+    # gamma = 1 at T = 2000: the exponential transform overflows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modes": [4], "horizon": 2000.0, "steps": 2000,
+                                "grid_points_per_axis": 64}))
+    with np.errstate(all="ignore"):
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    record = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert record["error"] == "ReductionError"
+    assert "non-finite w" in record["message"]
 
 
 def test_cli_solver_error_writes_record(tmp_path):
@@ -177,8 +217,6 @@ def test_cli_dt_override(tmp_path):
 
 def test_solve_norm_matches_oracle_built_value():
     # sup_t H2 norm of the eigenmode case, rebuilt from oracle coefficients
-    import numpy as np
-
     from mgtlab.harness import sup_interior_norms
     from mgtlab.modal_oracle import solve_by_modes
     from mgtlab.reduction import MgtData, MgtParams, solve_mgt

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from mgtlab.cosine import CosineFamily
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import composite_weights
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
-    build_affine,
+    ReductionError,
     build_kernel,
-    derive_constants,
     forcing_transform,
     reduce_problem,
     solve_mgt,
     trace_decomposition,
+    _data_source,
     _solve_structured,
 )
 from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
@@ -36,13 +35,17 @@ def eigen_data(k=0, amp=1.0):
     return MgtData(w0=SpectralField(BASIS, coeffs), w1=zero_field(), w2=zero_field())
 
 
+def memory_weight(params, t):
+    """K(t) = kappa e^{rho t}, the memory weight of the transformed problem."""
+    return params.kernel_scale * np.exp(params.decay_exponent * t)
+
+
 def test_derived_constants_reference_values():
-    consts = derive_constants(PARAMS)
-    assert consts.gamma == pytest.approx(1.0)
-    assert consts.volterra_beta == pytest.approx(1.25)
-    assert consts.decay_exponent == pytest.approx(-0.5)
+    assert PARAMS.gamma == pytest.approx(1.0)
+    assert PARAMS.volterra_beta == pytest.approx(1.25)
+    assert PARAMS.decay_exponent == pytest.approx(-0.5)
     t = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(consts.memory_weight(t), -np.exp(-0.5 * t))
+    assert np.allclose(memory_weight(PARAMS, t), -np.exp(-0.5 * t))
 
 
 def test_params_validation():
@@ -54,12 +57,11 @@ def test_params_validation():
 
 def test_coefficient_functions_consistent_with_transform():
     # h0, h1, h2 are pinned by the memory residual R(t) = e^{rho t} R(0):
-    # R(0) = w2 + gamma w1 + (gamma^2/4 - beta + b mu) w0 per mode
-    consts = derive_constants(PARAMS)
-    gamma = consts.gamma
+    # R(0) = w2 + gamma w1 + (gamma^2/4 - beta + b mu) w0 per mode; h2(0) = 1
+    gamma = PARAMS.gamma
     w0, w1, w2 = 0.7, -0.3, 0.4
-    lhs = (consts.h0(0.0) * w0 + consts.h1(0.0) * w1 + consts.h2(0.0) * w2)
-    rhs = (gamma**2 / 4 - consts.volterra_beta) * w0 + gamma * w1 + w2
+    lhs = _data_source(PARAMS, np.zeros(1), np.array([w0]), np.array([w1]))[0, 0] + w2
+    rhs = (gamma**2 / 4 - PARAMS.volterra_beta) * w0 + gamma * w1 + w2
     assert lhs == pytest.approx(rhs)
 
 
@@ -98,12 +100,11 @@ def test_kernel_vanishes_at_zero_and_matches_quadrature():
     family = build_kernel(PARAMS, BASIS)
     assert np.max(np.abs(family.evaluate(np.array([0.0])))) < 1e-14
     # quadrature oracle for the inner convolution of the closed form
-    consts = derive_constants(PARAMS)
     omega = family.omega[0]
     t = 0.73
     s = np.linspace(0.0, t, 20001)
-    inner = np.trapezoid(np.sin(omega * (t - s)) * consts.memory_weight(s), s)
-    expected = (-consts.volterra_beta / omega * np.sin(omega * t)
+    inner = np.trapezoid(np.sin(omega * (t - s)) * memory_weight(PARAMS, s), s)
+    expected = (-PARAMS.volterra_beta / omega * np.sin(omega * t)
                 - inner / omega)
     got = family.evaluate(np.array([t]))[0, 0]
     assert got == pytest.approx(expected, abs=1e-8)
@@ -145,14 +146,12 @@ def test_affine_zero_data():
     assert np.all(rp.Htt == 0.0)
 
 
-def test_build_affine_wrapper_checks_family_speed():
+def test_reduce_problem_history_shapes():
     grid = TimeGrid(1.0, 50)
-    data = eigen_data(0)
-    fam = CosineFamily(BASIS, speed=np.sqrt(PARAMS.b))
-    H, Ht, Htt = build_affine(data, PARAMS, fam, grid)
-    assert H.shape == (51, BASIS.size)
-    with pytest.raises(ValueError):
-        build_affine(data, PARAMS, CosineFamily(BASIS, speed=2.0), grid)
+    rp = reduce_problem(eigen_data(0), PARAMS, grid)
+    for hist in (rp.H, rp.Ht, rp.Htt):
+        assert hist.shape == (51, BASIS.size)
+    assert rp.H_raw is None
 
 
 def test_affine_matches_term_by_term_quadrature():
@@ -160,13 +159,13 @@ def test_affine_matches_term_by_term_quadrature():
     grid = TimeGrid(1.0, 4000)
     data = eigen_data(0)
     rp = reduce_problem(data, PARAMS, grid)
-    consts = derive_constants(PARAMS)
     mu = BASIS.eigenvalues[0]
     omega = np.sqrt(PARAMS.b * mu)
-    gamma = consts.gamma
+    gamma = PARAMS.gamma
     for t in (0.25, 0.5, 1.0):
         s = np.linspace(0.0, t, 40001)
-        source = consts.h0(s) + consts.h2(s) * mu * PARAMS.b
+        h0 = _data_source(PARAMS, s, np.ones(1), np.zeros(1))[:, 0]
+        source = h0 + np.exp(PARAMS.decay_exponent * s) * mu * PARAMS.b
         conv = np.trapezoid(np.sin(omega * (t - s)) * source, s)
         expected = (np.cos(omega * t) + 0.5 * gamma * np.sin(omega * t) / omega
                     + conv / omega)
@@ -205,7 +204,15 @@ def test_solve_mgt_zero_data():
     bundle = solve_mgt(data, PARAMS, grid)
     for which in ("w", "wt", "wtt"):
         assert np.all(bundle.interior(which) == 0.0)
-    assert np.all(bundle.trace_w == 0.0)
+    assert np.all(bundle.trace("w").series == 0.0)
+
+
+def test_solve_mgt_rejects_non_finite_output():
+    # the transform's exponentials overflow near t ~ 709 here: an error, never NaN
+    basis = build_basis(DomainSpec("interval", 256), 4)
+    data = make_scenario(basis, ScenarioSpec(seed=0))
+    with np.errstate(all="ignore"), pytest.raises(ReductionError, match="non-finite w "):
+        solve_mgt(data, PARAMS, TimeGrid(2000.0, 2000))
 
 
 def test_solve_mgt_matches_oracle_eigenmode():
@@ -295,7 +302,7 @@ def test_trace_decomposition_zero_data():
     grid = TimeGrid(1.0, 200)
     data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
     dec = trace_decomposition(data, PARAMS, grid)
-    assert np.all(dec.wave_part.coeffs == 0.0)
+    assert np.all(dec.wave_part.total("w") == 0.0)
     assert np.all(dec.v21 == 0.0)
     assert np.all(dec.v22 == 0.0)
     assert dec.identity_error == 0.0
@@ -320,7 +327,8 @@ def test_trace_decomposition_full_scenario():
         basis = build_basis(DomainSpec("interval", 256), n)
         d = make_scenario(basis, ScenarioSpec(seed=12))
         b = solve_mgt(d, PARAMS, TimeGrid(1.0, 1000))
-        return np.sqrt(np.trapezoid((b.trace_wt**2).sum(axis=1), dx=b.grid.dt))
+        trace_wt = b.trace("wt").series
+        return np.sqrt(np.trapezoid((trace_wt**2).sum(axis=1), dx=b.grid.dt))
 
     n32, n64 = wt_trace_norm(32), wt_trace_norm(64)
     assert abs(n64 - n32) / n32 < 0.05
@@ -354,7 +362,7 @@ def test_trace_decomposition_trace_sum():
     data = make_scenario(basis, ScenarioSpec(seed=3))
     bundle = solve_mgt(data, params, grid)
     dec = trace_decomposition(data, params, grid, bundle)
-    lhs = np.exp(0.5 * params.gamma * grid.times)[:, None] * bundle.trace_w
+    lhs = np.exp(0.5 * params.gamma * grid.times)[:, None] * bundle.trace("w").series
     rhs = dec.trace_z + dec.trace_v21 + dec.trace_v22
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-4
 

@@ -1,4 +1,4 @@
-"""Eigenbasis geometry, Dirichlet map, Sobolev norms, boundary traces."""
+"""Eigenbasis geometry, Dirichlet map, Sobolev norms, trajectories, traces."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from mgtlab.spectral import (
     DomainSpec,
     SpectralField,
     TimeGrid,
+    Trajectory,
     build_basis,
     dirichlet_map,
     lifting_values_square,
@@ -176,20 +177,20 @@ def test_grid_norm_square_field():
 
 def test_normal_trace_eigenfunctions():
     basis = build_basis(INTERVAL, 8)
-    e1 = SpectralField(basis, np.eye(8)[0])
-    left = normal_trace(e1, 0)
-    right = normal_trace(e1, 1)
-    assert left.converged and right.converged
-    assert left.value == pytest.approx(-np.sqrt(2) * np.pi)
-    assert right.value == pytest.approx(np.sqrt(2) * np.pi * np.cos(np.pi))
+    res = normal_trace(basis, np.eye(8)[:1])
+    assert res.converged
+    left, right = res.series[0]
+    assert left == pytest.approx(-np.sqrt(2) * np.pi)
+    assert right == pytest.approx(np.sqrt(2) * np.pi * np.cos(np.pi))
 
 
 def test_normal_trace_lifting_only():
     basis = build_basis(INTERVAL, 8)
     lift = dirichlet_map(basis, [1.0, 3.0])  # a + (b-a) x with slope 2
-    res = normal_trace(lift, 1)
+    res = normal_trace(basis, lift.coeffs[None], lift.boundary[None])
     assert res.converged
-    assert res.value == pytest.approx(2.0)
+    assert res.series[0, 1] == pytest.approx(2.0)
+    assert res.series[0, 0] == pytest.approx(-2.0)
 
 
 def test_normal_trace_flags_slow_tail():
@@ -197,9 +198,39 @@ def test_normal_trace_flags_slow_tail():
     basis = build_basis(INTERVAL, 64)
     k = np.arange(1, 65)
     coeffs = ((-1.0) ** k) / (k * np.pi)
-    res = normal_trace(SpectralField(basis, coeffs), 1)
+    res = normal_trace(basis, coeffs[None])
     assert not res.converged
-    assert np.isnan(res.value)
+    # the lifting never enters the flag: it has no eigen-sum to truncate
+    assert not normal_trace(basis, coeffs[None], np.array([[5.0, -5.0]])).converged
+
+
+def test_normal_trace_rejects_square():
+    with pytest.raises(NotImplementedError):
+        normal_trace(build_basis(SQUARE, 2), np.zeros((1, 4)))
+
+
+def test_trajectory_total_trace_and_field():
+    basis = build_basis(INTERVAL, 8)
+    grid = TimeGrid(1.0, 3)
+    rng = np.random.default_rng(2)
+    w, wt, wtt = (rng.normal(size=(4, 8)) for _ in range(3))
+    sig = BoundarySignal(grid, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)),
+                         rng.normal(size=(4, 2)))
+    lifted = Trajectory(basis, grid, w, wt, wtt, sig)
+    whole = Trajectory(basis, grid, w, wt, wtt, None)
+    lift = basis.lift_matrix()
+    for which, interior, edge in (("w", w, sig.values), ("wt", wt, sig.dvalues),
+                                  ("wtt", wtt, sig.ddvalues)):
+        assert lifted.total(which) == pytest.approx(interior + edge @ lift)
+        assert whole.total(which) is interior
+        assert whole.boundary_values(which) is None
+        fld = lifted.field(2, which)
+        assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])
+        assert np.array_equal(fld.boundary, edge[2])
+    a, b = sig.values[:, 0], sig.values[:, 1]
+    expected = w @ basis.normal_derivatives().T + np.column_stack([a - b, b - a])
+    assert np.array_equal(lifted.trace("w").series, expected)
+    assert whole.field(1).boundary is None
 
 
 def test_boundary_signal_shape_validation():
