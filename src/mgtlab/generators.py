@@ -18,19 +18,26 @@ from .spectral import BoundaryData, EigenBasis, SpectralField
 
 TIME_FAMILIES = ("zero", "poly", "trig", "ramp_kink", "step")
 
+def _zero(t):
+    return np.zeros_like(t, dtype=float)
+
 
 def time_profile(family: str, amp: float = 1.0, freq: float = 1.0,
                  phase: float = 0.0, offset: float = 0.0, knot: float = 0.4):
-    """Return callables (p, p', p'') for one named time family."""
+    """Return callables (p, p', p'') for one named time family.
+
+    Each maps an array of times to an array of the same shape, elementwise,
+    and gives the same floats as on one scalar time (powers are written as
+    products because numpy's array power and scalar pow() differ by ulps).
+    """
     if family == "zero":
-        z = lambda t: 0.0
-        return z, z, z
+        return _zero, _zero, _zero
     if family == "poly":
         def p(t):
-            return offset + amp * (t + 0.5 * freq * t**2 - 0.25 * t**3)
+            return offset + amp * (t + 0.5 * freq * (t * t) - 0.25 * (t * t * t))
 
         def pt(t):
-            return amp * (1.0 + freq * t - 0.75 * t**2)
+            return amp * (1.0 + freq * t - 0.75 * (t * t))
 
         def ptt(t):
             return amp * (freq - 1.5 * t)
@@ -50,22 +57,18 @@ def time_profile(family: str, amp: float = 1.0, freq: float = 1.0,
     if family == "ramp_kink":
         # continuous, kinked slope at the knot: violates H^2 in time
         def p(t):
-            return offset + amp * max(0.0, t - knot)
+            return offset + amp * np.maximum(0.0, t - knot)
 
         def pt(t):
-            return amp if t > knot else 0.0
+            return np.where(t > knot, amp, 0.0)
 
-        def ptt(t):
-            return 0.0
-
-        return p, pt, ptt
+        return p, pt, _zero
     if family == "step":
         # square-integrable only
         def p(t):
-            return offset + (amp if t >= knot else 0.0)
+            return offset + np.where(t >= knot, amp, 0.0)
 
-        z = lambda t: 0.0
-        return p, z, z
+        return p, _zero, _zero
     raise ValueError(f"unknown time family {family!r}")
 
 
@@ -118,13 +121,13 @@ def make_boundary(spec: ScenarioSpec, nodes: int) -> BoundaryData:
                 for i in range(nodes)]
 
     def g(t):
-        return np.array([p[0](t) for p in profiles])
+        return np.stack([p[0](t) for p in profiles], axis=-1)
 
     def gt(t):
-        return np.array([p[1](t) for p in profiles])
+        return np.stack([p[1](t) for p in profiles], axis=-1)
 
     def gtt(t):
-        return np.array([p[2](t) for p in profiles])
+        return np.stack([p[2](t) for p in profiles], axis=-1)
 
     return BoundaryData(g=g, gt=gt, gtt=gtt, nodes=nodes)
 
@@ -136,8 +139,7 @@ def make_scenario(basis: EigenBasis, spec: ScenarioSpec) -> MgtData:
     g = make_boundary(spec, nodes) if spec.g_family != "zero" else None
 
     if g is not None:
-        g0 = np.atleast_1d(g.g(0.0)).astype(float)
-        gt0 = np.atleast_1d(g.gt(0.0)).astype(float)
+        g0, gt0 = g.g(np.zeros(1))[0], g.gt(np.zeros(1))[0]
     else:
         g0 = gt0 = np.zeros(nodes)
     w0_boundary = g0.copy()
@@ -185,8 +187,8 @@ def manufactured_mode_case(basis: EigenBasis, params: MgtParams, mode: int = 0,
         return w3 + a * w2 + b * mu * w1 + c2 * mu * w
 
     def modes(t):
-        out = np.zeros(basis.size)
-        out[mode] = fmode(t)
+        out = np.zeros((len(t), basis.size))
+        out[:, mode] = fmode(t)
         return out
 
     zero = np.zeros(basis.size)

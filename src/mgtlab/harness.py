@@ -43,6 +43,17 @@ DEFAULT_TOLERANCES = {
     "residual_order_min": 1.0,
 }
 
+# knobs of the symbol suite (Lopatinskii sweeps and estimate probes)
+DEFAULT_SYMBOL = {
+    "b_grid": (0.25, 1.0, 4.0),
+    "samples": 10000,
+    "beta_min": 1e-6,
+    "weight_beta": 2.0,
+    "probe_scenarios": 100,
+    "probe_modes": 16,
+    "probe_steps": 400,
+}
+
 # time families that violate the square-integrable-second-derivative class
 H2_VIOLATING_FAMILIES = ("ramp_kink", "step")
 
@@ -82,6 +93,10 @@ class ScenarioConfig:
         if any(v <= 0 for v in merged.values()):
             raise ConfigError("tolerances must be positive")
         self.tolerances = merged
+        unknown = set(self.symbol) - set(DEFAULT_SYMBOL)
+        if unknown:
+            raise ConfigError(f"unknown symbol keys: {sorted(unknown)}")
+        self.symbol = {**DEFAULT_SYMBOL, **self.symbol}
         self.modes = [int(n) for n in self.modes]
 
     @classmethod
@@ -416,11 +431,11 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     for steps, osteps in zip(levels, oracle_levels):
         grid = TimeGrid(cfg.horizon, steps)
         data, exact = manufactured_mode_case(basis, params, mode=0, freq=1.0)
-        exact_w = np.array([exact(t)[0] for t in grid.times])
+        exact_w = exact(grid.times)[0]
         bundle = solve_mgt(data, params, grid)
         errs_volterra.append(float(np.max(np.abs(bundle.total("w")[:, 0] - exact_w))))
         ogrid = TimeGrid(cfg.horizon, osteps)
-        exact_o = np.array([exact(t)[0] for t in ogrid.times])
+        exact_o = exact(ogrid.times)[0]
         oracle = solve_by_modes(data, params, ogrid)
         errs_oracle.append(float(np.max(np.abs(oracle.w[:, 0] - exact_o))))
         resids.append(discrete_equation_residual(bundle, data))
@@ -530,14 +545,14 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     tol = cfg.tolerances
-    sym = dict(cfg.symbol)
-    b_grid = sym.get("b_grid", [0.25, 1.0, 4.0])
-    samples = int(sym.get("samples", 10000))
-    beta_min = float(sym.get("beta_min", 1e-6))
-    weight_beta = float(sym.get("weight_beta", 2.0))
-    n_probe = int(sym.get("probe_scenarios", 100))
-    probe_modes = int(sym.get("probe_modes", 16))
-    probe_steps = int(sym.get("probe_steps", 400))
+    sym = cfg.symbol
+    b_grid = sym["b_grid"]
+    samples = int(sym["samples"])
+    beta_min = float(sym["beta_min"])
+    weight_beta = float(sym["weight_beta"])
+    n_probe = int(sym["probe_scenarios"])
+    probe_modes = int(sym["probe_modes"])
+    probe_steps = int(sym["probe_steps"])
 
     rows = []
     sweep_rows = []

@@ -155,34 +155,75 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
 
     Requires analytic g and g_t callables when Dirichlet data is present,
     because the source carries one time derivative of the boundary flux.
+    The source is sampled once at each of RK4's stage times t_m,
+    t_m + dt/2 and t_m + dt; the loop then repeats _rk4's arithmetic,
+    operation for operation, on preallocated buffers.
     """
     basis = data.basis
+    if data.g is not None and data.g.gt is None:
+        raise ValueError("the oracle needs an analytic g_t callable")
+
+    alpha, c2, b = params.alpha, params.c**2, params.b
+    bmu, c2mu = b * basis.eigenvalues, c2 * basis.eigenvalues
+    steps, dt = grid.steps, grid.dt
+    hdt, dt6 = 0.5 * dt, dt / 6.0
+
+    t = np.arange(steps) * dt
+    src = np.zeros((3, steps, basis.size))
     flux = basis.boundary_flux()
-    f = data.f
-    if data.g is not None:
-        if data.g.gt is None:
-            raise ValueError("the oracle needs an analytic g_t callable")
-        g_call, gt_call = data.g.g, data.g.gt
-    else:
-        g_call = gt_call = None
+    for stage_src, ts in zip(src, (t, t + 0.5 * dt, t + dt)):
+        if data.f is not None:
+            stage_src[:] = data.f.modes(ts)
+        if data.g is not None:
+            q = data.g.g(ts) @ flux
+            q *= c2
+            stage_src -= q
+            np.matmul(data.g.gt(ts), flux, out=q)
+            q *= b
+            stage_src -= q
+    src0, src_half, src1 = src
 
-    c2, b = params.c**2, params.b
-    mu = basis.eigenvalues
-    zero = np.zeros(basis.size)
+    states = np.empty((steps + 1, 3, basis.size))
+    states[0] = (data.w0.total_coeffs(), data.w1.total_coeffs(),
+                 data.w2.total_coeffs())
+    # z holds one stage's state in rows 0-2 and its acceleration in row 3,
+    # so that the stage slope (first to third derivative) is the view z[1:]
+    z = np.empty((4, basis.size))
+    state, slope, acc = z[:3], z[1:], z[3]
+    ksum = np.empty((3, basis.size))
+    tmp = np.empty((3, basis.size))
+    term = np.empty(basis.size)
 
-    def source(t: float) -> np.ndarray:
-        out = f.modes(t) if f is not None else zero
-        if g_call is not None:
-            q = np.atleast_1d(g_call(t)) @ flux
-            qd = np.atleast_1d(gt_call(t)) @ flux
-            out = out - c2 * q - b * qd
-        return out
+    def shift(y, step):
+        # stage state y + step * (previous stage's slope)
+        np.multiply(step, slope, out=tmp)
+        np.add(y, tmp, out=state)
 
-    def rhs(t, y):
-        acc = source(t) - params.alpha * y[2] - b * mu * y[1] - c2 * mu * y[0]
-        return np.stack([y[1], y[2], acc])
+    def accelerate(source_row):
+        # source - alpha y'' - b mu y' - c^2 mu y, left to right
+        np.multiply(alpha, z[2], out=term)
+        np.subtract(source_row, term, out=acc)
+        np.multiply(bmu, z[1], out=term)
+        np.subtract(acc, term, out=acc)
+        np.multiply(c2mu, z[0], out=term)
+        np.subtract(acc, term, out=acc)
 
-    y0 = np.stack([data.w0.total_coeffs(), data.w1.total_coeffs(),
-                   data.w2.total_coeffs()])
-    states = _rk4(rhs, y0, grid)
+    for m in range(steps):
+        y = states[m]
+        state[:] = y
+        accelerate(src0[m])
+        ksum[:] = slope                     # k1
+        shift(y, hdt)
+        accelerate(src_half[m])             # k2
+        np.multiply(2.0, slope, out=tmp)
+        ksum += tmp
+        shift(y, hdt)
+        accelerate(src_half[m])             # k3
+        np.multiply(2.0, slope, out=tmp)
+        ksum += tmp
+        shift(y, dt)
+        accelerate(src1[m])                 # k4
+        ksum += slope
+        np.multiply(dt6, ksum, out=tmp)
+        np.add(y, tmp, out=states[m + 1])
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)

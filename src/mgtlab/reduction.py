@@ -94,21 +94,21 @@ def _data_source(params: MgtParams, times: np.ndarray, w0tot: np.ndarray,
 
 @dataclass
 class ForcingData:
-    """Interior forcing as a callable t -> eigen-coefficient vector."""
+    """Interior forcing as a callable: times (T,) -> eigen-coefficients (T, modes)."""
 
-    modes: Callable[[float], np.ndarray]
+    modes: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, grid: TimeGrid, size: int) -> np.ndarray:
-        out = np.array([np.atleast_1d(self.modes(t)) for t in grid.times], dtype=float)
+        out = np.asarray(self.modes(grid.times), dtype=float)
         if out.shape != (grid.steps + 1, size):
-            raise ValueError("forcing callable must produce one value per mode")
+            raise ValueError("forcing callable must map (T,) times to (T, modes) values")
         return out
 
     @classmethod
-    def separable(cls, time_profile: Callable[[float], float],
+    def separable(cls, time_profile: Callable[[np.ndarray], np.ndarray],
                   coeffs: np.ndarray) -> "ForcingData":
         coeffs = np.asarray(coeffs, dtype=float)
-        return cls(modes=lambda t: time_profile(t) * coeffs)
+        return cls(modes=lambda t: time_profile(t)[:, None] * coeffs)
 
 
 @dataclass
@@ -138,15 +138,13 @@ class MgtData:
         nodes = self.w0.basis.domain.boundary_size
         if self.g is None:
             return np.zeros(nodes), np.zeros(nodes)
-        g0 = np.atleast_1d(self.g.g(0.0)).astype(float)
+        h = 1e-6  # one-sided second-order difference for the flag only
+        vals = np.asarray(self.g.g(np.array([0.0, h, 2 * h])), dtype=float)
         if self.g.gt is not None:
-            gt0 = np.atleast_1d(self.g.gt(0.0)).astype(float)
+            gt0 = np.asarray(self.g.gt(np.zeros(1)), dtype=float)[0]
         else:
-            h = 1e-6  # one-sided second-order difference for the flag only
-            gt0 = (-3.0 * np.atleast_1d(self.g.g(0.0))
-                   + 4.0 * np.atleast_1d(self.g.g(h))
-                   - np.atleast_1d(self.g.g(2 * h))) / (2 * h)
-        return g0, gt0
+            gt0 = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2 * h)
+        return vals[0], gt0
 
     @property
     def basis(self) -> EigenBasis:
@@ -359,6 +357,10 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     turns the memory sum into three running sums, so the whole solve is
     O(steps) per mode.  The kernel vanishes at 0, so the step is explicit;
     the equations are identical to solve_direct with trapezoid weights.
+
+    rhs has shape (steps+1, modes) or (steps+1, k, modes): the per-mode
+    factors broadcast over the k right-hand sides, which are solved in one
+    loop with the same float operations as k separate solves.
     """
     times, dt = grid.times, grid.dt
     omega, rho = kernels.omega, kernels.rho
@@ -373,13 +375,14 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     run_s = 0.5 * st[0] * v[0]
     run_e = 0.5 * decay[0] * v[0]
     for m in range(1, grid.steps + 1):
-        memory = dt * (a * (st[m] * run_c - ct[m] * run_s)
-                       + b * (ct[m] * run_c + st[m] * run_s)
+        cm, sm, vm = ct[m], st[m], v[m]
+        memory = dt * (a * (sm * run_c - cm * run_s)
+                       + b * (cm * run_c + sm * run_s)
                        + c * grow[m] * run_e)
-        v[m] = rhs[m] - memory
-        run_c += ct[m] * v[m]
-        run_s += st[m] * v[m]
-        run_e += decay[m] * v[m]
+        np.subtract(rhs[m], memory, out=vm)
+        run_c += cm * vm
+        run_s += sm * vm
+        run_e += decay[m] * vm
     return v
 
 
@@ -412,46 +415,52 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
     """
     if method not in ("direct", "picard"):
         raise ValueError("method must be 'direct' or 'picard'")
-    rp = reduce_problem(data, params, grid)
-    gamma = params.gamma
-    times = grid.times
-    ker_t = rp.kernels.evaluate(times)
-    kdot_t = rp.kernels.derivative(times)
-    rhs_v = rp.H
-    rhs_vt = rp.Ht - ker_t * rp.v0
-    rhs_vtt = rp.Htt - kdot_t * rp.v0 - ker_t * rp.v1
+    # overflow of the exponential weights is reported once, by the
+    # finite-output check below, not as a stream of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rp = reduce_problem(data, params, grid)
+        gamma = params.gamma
+        times = grid.times
+        ker_t = rp.kernels.evaluate(times)
+        kdot_t = rp.kernels.derivative(times)
+        # right-hand sides of the v, v_t, v_tt solves, one column each
+        rhs = np.empty((grid.steps + 1, 3, rp.basis.size))
+        rhs[:, 0] = rp.H
+        np.subtract(rp.Ht, ker_t * rp.v0, out=rhs[:, 1])
+        np.subtract(rp.Htt, kdot_t * rp.v0, out=rhs[:, 2])
+        rhs[:, 2] -= ker_t * rp.v1
+        del ker_t, kdot_t
 
-    meta = {"method": method,
-            "boundary_derivative_source": rp.boundary_signal.derivative_source,
-            "compatible_position": data.compatible_position,
-            "compatible_velocity": data.compatible_velocity}
-    if method == "direct":
-        v = _solve_structured(rp.kernels, rhs_v, grid)
-        vt = _solve_structured(rp.kernels, rhs_vt, grid)
-        vtt = _solve_structured(rp.kernels, rhs_vtt, grid)
-    else:
-        kernel = ScalarKernel(evaluate=lambda t: rp.kernels.evaluate(t))
-        sols = []
-        terms = []
-        for rhs in (rhs_v, rhs_vt, rhs_vtt):
-            res = solve_picard(VolterraProblem(kernel, rhs, grid),
-                               max_terms=picard_max_terms, tol=picard_tol,
-                               rule="trapezoid")
-            if not res.converged:
-                raise ReductionError(
-                    f"Picard series did not converge (last term {res.last_term_sup:.3e})")
-            sols.append(res.values)
-            terms.append(res.terms_used)
-        v, vt, vtt = sols
-        meta["picard_terms"] = terms
+        meta = {"method": method,
+                "boundary_derivative_source": rp.boundary_signal.derivative_source,
+                "compatible_position": data.compatible_position,
+                "compatible_velocity": data.compatible_velocity}
+        if method == "direct":
+            sol = _solve_structured(rp.kernels, rhs, grid)
+            v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
+        else:
+            kernel = ScalarKernel(evaluate=lambda t: rp.kernels.evaluate(t))
+            sols = []
+            terms = []
+            for col in range(3):
+                res = solve_picard(VolterraProblem(kernel, rhs[:, col], grid),
+                                   max_terms=picard_max_terms, tol=picard_tol,
+                                   rule="trapezoid")
+                if not res.converged:
+                    raise ReductionError(
+                        f"Picard series did not converge (last term {res.last_term_sup:.3e})")
+                sols.append(res.values)
+                terms.append(res.terms_used)
+            v, vt, vtt = sols
+            meta["picard_terms"] = terms
 
-    v_int = v - rp.dhat
-    vt_int = vt - rp.dhat_t
-    vtt_int = vtt - rp.dhat_tt
-    damp = np.exp(-0.5 * gamma * times)[:, None]
-    w_int = damp * v_int
-    wt_int = damp * (vt_int - 0.5 * gamma * v_int)
-    wtt_int = damp * (vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int)
+        v_int = v - rp.dhat
+        vt_int = vt - rp.dhat_t
+        vtt_int = vtt - rp.dhat_tt
+        damp = np.exp(-0.5 * gamma * times)[:, None]
+        w_int = damp * v_int
+        wt_int = damp * (vt_int - 0.5 * gamma * v_int)
+        wtt_int = damp * (vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int)
 
     for name, arr in (("w", w_int), ("wt", wt_int), ("wtt", wtt_int)):
         # min/max propagate NaN and +-inf without an array-sized temporary

@@ -394,30 +394,37 @@ class BoundarySignal:
 
 @dataclass
 class BoundaryData:
-    """Analytic Dirichlet data: callables t -> per-node values."""
+    """Analytic Dirichlet data: callables mapping times (T,) to values (T, nodes)."""
 
-    g: Callable[[float], np.ndarray]
-    gt: Callable[[float], np.ndarray] | None = None
-    gtt: Callable[[float], np.ndarray] | None = None
+    g: Callable[[np.ndarray], np.ndarray]
+    gt: Callable[[np.ndarray], np.ndarray] | None = None
+    gtt: Callable[[np.ndarray], np.ndarray] | None = None
     nodes: int = 2
 
     def sample(self, grid: TimeGrid) -> BoundarySignal:
         times = grid.times
-        values = np.array([np.atleast_1d(self.g(t)) for t in times], dtype=float)
+        values = self._sampled(self.g, times)
         if self.gt is None:
             return BoundarySignal.from_samples(grid, values)
-        dvals = np.array([np.atleast_1d(self.gt(t)) for t in times], dtype=float)
+        dvals = self._sampled(self.gt, times)
         if self.gtt is not None:
-            ddvals = np.array([np.atleast_1d(self.gtt(t)) for t in times], dtype=float)
-            return BoundarySignal(grid, values, dvals, ddvals)
+            return BoundarySignal(grid, values, dvals, self._sampled(self.gtt, times))
         ddvals = np.gradient(dvals, grid.dt, axis=0, edge_order=2)
         return BoundarySignal(grid, values, dvals, ddvals,
                               derivative_source="finite_difference")
 
+    def _sampled(self, fn, times: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(times), dtype=float)
+        if out.shape != (len(times), self.nodes):
+            raise ValueError("boundary callables must map (T,) times to (T, nodes) values")
+        return out
+
     @classmethod
     def zero(cls, nodes: int = 2) -> "BoundaryData":
-        z = np.zeros(nodes)
-        return cls(g=lambda t: z, gt=lambda t: z, gtt=lambda t: z, nodes=nodes)
+        def z(t):
+            return np.zeros((len(t), nodes))
+
+        return cls(g=z, gt=z, gtt=z, nodes=nodes)
 
 
 @dataclass

@@ -113,8 +113,9 @@ def test_criterion_4_boundary_to_interior_probe():
     for n in (32, 64):
         basis = build_basis(DOMAIN, n)
         fam = CosineFamily(basis, speed=np.sqrt(PARAMS.b))
-        g = BoundaryData(g=lambda t: np.array([1.0 if t >= 0.4 else 0.0, 0.0]),
-                         gt=lambda t: np.zeros(2), gtt=lambda t: np.zeros(2))
+        g = BoundaryData(g=lambda t: np.column_stack([np.where(t >= 0.4, 1.0, 0.0), 0.0 * t]),
+                         gt=lambda t: np.zeros((len(t), 2)),
+                         gtt=lambda t: np.zeros((len(t), 2)))
         probe = boundary_convolution_probe(fam, g.sample(grid), grid)
         sups[n] = probe.sup_minus()
     change = abs(sups[64] - sups[32]) / sups[32]
@@ -213,13 +214,13 @@ def test_criterion_9_convergence_orders():
     for steps, osteps in ((1000, 50), (2000, 100), (4000, 200)):
         data, exact = manufactured_mode_case(basis, PARAMS, mode=0)
         grid = TimeGrid(1.0, steps)
-        exact_w = np.array([exact(t)[0] for t in grid.times])
+        exact_w = exact(grid.times)[0]
         bundle = solve_mgt(data, PARAMS, grid)
         errs_v.append(np.max(np.abs(bundle.total("w")[:, 0] - exact_w)))
         resids.append(discrete_equation_residual(bundle, data))
         ogrid = TimeGrid(1.0, osteps)
         oracle = solve_by_modes(data, PARAMS, ogrid)
-        exact_o = np.array([exact(t)[0] for t in ogrid.times])
+        exact_o = exact(ogrid.times)[0]
         errs_o.append(np.max(np.abs(oracle.w[:, 0] - exact_o)))
     order = lambda e: min(np.log2(e[i] / e[i + 1]) for i in range(len(e) - 1))
     ov, oo, orr = order(errs_v), order(errs_o), order(resids)

@@ -153,9 +153,9 @@ def test_wave_solve_dirichlet_vs_finite_difference():
     steps = 1200
     grid = TimeGrid(1.0, steps)
     zero = SpectralField(basis, np.zeros(basis.size))
-    g = BoundaryData(g=lambda t: np.array([np.sin(t), 0.0]),
-                     gt=lambda t: np.array([np.cos(t), 0.0]),
-                     gtt=lambda t: np.array([-np.sin(t), 0.0]))
+    g = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.0 * t]),
+                     gt=lambda t: np.column_stack([np.cos(t), 0.0 * t]),
+                     gtt=lambda t: np.column_stack([-np.sin(t), 0.0 * t]))
     sol = wave_solve(fam, zero, zero, None, g.sample(grid), grid)
     vals = trajectory_on_grid(basis, sol.w, sol.boundary.values, 256)
     _, ref = leapfrog_wave(256, grid, lambda x: 0.0 * x, lambda x: 0.0 * x,
@@ -171,9 +171,9 @@ def test_wave_solve_derivatives_match_differencing():
     rng = np.random.default_rng(4)
     z0 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
     z1 = SpectralField(BASIS, np.zeros(8))
-    g = BoundaryData(g=lambda t: np.array([np.sin(t), 0.5 * t**2]),
-                     gt=lambda t: np.array([np.cos(t), t]),
-                     gtt=lambda t: np.array([-np.sin(t), 1.0]))
+    g = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.5 * t**2]),
+                     gt=lambda t: np.column_stack([np.cos(t), t]),
+                     gtt=lambda t: np.column_stack([-np.sin(t), 1.0 + 0.0 * t]))
     errs = []
     for steps in (400, 800):
         grid = TimeGrid(1.0, steps)
@@ -219,9 +219,9 @@ def test_boundary_probe_step_mode_refinement():
     for n in (32, 64):
         basis = build_basis(DomainSpec("interval", 256), n)
         fam = CosineFamily(basis)
-        g = BoundaryData(g=lambda t: np.array([1.0 if t >= 0.3 else 0.0, 0.0]),
-                         gt=lambda t: np.array([0.0, 0.0]),
-                         gtt=lambda t: np.array([0.0, 0.0]))
+        g = BoundaryData(g=lambda t: np.column_stack([np.where(t >= 0.3, 1.0, 0.0), 0.0 * t]),
+                         gt=lambda t: np.zeros((len(t), 2)),
+                         gtt=lambda t: np.zeros((len(t), 2)))
         probe = boundary_convolution_probe(fam, g.sample(grid), grid)
         sups.append(probe.sup_minus())
     assert abs(sups[1] - sups[0]) / sups[0] < 0.05
@@ -236,9 +236,11 @@ def test_boundary_probe_linear_bound_over_random_signals():
     ratios = []
     for _ in range(20):
         a, w, p = rng.uniform(0.2, 1.5), rng.uniform(0.5, 6.0), rng.uniform(0, np.pi)
-        g = BoundaryData(g=lambda t, a=a, w=w, p=p: np.array([a * np.sin(w * t + p), 0.0]),
-                         gt=lambda t, a=a, w=w, p=p: np.array([a * w * np.cos(w * t + p), 0.0]),
-                         gtt=lambda t, a=a, w=w, p=p: np.array([-a * w**2 * np.sin(w * t + p), 0.0]))
+        g = BoundaryData(
+            g=lambda t, a=a, w=w, p=p: np.column_stack([a * np.sin(w * t + p), 0.0 * t]),
+            gt=lambda t, a=a, w=w, p=p: np.column_stack([a * w * np.cos(w * t + p), 0.0 * t]),
+            gtt=lambda t, a=a, w=w, p=p: np.column_stack([-a * w**2 * np.sin(w * t + p),
+                                                          0.0 * t]))
         sig = g.sample(grid)
         probe = boundary_convolution_probe(fam, sig, grid)
         gnorm = np.sqrt(np.trapezoid((sig.values**2).sum(axis=1), dx=grid.dt))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtlab.generators import (
+    TIME_FAMILIES,
     ScenarioSpec,
     make_boundary,
     make_scenario,
@@ -42,6 +45,22 @@ def test_step_profile():
     assert pt(0.8) == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(TIME_FAMILIES),
+       amp=st.floats(-5.0, 5.0), freq=st.floats(0.0, 10.0),
+       phase=st.floats(-np.pi, np.pi), offset=st.floats(-1.0, 1.0),
+       knot=st.floats(0.0, 2.0),
+       times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=16))
+def test_time_profile_array_matches_scalar(family, amp, freq, phase, offset, knot, times):
+    # one array call gives the stacked scalar calls bit for bit, also at the knot
+    t = np.array(times + [knot])
+    for fn in time_profile(family, amp=amp, freq=freq, phase=phase,
+                           offset=offset, knot=knot):
+        got = fn(t)
+        assert got.shape == t.shape
+        assert np.array_equal(got, np.stack([fn(float(x)) for x in t]))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         time_profile("sawtooth")
@@ -68,7 +87,7 @@ def test_scenario_compatibility_switch():
 def test_boundary_nodes_match_domain():
     spec = ScenarioSpec(seed=0)
     g = make_boundary(spec, 4)
-    assert g.g(0.0).shape == (4,)
+    assert g.g(np.zeros(3)).shape == (3, 4)
 
 
 def test_square_domain_cross_route():

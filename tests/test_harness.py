@@ -42,6 +42,18 @@ def test_config_validation_errors():
         ScenarioConfig(tolerances={"cross_rout": 1e-3})
 
 
+def test_config_rejects_unknown_symbol_keys(tmp_path):
+    # a misspelled symbol-suite key is an error, not a silent default
+    with pytest.raises(ConfigError, match="probe_scenaros.*sampels"):
+        ScenarioConfig(symbol={"sampels": 1000, "probe_scenaros": 3})
+    assert ScenarioConfig(symbol={"samples": 50}).symbol["samples"] == 50
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"symbol": {"sampels": 1000}}))
+    code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_from_json_rejects_unknown_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modez": [4]}))

@@ -1,5 +1,7 @@
 """Derived constants, kernels, affine histories, the full reduction solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_structured_solver_matches_generic_collocation():
     assert np.max(np.abs(fast - slow)) < 1e-11
 
 
+def test_structured_solver_batches_columns_exactly():
+    # the (steps+1, 3, modes) solve is three one-column solves, bit for bit,
+    # and at a small step count it is the generic trapezoid collocation
+    family = build_kernel(PARAMS, BASIS)
+    grid = TimeGrid(1.0, 64)
+    rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
+    batched = _solve_structured(family, rhs, grid)
+    from mgtlab.volterra import ScalarKernel
+
+    ker = ScalarKernel(evaluate=lambda t: family.evaluate(t))
+    for col in range(3):
+        single = _solve_structured(family, rhs[:, col].copy(), grid)
+        assert np.array_equal(batched[:, col], single)
+        slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
+        assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
+
+
 def test_affine_zero_data():
     grid = TimeGrid(1.0, 100)
     data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
@@ -208,11 +227,15 @@ def test_solve_mgt_zero_data():
 
 
 def test_solve_mgt_rejects_non_finite_output():
-    # the transform's exponentials overflow near t ~ 709 here: an error, never NaN
+    # the transform's exponentials overflow near t ~ 709 here: an error, never
+    # NaN, and the error is the only report (no numpy RuntimeWarnings first)
     basis = build_basis(DomainSpec("interval", 256), 4)
     data = make_scenario(basis, ScenarioSpec(seed=0))
-    with np.errstate(all="ignore"), pytest.raises(ReductionError, match="non-finite w "):
-        solve_mgt(data, PARAMS, TimeGrid(2000.0, 2000))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        with pytest.raises(ReductionError, match="non-finite w "):
+            solve_mgt(data, PARAMS, TimeGrid(2000.0, 2000))
+    assert caught == []
 
 
 def test_solve_mgt_matches_oracle_eigenmode():

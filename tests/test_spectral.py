@@ -241,17 +241,24 @@ def test_boundary_signal_shape_validation():
 
 def test_boundary_data_finite_difference_fallback():
     grid = TimeGrid(1.0, 400)
-    data = BoundaryData(g=lambda t: np.array([np.sin(t), 0.0]), gt=None, gtt=None)
+    data = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.0 * t]), gt=None, gtt=None)
     sig = data.sample(grid)
     assert sig.derivative_source == "finite_difference"
     assert np.max(np.abs(sig.dvalues[:, 0] - np.cos(grid.times))) < 1e-4
 
 
+def test_boundary_data_rejects_per_time_callables():
+    # the callables take all times at once; a (nodes,) result is an error
+    data = BoundaryData(g=lambda t: np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\(T, nodes\)"):
+        data.sample(TimeGrid(1.0, 10))
+
+
 def test_boundary_data_analytic_derivatives_recorded():
     grid = TimeGrid(1.0, 50)
-    data = BoundaryData(g=lambda t: np.array([t, 0.0]),
-                        gt=lambda t: np.array([1.0, 0.0]),
-                        gtt=lambda t: np.array([0.0, 0.0]))
+    data = BoundaryData(g=lambda t: np.column_stack([t, 0.0 * t]),
+                        gt=lambda t: np.column_stack([1.0 + 0.0 * t, 0.0 * t]),
+                        gtt=lambda t: np.zeros((len(t), 2)))
     sig = data.sample(grid)
     assert sig.derivative_source == "analytic"
     assert np.all(sig.dvalues[:, 0] == 1.0)
