@@ -10,7 +10,6 @@ from .cosine import (
     BoundaryProbeResult,
     CosineFamily,
     boundary_convolution_probe,
-    cosine_apply,
     kop_apply,
     wave_solve,
 )
@@ -57,7 +56,6 @@ from .symbols import (
 )
 from .volterra import (
     PicardResult,
-    ScalarKernel,
     VolterraProblem,
     iterated_kernel,
     solve_direct,

@@ -32,50 +32,36 @@ class CosineFamily:
         return self.speed * self.basis.sqrt_eigenvalues
 
 
-def variant_symbol(fam: CosineFamily, t: float, variant: str) -> np.ndarray:
-    """Per-mode multiplier of the requested operator at time t."""
-    mu = fam.basis.eigenvalues
-    root = fam.basis.sqrt_eigenvalues
-    phase = fam.omega * t
-    if variant == "Rplus":
-        return np.cos(phase)
-    if variant == "AinvRminus":
-        return np.sin(phase) / root
-    if variant == "ARminus":
-        return -root * np.sin(phase)
-    if variant == "A2Rplus":
-        return -mu * np.cos(phase)
-    raise ValueError(f"unknown variant {variant!r}")
+@dataclass(frozen=True)
+class Phases:
+    """cos(omega t) and sin(omega t) per mode: (len(times), len(omega)) each.
+
+    A solve builds one table and passes it to everything that reads the
+    cosine/sine family on its grid.
+    """
+
+    omega: np.ndarray
+    times: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
 
 
-def cosine_apply(fam: CosineFamily, t: float, x: SpectralField,
-                 variant: str = "Rplus") -> SpectralField:
-    """Apply a cosine-family operator to a field, coefficient-wise."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if x.basis is not fam.basis and (
-            x.basis.size != fam.basis.size
-            or not np.array_equal(x.basis.eigenvalues, fam.basis.eigenvalues)):
-        raise ValueError("field and family live on different bases")
-    sym = variant_symbol(fam, t, variant)
-    return SpectralField(fam.basis, sym * x.total_coeffs())
-
-
-def conv_sin(omega: np.ndarray, f: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
-    """Running integrals of sin(omega (t-s)) f(s) ds via the angle addition."""
+def phases(omega: np.ndarray, times: np.ndarray) -> Phases:
+    """The phase table of omega on times (sin is computed in the phase buffer)."""
     phase = np.outer(times, omega)
-    ct, st = np.cos(phase), np.sin(phase)
-    pc = prefix_trapezoid(ct * f, dt)
-    ps = prefix_trapezoid(st * f, dt)
-    return st * pc - ct * ps
+    cos = np.cos(phase)
+    return Phases(omega, times, cos, np.sin(phase, out=phase))
 
 
-def conv_cos(omega: np.ndarray, f: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
-    phase = np.outer(times, omega)
-    ct, st = np.cos(phase), np.sin(phase)
-    pc = prefix_trapezoid(ct * f, dt)
-    ps = prefix_trapezoid(st * f, dt)
-    return ct * pc + st * ps
+def sincos_conv(ph: Phases, f: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Running integrals of sin(omega (t-s)) f(s) ds and cos(omega (t-s)) f(s) ds.
+
+    The angle addition turns both into one pair of prefix sums, of cos f and
+    sin f, read against the table at t.
+    """
+    pc = prefix_trapezoid(ph.cos * f, dt)
+    ps = prefix_trapezoid(ph.sin * f, dt)
+    return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
 
 
 def kop_apply(fam: CosineFamily, f: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -89,7 +75,7 @@ def kop_apply(fam: CosineFamily, f: np.ndarray, grid: TimeGrid) -> np.ndarray:
         raise ValueError("trajectory shape must be (steps+1, modes)")
     if f.shape[0] == 0:
         raise ValueError("empty trajectory")
-    conv = conv_sin(fam.omega, f, grid.times, grid.dt)
+    conv, _ = sincos_conv(phases(fam.omega, grid.times), f, grid.dt)
     return conv / fam.basis.sqrt_eigenvalues
 
 
@@ -105,27 +91,28 @@ def wave_solve(fam: CosineFamily, z0: SpectralField, z1: SpectralField,
     trajectory holds the zero-trace part; g's lifting completes it.
     """
     basis = fam.basis
-    times, dt = grid.times, grid.dt
     omega = fam.omega
     z0c = z0.total_coeffs()
     z1c = z1.total_coeffs()
-    phase = np.outer(times, omega)
-    ct, st = np.cos(phase), np.sin(phase)
+    ph = phases(omega, grid.times)
+    ct, st = ph.cos, ph.sin
     coeffs = ct * z0c + st / omega * z1c
     dcoeffs = -omega * st * z0c + ct * z1c
     if f is not None:
         f = np.asarray(f, dtype=float)
         if f.shape != (grid.steps + 1, basis.size):
             raise ValueError("forcing trajectory shape must be (steps+1, modes)")
-        coeffs += conv_sin(omega, f, times, dt) / omega
-        dcoeffs += conv_cos(omega, f, times, dt)
+        conv_s, conv_c = sincos_conv(ph, f, grid.dt)
+        coeffs += conv_s / omega
+        dcoeffs += conv_c
     if g is not None:
         if g.grid.steps != grid.steps or g.grid.horizon != grid.horizon:
             raise ValueError("boundary signal and solve share one time grid")
         lift = basis.lift_matrix()
         dhat = g.values @ lift
-        coeffs += omega * conv_sin(omega, dhat, times, dt)
-        dcoeffs += omega**2 * conv_cos(omega, dhat, times, dt)
+        conv_s, conv_c = sincos_conv(ph, dhat, grid.dt)
+        coeffs += omega * conv_s
+        dcoeffs += omega**2 * conv_c
     ddcoeffs = -omega**2 * coeffs
     if f is not None:
         ddcoeffs += f
@@ -154,8 +141,9 @@ def boundary_convolution_probe(fam: CosineFamily, g: BoundarySignal,
     basis = fam.basis
     dhat = g.values @ basis.lift_matrix()
     root = basis.sqrt_eigenvalues
-    minus = root * conv_sin(fam.omega, dhat, grid.times, grid.dt)
-    plus = root * conv_cos(fam.omega, dhat, grid.times, grid.dt)
+    conv_s, conv_c = sincos_conv(phases(fam.omega, grid.times), dhat, grid.dt)
+    minus = root * conv_s
+    plus = root * conv_c
     return BoundaryProbeResult(grid,
                                np.linalg.norm(minus, axis=1),
                                np.linalg.norm(plus, axis=1))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +64,27 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+def _positive(value, kind=numbers.Real) -> bool:
+    """A finite number > 0 of the given kind (a bool is not a number here)."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _check_symbol_value(key: str, value) -> None:
+    """Reject a symbol-suite value whose type differs from its default's."""
+    default = DEFAULT_SYMBOL[key]
+    if isinstance(default, tuple):
+        ok = (isinstance(value, (list, tuple)) and len(value) > 0
+              and all(_positive(b) for b in value))
+        want = "a non-empty list of positive numbers"
+    elif isinstance(default, int):
+        ok, want = _positive(value, numbers.Integral), "a positive int"
+    else:
+        ok, want = _positive(value), "a positive number"
+    if not ok:
+        raise ConfigError(f"symbol key {key!r} must be {want}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """Declarative description of one experiment suite."""
@@ -96,6 +119,8 @@ class ScenarioConfig:
         unknown = set(self.symbol) - set(DEFAULT_SYMBOL)
         if unknown:
             raise ConfigError(f"unknown symbol keys: {sorted(unknown)}")
+        for key, value in self.symbol.items():
+            _check_symbol_value(key, value)
         self.symbol = {**DEFAULT_SYMBOL, **self.symbol}
         self.modes = [int(n) for n in self.modes]
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import CosineFamily, conv_cos, conv_sin, kop_apply, wave_solve
+from .cosine import CosineFamily, Phases, kop_apply, phases, sincos_conv, wave_solve
 from .quadrature import prefix_exponential, prefix_trapezoid
 from .spectral import (
     BoundaryData,
@@ -28,7 +28,7 @@ from .spectral import (
     Trajectory,
     normal_trace,
 )
-from .volterra import ScalarKernel, VolterraProblem, solve_picard
+from .volterra import VolterraProblem, solve_picard
 
 COMPAT_TOL = 1e-8
 
@@ -197,38 +197,28 @@ class KernelFamily:
     cos_coeff: np.ndarray
     exp_coeff: np.ndarray
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phase = np.outer(t, self.omega)
-        return (self.sin_coeff * np.sin(phase) + self.cos_coeff * np.cos(phase)
-                + self.exp_coeff * np.exp(self.rho * t)[:, None])
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phase = np.outer(t, self.omega)
-        return (self.sin_coeff * self.omega * np.cos(phase)
-                - self.cos_coeff * self.omega * np.sin(phase)
-                + self.rho * self.exp_coeff * np.exp(self.rho * t)[:, None])
-
-    def scalar(self, k: int) -> ScalarKernel:
-        omega = self.omega[k]
-        a, b, c = self.sin_coeff[k], self.cos_coeff[k], self.exp_coeff[k]
-        rho = self.rho
-
-        def evaluate(t):
-            t = np.asarray(t, dtype=float)
-            return a * np.sin(omega * t) + b * np.cos(omega * t) + c * np.exp(rho * t)
-
-        return ScalarKernel(evaluate=evaluate)
+    def samples(self, ph: Phases) -> tuple[np.ndarray, np.ndarray]:
+        """The kernels and their time derivatives on the table's times."""
+        grow = np.exp(self.rho * ph.times)[:, None]
+        ker = self.sin_coeff * ph.sin + self.cos_coeff * ph.cos + self.exp_coeff * grow
+        kdot = (self.sin_coeff * self.omega * ph.cos
+                - self.cos_coeff * self.omega * ph.sin
+                + self.rho * self.exp_coeff * grow)
+        return ker, kdot
 
     @property
     def size(self) -> int:
         return len(self.omega)
 
 
+def _omega(params: MgtParams, basis: EigenBasis) -> np.ndarray:
+    """Per-mode frequencies of the speed-sqrt(b) wave family."""
+    return np.sqrt(params.b) * basis.sqrt_eigenvalues
+
+
 def build_kernel(params: MgtParams, basis: EigenBasis) -> KernelFamily:
     """Memory kernel of the transformed problem, in closed per-mode form."""
-    omega = np.sqrt(params.b) * basis.sqrt_eigenvalues
+    omega = _omega(params, basis)
     rho = params.decay_exponent
     kappa = params.kernel_scale
     beta = params.volterra_beta
@@ -267,7 +257,7 @@ class ReducedProblem:
 
 
 def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
-                   validate: bool = False) -> ReducedProblem:
+                   validate: bool = False, ph: Phases | None = None) -> ReducedProblem:
     """Assemble kernels and the affine histories H, H_t, H_tt per mode.
 
     H comes from the twice integrated-by-parts form of the wave
@@ -275,12 +265,16 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
     lifting of g-tilde, the g-tilde_tt convolution and the source
     convolution); validate=True also assembles the raw representation, whose
     agreement with H is a quadrature-error check exercised by the tests.
+    ph is the phase table of the speed-sqrt(b) family on grid.times; it is
+    built here when the caller does not pass the one it holds.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
     mu = basis.eigenvalues
-    omega = np.sqrt(params.b) * basis.sqrt_eigenvalues
     times, dt = grid.times, grid.dt
+    if ph is None:
+        ph = phases(_omega(params, basis), times)
+    omega = ph.omega
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
@@ -320,23 +314,24 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
         fsamp = np.zeros((grid.steps + 1, basis.size))
     transform = forcing_transform(fsamp, params, grid)
 
-    phase = np.outer(times, omega)
-    ct, st = np.cos(phase), np.sin(phase)
-    conv_dtt = conv_sin(omega, dhat_tt, times, dt)
-    conv_src = conv_sin(omega, source + transform.ftilde, times, dt)
-    conv_src_t = conv_sin(omega, source_t + transform.ftilde_t, times, dt)
-
-    H = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
-    Ht = (-omega * st * a0 + ct * a1 + dhat_t
-          - conv_cos(omega, dhat_tt, times, dt)
+    ct, st = ph.cos, ph.sin
+    # each convolution part is dropped once its history is formed: this is
+    # the peak-memory stage of a solve
+    conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt)
+    conv_src_t, conv_src_t_c = sincos_conv(ph, source_t + transform.ftilde_t, dt)
+    Ht = (-omega * st * a0 + ct * a1 + dhat_t - conv_dtt_c
           + st / omega * source_0 + conv_src_t / omega)
+    del conv_dtt_c, conv_src_t
     Htt = (-omega**2 * ct * a0 - omega * st * a1 + omega * conv_dtt
-           + ct * source_0 + conv_cos(omega, source_t + transform.ftilde_t, times, dt))
+           + ct * source_0 + conv_src_t_c)
+    del conv_src_t_c
+    conv_src = sincos_conv(ph, source + transform.ftilde, dt)[0]
+    H = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
 
     H_raw = None
     if validate:
         H_raw = (ct * w0tot + st / omega * v1 + conv_src / omega
-                 + omega * conv_sin(omega, dhat, times, dt))
+                 + omega * sincos_conv(ph, dhat, dt)[0])
 
     return ReducedProblem(
         params=params, basis=basis, grid=grid,
@@ -349,7 +344,7 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
         f_samples=fsamp, H_raw=H_raw)
 
 
-def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
+def _solve_structured(kernels: KernelFamily, ph: Phases, rhs: np.ndarray,
                       grid: TimeGrid) -> np.ndarray:
     """Trapezoid collocation for the structured kernel, via running sums.
 
@@ -363,10 +358,9 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     loop with the same float operations as k separate solves.
     """
     times, dt = grid.times, grid.dt
-    omega, rho = kernels.omega, kernels.rho
+    rho = kernels.rho
     a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
-    phase = np.outer(times, omega)
-    ct, st = np.cos(phase), np.sin(phase)
+    ct, st = ph.cos, ph.sin
     grow = np.exp(rho * times)
     decay = np.exp(-rho * times)
     v = np.empty_like(rhs)
@@ -418,32 +412,33 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rp = reduce_problem(data, params, grid)
         gamma = params.gamma
         times = grid.times
-        ker_t = rp.kernels.evaluate(times)
-        kdot_t = rp.kernels.derivative(times)
+        # the one phase table of this solve; not kept on the result
+        ph = phases(_omega(params, data.basis), times)
+        rp = reduce_problem(data, params, grid, ph=ph)
+        ker_t, kdot_t = rp.kernels.samples(ph)
         # right-hand sides of the v, v_t, v_tt solves, one column each
         rhs = np.empty((grid.steps + 1, 3, rp.basis.size))
         rhs[:, 0] = rp.H
         np.subtract(rp.Ht, ker_t * rp.v0, out=rhs[:, 1])
         np.subtract(rp.Htt, kdot_t * rp.v0, out=rhs[:, 2])
         rhs[:, 2] -= ker_t * rp.v1
-        del ker_t, kdot_t
+        del kdot_t
 
         meta = {"method": method,
                 "boundary_derivative_source": rp.boundary_signal.derivative_source,
                 "compatible_position": data.compatible_position,
                 "compatible_velocity": data.compatible_velocity}
         if method == "direct":
-            sol = _solve_structured(rp.kernels, rhs, grid)
+            del ker_t
+            sol = _solve_structured(rp.kernels, ph, rhs, grid)
             v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
         else:
-            kernel = ScalarKernel(evaluate=lambda t: rp.kernels.evaluate(t))
             sols = []
             terms = []
             for col in range(3):
-                res = solve_picard(VolterraProblem(kernel, rhs[:, col], grid),
+                res = solve_picard(VolterraProblem(ker_t, rhs[:, col], grid),
                                    max_terms=picard_max_terms, tol=picard_tol,
                                    rule="trapezoid")
                 if not res.converged:
@@ -453,6 +448,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
                 terms.append(res.terms_used)
             v, vt, vtt = sols
             meta["picard_terms"] = terms
+        del ph, rhs
 
         v_int = v - rp.dhat
         vt_int = vt - rp.dhat_t

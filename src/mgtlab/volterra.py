@@ -9,7 +9,6 @@ the quadrature error against the continuum solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,39 +23,27 @@ class VolterraSingularError(RuntimeError):
 
 
 @dataclass
-class ScalarKernel:
-    """Continuous convolution kernel t -> l(t), vectorized over sample arrays."""
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def samples(self, grid: TimeGrid) -> np.ndarray:
-        return np.asarray(self.evaluate(grid.times), dtype=float)
-
-
-@dataclass
 class VolterraProblem:
     """Collocation data for v + L*v = h on a uniform grid.
 
-    rhs may be (steps+1,) for a scalar problem or (steps+1, n) for a diagonal
-    family; in the latter case the kernel may evaluate to matching columns.
+    kernel holds the samples l(t_m) on the grid.  rhs may be (steps+1,) for a
+    scalar problem or (steps+1, n) for a diagonal family; in the latter case
+    the kernel is one shared column or n matching columns.
     """
 
-    kernel: ScalarKernel
+    kernel: np.ndarray
     rhs: np.ndarray
     grid: TimeGrid
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
+        self.kernel = np.asarray(self.kernel, dtype=float)
         if self.rhs.shape[0] != self.grid.steps + 1:
             raise ValueError("rhs must be sampled on the grid")
-
-    def kernel_samples(self) -> np.ndarray:
-        ker = self.kernel.samples(self.grid)
-        if ker.ndim == 1 and self.rhs.ndim == 2:
-            ker = np.broadcast_to(ker[:, None], self.rhs.shape).copy()
-        if ker.shape != self.rhs.shape:
+        if self.kernel.ndim == 1 and self.rhs.ndim == 2:
+            self.kernel = np.broadcast_to(self.kernel[:, None], self.rhs.shape).copy()
+        if self.kernel.shape != self.rhs.shape:
             raise ValueError("kernel samples must match the rhs columns")
-        return ker
 
 
 def solve_direct(problem: VolterraProblem, rule: str = DEFAULT_RULE) -> np.ndarray:
@@ -69,16 +56,15 @@ def solve_direct(problem: VolterraProblem, rule: str = DEFAULT_RULE) -> np.ndarr
     scalar = h.ndim == 1
     if scalar:
         h = h[:, None]
-    ker = problem.kernel_samples()
+    ker = problem.kernel
     if ker.ndim == 1:
         ker = ker[:, None]
     m_top = problem.grid.steps
     dt = problem.grid.dt
     v = np.empty_like(h)
     v[0] = h[0]
-    rows = [composite_weights(m, dt, rule) for m in range(m_top + 1)]
     for m in range(1, m_top + 1):
-        w = rows[m]
+        w = composite_weights(m, dt, rule)
         history = np.einsum("j,jc->c", w[:m], ker[m:0:-1] * v[:m])
         diag = 1.0 + w[m] * ker[0]
         if np.any(np.abs(diag) < 1e-12):
@@ -107,7 +93,7 @@ def solve_picard(problem: VolterraProblem, max_terms: int = 80,
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     h = problem.rhs
-    ker = problem.kernel_samples()
+    ker = problem.kernel
     dt = problem.grid.dt
     total = h.copy()
     term = h
@@ -123,12 +109,14 @@ def solve_picard(problem: VolterraProblem, max_terms: int = 80,
     return PicardResult(total, used, False, sup)
 
 
-def iterated_kernel(kernel: ScalarKernel, n: int, grid: TimeGrid,
+def iterated_kernel(kernel: np.ndarray, n: int, grid: TimeGrid,
                     rule: str = DEFAULT_RULE) -> np.ndarray:
-    """Samples of the n-fold iterated convolution L^{(*n)} on the grid."""
+    """Samples of the n-fold iterated convolution L^{(*n)} of the kernel samples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = kernel.samples(grid)
+    base = np.asarray(kernel, dtype=float)
+    if base.shape[0] != grid.steps + 1:
+        raise ValueError("kernel must be sampled on the grid")
     out = base.copy()
     for _ in range(n - 1):
         out = convolve_product(base, out, grid.dt, rule)
@@ -138,6 +126,5 @@ def iterated_kernel(kernel: ScalarKernel, n: int, grid: TimeGrid,
 def residual(problem: VolterraProblem, v: np.ndarray,
              rule: str = DEFAULT_RULE) -> float:
     """Sup norm of the discrete residual v + L*v - h for a candidate solution."""
-    ker = problem.kernel_samples()
-    conv = convolve_product(ker, v, problem.grid.dt, rule)
+    conv = convolve_product(problem.kernel, v, problem.grid.dt, rule)
     return float(np.max(np.abs(v + conv - problem.rhs)))

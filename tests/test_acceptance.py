@@ -7,7 +7,7 @@ T <= 2.
 
 import numpy as np
 
-from mgtlab.cosine import CosineFamily, boundary_convolution_probe
+from mgtlab.cosine import CosineFamily, boundary_convolution_probe, phases
 from mgtlab.generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from mgtlab.harness import (
     discrete_equation_residual,
@@ -19,7 +19,7 @@ from mgtlab.modal_oracle import characteristic_roots, solve_by_modes
 from mgtlab.reduction import MgtParams, build_kernel, solve_mgt
 from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 from mgtlab.symbols import estimate_probe, lopatinskii_sweep
-from mgtlab.volterra import ScalarKernel, VolterraProblem, solve_direct, solve_picard
+from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 DOMAIN = DomainSpec("interval", 1024)
@@ -127,11 +127,12 @@ def test_criterion_5_volterra_engine():
     """Direct vs Picard within 1e-6 on four kernels; analytic resolvent
     reproduced within 1e-8 at dt=1e-3."""
     grid = TimeGrid(1.0, 1000)
+    mgt = build_kernel(PARAMS, build_basis(DOMAIN, 1))
     kernels = {
-        "one": ScalarKernel(lambda t: np.ones_like(np.asarray(t, dtype=float))),
-        "sin": ScalarKernel(lambda t: np.sin(np.asarray(t, dtype=float))),
-        "exp": ScalarKernel(lambda t: np.exp(-np.asarray(t, dtype=float))),
-        "mgt_mode_1": build_kernel(PARAMS, build_basis(DOMAIN, 1)).scalar(0),
+        "one": np.ones(grid.steps + 1),
+        "sin": np.sin(grid.times),
+        "exp": np.exp(-grid.times),
+        "mgt_mode_1": mgt.samples(phases(mgt.omega, grid.times))[0][:, 0],
     }
     worst_gap = 0.0
     for kernel in kernels.values():

@@ -6,9 +6,9 @@ import pytest
 from mgtlab.cosine import (
     CosineFamily,
     boundary_convolution_probe,
-    cosine_apply,
     kop_apply,
-    variant_symbol,
+    phases,
+    sincos_conv,
     wave_solve,
 )
 from mgtlab.spectral import (
@@ -32,33 +32,45 @@ def unit_field(k=0):
     return SpectralField(BASIS, coeffs)
 
 
-def test_cosine_apply_identity_at_zero():
-    x = SpectralField(BASIS, np.linspace(1, 2, BASIS.size))
-    out = cosine_apply(FAM, 0.0, x, "Rplus")
-    assert np.allclose(out.coeffs, x.coeffs)
-    out = cosine_apply(FAM, 0.0, x, "AinvRminus")
-    assert np.all(out.coeffs == 0.0)
+def test_phases_identity_at_zero():
+    ph = phases(FAM.omega, np.zeros(1))
+    assert np.all(ph.cos == 1.0)
+    assert np.all(ph.sin == 0.0)
 
 
-def test_cosine_apply_eigenmode_half_period():
-    out = cosine_apply(FAM, 1.0, unit_field(0), "Rplus")
-    assert out.coeffs[0] == pytest.approx(np.cos(np.pi))
-
-
-def test_cosine_apply_rejects_basis_mismatch():
-    other = build_basis(DomainSpec("interval", 256), 4)
-    fam = CosineFamily(other)
-    with pytest.raises(ValueError):
-        cosine_apply(fam, 0.5, unit_field())
+def test_phases_eigenmode_half_period():
+    # omega_1 = pi on the unit interval at speed 1
+    ph = phases(FAM.omega, np.array([1.0]))
+    assert ph.cos[0, 0] == pytest.approx(np.cos(np.pi))
+    assert ph.sin[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cosine_functional_equation_per_mode():
+    # d'Alembert: C(t+s) + C(t-s) = 2 C(t) C(s), rows of one table each
     rng = np.random.default_rng(0)
     for t, s in rng.uniform(0.0, 2.0, size=(25, 2)):
-        lhs = (variant_symbol(FAM, t + s, "Rplus")
-               + variant_symbol(FAM, t - s, "Rplus"))
-        rhs = 2.0 * variant_symbol(FAM, t, "Rplus") * variant_symbol(FAM, s, "Rplus")
+        cos = phases(FAM.omega, np.array([t + s, t - s, t, s])).cos
+        lhs = cos[0] + cos[1]
+        rhs = 2.0 * cos[2] * cos[3]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_sincos_conv_parts_match_derivative_and_quadrature():
+    # cos part = (d/dt sin part) / omega, since sin(0) = 0; both parts against
+    # an independent trapezoid quadrature of the convolution integrals
+    grid = TimeGrid(1.0, 4000)
+    t = grid.times
+    f = np.column_stack([np.cos(3.0 * t) + t, np.exp(-t), t**2])
+    omega = FAM.omega[:3]
+    sin_part, cos_part = sincos_conv(phases(omega, t), f, grid.dt)
+    slope = np.gradient(sin_part, grid.dt, axis=0, edge_order=2)
+    assert np.max(np.abs(slope / omega - cos_part)) < 1e-6
+    for m in (1, 777, 2500, 4000):
+        lag = omega * (t[m] - t[: m + 1, None])
+        want_sin = np.trapezoid(np.sin(lag) * f[: m + 1], dx=grid.dt, axis=0)
+        want_cos = np.trapezoid(np.cos(lag) * f[: m + 1], dx=grid.dt, axis=0)
+        assert np.allclose(sin_part[m], want_sin, rtol=0, atol=1e-13)
+        assert np.allclose(cos_part[m], want_cos, rtol=0, atol=1e-13)
 
 
 def test_kop_zero_trajectory():
@@ -130,8 +142,8 @@ def test_wave_solve_matches_cosine_superposition():
         expected = (np.cos(np.outer([t], omega))[0] * z0.coeffs
                     + np.sin(np.outer([t], omega))[0] / omega * z1.coeffs)
         assert np.array_equal(sol.w[m], expected)
-        alt = (variant_symbol(FAM, t, "Rplus") * z0.coeffs
-               + variant_symbol(FAM, t, "AinvRminus") / FAM.speed * z1.coeffs)
+        alt = (np.cos(omega * t) * z0.coeffs
+               + np.sin(omega * t) / BASIS.sqrt_eigenvalues / FAM.speed * z1.coeffs)
         assert np.allclose(sol.w[m], alt, rtol=1e-13, atol=1e-13)
 
 

@@ -54,6 +54,31 @@ def test_config_rejects_unknown_symbol_keys(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("symbol", [
+    {"samples": "abc"}, {"samples": 0}, {"samples": 100.0}, {"samples": True},
+    {"probe_scenarios": -3}, {"probe_modes": 1.5}, {"probe_steps": None},
+    {"b_grid": []}, {"b_grid": 1.0}, {"b_grid": [1.0, "x"]}, {"b_grid": [0.25, -1.0]},
+    {"beta_min": 0.0}, {"beta_min": "1e-6"}, {"weight_beta": -2.0},
+    {"weight_beta": float("nan")},
+])
+def test_config_rejects_mistyped_symbol_values(tmp_path, symbol):
+    # a mistyped symbol-suite value is a config error (exit 2), not a failed run
+    key = next(iter(symbol))
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(symbol=symbol)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"symbol": symbol}))
+    code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_well_typed_symbol_values():
+    cfg = ScenarioConfig(symbol={"b_grid": [0.5, 2], "beta_min": 1, "weight_beta": 2.5,
+                                 "samples": np.int64(20), "probe_steps": 40})
+    assert cfg.symbol["b_grid"] == [0.5, 2] and cfg.symbol["samples"] == 20
+
+
 def test_config_from_json_rejects_unknown_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modez": [4]}))

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from mgtlab import reduction
+from mgtlab.cosine import phases
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import composite_weights
@@ -98,9 +100,14 @@ def test_forcing_transform_order_two():
     assert min(orders) > 1.8
 
 
+def kernel_at(family, t):
+    """(kernel, kernel derivative) samples of a family at the times t."""
+    return family.samples(phases(family.omega, np.asarray(t, dtype=float)))
+
+
 def test_kernel_vanishes_at_zero_and_matches_quadrature():
     family = build_kernel(PARAMS, BASIS)
-    assert np.max(np.abs(family.evaluate(np.array([0.0])))) < 1e-14
+    assert np.max(np.abs(kernel_at(family, [0.0])[0])) < 1e-14
     # quadrature oracle for the inner convolution of the closed form
     omega = family.omega[0]
     t = 0.73
@@ -108,21 +115,20 @@ def test_kernel_vanishes_at_zero_and_matches_quadrature():
     inner = np.trapezoid(np.sin(omega * (t - s)) * memory_weight(PARAMS, s), s)
     expected = (-PARAMS.volterra_beta / omega * np.sin(omega * t)
                 - inner / omega)
-    got = family.evaluate(np.array([t]))[0, 0]
+    got = kernel_at(family, [t])[0][0, 0]
     assert got == pytest.approx(expected, abs=1e-8)
 
 
 def test_kernel_derivative_initial_slope():
     family = build_kernel(PARAMS, BASIS)
-    assert np.allclose(family.derivative(np.array([0.0]))[0],
-                       -PARAMS.volterra_beta)
+    assert np.allclose(kernel_at(family, [0.0])[1][0], -PARAMS.volterra_beta)
 
 
 def test_kernel_zero_when_gamma_zero():
     params = MgtParams(alpha=1.0, b=1.0, c=1.0)
     family = build_kernel(params, BASIS)
     t = np.linspace(0.0, 2.0, 50)
-    assert np.max(np.abs(family.evaluate(t))) == 0.0
+    assert np.max(np.abs(kernel_at(family, t)[0])) == 0.0
 
 
 def test_structured_solver_matches_generic_collocation():
@@ -131,10 +137,9 @@ def test_structured_solver_matches_generic_collocation():
     grid = TimeGrid(1.0, 400)
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(401, BASIS.size))
-    fast = _solve_structured(family, rhs, grid)
-    from mgtlab.volterra import ScalarKernel
-
-    ker = ScalarKernel(evaluate=lambda t: family.evaluate(t))
+    ph = phases(family.omega, grid.times)
+    fast = _solve_structured(family, ph, rhs, grid)
+    ker = family.samples(ph)[0]
     slow = solve_direct(VolterraProblem(ker, rhs, grid), rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
 
@@ -145,12 +150,11 @@ def test_structured_solver_batches_columns_exactly():
     family = build_kernel(PARAMS, BASIS)
     grid = TimeGrid(1.0, 64)
     rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
-    batched = _solve_structured(family, rhs, grid)
-    from mgtlab.volterra import ScalarKernel
-
-    ker = ScalarKernel(evaluate=lambda t: family.evaluate(t))
+    ph = phases(family.omega, grid.times)
+    batched = _solve_structured(family, ph, rhs, grid)
+    ker = family.samples(ph)[0]
     for col in range(3):
-        single = _solve_structured(family, rhs[:, col].copy(), grid)
+        single = _solve_structured(family, ph, rhs[:, col].copy(), grid)
         assert np.array_equal(batched[:, col], single)
         slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
         assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
@@ -258,6 +262,21 @@ def test_solve_mgt_velocity_consistent_with_differencing():
         dw = np.gradient(bundle.total("w"), grid.dt, axis=0, edge_order=2)
         sups.append(np.max(np.abs(dw - bundle.total("wt"))))
     assert sups[0] / sups[1] > 3.0
+
+
+@pytest.mark.parametrize("method", ["direct", "picard"])
+def test_solve_mgt_builds_one_phase_table(monkeypatch, method):
+    # histories, kernel samples and the solve all read the one table
+    built = []
+
+    def counting(omega, times):
+        built.append(len(times))
+        return phases(omega, times)
+
+    monkeypatch.setattr(reduction, "phases", counting)
+    grid = TimeGrid(1.0, 200)
+    solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid, method=method)
+    assert built == [grid.steps + 1]
 
 
 def test_solve_mgt_picard_agrees_with_direct():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from mgtlab.cosine import phases
 from mgtlab.quadrature import composite_weights, convolve_product
 from mgtlab.reduction import MgtParams, build_kernel
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 from mgtlab.volterra import (
-    ScalarKernel,
     VolterraProblem,
     VolterraSingularError,
     iterated_kernel,
@@ -17,8 +17,8 @@ from mgtlab.volterra import (
 )
 
 
-def const_kernel(value=1.0):
-    return ScalarKernel(evaluate=lambda t: np.full_like(np.asarray(t, dtype=float), value))
+def const_kernel(grid, value=1.0):
+    return np.full(grid.steps + 1, value)
 
 
 def test_composite_weights_sum_to_interval():
@@ -40,7 +40,7 @@ def test_gregory_weights_exact_on_cubics():
 def test_zero_kernel_returns_rhs():
     grid = TimeGrid(1.0, 100)
     h = np.sin(grid.times)
-    prob = VolterraProblem(const_kernel(0.0), h, grid)
+    prob = VolterraProblem(const_kernel(grid, 0.0), h, grid)
     assert np.allclose(solve_direct(prob), h)
     res = solve_picard(prob, tol=1e-12)
     assert res.converged and res.terms_used == 1
@@ -50,7 +50,7 @@ def test_zero_kernel_returns_rhs():
 def test_unit_kernel_exponential_resolvent():
     # v + int_0^t v = 1  has the analytic resolvent v = e^{-t}
     grid = TimeGrid(1.0, 1000)
-    prob = VolterraProblem(const_kernel(1.0), np.ones(grid.steps + 1), grid)
+    prob = VolterraProblem(const_kernel(grid, 1.0), np.ones(grid.steps + 1), grid)
     v = solve_direct(prob)
     assert np.max(np.abs(v - np.exp(-grid.times))) < 1e-8
 
@@ -58,7 +58,7 @@ def test_unit_kernel_exponential_resolvent():
 def test_direct_vs_picard_cross_method():
     # cross-method oracle on a nontrivial kernel
     grid = TimeGrid(1.0, 1000)
-    ker = ScalarKernel(evaluate=lambda t: np.sin(np.asarray(t, dtype=float)))
+    ker = np.sin(grid.times)
     prob = VolterraProblem(ker, np.ones(grid.steps + 1), grid)
     v = solve_direct(prob)
     res = solve_picard(prob, tol=1e-12)
@@ -69,8 +69,7 @@ def test_direct_vs_picard_cross_method():
 def test_picard_series_majorant():
     # term k bounded by ||h|| (Lambda T)^k / k!, modulo quadrature slack
     grid = TimeGrid(1.0, 400)
-    ker = const_kernel(1.0)
-    samples = ker.samples(grid)
+    samples = const_kernel(grid, 1.0)
     h = np.ones(grid.steps + 1)
     term = h.copy()
     import math
@@ -83,7 +82,7 @@ def test_picard_series_majorant():
 
 def test_picard_partial_sums_approach_exponential():
     grid = TimeGrid(1.0, 500)
-    prob = VolterraProblem(const_kernel(1.0), np.ones(grid.steps + 1), grid)
+    prob = VolterraProblem(const_kernel(grid, 1.0), np.ones(grid.steps + 1), grid)
     res = solve_picard(prob, tol=1e-12)
     assert res.converged
     assert np.max(np.abs(res.values - np.exp(-grid.times))) < 1e-6
@@ -91,7 +90,7 @@ def test_picard_partial_sums_approach_exponential():
 
 def test_picard_nonconvergence_flag():
     grid = TimeGrid(1.0, 50)
-    prob = VolterraProblem(const_kernel(5.0), np.ones(grid.steps + 1), grid)
+    prob = VolterraProblem(const_kernel(grid, 5.0), np.ones(grid.steps + 1), grid)
     res = solve_picard(prob, max_terms=2, tol=1e-14)
     assert not res.converged
     assert res.last_term_sup >= 1e-14
@@ -99,7 +98,7 @@ def test_picard_nonconvergence_flag():
 
 def test_iterated_kernel_closed_forms():
     grid = TimeGrid(1.0, 800)
-    ker = const_kernel(1.0)
+    ker = const_kernel(grid, 1.0)
     l2 = iterated_kernel(ker, 2, grid)
     l3 = iterated_kernel(ker, 3, grid)
     assert np.max(np.abs(l2 - grid.times)) < 1e-10
@@ -109,7 +108,7 @@ def test_iterated_kernel_closed_forms():
 def test_iterated_kernel_exponential_oracle():
     # symbolic convolution: (e^{-t} * e^{-t})(t) = t e^{-t}
     grid = TimeGrid(1.0, 1000)
-    ker = ScalarKernel(evaluate=lambda t: np.exp(-np.asarray(t, dtype=float)))
+    ker = np.exp(-grid.times)
     l2 = iterated_kernel(ker, 2, grid)
     assert np.max(np.abs(l2 - grid.times * np.exp(-grid.times))) < 1e-6
 
@@ -117,12 +116,20 @@ def test_iterated_kernel_exponential_oracle():
 def test_iterated_kernel_rejects_bad_order():
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError):
-        iterated_kernel(const_kernel(), 0, grid)
+        iterated_kernel(const_kernel(grid), 0, grid)
+
+
+def test_kernel_samples_must_match_grid():
+    grid = TimeGrid(1.0, 10)
+    with pytest.raises(ValueError):
+        iterated_kernel(np.ones(5), 2, grid)
+    with pytest.raises(ValueError):
+        VolterraProblem(np.ones((11, 3)), np.ones((11, 2)), grid)
 
 
 def test_residual_of_returned_solution():
     grid = TimeGrid(1.0, 500)
-    ker = ScalarKernel(evaluate=lambda t: np.cos(np.asarray(t, dtype=float)))
+    ker = np.cos(grid.times)
     prob = VolterraProblem(ker, np.cos(grid.times), grid)
     v = solve_direct(prob)
     assert residual(prob, v) < 1e-12  # forward substitution solves exactly
@@ -137,7 +144,7 @@ def test_mgt_kernel_direct_vs_picard():
     params = MgtParams(alpha=2.0, b=1.0, c=1.0)
     family = build_kernel(params, basis)
     grid = TimeGrid(1.0, 1000)
-    ker = family.scalar(0)
+    ker = family.samples(phases(family.omega, grid.times))[0][:, 0]
     prob = VolterraProblem(ker, np.cos(grid.times), grid)
     v = solve_direct(prob)
     res = solve_picard(prob, tol=1e-12)
@@ -148,8 +155,7 @@ def test_mgt_kernel_direct_vs_picard():
 def test_singularity_report():
     grid = TimeGrid(1.0, 10)
     # 1 + w_m l(0) == 0 at the first step: l(0) = -1/w_1 = -2/dt
-    bad = ScalarKernel(evaluate=lambda t: np.full_like(
-        np.asarray(t, dtype=float), -2.0 / grid.dt))
+    bad = const_kernel(grid, -2.0 / grid.dt)
     prob = VolterraProblem(bad, np.ones(11), grid)
     with pytest.raises(VolterraSingularError):
         solve_direct(prob, rule="trapezoid")
@@ -157,7 +163,7 @@ def test_singularity_report():
 
 def test_batched_columns_match_scalar_solves():
     grid = TimeGrid(1.0, 300)
-    ker = ScalarKernel(evaluate=lambda t: np.sin(np.asarray(t, dtype=float)))
+    ker = np.sin(grid.times)
     rhs = np.stack([np.ones(301), np.cos(grid.times)], axis=1)
     batched = solve_direct(VolterraProblem(ker, rhs, grid))
     for col in range(2):
