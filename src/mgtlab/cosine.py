@@ -64,37 +64,43 @@ def sincos_conv(ph: Phases, f: np.ndarray, dt: float) -> tuple[np.ndarray, np.nd
     return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
 
 
-def kop_apply(fam: CosineFamily, f: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def kop_apply(fam: CosineFamily, f: np.ndarray, grid: TimeGrid,
+              ph: Phases | None = None) -> np.ndarray:
     """Smoothing convolution: per mode (1/sqrt(mu)) int_0^t sin(omega(t-s)) f(s) ds.
 
     f is a coefficient trajectory of shape (steps+1, modes); the result has
-    the same shape.
+    the same shape.  ph is the phase table of fam.omega on grid.times, built
+    here when the caller does not pass the one it holds.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != grid.steps + 1 or f.shape[1] != fam.basis.size:
         raise ValueError("trajectory shape must be (steps+1, modes)")
     if f.shape[0] == 0:
         raise ValueError("empty trajectory")
-    conv, _ = sincos_conv(phases(fam.omega, grid.times), f, grid.dt)
+    if ph is None:
+        ph = phases(fam.omega, grid.times)
+    conv, _ = sincos_conv(ph, f, grid.dt)
     return conv / fam.basis.sqrt_eigenvalues
 
 
 def wave_solve(fam: CosineFamily, z0: SpectralField, z1: SpectralField,
                f: np.ndarray | None, g: BoundarySignal | None,
-               grid: TimeGrid) -> Trajectory:
+               grid: TimeGrid, ph: Phases | None = None) -> Trajectory:
     """Solve z_tt = speed^2 Lap z + f, z|Gamma = g, by the explicit representation.
 
     Per mode: cos(omega t) z0 + sin(omega t)/omega z1
               + (1/omega) int sin(omega(t-s)) f(s) ds
               + omega int sin(omega(t-s)) <D g(s), e_k> ds,
     whose second derivative is -omega^2 z + f + omega^2 <D g, e_k>.  The
-    trajectory holds the zero-trace part; g's lifting completes it.
+    trajectory holds the zero-trace part; g's lifting completes it.  ph is
+    the phase table of fam.omega on grid.times, built here when not given.
     """
     basis = fam.basis
     omega = fam.omega
     z0c = z0.total_coeffs()
     z1c = z1.total_coeffs()
-    ph = phases(omega, grid.times)
+    if ph is None:
+        ph = phases(omega, grid.times)
     ct, st = ph.cos, ph.sin
     coeffs = ct * z0c + st / omega * z1c
     dcoeffs = -omega * st * z0c + ct * z1c

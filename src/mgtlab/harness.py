@@ -224,6 +224,10 @@ def write_summary_json(path: Path, summary: dict) -> None:
 # -- shared measurement helpers ----------------------------------------------
 
 
+# rows per batched grid-norm call: bounds the finite-difference temporaries
+_NORM_ROWS = 128
+
+
 def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
     """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes."""
     basis = bundle.basis
@@ -233,7 +237,8 @@ def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
     for which, key, s in (("w", "w_H2", 2), ("wt", "wt_H1", 1), ("wtt", "wtt_L2", 0)):
         vals = trajectory_on_grid(basis, bundle.interior(which)[sel],
                                   bundle.boundary_values(which)[sel], n)
-        out[key] = np.array([grid_sobolev_norm(r, (hx,), s) for r in vals])
+        out[key] = np.concatenate([grid_sobolev_norm(vals[i:i + _NORM_ROWS], (hx,), s)
+                                   for i in range(0, len(vals), _NORM_ROWS)])
     out["w_H2_spectral_interior"] = np.sqrt(
         ((1.0 + basis.eigenvalues) ** 2 * bundle.w[sel] ** 2).sum(axis=1))
     for which in ("w", "wt"):

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .quadrature import power_increments, scan_blocks
 from .reduction import MgtData, MgtParams
 from .spectral import TimeGrid, Trajectory
 
@@ -156,74 +157,73 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     Requires analytic g and g_t callables when Dirichlet data is present,
     because the source carries one time derivative of the boundary flux.
     The source is sampled once at each of RK4's stage times t_m,
-    t_m + dt/2 and t_m + dt; the loop then repeats _rk4's arithmetic,
-    operation for operation, on preallocated buffers.
+    t_m + dt/2 and t_m + dt.  For y' = A y + e_3 s(t) one RK4 step is
+    exactly y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1})
+    with R the degree-4 Taylor polynomial of dt A, so the steps run as a
+    blocked linear scan (quadrature.scan_blocks) on the state buffer, which
+    first holds the inputs.  Like RK4's own update, each step adds a small
+    increment (R - I) y + input to y.  _rk4/integrate_mode are the scalar
+    reference.
     """
     basis = data.basis
     if data.g is not None and data.g.gt is None:
         raise ValueError("the oracle needs an analytic g_t callable")
 
-    alpha, c2, b = params.alpha, params.c**2, params.b
-    bmu, c2mu = b * basis.eigenvalues, c2 * basis.eigenvalues
+    c2, b = params.c**2, params.b
     steps, dt = grid.steps, grid.dt
-    hdt, dt6 = 0.5 * dt, dt / 6.0
+    size = basis.size
 
-    t = np.arange(steps) * dt
-    src = np.zeros((3, steps, basis.size))
-    flux = basis.boundary_flux()
-    for stage_src, ts in zip(src, (t, t + 0.5 * dt, t + dt)):
-        if data.f is not None:
-            stage_src[:] = data.f.modes(ts)
-        if data.g is not None:
-            q = data.g.g(ts) @ flux
-            q *= c2
-            stage_src -= q
-            np.matmul(data.g.gt(ts), flux, out=q)
-            q *= b
-            stage_src -= q
-    src0, src_half, src1 = src
+    # dt A per mode, the companion matrix of the projected equation
+    ha = np.zeros((size, 3, 3))
+    ha[:, 0, 1] = ha[:, 1, 2] = dt
+    ha[:, 2] = -dt * np.stack([c2 * basis.eigenvalues, b * basis.eigenvalues,
+                               np.full(size, params.alpha)], axis=-1)
+    eye = np.eye(3)
+    step = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)  # R - I
+    a1 = ha[:, :, 2]                    # dt A e_3
+    a2 = (ha @ a1[:, :, None])[:, :, 0]
+    a3 = (ha @ a2[:, :, None])[:, :, 0]
+    e3 = eye[2]
+    weights = dt / 6.0 * np.stack([e3 + a1 + a2 / 2.0 + a3 / 4.0,
+                                   4.0 * e3 + 2.0 * a1 + a2 / 2.0,
+                                   np.broadcast_to(e3, a1.shape)])
 
-    states = np.empty((steps + 1, 3, basis.size))
+    states = np.empty((steps + 1, 3, size))
     states[0] = (data.w0.total_coeffs(), data.w1.total_coeffs(),
                  data.w2.total_coeffs())
-    # z holds one stage's state in rows 0-2 and its acceleration in row 3,
-    # so that the stage slope (first to third derivative) is the view z[1:]
-    z = np.empty((4, basis.size))
-    state, slope, acc = z[:3], z[1:], z[3]
-    ksum = np.empty((3, basis.size))
-    tmp = np.empty((3, basis.size))
-    term = np.empty(basis.size)
+    body = states[1:]
+    body[:] = 0.0
+    t = np.arange(steps) * dt
+    flux = basis.boundary_flux()
+    for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
+        src = np.zeros((steps, size))
+        if data.f is not None:
+            src[:] = data.f.modes(ts)
+        if data.g is not None:
+            src -= c2 * (data.g.g(ts) @ flux)
+            src -= b * (data.g.gt(ts) @ flux)
+        for j in range(3):
+            body[:, j] += weight[:, j] * src
 
-    def shift(y, step):
-        # stage state y + step * (previous stage's slope)
-        np.multiply(step, slope, out=tmp)
-        np.add(y, tmp, out=state)
-
-    def accelerate(source_row):
-        # source - alpha y'' - b mu y' - c^2 mu y, left to right
-        np.multiply(alpha, z[2], out=term)
-        np.subtract(source_row, term, out=acc)
-        np.multiply(bmu, z[1], out=term)
-        np.subtract(acc, term, out=acc)
-        np.multiply(c2mu, z[0], out=term)
-        np.subtract(acc, term, out=acc)
-
-    for m in range(steps):
-        y = states[m]
-        state[:] = y
-        accelerate(src0[m])
-        ksum[:] = slope                     # k1
-        shift(y, hdt)
-        accelerate(src_half[m])             # k2
-        np.multiply(2.0, slope, out=tmp)
-        ksum += tmp
-        shift(y, hdt)
-        accelerate(src_half[m])             # k3
-        np.multiply(2.0, slope, out=tmp)
-        ksum += tmp
-        shift(y, dt)
-        accelerate(src1[m])                 # k4
-        ksum += slope
-        np.multiply(dt6, ksum, out=tmp)
-        np.add(y, tmp, out=states[m + 1])
+    segments = scan_blocks(body)
+    length = segments[0].shape[1]
+    # R^i - I for i = 0..L, component-major for the elementwise products
+    pw = np.moveaxis(power_increments(step, length), 1, -1)
+    one = pw[1]
+    for seg in segments:
+        # zero-state pass inside every block at once
+        for i in range(1, seg.shape[1]):
+            prev, row = seg[:, i - 1], seg[:, i]
+            row += (one[:, 0] * prev[:, 0, None] + one[:, 1] * prev[:, 1, None]
+                    + one[:, 2] * prev[:, 2, None])
+            row += prev
+    prev = states[0]
+    for seg in segments:
+        for block in seg:
+            # add R^{i+1} times the state before the block
+            n = block.shape[0]
+            block += (pw[1:n + 1, :, 0] * prev[0] + pw[1:n + 1, :, 1] * prev[1]
+                      + pw[1:n + 1, :, 2] * prev[2])
+            block += prev
+            prev = block[-1]
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)

@@ -8,8 +8,10 @@ direct Volterra solver needs for its tightest reproduction targets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 
 RULES = ("trapezoid", "gregory4")
 
@@ -59,9 +61,11 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float) -> np.ndarray
 
     The per-step update uses the closed-form weights of an exponential
     integrator, so constant and linear sample profiles integrate exactly and
-    the result is second-order accurate in dt for smooth data.
+    the result is second-order accurate in dt for smooth data.  The update
+    out[m+1] = e out[m] + w_left values[m] + w_right values[m+1] is one
+    first-order filter along axis 0, started so that out[0] = 0.
     """
-    out = np.zeros_like(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if abs(rate) < 1e-14:
         return prefix_trapezoid(values, dt)
     # int_{t_m}^{t_{m+1}} exp(rate*(t_{m+1}-s)) * linear(s) ds
@@ -70,8 +74,54 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float) -> np.ndarray
     i2 = (e - 1.0) / rate**2 - dt / rate  # moment against (s - t_m)/dt scaled below
     w_left = i1 - i2 / dt
     w_right = i2 / dt
-    for m in range(values.shape[0] - 1):
-        out[m + 1] = e * out[m] + w_left * values[m] + w_right * values[m + 1]
+    return lfilter([w_right, w_left], [1.0, -e], values, axis=0,
+                   zi=-w_right * values[:1])[0]
+
+
+def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
+    """Views of the leading axis of rows cut into blocks for a linear scan.
+
+    A recurrence x_{m+1} = M x_m + u_m over S rows is evaluated in two
+    levels: a zero-state pass runs inside every block at once, then the
+    block-start states are carried from block to block with powers of M.
+    With blocks of length L = ceil(sqrt(S)) that is about 2 sqrt(S)
+    vectorised steps where a step loop makes S.
+
+    Returns a (S // L, L, ...) view of the full blocks, followed by a
+    (1, r, ...) view of the r leftover rows when r > 0; writing to a block
+    writes to rows.
+    """
+    if not rows.flags.c_contiguous:
+        raise ValueError("scan rows must be C-contiguous")
+    n = rows.shape[0]
+    length = math.isqrt(n - 1) + 1 if n else 1
+    full = n - n % length
+    views = [rows[:full].reshape((-1, length) + rows.shape[1:])]
+    if full < n:
+        views.append(rows[full:][None])
+    return views
+
+
+def power_increments(step: np.ndarray, count: int) -> np.ndarray:
+    """M^i - I for i = 0..count, where M = I + step and step is (..., n, n).
+
+    Returns shape (count + 1, ..., n, n), built by doubling with
+    D_{a+b} = D_a + D_b + D_a D_b: about log2(count) batched products.  The
+    one-step maps of a scan are close to the identity, and a rounding of M
+    itself would repeat at every step; carrying M^i - I keeps the relative
+    precision of the small increments.
+    """
+    out = np.zeros((count + 1,) + step.shape)
+    if count:
+        out[1] = step
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        new = out[have + 1:have + take + 1]
+        np.matmul(out[have], out[1:take + 1], out=new)
+        new += out[1:take + 1]
+        new += out[have]
+        have += take
     return out
 
 

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .cosine import CosineFamily, Phases, kop_apply, phases, sincos_conv, wave_solve
-from .quadrature import prefix_exponential, prefix_trapezoid
+from .quadrature import (power_increments, prefix_exponential, prefix_trapezoid,
+                         scan_blocks)
 from .spectral import (
     BoundaryData,
     BoundarySignal,
@@ -344,40 +345,70 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
         f_samples=fsamp, H_raw=H_raw)
 
 
-def _solve_structured(kernels: KernelFamily, ph: Phases, rhs: np.ndarray,
+def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
                       grid: TimeGrid) -> np.ndarray:
-    """Trapezoid collocation for the structured kernel, via running sums.
+    """Trapezoid collocation for the structured kernel, as a blocked linear scan.
 
-    Expanding sin/cos/exp of (t_m - t_j) in products of one-point factors
-    turns the memory sum into three running sums, so the whole solve is
-    O(steps) per mode.  The kernel vanishes at 0, so the step is explicit;
-    the equations are identical to solve_direct with trapezoid weights.
+    In the rotating frame X_m = sum_{j<m} w_j (cos, sin, e^rho)(t_m - t_j) v_j
+    (trapezoid weights w_j, w_0 = 1/2) the memory sum is dt k.X_m with
+    k = (B, A, C), so v_m = rhs_m - dt k.X_m and X_{m+1} = G (X_m + w_m e v_m)
+    with e = (1, 0, 1) and G = rot(omega dt) + e^{rho dt}: per mode an order-3
+    linear recurrence with one-step map M = G (I - dt e k^T) from m = 1 on,
+    run as a blocked scan (quadrature.scan_blocks).  The kernel vanishes at
+    0, so the step is explicit; the equations are identical to solve_direct
+    with trapezoid weights.  G - I and M - I are formed without cancellation
+    (half-angle sine, expm1), so that their rounding does not build up.
 
-    rhs has shape (steps+1, modes) or (steps+1, k, modes): the per-mode
-    factors broadcast over the k right-hand sides, which are solved in one
-    loop with the same float operations as k separate solves.
+    rhs has shape (steps+1, modes) or (steps+1, k, modes) and must be
+    C-contiguous; it is overwritten with the solution, which is returned.
+    The k right-hand sides go through the same elementwise float operations
+    as k separate solves, so batching does not change a bit.
     """
-    times, dt = grid.times, grid.dt
-    rho = kernels.rho
+    dt = grid.dt
     a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
-    ct, st = ph.cos, ph.sin
-    grow = np.exp(rho * times)
-    decay = np.exp(-rho * times)
-    v = np.empty_like(rhs)
-    v[0] = rhs[0]
-    run_c = 0.5 * ct[0] * v[0]
-    run_s = 0.5 * st[0] * v[0]
-    run_e = 0.5 * decay[0] * v[0]
-    for m in range(1, grid.steps + 1):
-        cm, sm, vm = ct[m], st[m], v[m]
-        memory = dt * (a * (sm * run_c - cm * run_s)
-                       + b * (cm * run_c + sm * run_s)
-                       + c * grow[m] * run_e)
-        np.subtract(rhs[m], memory, out=vm)
-        run_c += cm * vm
-        run_s += sm * vm
-        run_e += decay[m] * vm
-    return v
+    # G - I: cos(omega dt) - 1, sin(omega dt) and e^{rho dt} - 1
+    cm1 = -2.0 * np.sin(0.5 * kernels.omega * dt) ** 2
+    sn = np.sin(kernels.omega * dt)
+    em1 = np.expm1(kernels.rho * dt)
+    grot = np.zeros((kernels.size, 3, 3))
+    grot[:, 0, 0] = grot[:, 1, 1] = cm1
+    grot[:, 0, 1], grot[:, 1, 0], grot[:, 2, 2] = -sn, sn, em1
+    kvec = np.stack([b, a, c], axis=-1)
+    kick = dt * np.array([1.0, 0.0, 1.0])[:, None] * kvec[:, None, :]
+    v = rhs.reshape(rhs.shape[0], -1, rhs.shape[-1])
+    segments = scan_blocks(v[1:])
+    length = segments[0].shape[1]
+    # M^i - I for i = 0..L; memory read-out rows dt k^T M^i, component-major
+    pw = power_increments(grot @ (np.eye(3) - kick) - kick, length)
+    reads = dt * (kvec[:, None, :] @ (pw[:length] + np.eye(3)))[:, :, 0]
+    reads = np.moveaxis(reads, -1, 1)
+    carry = np.moveaxis(pw[length], 0, -1)
+
+    def zero_state(blocks):
+        # the collocation inside every block at once, from X = 0
+        xc, xs, xe = np.zeros((3,) + blocks[:, 0].shape)
+        for i in range(blocks.shape[1]):
+            vi = blocks[:, i]
+            vi -= dt * (a * xs + b * xc + c * xe)
+            xc += vi
+            xe += vi
+            xc, xs = xc + (cm1 * xc - sn * xs), xs + (sn * xc + cm1 * xs)
+            xe += em1 * xe
+        return np.stack([xc, xs, xe], axis=1)
+
+    ends = [zero_state(seg) for seg in segments]
+    # X at row 1 is G e v_0 / 2; carry it from block to block
+    x = 0.5 * np.stack([(1.0 + cm1) * v[0], sn * v[0], (1.0 + em1) * v[0]])
+    for seg, seg_ends in zip(segments, ends):
+        for block, end in zip(seg, seg_ends):
+            n = block.shape[0]
+            block -= (reads[:n, 0, None] * x[0] + reads[:n, 1, None] * x[1]
+                      + reads[:n, 2, None] * x[2])
+            step = (carry[:, 0, None] * x[0] + carry[:, 1, None] * x[1]
+                    + carry[:, 2, None] * x[2])
+            step += end
+            x = x + step
+    return rhs
 
 
 @dataclass
@@ -424,7 +455,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
         np.subtract(rp.Ht, ker_t * rp.v0, out=rhs[:, 1])
         np.subtract(rp.Htt, kdot_t * rp.v0, out=rhs[:, 2])
         rhs[:, 2] -= ker_t * rp.v1
-        del kdot_t
+        del kdot_t, ph
 
         meta = {"method": method,
                 "boundary_derivative_source": rp.boundary_signal.derivative_source,
@@ -432,7 +463,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
                 "compatible_velocity": data.compatible_velocity}
         if method == "direct":
             del ker_t
-            sol = _solve_structured(rp.kernels, ph, rhs, grid)
+            sol = _solve_structured(rp.kernels, rhs, grid)
             v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
         else:
             sols = []
@@ -448,7 +479,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
                 terms.append(res.terms_used)
             v, vt, vtt = sols
             meta["picard_terms"] = terms
-        del ph, rhs
+        del rhs
 
         v_int = v - rp.dhat
         vt_int = vt - rp.dhat_t
@@ -524,12 +555,14 @@ def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
                        + data.w1.boundary_values())
     gtilde_sig = BoundarySignal(grid, rp.gtilde, rp.gtilde_t, rp.gtilde_tt,
                                 rp.boundary_signal.derivative_source)
-    z = wave_solve(fam, z0, z1, f0 + f1, gtilde_sig, grid)
+    # one phase table for the wave solve and both smoothing convolutions
+    ph = phases(fam.omega, times)
+    z = wave_solve(fam, z0, z1, f0 + f1, gtilde_sig, grid, ph)
 
     root_b = np.sqrt(params.b)
     f2 = grow * rp.source_fixed
-    v21 = kop_apply(fam, f2, grid) / root_b
-    v22 = kop_apply(fam, rp.ftilde, grid) / root_b
+    v21 = kop_apply(fam, f2, grid, ph) / root_b
+    v22 = kop_apply(fam, rp.ftilde, grid, ph) / root_b
 
     diff = bundle.v - z.total("w") - v21 - v22
     scale = max(np.max(np.linalg.norm(bundle.v, axis=1)), 1e-300)

@@ -255,36 +255,46 @@ def lifting_values_square(boundary: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- Sobolev norms ----------------------------------------------------------
 
 
-def _l2sq(arr: np.ndarray, spacings) -> float:
-    """Squared L2 norm of grid samples: nested trapezoid rules, last axis first."""
+def _l2sq(arr: np.ndarray, spacings) -> float | np.ndarray:
+    """Squared L2 norm of grid samples: nested trapezoid rules, last axis first.
+
+    The rules run over the trailing len(spacings) axes; leading axes are a
+    batch and give an array, no batch gives a float.
+    """
     out = arr**2
     for h in reversed(list(spacings)):
         out = np.trapezoid(out, dx=h, axis=-1)
-    return float(out)
+    return out if out.ndim else float(out)
 
 
-def grid_sobolev_norm(values: np.ndarray, spacings, s: int) -> float:
-    """Finite-difference H^s norm of grid samples; s in {0, 1, 2}."""
+def grid_sobolev_norm(values: np.ndarray, spacings, s: int) -> float | np.ndarray:
+    """Finite-difference H^s norm of grid samples; s in {0, 1, 2}.
+
+    The norm is taken over the trailing len(spacings) axes.  Leading axes,
+    if any, are a batch: the result is then an array of norms, each equal
+    to the norm of its own samples.
+    """
     if s not in (0, 1, 2):
         raise ValueError("s must be one of 0, 1, 2")
     values = np.asarray(values, dtype=float)
     if np.isscalar(spacings):
         spacings = [spacings] * values.ndim
-    if len(spacings) != values.ndim:
-        raise ValueError("one spacing per axis is required")
+    nd = len(spacings)
+    if not 0 < nd <= values.ndim:
+        raise ValueError("one spacing per (trailing) axis is required")
 
     total = _l2sq(values, spacings)
     if s >= 1:
-        grads = [np.gradient(values, h, axis=ax, edge_order=2)
+        grads = [np.gradient(values, h, axis=ax - nd, edge_order=2)
                  for ax, h in enumerate(spacings)]
         total += sum(_l2sq(g, spacings) for g in grads)
     if s == 2:
         # one term per multi-index: (2,0), (1,1), (0,2) in 2D
         for ax1, g in enumerate(grads):
-            for ax2 in range(ax1, values.ndim):
-                gg = np.gradient(g, spacings[ax2], axis=ax2, edge_order=2)
+            for ax2 in range(ax1, nd):
+                gg = np.gradient(g, spacings[ax2], axis=ax2 - nd, edge_order=2)
                 total += _l2sq(gg, spacings)
-    return float(np.sqrt(total))
+    return np.sqrt(total) if values.ndim > nd else float(np.sqrt(total))
 
 
 def sobolev_norm(target, s: int, method: str = "spectral",

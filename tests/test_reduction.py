@@ -138,7 +138,7 @@ def test_structured_solver_matches_generic_collocation():
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(401, BASIS.size))
     ph = phases(family.omega, grid.times)
-    fast = _solve_structured(family, ph, rhs, grid)
+    fast = _solve_structured(family, rhs.copy(), grid)
     ker = family.samples(ph)[0]
     slow = solve_direct(VolterraProblem(ker, rhs, grid), rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
@@ -151,10 +151,10 @@ def test_structured_solver_batches_columns_exactly():
     grid = TimeGrid(1.0, 64)
     rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
     ph = phases(family.omega, grid.times)
-    batched = _solve_structured(family, ph, rhs, grid)
+    batched = _solve_structured(family, rhs.copy(), grid)
     ker = family.samples(ph)[0]
     for col in range(3):
-        single = _solve_structured(family, ph, rhs[:, col].copy(), grid)
+        single = _solve_structured(family, rhs[:, col].copy(), grid)
         assert np.array_equal(batched[:, col], single)
         slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
         assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
