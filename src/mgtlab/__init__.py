@@ -52,7 +52,6 @@ from .symbols import (
     finite_eigenvalues,
     lopatinskii_sweep,
     stable_subspace,
-    weighted_norm,
 )
 from .volterra import (
     PicardResult,

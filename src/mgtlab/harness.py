@@ -21,13 +21,7 @@ import numpy as np
 from .generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
 from .reduction import MgtData, MgtParams, SolutionBundle, solve_mgt
-from .spectral import (
-    DomainSpec,
-    TimeGrid,
-    build_basis,
-    grid_sobolev_norm,
-    trajectory_on_grid,
-)
+from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import CosineFamily, boundary_convolution_probe
 
@@ -224,21 +218,21 @@ def write_summary_json(path: Path, summary: dict) -> None:
 # -- shared measurement helpers ----------------------------------------------
 
 
-# rows per batched grid-norm call: bounds the finite-difference temporaries
-_NORM_ROWS = 128
-
-
 def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
-    """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes."""
+    """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes.
+
+    The grid norms on the (n+1)-point grid are taken as Gram quadratic forms
+    of the coefficient rows (spectral.gram_forms), with no grid evaluation.
+    """
     basis = bundle.basis
     sel = slice(None, None, stride)
-    hx = 1.0 / n
+    g0, g1, g2 = gram_forms(basis, n)
     out = {"t": bundle.grid.times[sel]}
-    for which, key, s in (("w", "w_H2", 2), ("wt", "wt_H1", 1), ("wtt", "wtt_L2", 0)):
-        vals = trajectory_on_grid(basis, bundle.interior(which)[sel],
-                                  bundle.boundary_values(which)[sel], n)
-        out[key] = np.concatenate([grid_sobolev_norm(vals[i:i + _NORM_ROWS], (hx,), s)
-                                   for i in range(0, len(vals), _NORM_ROWS)])
+    for which, key, gram in (("w", "w_H2", g0 + g1 + g2), ("wt", "wt_H1", g0 + g1),
+                             ("wtt", "wtt_L2", g0)):
+        edge = bundle.boundary_values(which)
+        rows = gram_rows(bundle.interior(which)[sel], None if edge is None else edge[sel])
+        out[key] = np.sqrt(row_forms(rows, gram))
     out["w_H2_spectral_interior"] = np.sqrt(
         ((1.0 + basis.eigenvalues) ** 2 * bundle.w[sel] ** 2).sum(axis=1))
     for which in ("w", "wt"):

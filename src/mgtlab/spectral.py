@@ -9,10 +9,13 @@ basis where its expansion converges slowly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .quadrature import composite_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -323,6 +326,54 @@ def sobolev_norm(target, s: int, method: str = "spectral",
     values = np.asarray(target, dtype=float)
     h = 1.0 / (values.shape[0] - 1)
     return grid_sobolev_norm(values, [h] * values.ndim, s)
+
+
+def gram_forms(basis: EigenBasis, n: int | None = None) -> tuple[np.ndarray, ...]:
+    """Gram matrices (G0, G1, G2) of the grid norms on the interval.
+
+    The grid norms act on rows y = (interior coefficients, a, b), where a, b
+    are the node values of the affine lifting: ||d_x^k u||^2 with k
+    np.gradient(edge_order=2) differences and the trapezoid rule on the
+    (n+1)-point grid equals y G_k y^T, so grid_sobolev_norm of the evaluated
+    field is (y (G0 + ... + Gs) y^T)^(1/2) up to rounding.  The matrices are
+    built once per (modes, n) and returned read-only.
+    """
+    if basis.domain.kind != INTERVAL:
+        raise NotImplementedError("Gram forms are implemented on the interval")
+    return _interval_grams(basis.mode_count, n or basis.domain.grid_points_per_axis)
+
+
+# a few (modes, n) pairs are in use at once; an entry holds 3 (modes+2)^2 floats
+@functools.lru_cache(maxsize=8)
+def _interval_grams(mode_count: int, n: int) -> tuple[np.ndarray, ...]:
+    basis = EigenBasis(DomainSpec(INTERVAL, n), mode_count)
+    x = basis.grid_points(n)
+    h = 1.0 / n
+    rows = np.vstack([basis.eval_matrix_1d(x), 1.0 - x, x])
+    weights = composite_weights(n, h)
+    grams = []
+    for _ in range(3):
+        gram = (rows * weights) @ rows.T
+        gram.flags.writeable = False
+        grams.append(gram)
+        rows = np.gradient(rows, h, axis=1, edge_order=2)
+    return tuple(grams)
+
+
+def gram_rows(interior: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
+    """Rows (interior coefficients, a, b) that the Gram forms act on.
+
+    interior is (..., modes); boundary, when given, holds the matching node
+    values (..., 2); without it the node values are zero.
+    """
+    if boundary is None:
+        boundary = np.zeros(interior.shape[:-1] + (2,))
+    return np.concatenate([interior, boundary], axis=-1)
+
+
+def row_forms(rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Quadratic forms y G y^T of every row y of rows (times, modes + 2)."""
+    return np.einsum("ij,ij->i", rows @ gram, rows)
 
 
 # -- boundary traces --------------------------------------------------------

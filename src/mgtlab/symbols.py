@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _l2sq, grid_sobolev_norm, trajectory_on_grid
+from .quadrature import composite_weights
+from .spectral import gram_forms, gram_rows, row_forms
 
 AD = np.diag([1.0, 1.0, 0.0]).astype(complex)
 B_ROW = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -81,11 +82,16 @@ def finite_eigenvalues(pt: FrequencyPoint, b: float) -> tuple[complex, complex]:
     """
     if pt.weight_beta == 0:
         raise ValueError("degenerate pencil: weight_beta must be positive")
-    lam_sq = pt.eta_sq + (1j * pt.tau + pt.weight_beta) ** 2 / b
-    lam = np.sqrt(lam_sq)
-    if lam.real < 0:
-        lam = -lam
-    return complex(lam), complex(-lam)
+    lam_minus = complex(_stable_eigenvalue(pt.tau, pt.weight_beta, pt.eta_sq, b))
+    return -lam_minus, lam_minus
+
+
+def _stable_eigenvalue(tau, beta, eta_sq, b: float):
+    """lam_- at scalar or array frequencies, the negated principal root of
+    lambda^2 = |eta|^2 + (i tau + beta)^2 / b (squared by real and
+    imaginary parts)."""
+    lam = np.sqrt(eta_sq + (beta * beta - tau * tau) / b + 1j * (2.0 * beta * tau / b))
+    return np.where(lam.real < 0, lam, -lam)
 
 
 def determinant_residual(pt: FrequencyPoint, b: float, lam: complex) -> float:
@@ -145,64 +151,33 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
     n_grid = max(samples // 5, 100)
     betas_grid = np.geomspace(beta_min, 1.0, 50)
     angles = np.linspace(0.0, 2.0 * np.pi, max(n_grid // 50, 8), endpoint=False)
-    pts = []
-    for beta in betas_grid:
-        rim = np.sqrt(max(1.0 - beta**2, 0.0))
-        for a in angles:
-            pts.append((rim * np.cos(a), beta, rim * np.sin(a)))
-    n_rand = samples - len(pts)
+    rim = np.sqrt(np.maximum(1.0 - betas_grid**2, 0.0))
+    n_rand = samples - betas_grid.size * angles.size
     raw = rng.normal(size=(n_rand, 3))
     raw /= np.linalg.norm(raw, axis=1)[:, None]
-    beta_rand = np.abs(raw[:, 1])
-    beta_rand = np.maximum(beta_rand, beta_min)
-    for i in range(n_rand):
-        pts.append((raw[i, 0], beta_rand[i], raw[i, 2]))
+    tau = np.concatenate([np.outer(rim, np.cos(angles)).ravel(), raw[:, 0]])
+    beta = np.concatenate([np.repeat(betas_grid, angles.size),
+                           np.maximum(np.abs(raw[:, 1]), beta_min)])
+    eta = np.concatenate([np.outer(rim, np.sin(angles)).ravel(), raw[:, 2]])
 
-    rows = np.empty((len(pts), 4))
-    best = np.inf
-    best_pt = None
-    for i, (tau, beta, eta) in enumerate(pts):
-        pt = FrequencyPoint(tau, beta, np.array([eta])).normalized()
-        ratio = lopatinskii_ratio(pt, b)
-        rows[i] = (pt.tau, pt.weight_beta, pt.eta[0], ratio)
-        if ratio < best:
-            best = ratio
-            best_pt = pt
-    return SweepResult(b=b, samples=len(pts), minimum=float(best),
-                       argmin=best_pt, floor=analytic_ratio_floor(b), rows=rows)
-
-
-# -- weighted norms and estimate probes --------------------------------------
-
-
-def weighted_norm(u: np.ndarray, k: int, weight_beta: float, spacings) -> float:
-    """Weighted Sobolev norm: sum over |a| <= k of beta^(2k-2|a|) ||d^a u||^2."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be one of 0, 1, 2")
-    if weight_beta <= 0:
-        raise ValueError("weight_beta must be positive")
-    u = np.asarray(u, dtype=float)
-    if np.isscalar(spacings):
-        spacings = [spacings] * u.ndim
-    total = 0.0
-    for alpha, derivative in _derivatives_up_to(u, k, spacings):
-        total += weight_beta ** (2 * k - 2 * sum(alpha)) * _l2sq(derivative, spacings)
-    return float(np.sqrt(total))
+    # onto the unit sphere, then |B z| / |z| = 1 / |(1, lam_-, lam_-^2)|; |z|^2
+    # is summed as lopatinskii_ratio sums it (real parts, then imaginary)
+    # because the minimum is attained on whole circles, where the last bit
+    # decides which sample is reported as the argmin
+    scale = np.sqrt(tau**2 + beta**2 + eta**2)
+    tau, beta, eta = tau / scale, beta / scale, eta / scale
+    lam = _stable_eigenvalue(tau, beta, eta**2, b)
+    re, im = lam.real, lam.imag
+    re2, im2 = re * re - im * im, 2.0 * re * im
+    ratio = 1.0 / np.sqrt((1.0 + re * re + re2 * re2) + (im * im + im2 * im2))
+    rows = np.column_stack([tau, beta, eta, ratio])
+    i = int(np.argmin(ratio))
+    return SweepResult(b=b, samples=len(rows), minimum=float(ratio[i]),
+                       argmin=FrequencyPoint(tau[i], beta[i], eta[i]),
+                       floor=analytic_ratio_floor(b), rows=rows)
 
 
-def _derivatives_up_to(u: np.ndarray, k: int, spacings):
-    """Yield (multi-index, finite-difference derivative) for all |a| <= k."""
-    from itertools import product
-
-    ndim = u.ndim
-    for alpha in product(range(k + 1), repeat=ndim):
-        if sum(alpha) > k:
-            continue
-        der = u
-        for ax, order in enumerate(alpha):
-            for _ in range(order):
-                der = np.gradient(der, spacings[ax], axis=ax, edge_order=2)
-        yield alpha, der
+# -- estimate probes ----------------------------------------------------------
 
 
 @dataclass
@@ -214,12 +189,10 @@ class ProbeResult:
     ratio: float
     passed: bool
     ceiling: float
-    under_resolved: bool
 
 
 def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
-                   space_points: int = 256, ceiling: float | None = None,
-                   drift_check: bool = False) -> ProbeResult:
+                   space_points: int = 256, ceiling: float | None = None) -> ProbeResult:
     """Assemble one side-by-side estimate ratio from grid norms.
 
     which="resolvent_4a": beta||u||_{2,b,Q}^2 + ||d_x u||_{1,b,S}^2 against
@@ -234,87 +207,57 @@ def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
     ceiling = ceiling if ceiling is not None else np.inf
     lhs, rhs = _probe_sides(bundle, data, which, weight_beta, space_points)
     ratio = 0.0 if rhs == 0.0 and lhs == 0.0 else lhs / rhs
-    under_resolved = False
-    if drift_check:
-        lhs2, rhs2 = _probe_sides(bundle, data, which, weight_beta,
-                                  max(space_points // 2, 32), stride=2)
-        ratio2 = 0.0 if rhs2 == 0.0 and lhs2 == 0.0 else lhs2 / rhs2
-        if ratio > 0 and abs(ratio2 - ratio) > 0.10 * ratio:
-            under_resolved = True
     return ProbeResult(which=which, weight_beta=weight_beta, lhs=lhs, rhs=rhs,
                        ratio=ratio, passed=bool(ratio <= ceiling),
-                       ceiling=float(ceiling), under_resolved=under_resolved)
+                       ceiling=float(ceiling))
 
 
-def _probe_sides(bundle, data, which: str, beta: float, space_points: int,
-                 stride: int = 1) -> tuple[float, float]:
-    basis = bundle.basis
+def _probe_sides(bundle, data, which: str, beta: float,
+                 space_points: int) -> tuple[float, float]:
+    """Both sides of a probe from the Gram forms of the grid norms.
+
+    Space norms on the (space_points+1)-point grid are Gram forms of the
+    coefficient rows (spectral.gram_forms); time integrals are trapezoid
+    weights over those per-time forms.
+    """
+    g0, g1, g2 = gram_forms(bundle.basis, space_points)
     grid = bundle.grid
-    sel = slice(None, None, stride)
-    times = grid.times[sel]
-    dt = grid.dt * stride
-    hx = 1.0 / space_points
-    spac = (dt, hx)
-
-    w_vals, wt_vals, wtt_vals = (
-        trajectory_on_grid(basis, bundle.interior(comp)[sel],
-                           bundle.boundary_values(comp)[sel], space_points)
-        for comp in ("w", "wt", "wtt"))
-    trace_w = bundle.trace("w").series[sel]
-    trace_wt = bundle.trace("wt").series[sel]
-    g, g_t, g_tt = (bundle.boundary_values(comp)[sel] for comp in ("w", "wt", "wtt"))
+    weights = composite_weights(grid.steps, grid.dt)
+    g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
+    y_w, y_wt, y_wtt = (gram_rows(bundle.interior(comp), edge)
+                        for comp, edge in (("w", g), ("wt", g_t), ("wtt", g_tt)))
+    trace_w = bundle.trace("w").series
+    trace_wt = bundle.trace("wt").series
+    fsamp = bundle.reduced.f_samples
+    y_f = None if fsamp is None or not np.any(fsamp) else gram_rows(fsamp)
+    sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":
-        env = np.exp(-beta * times)[:, None]
-        u = env * w_vals
-        u_t = env * (wt_vals - beta * w_vals)
-        u_tt = env * (wtt_vals - 2.0 * beta * wt_vals + beta**2 * w_vals)
-        u_x = np.gradient(u, hx, axis=1, edge_order=2)
-        u_xx = np.gradient(u_x, hx, axis=1, edge_order=2)
-        u_tx = np.gradient(u_t, hx, axis=1, edge_order=2)
-        lhs_q = (beta**4 * _l2sq(u, spac)
-                 + beta**2 * (_l2sq(u_t, spac) + _l2sq(u_x, spac))
-                 + _l2sq(u_tt, spac) + _l2sq(u_tx, spac) + _l2sq(u_xx, spac))
+        env = np.exp(-beta * grid.times)[:, None]
+        u = env * y_w
+        u_t = env * (y_wt - beta * y_w)
+        u_tt = env * (y_wtt - 2.0 * beta * y_wt + beta**2 * y_w)
+        lhs_q = (row_forms(u, beta**4 * g0 + beta**2 * g1 + g2)
+                 + row_forms(u_t, beta**2 * g0 + g1) + row_forms(u_tt, g0))
         tr = env * trace_w
         tr_t = env * (trace_wt - beta * trace_w)
-        lhs_s = sum(beta**2 * _l2sq(tr[:, j], (dt,)) + _l2sq(tr_t[:, j], (dt,))
-                    for j in range(tr.shape[1]))
-        lhs = beta * lhs_q + lhs_s
-        rp_f = _forcing_values(bundle, basis, space_points)[sel]
-        rhs_q = _l2sq(env * rp_f, spac) / beta
+        lhs = weights @ (beta * lhs_q + beta**2 * sq(tr) + sq(tr_t))
+        rhs_q = 0.0 if y_f is None else weights @ row_forms(env * y_f, g0) / beta
         ub = env * g
         ub_t = env * (g_t - beta * g)
         ub_tt = env * (g_tt - 2.0 * beta * g_t + beta**2 * g)
-        rhs_s = sum(beta**4 * _l2sq(ub[:, j], (dt,))
-                    + beta**2 * _l2sq(ub_t[:, j], (dt,))
-                    + _l2sq(ub_tt[:, j], (dt,)) for j in range(ub.shape[1]))
+        rhs_s = weights @ (beta**4 * sq(ub) + beta**2 * sq(ub_t) + sq(ub_tt))
         return float(lhs), float(rhs_q + rhs_s)
 
     # semigroup_10, s = 0, finite horizon without exponential weights
-    w_x = np.gradient(w_vals, hx, axis=1, edge_order=2)
-    w_xx = np.gradient(w_x, hx, axis=1, edge_order=2)
-    wt_x = np.gradient(wt_vals, hx, axis=1, edge_order=2)
-    lhs = (grid_sobolev_norm(w_vals[-1], (hx,), 2) ** 2
-           + grid_sobolev_norm(wt_vals[-1], (hx,), 1) ** 2
-           + _l2sq(wtt_vals[-1], (hx,))
-           + _l2sq(w_vals, spac) + _l2sq(wt_vals, spac) + _l2sq(w_x, spac)
-           + _l2sq(wtt_vals, spac) + _l2sq(wt_x, spac) + _l2sq(w_xx, spac)
-           + sum(_l2sq(trace_w[:, j], (dt,)) + _l2sq(trace_wt[:, j], (dt,))
-                 for j in range(trace_w.shape[1])))
-    rhs = (_l2sq(_forcing_values(bundle, basis, space_points)[sel], spac)
-           + sum(_l2sq(g[:, j], (dt,)) + _l2sq(g_t[:, j], (dt,))
-                 + _l2sq(g_tt[:, j], (dt,)) for j in range(g.shape[1])))
-    w0 = data.w0.evaluate(space_points)
-    w1 = data.w1.evaluate(space_points)
-    w2 = data.w2.evaluate(space_points)
-    rhs += (grid_sobolev_norm(w0, (hx,), 2) ** 2
-            + grid_sobolev_norm(w1, (hx,), 1) ** 2 + _l2sq(w2, (hx,)))
+    h2, h1 = g0 + g1 + g2, g0 + g1
+    energy = row_forms(y_w, h2) + row_forms(y_wt, h1) + row_forms(y_wtt, g0)
+    lhs = energy[-1] + weights @ (energy + sq(trace_w) + sq(trace_wt))
+    rhs = weights @ (sq(g) + sq(g_t) + sq(g_tt))
+    if y_f is not None:
+        rhs += weights @ row_forms(y_f, g0)
+    for field, gram in ((data.w0, h2), (data.w1, h1), (data.w2, g0)):
+        y = gram_rows(field.coeffs, field.boundary)
+        rhs += y @ gram @ y
     return float(lhs), float(rhs)
 
-
-def _forcing_values(bundle, basis, space_points: int) -> np.ndarray:
-    """Physical-space samples of the interior forcing over the time grid."""
-    fsamp = bundle.reduced.f_samples
-    if fsamp is None or not np.any(fsamp):
-        return np.zeros((bundle.grid.steps + 1, space_points + 1))
-    return trajectory_on_grid(basis, fsamp, None, space_points)

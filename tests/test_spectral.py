@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtlab.spectral import (
     BoundaryData,
@@ -12,9 +14,14 @@ from mgtlab.spectral import (
     Trajectory,
     build_basis,
     dirichlet_map,
+    gram_forms,
+    gram_rows,
+    grid_sobolev_norm,
     lifting_values_square,
     normal_trace,
+    row_forms,
     sobolev_norm,
+    trajectory_on_grid,
 )
 
 INTERVAL = DomainSpec("interval", 256)
@@ -173,6 +180,43 @@ def test_grid_norm_square_field():
     coeffs[0] = 1.0  # mode (1,1), L2-normalized
     field = SpectralField(basis, coeffs)
     assert sobolev_norm(field, 0, method="grid", n=128) == pytest.approx(1.0, rel=1e-3)
+
+
+# The lifting is kept within 100 times the interior part: from about 10^4
+# times, rounding in the second differences of the affine part (which the
+# grid reference and the Gram forms each carry differently) reaches 1e-13 of
+# the H^2 norm.
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 64), n=st.integers(8, 1024), seed=st.integers(0, 2**16),
+       lift=st.sampled_from([0.0, 1e-2, 1.0, 1e2]), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_gram_norms_match_grid_norms(modes, n, seed, lift, scale):
+    basis = build_basis(INTERVAL, modes)
+    rng = np.random.default_rng(seed)
+    interior = scale * rng.normal(size=(3, modes))
+    boundary = scale * lift * rng.normal(size=(3, 2))
+    vals = trajectory_on_grid(basis, interior, boundary, n)
+    grams = gram_forms(basis, n)
+    rows = gram_rows(interior, boundary)
+    for s in (0, 1, 2):
+        np.testing.assert_allclose(np.sqrt(row_forms(rows, sum(grams[:s + 1]))),
+                                   grid_sobolev_norm(vals, (1.0 / n,), s),
+                                   rtol=1e-13, atol=0)
+
+
+def test_gram_forms_are_cached_and_read_only():
+    grams = gram_forms(build_basis(INTERVAL, 8), 128)
+    assert gram_forms(build_basis(INTERVAL, 8), 128) is grams
+    assert [g.shape for g in grams] == [(10, 10)] * 3
+    with pytest.raises(ValueError):
+        grams[0][0, 0] = 1.0
+    # a whole-function trajectory has zero node values
+    rows = gram_rows(np.ones((2, 8)))
+    assert np.array_equal(rows, np.hstack([np.ones((2, 8)), np.zeros((2, 2))]))
+
+
+def test_gram_forms_reject_square():
+    with pytest.raises(NotImplementedError):
+        gram_forms(build_basis(SQUARE, 4), 64)
 
 
 def test_normal_trace_eigenfunctions():

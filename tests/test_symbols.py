@@ -1,13 +1,32 @@
-"""Symbol eigenstructure, the Lopatinskii sweep, weighted norms, probes."""
+"""Symbol eigenstructure, the Lopatinskii sweep, weighted norms, probes.
+
+Weighted norms and both probes read the Gram forms of the grid norms
+(spectral.gram_forms); the grid evaluation they replace is kept here as the
+probes' reference.
+"""
 
 import numpy as np
 import pytest
 
+from mgtlab import harness, spectral, symbols
 from mgtlab.generators import ScenarioSpec, make_scenario
+from mgtlab.harness import norm_series
 from mgtlab.reduction import MgtData, MgtParams, solve_mgt
-from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
+from mgtlab.spectral import (
+    DomainSpec,
+    SpectralField,
+    TimeGrid,
+    _l2sq,
+    build_basis,
+    gram_forms,
+    gram_rows,
+    grid_sobolev_norm,
+    sobolev_norm,
+    trajectory_on_grid,
+)
 from mgtlab.symbols import (
     FrequencyPoint,
+    _probe_sides,
     analytic_ratio_floor,
     determinant_residual,
     estimate_probe,
@@ -17,7 +36,6 @@ from mgtlab.symbols import (
     stable_subspace,
     subspace_residual,
     system_symbol,
-    weighted_norm,
 )
 
 
@@ -147,42 +165,62 @@ def test_sweep_rejects_small_sample_count():
         lopatinskii_sweep(1.0, samples=10)
 
 
+def test_sweep_rows_match_pointwise_ratio():
+    # the vectorized sweep against the scalar FrequencyPoint reference
+    for b in (0.25, 1.0, 4.0):
+        sweep = lopatinskii_sweep(b, samples=2000, seed=3)
+        tau, beta, eta, ratio = sweep.rows.T
+        assert np.allclose(tau**2 + beta**2 + eta**2, 1.0, rtol=0, atol=1e-15)
+        want = [lopatinskii_ratio(FrequencyPoint(t, be, [e]), b)
+                for t, be, e in zip(tau, beta, eta)]
+        np.testing.assert_allclose(ratio, want, rtol=0, atol=1e-14)
+        assert sweep.minimum == ratio.min()
+        assert sweep.argmin.weight_beta == beta[np.argmin(ratio)]
+
+
+def weighted_norm(field, k, beta, n):
+    """sum over j <= k of beta^(2k-2j) ||d_x^j u||^2, square-rooted, from the
+    Gram forms: the spatial weighting of the resolvent probe."""
+    grams = gram_forms(field.basis, n)
+    y = gram_rows(field.coeffs, field.boundary)
+    return float(np.sqrt(sum(beta ** (2 * (k - j)) * (y @ grams[j] @ y)
+                             for j in range(k + 1))))
+
+
 def test_weighted_norm_zero_and_k0():
-    u = np.zeros((20, 20))
-    assert weighted_norm(u, 0, 2.0, 0.05) == 0.0
+    basis = build_basis(DomainSpec("interval", 256), 8)
+    zero = SpectralField(basis, np.zeros(8), np.zeros(2))
+    for k in (0, 1, 2):
+        assert weighted_norm(zero, k, 2.0, 64) == 0.0
     rng = np.random.default_rng(0)
-    u = rng.normal(size=(33, 33))
-    h = 1.0 / 32
-    assert weighted_norm(u, 0, 7.3, h) == pytest.approx(
-        weighted_norm(u, 0, 1.0, h))  # k = 0 carries no beta weight
+    field = SpectralField(basis, rng.normal(size=8), rng.normal(size=2))
+    assert weighted_norm(field, 0, 7.3, 64) == pytest.approx(
+        sobolev_norm(field, 0, method="grid", n=64), rel=1e-13)
 
 
 def test_weighted_norm_symbolic_oracle():
-    n = 512
-    t = np.linspace(0.0, 1.0, n + 1)
-    x = np.linspace(0.0, 1.0, n + 1)
-    u = np.sin(t)[:, None] * np.sin(np.pi * x)[None, :]
-    beta = 2.0
-    i_s = 0.5 - np.sin(2.0) / 4.0   # int_0^1 sin^2
-    i_c = 0.5 + np.sin(2.0) / 4.0   # int_0^1 cos^2
-    exact = np.sqrt(beta**2 * 0.5 * i_s + 0.5 * i_c + np.pi**2 * 0.5 * i_s)
-    got = weighted_norm(u, 1, beta, (1.0 / n, 1.0 / n))
-    assert got == pytest.approx(exact, rel=1e-4)
+    # u = c e_k + a (1 - x) + b x: one mode plus an affine lifting
+    k, c, a, b, beta, n = 3, 0.7, -0.4, 1.3, 2.0, 1024
+    basis = build_basis(DomainSpec("interval", n), 4)
+    field = SpectralField(basis, c * np.eye(4)[k - 1], np.array([a, b]))
+    kpi = k * np.pi
+    l2 = (c**2 + (a * a + a * b + b * b) / 3.0
+          + 2.0 * c * np.sqrt(2.0) * (a - b * (-1) ** k) / kpi)
+    h1 = c**2 * kpi**2 + (b - a) ** 2
+    h2 = c**2 * kpi**4
+    assert weighted_norm(field, 1, beta, n) == pytest.approx(
+        np.sqrt(beta**2 * l2 + h1), rel=1e-4)
+    assert weighted_norm(field, 2, beta, n) == pytest.approx(
+        np.sqrt(beta**4 * l2 + beta**2 * h1 + h2), rel=1e-4)
 
 
 def test_weighted_norm_reduces_to_sobolev_at_unit_weight():
-    from mgtlab.spectral import grid_sobolev_norm
-
     rng = np.random.default_rng(1)
-    u = rng.normal(size=(65, 65))
-    h = 1.0 / 64
-    assert weighted_norm(u, 2, 1.0, h) == pytest.approx(
-        grid_sobolev_norm(u, (h, h), 2), rel=1e-12)
-
-
-def test_weighted_norm_rejects_large_k():
-    with pytest.raises(ValueError):
-        weighted_norm(np.zeros((4, 4)), 3, 1.0, 0.1)
+    basis = build_basis(DomainSpec("interval", 256), 16)
+    field = SpectralField(basis, rng.normal(size=16) / np.arange(1, 17) ** 2,
+                          rng.normal(size=2))
+    assert weighted_norm(field, 2, 1.0, 64) == pytest.approx(
+        grid_sobolev_norm(field.evaluate(64), (1.0 / 64,), 2), rel=1e-13)
 
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -229,3 +267,90 @@ def test_probe_rejects_unknown_kind():
     bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 100))
     with pytest.raises(ValueError):
         estimate_probe(bundle, data, "nonsense")
+
+
+def grid_probe_sides(bundle, data, which, beta, space_points):
+    """Both sides of a probe from the evaluated grid: finite differences and
+    nested trapezoids over (steps+1) x (space_points+1) samples."""
+    basis = bundle.basis
+    times = bundle.grid.times
+    dt = bundle.grid.dt
+    hx = 1.0 / space_points
+    spac = (dt, hx)
+    w_vals, wt_vals, wtt_vals = (
+        trajectory_on_grid(basis, bundle.interior(comp),
+                           bundle.boundary_values(comp), space_points)
+        for comp in ("w", "wt", "wtt"))
+    trace_w = bundle.trace("w").series
+    trace_wt = bundle.trace("wt").series
+    g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
+    fsamp = bundle.reduced.f_samples
+    f_vals = (np.zeros_like(w_vals) if fsamp is None or not np.any(fsamp)
+              else trajectory_on_grid(basis, fsamp, None, space_points))
+    dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
+    lat = lambda arr: sum(_l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
+
+    if which == "resolvent_4a":
+        env = np.exp(-beta * times)[:, None]
+        u = env * w_vals
+        u_t = env * (wt_vals - beta * w_vals)
+        u_tt = env * (wtt_vals - 2.0 * beta * wt_vals + beta**2 * w_vals)
+        u_x = dx(u)
+        lhs_q = (beta**4 * _l2sq(u, spac)
+                 + beta**2 * (_l2sq(u_t, spac) + _l2sq(u_x, spac))
+                 + _l2sq(u_tt, spac) + _l2sq(dx(u_t), spac) + _l2sq(dx(u_x), spac))
+        tr = env * trace_w
+        tr_t = env * (trace_wt - beta * trace_w)
+        lhs = beta * lhs_q + beta**2 * lat(tr) + lat(tr_t)
+        rhs = (_l2sq(env * f_vals, spac) / beta + beta**4 * lat(env * g)
+               + beta**2 * lat(env * (g_t - beta * g))
+               + lat(env * (g_tt - 2.0 * beta * g_t + beta**2 * g)))
+        return lhs, rhs
+
+    w_x = dx(w_vals)
+    lhs = (grid_sobolev_norm(w_vals[-1], (hx,), 2) ** 2
+           + grid_sobolev_norm(wt_vals[-1], (hx,), 1) ** 2
+           + _l2sq(wtt_vals[-1], (hx,))
+           + _l2sq(w_vals, spac) + _l2sq(wt_vals, spac) + _l2sq(w_x, spac)
+           + _l2sq(wtt_vals, spac) + _l2sq(dx(wt_vals), spac) + _l2sq(dx(w_x), spac)
+           + lat(trace_w) + lat(trace_wt))
+    rhs = _l2sq(f_vals, spac) + lat(g) + lat(g_t) + lat(g_tt)
+    w0, w1, w2 = (f.evaluate(space_points) for f in (data.w0, data.w1, data.w2))
+    rhs += (grid_sobolev_norm(w0, (hx,), 2) ** 2
+            + grid_sobolev_norm(w1, (hx,), 1) ** 2 + _l2sq(w2, (hx,)))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("f_family", ["trig", "zero"])
+def test_probe_sides_match_grid_reference(f_family):
+    # criterion 8's scenarios, and the same with zero forcing
+    grid = TimeGrid(1.0, 400)
+    for seed in range(3):
+        data = make_scenario(BASIS, ScenarioSpec(seed=seed, f_family=f_family))
+        bundle = solve_mgt(data, PARAMS, grid)
+        for which in ("resolvent_4a", "semigroup_10"):
+            got = _probe_sides(bundle, data, which, 2.0, 256)
+            want = grid_probe_sides(bundle, data, which, 2.0, 256)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
+    # probes and norm series read cached Gram forms, never grid samples
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return trajectory_on_grid(*args, **kwargs)
+
+    for module in (spectral, harness, symbols):
+        monkeypatch.setattr(module, "trajectory_on_grid", counting, raising=False)
+    spectral._interval_grams.cache_clear()
+    grid = TimeGrid(1.0, 200)
+    for seed in range(5):
+        data = make_scenario(BASIS, ScenarioSpec(seed=seed))
+        bundle = solve_mgt(data, PARAMS, grid)
+        for which in ("resolvent_4a", "semigroup_10"):
+            estimate_probe(bundle, data, which, space_points=128)
+    assert spectral._interval_grams.cache_info().misses == 1
+    norm_series(bundle, 256, stride=10)
+    assert calls == []
