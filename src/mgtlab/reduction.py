@@ -29,7 +29,6 @@ from .spectral import (
     Trajectory,
     normal_trace,
 )
-from .volterra import VolterraProblem, solve_picard
 
 COMPAT_TOL = 1e-8
 
@@ -154,10 +153,9 @@ class MgtData:
 
 @dataclass
 class ForcingTransform:
-    """Exponentially filtered forcing: lam, its secondary convolution, f-tilde."""
+    """Exponentially filtered forcing: lam and f-tilde with its time derivative."""
 
     lam: np.ndarray
-    conv: np.ndarray
     ftilde: np.ndarray
     ftilde_t: np.ndarray
 
@@ -181,7 +179,7 @@ def forcing_transform(f_samples: np.ndarray, params: MgtParams,
     lam_t = f_samples - params.alpha * lam
     conv_t = lam - (params.c**2 / params.b) * conv
     ftilde_t = 0.5 * gamma * ftilde + envelope * (lam_t + gamma * conv_t)
-    return ForcingTransform(lam, conv, ftilde, ftilde_t)
+    return ForcingTransform(lam, ftilde, ftilde_t)
 
 
 @dataclass(frozen=True)
@@ -230,9 +228,19 @@ def build_kernel(params: MgtParams, basis: EigenBasis) -> KernelFamily:
     return KernelFamily(omega, rho, sin_coeff, cos_coeff, exp_coeff)
 
 
+def _transformed_boundary(sig: BoundarySignal, gamma: float) -> BoundarySignal:
+    """g-tilde = e^{gamma t/2} g with its first two time derivatives."""
+    envelope = np.exp(0.5 * gamma * sig.grid.times)[:, None]
+    return BoundarySignal(
+        sig.grid, envelope * sig.values,
+        envelope * (0.5 * gamma * sig.values + sig.dvalues),
+        envelope * (0.25 * gamma**2 * sig.values + gamma * sig.dvalues + sig.ddvalues),
+        sig.derivative_source)
+
+
 @dataclass
 class ReducedProblem:
-    """Everything the Volterra solves need: kernels, histories, transformed data."""
+    """What the Volterra solves read: kernels, histories, transformed data."""
 
     params: MgtParams
     basis: EigenBasis
@@ -246,28 +254,19 @@ class ReducedProblem:
     dhat: np.ndarray
     dhat_t: np.ndarray
     dhat_tt: np.ndarray
-    gtilde: np.ndarray
-    gtilde_t: np.ndarray
-    gtilde_tt: np.ndarray
-    lam: np.ndarray
-    ftilde: np.ndarray
-    source_fixed: np.ndarray        # coefficients of w2 - b Lap w0
     boundary_signal: BoundarySignal
-    f_samples: np.ndarray | None = None
-    H_raw: np.ndarray | None = None
+    f_samples: np.ndarray
 
 
 def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
-                   validate: bool = False, ph: Phases | None = None) -> ReducedProblem:
+                   ph: Phases | None = None) -> ReducedProblem:
     """Assemble kernels and the affine histories H, H_t, H_tt per mode.
 
     H comes from the twice integrated-by-parts form of the wave
     representation (terms in w0 - Dg(0), the shifted velocity datum, the
     lifting of g-tilde, the g-tilde_tt convolution and the source
-    convolution); validate=True also assembles the raw representation, whose
-    agreement with H is a quadrature-error check exercised by the tests.
-    ph is the phase table of the speed-sqrt(b) family on grid.times; it is
-    built here when the caller does not pass the one it holds.
+    convolution).  ph is the phase table of the speed-sqrt(b) family on
+    grid.times; it is built here when the caller does not pass the one it holds.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -279,15 +278,11 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
-    envelope = np.exp(0.5 * gamma * times)[:, None]
-    gtilde = envelope * sig.values
-    gtilde_t = envelope * (0.5 * gamma * sig.values + sig.dvalues)
-    gtilde_tt = envelope * (0.25 * gamma**2 * sig.values
-                            + gamma * sig.dvalues + sig.ddvalues)
+    gtilde = _transformed_boundary(sig, gamma)
     lift = basis.lift_matrix()
-    dhat = gtilde @ lift
-    dhat_t = gtilde_t @ lift
-    dhat_tt = gtilde_tt @ lift
+    dhat = gtilde.values @ lift
+    dhat_t = gtilde.dvalues @ lift
+    dhat_tt = gtilde.ddvalues @ lift
 
     w0tot = data.w0.total_coeffs()
     w1tot = data.w1.total_coeffs()
@@ -329,20 +324,12 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
     conv_src = sincos_conv(ph, source + transform.ftilde, dt)[0]
     H = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
 
-    H_raw = None
-    if validate:
-        H_raw = (ct * w0tot + st / omega * v1 + conv_src / omega
-                 + omega * sincos_conv(ph, dhat, dt)[0])
-
     return ReducedProblem(
         params=params, basis=basis, grid=grid,
         kernels=build_kernel(params, basis),
         H=H, Ht=Ht, Htt=Htt, v0=v0, v1=v1,
         dhat=dhat, dhat_t=dhat_t, dhat_tt=dhat_tt,
-        gtilde=gtilde, gtilde_t=gtilde_t, gtilde_tt=gtilde_tt,
-        lam=transform.lam, ftilde=transform.ftilde,
-        source_fixed=source_fixed, boundary_signal=sig,
-        f_samples=fsamp, H_raw=H_raw)
+        boundary_signal=sig, f_samples=fsamp)
 
 
 def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
@@ -413,24 +400,19 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
 
 @dataclass
 class SolutionBundle(Trajectory):
-    """The solved trajectory plus the transformed solution and diagnostics.
+    """The solved trajectory, the forcing it was solved with, and diagnostics.
 
     w/wt/wtt are zero-trace coefficients completed by the lifting of the
-    sampled Dirichlet data; v/vt/vtt keep the total coefficients of the
-    transformed solution for cross-checks.
+    sampled Dirichlet data (boundary); f_samples holds the sampled interior
+    forcing, zeros when the problem has none.
     """
 
     params: MgtParams
-    v: np.ndarray
-    vt: np.ndarray
-    vtt: np.ndarray
-    reduced: ReducedProblem
+    f_samples: np.ndarray
     metadata: dict
 
 
-def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
-              method: str = "direct", picard_tol: float = 1e-10,
-              picard_max_terms: int = 80) -> SolutionBundle:
+def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundle:
     """Solve the MGT Cauchy-Dirichlet problem through the Volterra reduction.
 
     Three per-mode Volterra solves produce v, v_t, v_tt with right-hand sides
@@ -438,8 +420,6 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
     is then undone via w = e^{-gamma t/2} v and the product-rule recovery of
     the derivatives.
     """
-    if method not in ("direct", "picard"):
-        raise ValueError("method must be 'direct' or 'picard'")
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -455,31 +435,9 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
         np.subtract(rp.Ht, ker_t * rp.v0, out=rhs[:, 1])
         np.subtract(rp.Htt, kdot_t * rp.v0, out=rhs[:, 2])
         rhs[:, 2] -= ker_t * rp.v1
-        del kdot_t, ph
-
-        meta = {"method": method,
-                "boundary_derivative_source": rp.boundary_signal.derivative_source,
-                "compatible_position": data.compatible_position,
-                "compatible_velocity": data.compatible_velocity}
-        if method == "direct":
-            del ker_t
-            sol = _solve_structured(rp.kernels, rhs, grid)
-            v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
-        else:
-            sols = []
-            terms = []
-            for col in range(3):
-                res = solve_picard(VolterraProblem(ker_t, rhs[:, col], grid),
-                                   max_terms=picard_max_terms, tol=picard_tol,
-                                   rule="trapezoid")
-                if not res.converged:
-                    raise ReductionError(
-                        f"Picard series did not converge (last term {res.last_term_sup:.3e})")
-                sols.append(res.values)
-                terms.append(res.terms_used)
-            v, vt, vtt = sols
-            meta["picard_terms"] = terms
-        del rhs
+        del ker_t, kdot_t, ph
+        sol = _solve_structured(rp.kernels, rhs, grid)
+        v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
 
         v_int = v - rp.dhat
         vt_int = vt - rp.dhat_t
@@ -497,9 +455,12 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid,
                 f"non-finite {name} from t = {times[first]:.6g} on: the "
                 "exponentially weighted transform left the float range")
 
+    meta = {"boundary_derivative_source": rp.boundary_signal.derivative_source,
+            "compatible_position": data.compatible_position,
+            "compatible_velocity": data.compatible_velocity}
     bundle = SolutionBundle(rp.basis, grid, w_int, wt_int, wtt_int,
-                            rp.boundary_signal, params=params, v=v, vt=vt,
-                            vtt=vtt, reduced=rp, metadata=meta)
+                            rp.boundary_signal, params=params,
+                            f_samples=rp.f_samples, metadata=meta)
     if rp.basis.domain.kind == "interval":
         meta["trace_w_converged"] = bundle.trace("w").converged
         meta["trace_wt_converged"] = bundle.trace("wt").converged
@@ -537,15 +498,15 @@ def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
     """
     if bundle is None:
         bundle = solve_mgt(data, params, grid)
-    rp = bundle.reduced
-    basis, times, dt = rp.basis, grid.times, grid.dt
+    basis, times, dt = bundle.basis, grid.times, grid.dt
     gamma, rho = params.gamma, params.decay_exponent
     fam = CosineFamily(basis, speed=np.sqrt(params.b))
+    v = np.exp(0.5 * gamma * times)[:, None] * bundle.total("w")
 
     grow = np.exp(rho * times)[:, None]
     decayed = np.exp(-rho * times)[:, None]
-    memory = params.kernel_scale * grow * prefix_trapezoid(decayed * bundle.v, dt)
-    f0 = params.volterra_beta * bundle.v + memory
+    memory = params.kernel_scale * grow * prefix_trapezoid(decayed * v, dt)
+    f0 = params.volterra_beta * v + memory
     f1 = _data_source(params, times, data.w0.total_coeffs(), data.w1.total_coeffs())
 
     z0 = data.w0
@@ -553,19 +514,20 @@ def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
                        0.5 * gamma * data.w0.coeffs + data.w1.coeffs,
                        0.5 * gamma * data.w0.boundary_values()
                        + data.w1.boundary_values())
-    gtilde_sig = BoundarySignal(grid, rp.gtilde, rp.gtilde_t, rp.gtilde_tt,
-                                rp.boundary_signal.derivative_source)
     # one phase table for the wave solve and both smoothing convolutions
     ph = phases(fam.omega, times)
-    z = wave_solve(fam, z0, z1, f0 + f1, gtilde_sig, grid, ph)
+    z = wave_solve(fam, z0, z1, f0 + f1, _transformed_boundary(bundle.boundary, gamma),
+                   grid, ph)
 
     root_b = np.sqrt(params.b)
-    f2 = grow * rp.source_fixed
+    # the fixed source has coefficients w2 - b Lap w0
+    f2 = grow * (data.w2.total_coeffs() + params.b * basis.eigenvalues * data.w0.coeffs)
     v21 = kop_apply(fam, f2, grid, ph) / root_b
-    v22 = kop_apply(fam, rp.ftilde, grid, ph) / root_b
+    ftilde = forcing_transform(bundle.f_samples, params, grid).ftilde
+    v22 = kop_apply(fam, ftilde, grid, ph) / root_b
 
-    diff = bundle.v - z.total("w") - v21 - v22
-    scale = max(np.max(np.linalg.norm(bundle.v, axis=1)), 1e-300)
+    diff = v - z.total("w") - v21 - v22
+    scale = max(np.max(np.linalg.norm(v, axis=1)), 1e-300)
     identity_error = float(np.max(np.linalg.norm(diff, axis=1)) / scale)
 
     return TraceDecomposition(

@@ -228,8 +228,7 @@ def _probe_sides(bundle, data, which: str, beta: float,
                         for comp, edge in (("w", g), ("wt", g_t), ("wtt", g_tt)))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
-    fsamp = bundle.reduced.f_samples
-    y_f = None if fsamp is None or not np.any(fsamp) else gram_rows(fsamp)
+    y_f = gram_rows(bundle.f_samples) if np.any(bundle.f_samples) else None
     sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":

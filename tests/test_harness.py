@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mgtlab import harness
 from mgtlab.cli import main
 from mgtlab.harness import (
     ConfigError,
@@ -118,6 +119,23 @@ def test_run_solve_zero_scenario_all_zero(tmp_path):
                                  "f_family": "zero", "g_family": "zero"})
     report = run_solve(cfg, tmp_path)
     assert all(row.value == 0.0 for row in report.rows)
+
+
+def test_symbol_suite_solves_each_scenario_once(monkeypatch, tmp_path):
+    # the golden symbols config: 8 probe scenarios at 40 steps, and the same
+    # 8 refined to 80 steps serve both probe kinds
+    from test_golden import BASE, CASES
+
+    runner, overrides = CASES["symbols"]
+    solve, steps = harness.solve_mgt, []
+
+    def counting(data, params, grid):
+        steps.append(grid.steps)
+        return solve(data, params, grid)
+
+    monkeypatch.setattr(harness, "solve_mgt", counting)
+    runner(ScenarioConfig(**{**BASE, **overrides}), tmp_path)
+    assert sorted(steps) == [40] * 8 + [80] * 8
 
 
 def test_run_witness_clauses(tmp_path):

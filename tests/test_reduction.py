@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mgtlab import reduction
-from mgtlab.cosine import phases
+from mgtlab.cosine import phases, sincos_conv
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import composite_weights
@@ -23,7 +23,7 @@ from mgtlab.reduction import (
     _solve_structured,
 )
 from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
-from mgtlab.volterra import VolterraProblem, solve_direct
+from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 256), 8)
@@ -37,6 +37,16 @@ def eigen_data(k=0, amp=1.0):
     coeffs = np.zeros(BASIS.size)
     coeffs[k] = amp
     return MgtData(w0=SpectralField(BASIS, coeffs), w1=zero_field(), w2=zero_field())
+
+
+def reduced_rhs(rp):
+    """Kernel samples and the v, v_t, v_tt right-hand sides solve_mgt forms."""
+    ker, kdot = rp.kernels.samples(phases(rp.kernels.omega, rp.grid.times))
+    rhs = np.empty((rp.grid.steps + 1, 3, rp.basis.size))
+    rhs[:, 0] = rp.H
+    rhs[:, 1] = rp.Ht - ker * rp.v0
+    rhs[:, 2] = rp.Htt - kdot * rp.v0 - ker * rp.v1
+    return ker, rhs
 
 
 def memory_weight(params, t):
@@ -174,7 +184,6 @@ def test_reduce_problem_history_shapes():
     rp = reduce_problem(eigen_data(0), PARAMS, grid)
     for hist in (rp.H, rp.Ht, rp.Htt):
         assert hist.shape == (51, BASIS.size)
-    assert rp.H_raw is None
 
 
 def test_affine_matches_term_by_term_quadrature():
@@ -201,9 +210,22 @@ def test_affine_rewritten_equals_raw_form():
     grid = TimeGrid(1.0, 2000)
     spec = ScenarioSpec(seed=2)
     data = make_scenario(BASIS, spec)
-    rp = reduce_problem(data, PARAMS, grid, validate=True)
+    rp = reduce_problem(data, PARAMS, grid)
+    # raw wave representation of H: data terms, the source and forcing
+    # convolution and the lifting convolution, without integration by parts
+    times, dt = grid.times, grid.dt
+    ph = phases(rp.kernels.omega, times)
+    omega = ph.omega
+    w0tot = data.w0.total_coeffs()
+    source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
+    source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
+              + np.exp(PARAMS.decay_exponent * times)[:, None] * source_fixed)
+    ftilde = forcing_transform(rp.f_samples, PARAMS, grid).ftilde
+    H_raw = (ph.cos * w0tot + ph.sin / omega * rp.v1
+             + sincos_conv(ph, source + ftilde, dt)[0] / omega
+             + omega * sincos_conv(ph, rp.dhat, dt)[0])
     scale = np.max(np.abs(rp.H))
-    assert np.max(np.abs(rp.H - rp.H_raw)) < 1e-6 * scale
+    assert np.max(np.abs(rp.H - H_raw)) < 1e-6 * scale
 
 
 def test_affine_time_derivative_consistency():
@@ -264,8 +286,7 @@ def test_solve_mgt_velocity_consistent_with_differencing():
     assert sups[0] / sups[1] > 3.0
 
 
-@pytest.mark.parametrize("method", ["direct", "picard"])
-def test_solve_mgt_builds_one_phase_table(monkeypatch, method):
+def test_solve_mgt_builds_one_phase_table(monkeypatch):
     # histories, kernel samples and the solve all read the one table
     built = []
 
@@ -275,17 +296,40 @@ def test_solve_mgt_builds_one_phase_table(monkeypatch, method):
 
     monkeypatch.setattr(reduction, "phases", counting)
     grid = TimeGrid(1.0, 200)
-    solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid, method=method)
+    solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
     assert built == [grid.steps + 1]
 
 
 def test_solve_mgt_picard_agrees_with_direct():
+    # the Picard series on solve_mgt's right-hand sides against its scan
     grid = TimeGrid(1.0, 1500)
-    data = make_scenario(BASIS, ScenarioSpec(seed=9))
-    direct = solve_mgt(data, PARAMS, grid)
-    picard = solve_mgt(data, PARAMS, grid, method="picard")
-    assert np.max(np.abs(direct.v - picard.v)) < 1e-10
-    assert picard.metadata["picard_terms"][0] >= 1
+    rp = reduce_problem(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
+    ker, rhs = reduced_rhs(rp)
+    direct = _solve_structured(rp.kernels, rhs.copy(), grid)
+    for col in range(3):
+        res = solve_picard(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
+        assert res.converged and res.terms_used >= 1
+        assert np.max(np.abs(direct[:, col] - res.values)) < 1e-10
+
+
+def owned_arrays(obj, prefix=""):
+    """Paths of the arrays reachable through obj's attributes, basis excepted."""
+    found = set()
+    for name, val in vars(obj).items():
+        if isinstance(val, np.ndarray):
+            found.add(prefix + name)
+        elif hasattr(val, "__dict__") and name != "basis":
+            found |= owned_arrays(val, f"{prefix}{name}.")
+    return found
+
+
+def test_bundle_keeps_only_the_solution():
+    # neither the transformed solution nor the histories outlive the solve
+    bundle = solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=3)), PARAMS,
+                       TimeGrid(1.0, 100))
+    assert owned_arrays(bundle) == {
+        "w", "wt", "wtt", "f_samples",
+        "boundary.values", "boundary.dvalues", "boundary.ddvalues"}
 
 
 def test_transform_round_trip():
@@ -293,9 +337,10 @@ def test_transform_round_trip():
     grid = TimeGrid(1.0, 500)
     data = make_scenario(BASIS, ScenarioSpec(seed=6))
     bundle = solve_mgt(data, PARAMS, grid)
+    rp = reduce_problem(data, PARAMS, grid)
+    v = _solve_structured(rp.kernels, reduced_rhs(rp)[1], grid)[:, 0]
     damp = np.exp(-0.5 * PARAMS.gamma * grid.times)[:, None]
-    lift = bundle.reduced.dhat
-    assert np.allclose(bundle.w, damp * (bundle.v - lift), atol=1e-14)
+    assert np.allclose(bundle.w, damp * (v - rp.dhat), atol=1e-14)
 
 
 def test_gamma_zero_degeneracy():
@@ -303,8 +348,8 @@ def test_gamma_zero_degeneracy():
     grid = TimeGrid(1.0, 400)
     data = make_scenario(BASIS, ScenarioSpec(seed=8))
     rp = reduce_problem(data, params, grid)
-    bundle = solve_mgt(data, params, grid)
-    assert np.max(np.abs(bundle.v - rp.H)) == 0.0
+    v = _solve_structured(rp.kernels, reduced_rhs(rp)[1], grid)[:, 0]
+    assert np.array_equal(v, rp.H)
 
 
 def test_compatibility_flags():

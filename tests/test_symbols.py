@@ -284,9 +284,9 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
-    fsamp = bundle.reduced.f_samples
-    f_vals = (np.zeros_like(w_vals) if fsamp is None or not np.any(fsamp)
-              else trajectory_on_grid(basis, fsamp, None, space_points))
+    fsamp = bundle.f_samples
+    f_vals = (trajectory_on_grid(basis, fsamp, None, space_points) if np.any(fsamp)
+              else np.zeros_like(w_vals))
     dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
     lat = lambda arr: sum(_l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
 
