@@ -36,8 +36,9 @@ class CosineFamily:
 class Phases:
     """cos(omega t) and sin(omega t) per mode: (len(times), len(omega)) each.
 
-    A solve builds one table and passes it to everything that reads the
-    cosine/sine family on its grid.
+    The Volterra route builds one table per row chunk of its grid; the other
+    users build one for the whole grid and pass it to everything that reads
+    the cosine/sine family there.
     """
 
     omega: np.ndarray
@@ -53,14 +54,18 @@ def phases(omega: np.ndarray, times: np.ndarray) -> Phases:
     return Phases(omega, times, cos, np.sin(phase, out=phase))
 
 
-def sincos_conv(ph: Phases, f: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def sincos_conv(ph: Phases, f: np.ndarray, dt: float,
+                carry: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Running integrals of sin(omega (t-s)) f(s) ds and cos(omega (t-s)) f(s) ds.
 
     The angle addition turns both into one pair of prefix sums, of cos f and
-    sin f, read against the table at t.
+    sin f, read against the table at t.  carry continues both sums over
+    consecutive row chunks (quadrature.prefix_trapezoid); ph and f then hold
+    one chunk's rows.
     """
-    pc = prefix_trapezoid(ph.cos * f, dt)
-    ps = prefix_trapezoid(ph.sin * f, dt)
+    carry = {} if carry is None else carry
+    pc = prefix_trapezoid(ph.cos * f, dt, carry.setdefault("cos", {}))
+    ps = prefix_trapezoid(ph.sin * f, dt, carry.setdefault("sin", {}))
     return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
 
 

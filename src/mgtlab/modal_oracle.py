@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import power_increments, scan_blocks
+from .quadrature import power_increments, row_chunks, scan_blocks
 from .reduction import MgtData, MgtParams
 from .spectral import TimeGrid, Trajectory
 
@@ -156,12 +156,12 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
 
     Requires analytic g and g_t callables when Dirichlet data is present,
     because the source carries one time derivative of the boundary flux.
-    The source is sampled once at each of RK4's stage times t_m,
-    t_m + dt/2 and t_m + dt.  For y' = A y + e_3 s(t) one RK4 step is
-    exactly y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1})
-    with R the degree-4 Taylor polynomial of dt A, so the steps run as a
-    blocked linear scan (quadrature.scan_blocks) on the state buffer, which
-    first holds the inputs.  Like RK4's own update, each step adds a small
+    The source is sampled at RK4's stage times t_m, t_m + dt/2 and t_m + dt,
+    one row chunk at a time.  For y' = A y + e_3 s(t) one RK4 step is exactly
+    y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1}) with R
+    the degree-4 Taylor polynomial of dt A, so the steps run as a blocked
+    linear scan (quadrature.scan_blocks) on the state buffer, which first
+    holds the inputs.  Like RK4's own update, each step adds a small
     increment (R - I) y + input to y.  _rk4/integrate_mode are the scalar
     reference.
     """
@@ -193,17 +193,19 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
                  data.w2.total_coeffs())
     body = states[1:]
     body[:] = 0.0
-    t = np.arange(steps) * dt
     flux = basis.boundary_flux()
-    for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
-        src = np.zeros((steps, size))
-        if data.f is not None:
-            src[:] = data.f.modes(ts)
-        if data.g is not None:
-            src -= c2 * (data.g.g(ts) @ flux)
-            src -= b * (data.g.gt(ts) @ flux)
-        for j in range(3):
-            body[:, j] += weight[:, j] * src
+    for rows in row_chunks(steps, size):
+        t = np.arange(rows.start, rows.stop) * dt
+        out = body[rows]
+        for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
+            src = np.zeros((len(ts), size))
+            if data.f is not None:
+                src[:] = data.f.modes(ts)
+            if data.g is not None:
+                src -= c2 * (data.g.g(ts) @ flux)
+                src -= b * (data.g.gt(ts) @ flux)
+            for j in range(3):
+                out[:, j] += weight[:, j] * src
 
     segments = scan_blocks(body)
     length = segments[0].shape[1]

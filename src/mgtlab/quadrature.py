@@ -15,6 +15,10 @@ from scipy.signal import fftconvolve, lfilter
 
 RULES = ("trapezoid", "gregory4")
 
+# Values per (rows x columns) array of a chunk of a streamed time loop: 256 KiB
+# of float64, so that a chunk's arrays stay in cache.
+CHUNK_ELEMENTS = 2**15
+
 # Gregory endpoint weights of the order-4 rule (interior weight is 1).
 _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
@@ -50,32 +54,55 @@ def composite_weights(m: int, dt: float, rule: str = "trapezoid") -> np.ndarray:
     return dt * w
 
 
-def prefix_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoid integrals P_m = int_0^{t_m} along axis 0; P_0 = 0."""
-    cs = np.cumsum(values, axis=0)
-    return dt * (cs - 0.5 * values - 0.5 * values[0])
+def prefix_trapezoid(values: np.ndarray, dt: float, carry: dict | None = None) -> np.ndarray:
+    """Running trapezoid integrals P_m = int_0^{t_m} along axis 0; P_0 = 0.
+
+    carry, a dict that starts empty, continues the integrals over consecutive
+    row chunks of one sequence: each call leaves there the first row and the
+    last running sum.  The sums add one row at a time, so chunked calls give
+    the bits of one call on all the rows.
+    """
+    carry = {} if carry is None else carry
+    cs = np.array(values, dtype=float)
+    first = carry.setdefault("first", cs[0].copy())
+    cs[0] += carry.get("sum", 0.0)
+    carry["sum"] = np.cumsum(cs, axis=0, out=cs)[-1].copy()
+    return dt * (cs - 0.5 * values - 0.5 * first)
 
 
-def prefix_exponential(rate: float, values: np.ndarray, dt: float) -> np.ndarray:
+def prefix_exponential(rate: float, values: np.ndarray, dt: float,
+                       carry: dict | None = None) -> np.ndarray:
     """Running integrals of exp(rate*(t_m - s)) * values(s), exact for linear data.
 
     The per-step update uses the closed-form weights of an exponential
     integrator, so constant and linear sample profiles integrate exactly and
     the result is second-order accurate in dt for smooth data.  The update
     out[m+1] = e out[m] + w_left values[m] + w_right values[m+1] is one
-    first-order filter along axis 0, started so that out[0] = 0.
+    first-order filter along axis 0, started so that out[0] = 0; carry
+    continues its state over row chunks as in prefix_trapezoid.
     """
     values = np.asarray(values, dtype=float)
     if abs(rate) < 1e-14:
-        return prefix_trapezoid(values, dt)
+        return prefix_trapezoid(values, dt, carry)
+    carry = {} if carry is None else carry
     # int_{t_m}^{t_{m+1}} exp(rate*(t_{m+1}-s)) * linear(s) ds
     e = np.exp(rate * dt)
     i1 = (e - 1.0) / rate
     i2 = (e - 1.0) / rate**2 - dt / rate  # moment against (s - t_m)/dt scaled below
     w_left = i1 - i2 / dt
     w_right = i2 / dt
-    return lfilter([w_right, w_left], [1.0, -e], values, axis=0,
-                   zi=-w_right * values[:1])[0]
+    out, carry["state"] = lfilter([w_right, w_left], [1.0, -e], values, axis=0,
+                                  zi=carry.get("state", -w_right * values[:1]))
+    return out
+
+
+def row_chunks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows) in order, of at most CHUNK_ELEMENTS // width
+    rows each (at least one) and as equal as they go: so no chunk is a single
+    row, whose matrix products numpy rounds by another (vector) routine."""
+    count = -(-rows // max(1, CHUNK_ELEMENTS // width))
+    edges = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:

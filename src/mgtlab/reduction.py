@@ -1,9 +1,12 @@
 """Reduction of the MGT Cauchy-Dirichlet problem to per-mode Volterra solves.
 
 Pipeline: take the constants of the exponential transform v = e^{gamma t/2} w
-from MgtParams, assemble the per-mode memory kernel and the affine histories
-H, H_t, H_tt, run three collocated Volterra solves for (v, v_t, v_tt), and
-undo the transform to recover (w, w_t, w_tt) with the Dirichlet data.
+from MgtParams, assemble the per-mode memory kernel and the right-hand sides
+built from the affine histories H, H_t, H_tt, run three collocated Volterra
+solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
+with the Dirichlet data.  Assembly and recovery stream over row chunks of
+the time grid (quadrature.row_chunks), carrying the running integrals from
+chunk to chunk, so that no grid-length phase table or history is formed.
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -12,6 +15,7 @@ traces honest for nonzero boundary data.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .cosine import CosineFamily, Phases, kop_apply, phases, sincos_conv, wave_solve
 from .quadrature import (power_increments, prefix_exponential, prefix_trapezoid,
-                         scan_blocks)
+                         row_chunks, scan_blocks)
 from .spectral import (
     BoundaryData,
     BoundarySignal,
@@ -160,19 +164,25 @@ class ForcingTransform:
     ftilde_t: np.ndarray
 
 
-def forcing_transform(f_samples: np.ndarray, params: MgtParams,
-                      grid: TimeGrid) -> ForcingTransform:
+def forcing_transform(f_samples: np.ndarray, params: MgtParams, grid: TimeGrid,
+                      rows: slice = slice(None),
+                      carry: dict | None = None) -> ForcingTransform:
     """lam(t) = int_0^t e^{-alpha(t-s)} f(s) ds and the transformed forcing.
 
     lam uses the exact exponential-integrator recursion per step, so
     lam(0) = 0 and ftilde(0) = 0 hold exactly and linear-in-time forcing is
-    integrated without quadrature error.
+    integrated without quadrature error.  f_samples holds the grid's rows
+    `rows`; carry continues both running integrals over consecutive row
+    chunks (quadrature.prefix_exponential).
     """
     f_samples = np.asarray(f_samples, dtype=float)
     gamma = params.gamma
-    lam = prefix_exponential(-params.alpha, f_samples, grid.dt)
-    conv = prefix_exponential(-params.c**2 / params.b, lam, grid.dt)
-    envelope = np.exp(0.5 * gamma * grid.times)
+    carry = {} if carry is None else carry
+    lam = prefix_exponential(-params.alpha, f_samples, grid.dt,
+                             carry.setdefault("lam", {}))
+    conv = prefix_exponential(-params.c**2 / params.b, lam, grid.dt,
+                              carry.setdefault("conv", {}))
+    envelope = np.exp(0.5 * gamma * grid.times[rows])
     if f_samples.ndim == 2:
         envelope = envelope[:, None]
     ftilde = envelope * (lam + gamma * conv)
@@ -228,61 +238,60 @@ def build_kernel(params: MgtParams, basis: EigenBasis) -> KernelFamily:
     return KernelFamily(omega, rho, sin_coeff, cos_coeff, exp_coeff)
 
 
+def _gtilde(sig: BoundarySignal, gamma: float, times: np.ndarray,
+            rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g-tilde = e^{gamma t/2} g and its first two time derivatives on rows at times."""
+    g, gt, gtt = sig.values[rows], sig.dvalues[rows], sig.ddvalues[rows]
+    envelope = np.exp(0.5 * gamma * times)[:, None]
+    return (envelope * g, envelope * (0.5 * gamma * g + gt),
+            envelope * (0.25 * gamma**2 * g + gamma * gt + gtt))
+
+
 def _transformed_boundary(sig: BoundarySignal, gamma: float) -> BoundarySignal:
     """g-tilde = e^{gamma t/2} g with its first two time derivatives."""
-    envelope = np.exp(0.5 * gamma * sig.grid.times)[:, None]
-    return BoundarySignal(
-        sig.grid, envelope * sig.values,
-        envelope * (0.5 * gamma * sig.values + sig.dvalues),
-        envelope * (0.25 * gamma**2 * sig.values + gamma * sig.dvalues + sig.ddvalues),
-        sig.derivative_source)
+    return BoundarySignal(sig.grid, *_gtilde(sig, gamma, sig.grid.times),
+                          sig.derivative_source)
 
 
 @dataclass
 class ReducedProblem:
-    """What the Volterra solves read: kernels, histories, transformed data."""
+    """What the Volterra solves read: kernels, right-hand sides, transformed data.
+
+    rhs has shape (steps+1, 3, modes): the right-hand sides of the v, v_t and
+    v_tt solves, H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the kernel
+    samples and their time derivatives.
+    """
 
     params: MgtParams
     basis: EigenBasis
     grid: TimeGrid
     kernels: KernelFamily
-    H: np.ndarray
-    Ht: np.ndarray
-    Htt: np.ndarray
+    rhs: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
-    dhat: np.ndarray
-    dhat_t: np.ndarray
-    dhat_tt: np.ndarray
     boundary_signal: BoundarySignal
     f_samples: np.ndarray
 
 
-def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
-                   ph: Phases | None = None) -> ReducedProblem:
-    """Assemble kernels and the affine histories H, H_t, H_tt per mode.
+def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedProblem:
+    """Assemble the kernels and the three right-hand sides per mode.
 
     H comes from the twice integrated-by-parts form of the wave
     representation (terms in w0 - Dg(0), the shifted velocity datum, the
     lifting of g-tilde, the g-tilde_tt convolution and the source
-    convolution).  ph is the phase table of the speed-sqrt(b) family on
-    grid.times; it is built here when the caller does not pass the one it holds.
+    convolution); H_t and H_tt are its time derivatives.  The rows are built
+    chunk by chunk, each from its own phase table, with the running
+    convolutions carried from chunk to chunk.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
-    mu = basis.eigenvalues
     times, dt = grid.times, grid.dt
-    if ph is None:
-        ph = phases(_omega(params, basis), times)
-    omega = ph.omega
+    omega = _omega(params, basis)
+    kernels = build_kernel(params, basis)
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
-    gtilde = _transformed_boundary(sig, gamma)
     lift = basis.lift_matrix()
-    dhat = gtilde.values @ lift
-    dhat_t = gtilde.dvalues @ lift
-    dhat_tt = gtilde.ddvalues @ lift
 
     w0tot = data.w0.total_coeffs()
     w1tot = data.w1.total_coeffs()
@@ -298,38 +307,41 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid,
 
     # interior source h0 w0 + h1 w1 + h2 (w2 - b Lap w0); the lifting part of
     # w0 is harmonic so Lap w0 only sees the zero-trace coefficients
-    source_fixed = w2tot + params.b * mu * data.w0.coeffs
-    hs = np.exp(rho * times)[:, None]
-    source = _data_source(params, times, w0tot, w1tot) + hs * source_fixed
-    source_t = rho * source
-    source_0 = source[0]
+    source_fixed = w2tot + params.b * basis.eigenvalues * data.w0.coeffs
+    source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
     if data.f is not None:
         fsamp = data.f.sample(grid, basis.size)
     else:
         fsamp = np.zeros((grid.steps + 1, basis.size))
-    transform = forcing_transform(fsamp, params, grid)
 
-    ct, st = ph.cos, ph.sin
-    # each convolution part is dropped once its history is formed: this is
-    # the peak-memory stage of a solve
-    conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt)
-    conv_src_t, conv_src_t_c = sincos_conv(ph, source_t + transform.ftilde_t, dt)
-    Ht = (-omega * st * a0 + ct * a1 + dhat_t - conv_dtt_c
-          + st / omega * source_0 + conv_src_t / omega)
-    del conv_dtt_c, conv_src_t
-    Htt = (-omega**2 * ct * a0 - omega * st * a1 + omega * conv_dtt
-           + ct * source_0 + conv_src_t_c)
-    del conv_src_t_c
-    conv_src = sincos_conv(ph, source + transform.ftilde, dt)[0]
-    H = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
+    rhs = np.empty((grid.steps + 1, 3, basis.size))
+    carry = defaultdict(dict)
+    for rows in row_chunks(grid.steps + 1, basis.size):
+        t = times[rows]
+        ph = phases(omega, t)
+        ct, st = ph.cos, ph.sin
+        dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(sig, gamma, t, rows))
+        source = _data_source(params, t, w0tot, w1tot) + np.exp(rho * t)[:, None] * source_fixed
+        transform = forcing_transform(fsamp[rows], params, grid, rows, carry["forcing"])
+        conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
+        conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + transform.ftilde_t,
+                                               dt, carry["source_t"])
+        conv_src = sincos_conv(ph, source + transform.ftilde, dt, carry["source"])[0]
+        ker, kdot = kernels.samples(ph)
+        out = rhs[rows]
+        out[:, 0] = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
+        Ht = (-omega * st * a0 + ct * a1 + dhat_t - conv_dtt_c
+              + st / omega * source_0 + conv_src_t / omega)
+        np.subtract(Ht, ker * v0, out=out[:, 1])
+        Htt = (-omega**2 * ct * a0 - omega * st * a1 + omega * conv_dtt
+               + ct * source_0 + conv_src_t_c)
+        np.subtract(Htt, kdot * v0, out=out[:, 2])
+        out[:, 2] -= ker * v1
 
     return ReducedProblem(
-        params=params, basis=basis, grid=grid,
-        kernels=build_kernel(params, basis),
-        H=H, Ht=Ht, Htt=Htt, v0=v0, v1=v1,
-        dhat=dhat, dhat_t=dhat_t, dhat_tt=dhat_tt,
-        boundary_signal=sig, f_samples=fsamp)
+        params=params, basis=basis, grid=grid, kernels=kernels, rhs=rhs,
+        v0=v0, v1=v1, boundary_signal=sig, f_samples=fsamp)
 
 
 def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
@@ -416,36 +428,30 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     """Solve the MGT Cauchy-Dirichlet problem through the Volterra reduction.
 
     Three per-mode Volterra solves produce v, v_t, v_tt with right-hand sides
-    H, H_t - L(t)v0, H_tt - (d/dt L(t))v0 - L(t)v1; the exponential transform
-    is then undone via w = e^{-gamma t/2} v and the product-rule recovery of
-    the derivatives.
+    H, H_t - L(t)v0, H_tt - (d/dt L(t))v0 - L(t)v1 (reduce_problem); the
+    exponential transform is then undone chunk by chunk via w = e^{-gamma t/2} v
+    and the product-rule recovery of the derivatives.
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
-        # the one phase table of this solve; not kept on the result
-        ph = phases(_omega(params, data.basis), times)
-        rp = reduce_problem(data, params, grid, ph=ph)
-        ker_t, kdot_t = rp.kernels.samples(ph)
-        # right-hand sides of the v, v_t, v_tt solves, one column each
-        rhs = np.empty((grid.steps + 1, 3, rp.basis.size))
-        rhs[:, 0] = rp.H
-        np.subtract(rp.Ht, ker_t * rp.v0, out=rhs[:, 1])
-        np.subtract(rp.Htt, kdot_t * rp.v0, out=rhs[:, 2])
-        rhs[:, 2] -= ker_t * rp.v1
-        del ker_t, kdot_t, ph
-        sol = _solve_structured(rp.kernels, rhs, grid)
-        v, vt, vtt = sol[:, 0], sol[:, 1], sol[:, 2]
-
-        v_int = v - rp.dhat
-        vt_int = vt - rp.dhat_t
-        vtt_int = vtt - rp.dhat_tt
-        damp = np.exp(-0.5 * gamma * times)[:, None]
-        w_int = damp * v_int
-        wt_int = damp * (vt_int - 0.5 * gamma * v_int)
-        wtt_int = damp * (vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int)
+        rp = reduce_problem(data, params, grid)
+        sol = _solve_structured(rp.kernels, rp.rhs, grid)
+        lift = rp.basis.lift_matrix()
+        w_int, wt_int, wtt_int = (np.empty((grid.steps + 1, rp.basis.size)) for _ in range(3))
+        for rows in row_chunks(grid.steps + 1, rp.basis.size):
+            t = times[rows]
+            dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows))
+            v_int = sol[rows, 0] - dhat
+            vt_int = sol[rows, 1] - dhat_t
+            vtt_int = sol[rows, 2] - dhat_tt
+            damp = np.exp(-0.5 * gamma * t)[:, None]
+            np.multiply(damp, v_int, out=w_int[rows])
+            np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int[rows])
+            np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
+                        out=wtt_int[rows])
 
     for name, arr in (("w", w_int), ("wt", wt_int), ("wtt", wtt_int)):
         # min/max propagate NaN and +-inf without an array-sized temporary

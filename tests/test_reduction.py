@@ -1,5 +1,6 @@
 """Derived constants, kernels, affine histories, the full reduction solve."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from mgtlab import reduction
 from mgtlab.cosine import phases, sincos_conv
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import composite_weights
+from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
@@ -21,6 +22,7 @@ from mgtlab.reduction import (
     trace_decomposition,
     _data_source,
     _solve_structured,
+    _transformed_boundary,
 )
 from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
@@ -39,14 +41,17 @@ def eigen_data(k=0, amp=1.0):
     return MgtData(w0=SpectralField(BASIS, coeffs), w1=zero_field(), w2=zero_field())
 
 
-def reduced_rhs(rp):
-    """Kernel samples and the v, v_t, v_tt right-hand sides solve_mgt forms."""
-    ker, kdot = rp.kernels.samples(phases(rp.kernels.omega, rp.grid.times))
-    rhs = np.empty((rp.grid.steps + 1, 3, rp.basis.size))
-    rhs[:, 0] = rp.H
-    rhs[:, 1] = rp.Ht - ker * rp.v0
-    rhs[:, 2] = rp.Htt - kdot * rp.v0 - ker * rp.v1
-    return ker, rhs
+def histories(rp):
+    """H, H_t, H_tt rebuilt from the right-hand sides reduce_problem assembles."""
+    ker, kdot = kernel_at(rp.kernels, rp.grid.times)
+    rhs = rp.rhs
+    return rhs[:, 0], rhs[:, 1] + ker * rp.v0, rhs[:, 2] + kdot * rp.v0 + ker * rp.v1
+
+
+def lifted_boundary(rp):
+    """dhat: eigen-coefficients of the lifting of g-tilde = e^{gamma t/2} g."""
+    gtilde = _transformed_boundary(rp.boundary_signal, rp.params.gamma)
+    return gtilde.values @ rp.basis.lift_matrix()
 
 
 def memory_weight(params, t):
@@ -174,15 +179,15 @@ def test_affine_zero_data():
     grid = TimeGrid(1.0, 100)
     data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
     rp = reduce_problem(data, PARAMS, grid)
-    assert np.all(rp.H == 0.0)
-    assert np.all(rp.Ht == 0.0)
-    assert np.all(rp.Htt == 0.0)
+    for hist in histories(rp):
+        assert np.all(hist == 0.0)
 
 
 def test_reduce_problem_history_shapes():
     grid = TimeGrid(1.0, 50)
     rp = reduce_problem(eigen_data(0), PARAMS, grid)
-    for hist in (rp.H, rp.Ht, rp.Htt):
+    assert rp.rhs.shape == (51, 3, BASIS.size)
+    for hist in histories(rp):
         assert hist.shape == (51, BASIS.size)
 
 
@@ -202,8 +207,8 @@ def test_affine_matches_term_by_term_quadrature():
         expected = (np.cos(omega * t) + 0.5 * gamma * np.sin(omega * t) / omega
                     + conv / omega)
         m = round(t / grid.dt)
-        assert rp.H[m, 0] == pytest.approx(expected, abs=1e-7)
-    assert np.max(np.abs(rp.H[:, 1:])) == 0.0
+        assert rp.rhs[m, 0, 0] == pytest.approx(expected, abs=1e-7)
+    assert np.max(np.abs(rp.rhs[:, 0, 1:])) == 0.0
 
 
 def test_affine_rewritten_equals_raw_form():
@@ -223,9 +228,10 @@ def test_affine_rewritten_equals_raw_form():
     ftilde = forcing_transform(rp.f_samples, PARAMS, grid).ftilde
     H_raw = (ph.cos * w0tot + ph.sin / omega * rp.v1
              + sincos_conv(ph, source + ftilde, dt)[0] / omega
-             + omega * sincos_conv(ph, rp.dhat, dt)[0])
-    scale = np.max(np.abs(rp.H))
-    assert np.max(np.abs(rp.H - H_raw)) < 1e-6 * scale
+             + omega * sincos_conv(ph, lifted_boundary(rp), dt)[0])
+    H = rp.rhs[:, 0]
+    scale = np.max(np.abs(H))
+    assert np.max(np.abs(H - H_raw)) < 1e-6 * scale
 
 
 def test_affine_time_derivative_consistency():
@@ -234,11 +240,11 @@ def test_affine_time_derivative_consistency():
     sups_t, sups_tt = [], []
     for steps in (500, 1000):
         grid = TimeGrid(1.0, steps)
-        rp = reduce_problem(data, PARAMS, grid)
-        dH = np.gradient(rp.H, grid.dt, axis=0, edge_order=2)
-        dHt = np.gradient(rp.Ht, grid.dt, axis=0, edge_order=2)
-        sups_t.append(np.max(np.abs(dH - rp.Ht)))
-        sups_tt.append(np.max(np.abs(dHt - rp.Htt)))
+        H, Ht, Htt = histories(reduce_problem(data, PARAMS, grid))
+        dH = np.gradient(H, grid.dt, axis=0, edge_order=2)
+        dHt = np.gradient(Ht, grid.dt, axis=0, edge_order=2)
+        sups_t.append(np.max(np.abs(dH - Ht)))
+        sups_tt.append(np.max(np.abs(dHt - Htt)))
     assert sups_t[0] / sups_t[1] > 3.0  # order ~2 halving
     assert sups_tt[0] / sups_tt[1] > 3.0
 
@@ -286,25 +292,43 @@ def test_solve_mgt_velocity_consistent_with_differencing():
     assert sups[0] / sups[1] > 3.0
 
 
-def test_solve_mgt_builds_one_phase_table(monkeypatch):
-    # histories, kernel samples and the solve all read the one table
+def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
+    # histories and kernel samples read one table per row chunk: together
+    # the tables cover the grid's times once, in order
     built = []
 
     def counting(omega, times):
-        built.append(len(times))
+        built.append(times)
         return phases(omega, times)
 
     monkeypatch.setattr(reduction, "phases", counting)
-    grid = TimeGrid(1.0, 200)
+    grid = TimeGrid(1.0, 3 * CHUNK_ELEMENTS // BASIS.size)
     solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
-    assert built == [grid.steps + 1]
+    assert len(built) == 4
+    assert np.array_equal(np.concatenate(built), grid.times)
+    assert all(len(t) * BASIS.size <= CHUNK_ELEMENTS for t in built)
+
+
+def test_solve_mgt_memory_is_a_few_solution_arrays():
+    # the rhs buffer, the solution and the forcing samples: under 10 arrays
+    # of (steps+1) x modes float64, where grid-length histories take about 20
+    basis = build_basis(DomainSpec("interval", 256), 32)
+    data = make_scenario(basis, ScenarioSpec(seed=5))
+    grid = TimeGrid(1.0, 20000)
+    tracemalloc.start()
+    try:
+        solve_mgt(data, PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (grid.steps + 1) * basis.size * 8, peak
 
 
 def test_solve_mgt_picard_agrees_with_direct():
     # the Picard series on solve_mgt's right-hand sides against its scan
     grid = TimeGrid(1.0, 1500)
     rp = reduce_problem(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
-    ker, rhs = reduced_rhs(rp)
+    ker, rhs = kernel_at(rp.kernels, grid.times)[0], rp.rhs
     direct = _solve_structured(rp.kernels, rhs.copy(), grid)
     for col in range(3):
         res = solve_picard(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
@@ -338,9 +362,9 @@ def test_transform_round_trip():
     data = make_scenario(BASIS, ScenarioSpec(seed=6))
     bundle = solve_mgt(data, PARAMS, grid)
     rp = reduce_problem(data, PARAMS, grid)
-    v = _solve_structured(rp.kernels, reduced_rhs(rp)[1], grid)[:, 0]
+    v = _solve_structured(rp.kernels, rp.rhs.copy(), grid)[:, 0]
     damp = np.exp(-0.5 * PARAMS.gamma * grid.times)[:, None]
-    assert np.allclose(bundle.w, damp * (v - rp.dhat), atol=1e-14)
+    assert np.allclose(bundle.w, damp * (v - lifted_boundary(rp)), atol=1e-14)
 
 
 def test_gamma_zero_degeneracy():
@@ -348,8 +372,8 @@ def test_gamma_zero_degeneracy():
     grid = TimeGrid(1.0, 400)
     data = make_scenario(BASIS, ScenarioSpec(seed=8))
     rp = reduce_problem(data, params, grid)
-    v = _solve_structured(rp.kernels, reduced_rhs(rp)[1], grid)[:, 0]
-    assert np.array_equal(v, rp.H)
+    v = _solve_structured(rp.kernels, rp.rhs.copy(), grid)[:, 0]
+    assert np.array_equal(v, rp.rhs[:, 0])
 
 
 def test_compatibility_flags():

@@ -5,6 +5,8 @@ scan (quadrature.scan_blocks): a zero-state pass inside every block at once,
 then the block-start states carried with powers of the one-step map.  The
 references are the generic trapezoid collocation (solve_direct) and the
 scalar RK4 integrator (integrate_mode), both of which step once per row.
+The prefix sums and the right-hand sides streamed in row chunks are checked
+bit for bit against one call on all the rows.
 """
 
 import math
@@ -17,15 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgtlab
-from mgtlab import cosine, reduction
+from mgtlab import cosine, quadrature, reduction
 from mgtlab.cosine import phases
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
-from mgtlab.quadrature import power_increments, prefix_exponential, scan_blocks
+from mgtlab.quadrature import (CHUNK_ELEMENTS, power_increments, prefix_exponential,
+                               prefix_trapezoid, scan_blocks)
 from mgtlab.reduction import (
+    MgtData,
     MgtParams,
     _solve_structured,
     build_kernel,
+    reduce_problem,
     solve_mgt,
     trace_decomposition,
 )
@@ -204,3 +209,41 @@ def test_trace_decomposition_builds_one_phase_table(monkeypatch):
     monkeypatch.setattr(cosine, "phases", counting)
     trace_decomposition(data, PARAMS, grid, bundle)
     assert built == [grid.steps + 1]
+
+
+def chunked(prefix, values, cuts):
+    """prefix run over the row chunks between the cut points, one carry."""
+    carry = {}
+    edges = [0, *cuts, len(values)]
+    return np.concatenate([prefix(values[a:b], carry) for a, b in zip(edges, edges[1:])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 120), cols=st.integers(1, 4), seed=st.integers(0, 2**16),
+       rate=st.sampled_from([-2.0, -0.5, 0.7, 1e-15]), data=st.data())
+def test_carried_prefix_sums_equal_one_call(rows, cols, seed, rate, data):
+    # a prefix continued over any row chunks gives the bits of one call
+    values = np.random.default_rng(seed).normal(size=(rows, cols))
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=6))
+                  if rows > 1 else [])
+    dt = 0.01
+    for prefix in (lambda v, c: prefix_trapezoid(v, dt, c),
+                   lambda v, c: prefix_exponential(rate, v, dt, c)):
+        assert np.array_equal(chunked(prefix, values, cuts), prefix(values, None))
+
+
+@settings(max_examples=16, deadline=None)
+@given(edge=st.sampled_from([-1, 0, 1, CHUNK_ELEMENTS // BASIS.size + 1]),
+       forcing=st.booleans(), boundary=st.booleans(), seed=st.integers(0, 2**16))
+def test_chunked_rhs_equals_one_chunk(edge, forcing, boundary, seed):
+    # steps + 1 = C - 1, C, C + 1 and 2C + 1 rows for C rows per chunk
+    rows = CHUNK_ELEMENTS // BASIS.size + edge
+    grid = TimeGrid(1.0, rows - 1)
+    spec = make_scenario(BASIS, ScenarioSpec(seed=seed, g_family="poly"))
+    data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
+                   g=spec.g if boundary else None)
+    chunks = reduce_problem(data, PARAMS, grid).rhs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "CHUNK_ELEMENTS", rows * BASIS.size)
+        whole = reduce_problem(data, PARAMS, grid).rhs
+    assert np.array_equal(chunks, whole)
