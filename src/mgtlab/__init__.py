@@ -10,15 +10,12 @@ from .cosine import (
     BoundaryProbeResult,
     CosineFamily,
     boundary_convolution_probe,
-    kop_apply,
-    wave_solve,
 )
 from .modal_oracle import (
     ModeOde,
     characteristic_roots,
     integrate_mode,
     solve_by_modes,
-    stability_threshold_scan,
 )
 from .reduction import (
     ForcingData,
@@ -30,7 +27,6 @@ from .reduction import (
     forcing_transform,
     reduce_problem,
     solve_mgt,
-    trace_decomposition,
 )
 from .spectral import (
     BoundaryData,
@@ -41,7 +37,6 @@ from .spectral import (
     TimeGrid,
     Trajectory,
     build_basis,
-    dirichlet_map,
     normal_trace,
     sobolev_norm,
 )
@@ -56,7 +51,6 @@ from .symbols import (
 from .volterra import (
     PicardResult,
     VolterraProblem,
-    iterated_kernel,
     solve_direct,
     solve_picard,
 )

@@ -215,6 +215,27 @@ def write_summary_json(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
+def _finish(experiment: str, prefix: str, out_dir: str | Path, rows: list[ReportRow],
+            summary: dict, *series: tuple) -> Report:
+    """Write a run's artifacts and list them in its Report.
+
+    Each series is a (file name, header, columns) CSV; the rows go to
+    <prefix>_report.csv and the summary, tagged with the experiment, to
+    <prefix>_summary.json.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary = {"experiment": experiment, **summary}
+    files = []
+    for name, header, columns in series:
+        files.append(out / name)
+        write_series_csv(files[-1], header, columns)
+    files += [out / f"{prefix}_report.csv", out / f"{prefix}_summary.json"]
+    write_rows_csv(files[-2], rows)
+    write_summary_json(files[-1], summary)
+    return Report(experiment, rows, summary, [str(f) for f in files])
+
+
 # -- shared measurement helpers ----------------------------------------------
 
 
@@ -263,6 +284,10 @@ def sup_interior_norms(bundle: SolutionBundle, n: int, stride: int = 10) -> dict
     }
 
 
+def _rel_change(new: float, old: float) -> float:
+    return abs(new - old) / max(abs(old), 1e-300)
+
+
 def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     """Relative sup-in-time L2 distance between coefficient trajectories."""
     num = np.max(np.linalg.norm(a - b, axis=1))
@@ -300,26 +325,19 @@ def discrete_equation_residual(bundle: SolutionBundle, data: MgtData) -> float:
 
 def run_solve(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Solve one scenario and write the norm time series plus a JSON summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     basis = build_basis(cfg.domain(), cfg.modes[0])
     grid = TimeGrid(cfg.horizon, cfg.steps)
     data = make_scenario(basis, cfg.scenario_spec())
     bundle = solve_mgt(data, params, grid)
     series = norm_series(bundle, cfg.grid_points_per_axis, stride=1)
-
-    series_path = out / "solve_series.csv"
     keys = ["t", "w_H2", "wt_H1", "wtt_L2", "w_H2_spectral_interior",
             "trace_w", "trace_wt"]
-    write_series_csv(series_path, keys, [series[k] for k in keys])
-
     rows = [ReportRow("solve", f"N={cfg.modes[0]}", f"sup_{name}",
                       float(series[name].max()), float("nan"),
                       float("nan"), None)
             for name in ("w_H2", "wt_H1", "wtt_L2")]
     summary = {
-        "experiment": "solve",
         "modes": cfg.modes[0],
         "steps": cfg.steps,
         "seed": cfg.seed,
@@ -335,11 +353,8 @@ def run_solve(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "compatible_velocity": data.compatible_velocity,
         "metadata": dict(bundle.metadata),
     }
-    write_summary_json(out / "solve_summary.json", summary)
-    write_rows_csv(out / "solve_report.csv", rows)
-    return Report("solve", rows, summary,
-                  [str(series_path), str(out / "solve_summary.json"),
-                   str(out / "solve_report.csv")])
+    return _finish("solve", "solve", out_dir, rows, summary,
+                   ("solve_series.csv", keys, [series[k] for k in keys]))
 
 
 def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
@@ -355,8 +370,6 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """
     if len(cfg.modes) < 2:
         raise ConfigError("witness needs at least two mode counts")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     tol = cfg.tolerances
     n_lo, n_hi = cfg.modes[0], cfg.modes[1]
@@ -380,7 +393,7 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     sup_lo = sup_interior_norms(bundles["lo"], npt)
     sup_hi = sup_interior_norms(bundles["hi"], npt)
     for key in ("w_H2", "wt_H1", "wtt_L2"):
-        change = abs(sup_hi[key] - sup_lo[key]) / max(abs(sup_lo[key]), 1e-300)
+        change = _rel_change(sup_hi[key], sup_lo[key])
         rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", f"a_interior_{key}",
                               change, 0.0, tol["interior_stability"],
                               change < tol["interior_stability"]))
@@ -392,11 +405,11 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                               float("nan"), 0.0, tol["trace_stability"], None,
                               note=f"flagged: {g_family} violates the H2-in-time hypothesis"))
     else:
-        change = abs(h1_hi - h1_lo) / max(abs(h1_lo), 1e-300)
+        change = _rel_change(h1_hi, h1_lo)
         rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "b_trace_H1_Sigma",
                               change, 0.0, tol["trace_stability"],
                               change < tol["trace_stability"]))
-    change = abs(l2_hi - l2_lo) / max(abs(l2_lo), 1e-300)
+    change = _rel_change(l2_hi, l2_lo)
     rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "c_trace_wt_L2_Sigma",
                           change, 0.0, tol["trace_stability"],
                           change < tol["trace_stability"]))
@@ -414,9 +427,7 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                           growth >= tol["divergence_factor"],
                           note="expected divergence witness"))
 
-    write_rows_csv(out / "witness_report.csv", rows)
     summary = {
-        "experiment": "witness",
         "modes": [n_lo, n_hi],
         "steps": [cfg.steps, cfg.steps * 2],
         "seed": cfg.seed,
@@ -428,9 +439,7 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "trace_wt_L2": [l2_lo, l2_hi],
         "incompatible_H2_sups": sups,
     }
-    write_summary_json(out / "witness_summary.json", summary)
-    return Report("witness", rows, summary,
-                  [str(out / "witness_report.csv"), str(out / "witness_summary.json")])
+    return _finish("witness", "witness", out_dir, rows, summary)
 
 
 def _observed_orders(errors: list[float]) -> list[float]:
@@ -439,8 +448,6 @@ def _observed_orders(errors: list[float]) -> list[float]:
 
 def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Observed orders on a manufactured smooth solution, plus residual decay."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     tol = cfg.tolerances
     basis = build_basis(cfg.domain(), cfg.modes[0])
@@ -510,13 +517,7 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                           diffs[-1], diffs[0], float("nan"), decreasing,
                           note="sup-t L2 distance to the 2x-mode reference"))
 
-    write_series_csv(out / "convergence_errors.csv",
-                     ["steps", "volterra_err", "oracle_err", "residual"],
-                     [np.array(levels, dtype=float), np.array(errs_volterra),
-                      np.array(errs_oracle), np.array(resids)])
-    write_rows_csv(out / "convergence_report.csv", rows)
     summary = {
-        "experiment": "convergence",
         "levels": levels,
         "volterra_errors": errs_volterra,
         "oracle_errors": errs_oracle,
@@ -525,17 +526,14 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "nonsmooth_errors": errs_rough,
         "truncation_diffs": diffs,
     }
-    write_summary_json(out / "convergence_summary.json", summary)
-    return Report("convergence", rows, summary,
-                  [str(out / "convergence_errors.csv"),
-                   str(out / "convergence_report.csv"),
-                   str(out / "convergence_summary.json")])
+    errors = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_err", "residual"],
+              [np.array(levels, dtype=float), np.array(errs_volterra),
+               np.array(errs_oracle), np.array(resids)])
+    return _finish("convergence", "convergence", out_dir, rows, summary, errors)
 
 
 def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Cross-route agreement over randomized compatible scenarios."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     tol = cfg.tolerances["cross_route"]
     basis = build_basis(cfg.domain(), cfg.modes[0])
@@ -552,18 +550,13 @@ def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         worst = max(worst, err)
         rows.append(ReportRow("compare-oracle", f"scenario{i}", "rel_sup_L2",
                               err, 0.0, tol, err < tol))
-    write_rows_csv(out / "compare_report.csv", rows)
-    summary = {"experiment": "compare-oracle", "n_scenarios": cfg.n_scenarios,
-               "modes": cfg.modes[0], "steps": cfg.steps, "worst": worst}
-    write_summary_json(out / "compare_summary.json", summary)
-    return Report("compare-oracle", rows, summary,
-                  [str(out / "compare_report.csv"), str(out / "compare_summary.json")])
+    summary = {"n_scenarios": cfg.n_scenarios, "modes": cfg.modes[0],
+               "steps": cfg.steps, "worst": worst}
+    return _finish("compare-oracle", "compare", out_dir, rows, summary)
 
 
 def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Lopatinskii sweeps, estimate probes, and the boundary-probe witness."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = cfg.mgt_params()
     tol = cfg.tolerances
     sym = cfg.symbol
@@ -594,10 +587,8 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                                   note=f"analytic floor {sw.floor:.4f}"))
     all_rows = np.vstack([sw.rows for _, sw in sweep_rows])
     labels = np.concatenate([np.full(len(sw.rows), b) for b, sw in sweep_rows])
-    write_series_csv(out / "lopatinskii_points.csv",
-                     ["b", "tau", "beta", "eta", "ratio"],
-                     [labels, all_rows[:, 0], all_rows[:, 1], all_rows[:, 2],
-                      all_rows[:, 3]])
+    points = ("lopatinskii_points.csv", ["b", "tau", "beta", "eta", "ratio"],
+              [labels, all_rows[:, 0], all_rows[:, 1], all_rows[:, 2], all_rows[:, 3]])
 
     # estimate probes over randomized compatible scenarios
     basis = build_basis(cfg.domain(), probe_modes)
@@ -611,10 +602,9 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                                  space_points=cfg.grid_points_per_axis // 4)
             ratios[which].append(res.ratio)
     probe_cols = {k: np.array(v) for k, v in ratios.items()}
-    write_series_csv(out / "estimate_probes.csv",
-                     ["scenario", "resolvent_4a", "semigroup_10"],
-                     [np.arange(n_probe, dtype=float),
-                      probe_cols["resolvent_4a"], probe_cols["semigroup_10"]])
+    probes = ("estimate_probes.csv", ["scenario", "resolvent_4a", "semigroup_10"],
+              [np.arange(n_probe, dtype=float),
+               probe_cols["resolvent_4a"], probe_cols["semigroup_10"]])
     # the first scenarios again at 2N modes and 2S steps, one solve for both probes
     refine_basis = build_basis(cfg.domain(), probe_modes * 2)
     refine_grid = TimeGrid(cfg.horizon, probe_steps * 2)
@@ -625,7 +615,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         for which, vals in probe_cols.items():
             res = estimate_probe(bundle, data, which, weight_beta=weight_beta,
                                  space_points=cfg.grid_points_per_axis // 2)
-            drifts[which].append(abs(res.ratio - vals[i]) / max(vals[i], 1e-300))
+            drifts[which].append(_rel_change(res.ratio, vals[i]))
     for which, vals in probe_cols.items():
         spread = float(vals.max() / np.median(vals))
         rows.append(ReportRow("symbols", "probe", f"{which}_max_over_median",
@@ -646,9 +636,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                           probe_changes < tol["boundary_probe_stability"],
                           note="step-in-time Dirichlet datum"))
 
-    write_rows_csv(out / "symbols_report.csv", rows)
     summary = {
-        "experiment": "symbols",
         "b_grid": list(b_grid),
         "sweep_minima": {str(b): sw.minimum for b, sw in sweep_rows},
         "sweep_floors": {str(b): sw.floor for b, sw in sweep_rows},
@@ -656,12 +644,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "probe_max": {k: float(v.max()) for k, v in probe_cols.items()},
         "boundary_probe_change": probe_changes,
     }
-    write_summary_json(out / "symbols_summary.json", summary)
-    return Report("symbols", rows, summary,
-                  [str(out / "lopatinskii_points.csv"),
-                   str(out / "estimate_probes.csv"),
-                   str(out / "symbols_report.csv"),
-                   str(out / "symbols_summary.json")])
+    return _finish("symbols", "symbols", out_dir, rows, summary, points, probes)
 
 
 def _boundary_probe_stability(cfg: ScenarioConfig) -> float:
@@ -678,4 +661,4 @@ def _boundary_probe_stability(cfg: ScenarioConfig) -> float:
         fam = CosineFamily(basis, speed=np.sqrt(params.b))
         probe = boundary_convolution_probe(fam, g, grid)
         sups.append(probe.sup_minus())
-    return abs(sups[1] - sups[0]) / max(sups[0], 1e-300)
+    return _rel_change(sups[1], sups[0])

@@ -118,36 +118,6 @@ def exact_exponential_solution(params: MgtParams, mu: float,
     return vals.real
 
 
-@dataclass
-class ScanRow:
-    alpha: float
-    b: float
-    c: float
-    gamma: float
-    mu: float
-    max_real_part: float
-    hurwitz_stable: bool
-
-
-def stability_threshold_scan(param_grid: Sequence[MgtParams],
-                             mu_grid: Sequence[float]) -> list[ScanRow]:
-    """Max root real part across a parameter/frequency grid.
-
-    The sign of gamma = alpha - c^2/b predicts the pattern via Routh-Hurwitz
-    (alpha * b*mu > c^2*mu  iff gamma > 0, uniformly in mu > 0).
-    """
-    rows = []
-    for params in param_grid:
-        for mu in mu_grid:
-            roots = characteristic_roots(params, mu)
-            rows.append(ScanRow(
-                alpha=params.alpha, b=params.b, c=params.c,
-                gamma=params.gamma, mu=float(mu),
-                max_real_part=float(np.max(roots.real)),
-                hurwitz_stable=params.alpha * params.b > params.c**2))
-    return rows
-
-
 def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     """Integrate every projected mode with RK4; the cross-validation oracle.
 

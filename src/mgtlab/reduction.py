@@ -21,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import CosineFamily, Phases, kop_apply, phases, sincos_conv, wave_solve
-from .quadrature import (power_increments, prefix_exponential, prefix_trapezoid,
-                         row_chunks, scan_blocks)
+from .cosine import Phases, phases, sincos_conv
+from .quadrature import power_increments, prefix_exponential, row_chunks, scan_blocks
 from .spectral import (
     BoundaryData,
     BoundarySignal,
@@ -31,7 +30,6 @@ from .spectral import (
     SpectralField,
     TimeGrid,
     Trajectory,
-    normal_trace,
 )
 
 COMPAT_TOL = 1e-8
@@ -52,8 +50,6 @@ class MgtParams:
     alpha: float
     b: float
     c: float
-
-    relaxation_tau = 1.0
 
     def __post_init__(self):
         if self.alpha <= 0 or self.b <= 0 or self.c <= 0:
@@ -245,12 +241,6 @@ def _gtilde(sig: BoundarySignal, gamma: float, times: np.ndarray,
     envelope = np.exp(0.5 * gamma * times)[:, None]
     return (envelope * g, envelope * (0.5 * gamma * g + gt),
             envelope * (0.25 * gamma**2 * g + gamma * gt + gtt))
-
-
-def _transformed_boundary(sig: BoundarySignal, gamma: float) -> BoundarySignal:
-    """g-tilde = e^{gamma t/2} g with its first two time derivatives."""
-    return BoundarySignal(sig.grid, *_gtilde(sig, gamma, sig.grid.times),
-                          sig.derivative_source)
 
 
 @dataclass
@@ -474,73 +464,3 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
         # pointwise normal traces are an interval-only diagnostic
         meta["traces"] = "unavailable on the square"
     return bundle
-
-
-@dataclass
-class TraceDecomposition:
-    """Split v = z + v21 + v22 with the traces of each piece."""
-
-    wave_part: Trajectory
-    v21: np.ndarray
-    v22: np.ndarray
-    identity_error: float
-    identity_ok: bool
-    trace_z: np.ndarray
-    trace_v21: np.ndarray
-    trace_v22: np.ndarray
-    trace_wt: np.ndarray
-
-
-def trace_decomposition(data: MgtData, params: MgtParams, grid: TimeGrid,
-                        bundle: SolutionBundle | None = None,
-                        identity_rtol: float = 1e-6) -> TraceDecomposition:
-    """Decompose v into the wave part z and the two smoothing convolutions.
-
-    z solves the speed-sqrt(b) wave problem with data (v0, v1), forcing
-    f0 + f1 (f0 built from the solved v) and boundary datum g-tilde; v21 and
-    v22 are the smoothing convolutions of the fixed source and the
-    transformed forcing.  The collocated identity v = z + v21 + v22 is
-    checked and flagged when it exceeds the tolerance.
-    """
-    if bundle is None:
-        bundle = solve_mgt(data, params, grid)
-    basis, times, dt = bundle.basis, grid.times, grid.dt
-    gamma, rho = params.gamma, params.decay_exponent
-    fam = CosineFamily(basis, speed=np.sqrt(params.b))
-    v = np.exp(0.5 * gamma * times)[:, None] * bundle.total("w")
-
-    grow = np.exp(rho * times)[:, None]
-    decayed = np.exp(-rho * times)[:, None]
-    memory = params.kernel_scale * grow * prefix_trapezoid(decayed * v, dt)
-    f0 = params.volterra_beta * v + memory
-    f1 = _data_source(params, times, data.w0.total_coeffs(), data.w1.total_coeffs())
-
-    z0 = data.w0
-    z1 = SpectralField(basis,
-                       0.5 * gamma * data.w0.coeffs + data.w1.coeffs,
-                       0.5 * gamma * data.w0.boundary_values()
-                       + data.w1.boundary_values())
-    # one phase table for the wave solve and both smoothing convolutions
-    ph = phases(fam.omega, times)
-    z = wave_solve(fam, z0, z1, f0 + f1, _transformed_boundary(bundle.boundary, gamma),
-                   grid, ph)
-
-    root_b = np.sqrt(params.b)
-    # the fixed source has coefficients w2 - b Lap w0
-    f2 = grow * (data.w2.total_coeffs() + params.b * basis.eigenvalues * data.w0.coeffs)
-    v21 = kop_apply(fam, f2, grid, ph) / root_b
-    ftilde = forcing_transform(bundle.f_samples, params, grid).ftilde
-    v22 = kop_apply(fam, ftilde, grid, ph) / root_b
-
-    diff = v - z.total("w") - v21 - v22
-    scale = max(np.max(np.linalg.norm(v, axis=1)), 1e-300)
-    identity_error = float(np.max(np.linalg.norm(diff, axis=1)) / scale)
-
-    return TraceDecomposition(
-        wave_part=z, v21=v21, v22=v22,
-        identity_error=identity_error,
-        identity_ok=identity_error <= identity_rtol,
-        trace_z=z.trace("w").series,
-        trace_v21=normal_trace(basis, v21).series,
-        trace_v22=normal_trace(basis, v22).series,
-        trace_wt=bundle.trace("wt").series)

@@ -69,8 +69,24 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.steps * factor)
+    def refined(self) -> "TimeGrid":
+        return TimeGrid(self.horizon, self.steps * 2)
+
+
+def _once(method):
+    """A basis array built on first use and kept, read-only, on the basis."""
+    name = "_" + method.__name__
+
+    @functools.wraps(method)
+    def stored(self):
+        arr = self.__dict__.get(name)
+        if arr is None:
+            arr = method(self)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+        return arr
+
+    return stored
 
 
 class EigenBasis:
@@ -107,6 +123,7 @@ class EigenBasis:
         n = n or self.domain.grid_points_per_axis
         return np.linspace(0.0, 1.0, n + 1)
 
+    @_once
     def normal_derivatives(self) -> np.ndarray:
         """(boundary_size, modes) pointwise normal derivative of each mode.
 
@@ -120,6 +137,7 @@ class EigenBasis:
         d1 = SQRT2 * k * np.pi * np.where(k % 2 == 0, 1.0, -1.0)
         return np.vstack([d0, d1])
 
+    @_once
     def boundary_flux(self) -> np.ndarray:
         """(boundary_size, modes) pairings  integral_Gamma_i  d_nu e_k  dsigma.
 
@@ -142,6 +160,7 @@ class EigenBasis:
         fy1 = 2.0 * k * sign_k * oscil_j / j
         return np.vstack([fx0, fx1, fy0, fy1])
 
+    @_once
     def lift_matrix(self) -> np.ndarray:
         """(boundary_size, modes) eigen-coefficients of unit boundary data.
 
@@ -210,19 +229,6 @@ class SpectralField:
         if self.boundary is not None:
             vals = vals + lifting_values_square(self.boundary, x)
         return vals
-
-
-def dirichlet_map(basis: EigenBasis, boundary_values: np.ndarray) -> SpectralField:
-    """Harmonic extension of boundary data as a lifted field.
-
-    The returned field evaluates through the closed-form lifting and exposes
-    the eigen-coefficients <D phi, e_k> = -(1/mu_k) * flux pairing through
-    total_coeffs().
-    """
-    boundary_values = np.asarray(boundary_values, dtype=float)
-    if not np.all(np.isfinite(boundary_values)):
-        raise ValueError("boundary values must be finite")
-    return SpectralField(basis, np.zeros(basis.size), boundary_values)
 
 
 def lifting_values_interval(boundary: np.ndarray, x: np.ndarray) -> np.ndarray:

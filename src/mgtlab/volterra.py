@@ -109,20 +109,6 @@ def solve_picard(problem: VolterraProblem, max_terms: int = 80,
     return PicardResult(total, used, False, sup)
 
 
-def iterated_kernel(kernel: np.ndarray, n: int, grid: TimeGrid,
-                    rule: str = DEFAULT_RULE) -> np.ndarray:
-    """Samples of the n-fold iterated convolution L^{(*n)} of the kernel samples."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = np.asarray(kernel, dtype=float)
-    if base.shape[0] != grid.steps + 1:
-        raise ValueError("kernel must be sampled on the grid")
-    out = base.copy()
-    for _ in range(n - 1):
-        out = convolve_product(base, out, grid.dt, rule)
-    return out
-
-
 def residual(problem: VolterraProblem, v: np.ndarray,
              rule: str = DEFAULT_RULE) -> float:
     """Sup norm of the discrete residual v + L*v - h for a candidate solution."""

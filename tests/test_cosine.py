@@ -1,35 +1,20 @@
-"""Cosine families, the smoothing convolution, wave solves, boundary probes."""
+"""Phase tables, the sin/cos convolution, the smoothing convolution, boundary probes."""
 
 import numpy as np
 import pytest
 
-from mgtlab.cosine import (
-    CosineFamily,
-    boundary_convolution_probe,
-    kop_apply,
-    phases,
-    sincos_conv,
-    wave_solve,
-)
-from mgtlab.spectral import (
-    BoundaryData,
-    DomainSpec,
-    SpectralField,
-    TimeGrid,
-    build_basis,
-    trajectory_on_grid,
-)
-
-from fd_wave import leapfrog_wave
+from mgtlab.cosine import CosineFamily, boundary_convolution_probe, phases, sincos_conv
+from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 
 BASIS = build_basis(DomainSpec("interval", 256), 8)
 FAM = CosineFamily(BASIS, speed=1.0)
 
 
-def unit_field(k=0):
-    coeffs = np.zeros(BASIS.size)
-    coeffs[k] = 1.0
-    return SpectralField(BASIS, coeffs)
+def smoothing(basis, f, grid):
+    """K f = (1/sqrt(mu)) int_0^t sin(sqrt(mu) (t-s)) f(s) ds per mode, as the
+    Volterra route forms it from sincos_conv."""
+    root = basis.sqrt_eigenvalues
+    return sincos_conv(phases(root, grid.times), f, grid.dt)[0] / root
 
 
 def test_phases_identity_at_zero():
@@ -76,14 +61,14 @@ def test_sincos_conv_parts_match_derivative_and_quadrature():
 def test_kop_zero_trajectory():
     grid = TimeGrid(1.0, 100)
     f = np.zeros((101, BASIS.size))
-    assert np.all(kop_apply(FAM, f, grid) == 0.0)
+    assert np.all(smoothing(BASIS, f, grid) == 0.0)
 
 
 def test_kop_constant_forcing_analytic():
     grid = TimeGrid(1.0, 2000)
     f = np.zeros((2001, BASIS.size))
     f[:, 0] = 1.0
-    out = kop_apply(FAM, f, grid)
+    out = smoothing(BASIS, f, grid)
     mu = BASIS.eigenvalues[0]
     exact = (1.0 - np.cos(np.sqrt(mu) * grid.times)) / mu
     assert np.max(np.abs(out[:, 0] - exact)) < 1e-7
@@ -97,107 +82,11 @@ def test_kop_linear_forcing_order_two():
         grid = TimeGrid(1.0, steps)
         f = np.zeros((steps + 1, BASIS.size))
         f[:, 1] = grid.times
-        out = kop_apply(FAM, f, grid)
+        out = smoothing(BASIS, f, grid)
         exact = (grid.times - np.sin(np.sqrt(mu) * grid.times) / np.sqrt(mu)) / mu
         errs.append(np.max(np.abs(out[:, 1] - exact)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 2.0 - 0.1
-
-
-def test_kop_rejects_empty_trajectory():
-    grid = TimeGrid(1.0, 100)
-    with pytest.raises(ValueError):
-        kop_apply(FAM, np.zeros((5, BASIS.size)), grid)
-
-
-def test_wave_solve_eigenmode():
-    grid = TimeGrid(1.0, 500)
-    sol = wave_solve(FAM, unit_field(0), SpectralField(BASIS, np.zeros(8)),
-                     None, None, grid)
-    omega = np.sqrt(BASIS.eigenvalues[0])
-    exact = np.cos(omega * grid.times)
-    assert np.max(np.abs(sol.w[:, 0] - exact)) < 1e-12
-    assert np.max(np.abs(sol.w[:, 1:])) == 0.0
-    assert np.max(np.abs(sol.wt[:, 0] + omega * np.sin(omega * grid.times))) < 1e-11
-    assert np.max(np.abs(sol.wtt[:, 0] + omega**2 * exact)) < 1e-10
-
-
-def test_wave_solve_zero_data():
-    grid = TimeGrid(1.0, 50)
-    zero = SpectralField(BASIS, np.zeros(8))
-    sol = wave_solve(FAM, zero, zero, None, None, grid)
-    for which in ("w", "wt", "wtt"):
-        assert np.all(sol.total(which) == 0.0)
-
-
-def test_wave_solve_matches_cosine_superposition():
-    # same diagonal formulas, so the homogeneous solve is reproducible exactly
-    grid = TimeGrid(1.0, 20)
-    rng = np.random.default_rng(3)
-    z0 = SpectralField(BASIS, rng.normal(size=8))
-    z1 = SpectralField(BASIS, rng.normal(size=8))
-    sol = wave_solve(FAM, z0, z1, None, None, grid)
-    omega = FAM.omega
-    for m, t in enumerate(grid.times):
-        expected = (np.cos(np.outer([t], omega))[0] * z0.coeffs
-                    + np.sin(np.outer([t], omega))[0] / omega * z1.coeffs)
-        assert np.array_equal(sol.w[m], expected)
-        alt = (np.cos(omega * t) * z0.coeffs
-               + np.sin(omega * t) / BASIS.sqrt_eigenvalues / FAM.speed * z1.coeffs)
-        assert np.allclose(sol.w[m], alt, rtol=1e-13, atol=1e-13)
-
-
-def test_wave_energy_conservation():
-    # discrete energy sum(zdot^2 + mu z^2) constant for homogeneous data
-    grid = TimeGrid(2.0, 400)
-    rng = np.random.default_rng(7)
-    z0 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
-    z1 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
-    sol = wave_solve(FAM, z0, z1, None, None, grid)
-    energy = (sol.wt**2 + BASIS.eigenvalues * sol.w**2).sum(axis=1)
-    assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-12
-
-
-def test_wave_solve_dirichlet_vs_finite_difference():
-    # independent leapfrog oracle with Dirichlet injection, 256 cells
-    basis = build_basis(DomainSpec("interval", 256), 32)
-    fam = CosineFamily(basis)
-    steps = 1200
-    grid = TimeGrid(1.0, steps)
-    zero = SpectralField(basis, np.zeros(basis.size))
-    g = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.0 * t]),
-                     gt=lambda t: np.column_stack([np.cos(t), 0.0 * t]),
-                     gtt=lambda t: np.column_stack([-np.sin(t), 0.0 * t]))
-    sol = wave_solve(fam, zero, zero, None, g.sample(grid), grid)
-    vals = trajectory_on_grid(basis, sol.w, sol.boundary.values, 256)
-    _, ref = leapfrog_wave(256, grid, lambda x: 0.0 * x, lambda x: 0.0 * x,
-                           g=lambda t: (np.sin(t), 0.0))
-    num = np.sqrt(np.mean((vals - ref) ** 2))
-    den = np.sqrt(np.mean(ref**2))
-    assert num / den < 1e-2
-
-
-def test_wave_solve_derivatives_match_differencing():
-    # forcing plus Dirichlet data: w_t and w_tt of the whole function against
-    # centered differences of w, second order in dt
-    rng = np.random.default_rng(4)
-    z0 = SpectralField(BASIS, rng.normal(size=8) / (1 + np.arange(8.0)) ** 2)
-    z1 = SpectralField(BASIS, np.zeros(8))
-    g = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.5 * t**2]),
-                     gt=lambda t: np.column_stack([np.cos(t), t]),
-                     gtt=lambda t: np.column_stack([-np.sin(t), 1.0 + 0.0 * t]))
-    errs = []
-    for steps in (400, 800):
-        grid = TimeGrid(1.0, steps)
-        f = np.outer(np.cos(grid.times), np.ones(8) / (1 + np.arange(8.0)))
-        sol = wave_solve(FAM, z0, z1, f, g.sample(grid), grid)
-        w = sol.total("w")
-        dw = (w[2:] - w[:-2]) / (2 * grid.dt)
-        ddw = (w[2:] - 2 * w[1:-1] + w[:-2]) / grid.dt**2
-        errs.append((np.max(np.abs(dw - sol.total("wt")[1:-1])),
-                     np.max(np.abs(ddw - sol.total("wtt")[1:-1]))))
-    for coarse, fine in zip(*errs):
-        assert coarse / fine > 3.0
 
 
 def test_kop_smoothing_bounded_under_mode_refinement():
@@ -207,10 +96,9 @@ def test_kop_smoothing_bounded_under_mode_refinement():
     sups = []
     for n in (32, 64, 128):
         basis = build_basis(DomainSpec("interval", 256), n)
-        fam = CosineFamily(basis)
         coeffs = 1.0 / np.arange(1, n + 1)
         f = np.ones((grid.steps + 1, 1)) * coeffs[None, :]
-        kf = kop_apply(fam, f, grid)
+        kf = smoothing(basis, f, grid)
         sups.append(np.sqrt(((1 + basis.eigenvalues) * kf**2).sum(axis=1)).max())
     assert abs(sups[2] - sups[1]) <= abs(sups[1] - sups[0]) + 1e-12
     assert abs(sups[2] - sups[0]) / sups[0] < 1e-3

@@ -12,7 +12,6 @@ from mgtlab.modal_oracle import (
     integrate_mode,
     principal_symbol_roots,
     solve_by_modes,
-    stability_threshold_scan,
 )
 from mgtlab.reduction import MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
@@ -104,14 +103,16 @@ def test_rejects_nonpositive_mu():
 
 def test_stability_scan_sign_pattern():
     mus = [1.0, 10.0, 100.0, 1000.0]
-    stable = stability_threshold_scan([PARAMS], mus)
-    assert all(r.max_real_part < 0 for r in stable)
-    assert all(r.hurwitz_stable for r in stable)
-    marginal = stability_threshold_scan([MgtParams(alpha=1.0, b=1.0, c=1.0)], mus)
-    assert all(abs(r.max_real_part) < 1e-9 for r in marginal)
-    unstable = stability_threshold_scan([MgtParams(alpha=0.5, b=1.0, c=1.0)], mus)
-    assert all(r.max_real_part > 0 for r in unstable if r.mu >= 100.0)
-    assert all(not r.hurwitz_stable for r in unstable)
+
+    def scan(params):
+        return [(mu, np.max(characteristic_roots(params, mu).real)) for mu in mus]
+
+    assert all(top < 0 for _, top in scan(PARAMS))
+    assert PARAMS.alpha * PARAMS.b > PARAMS.c**2
+    assert all(abs(top) < 1e-9 for _, top in scan(MgtParams(alpha=1.0, b=1.0, c=1.0)))
+    unstable = MgtParams(alpha=0.5, b=1.0, c=1.0)
+    assert all(top > 0 for mu, top in scan(unstable) if mu >= 100.0)
+    assert not unstable.alpha * unstable.b > unstable.c**2
 
 
 def test_hurwitz_equivalence_across_grid():

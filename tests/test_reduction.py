@@ -19,12 +19,11 @@ from mgtlab.reduction import (
     forcing_transform,
     reduce_problem,
     solve_mgt,
-    trace_decomposition,
     _data_source,
+    _gtilde,
     _solve_structured,
-    _transformed_boundary,
 )
-from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
+from mgtlab.spectral import DomainSpec, EigenBasis, SpectralField, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -50,8 +49,8 @@ def histories(rp):
 
 def lifted_boundary(rp):
     """dhat: eigen-coefficients of the lifting of g-tilde = e^{gamma t/2} g."""
-    gtilde = _transformed_boundary(rp.boundary_signal, rp.params.gamma)
-    return gtilde.values @ rp.basis.lift_matrix()
+    gtilde = _gtilde(rp.boundary_signal, rp.params.gamma, rp.grid.times)[0]
+    return gtilde @ rp.basis.lift_matrix()
 
 
 def memory_weight(params, t):
@@ -219,8 +218,8 @@ def test_affine_rewritten_equals_raw_form():
     # raw wave representation of H: data terms, the source and forcing
     # convolution and the lifting convolution, without integration by parts
     times, dt = grid.times, grid.dt
-    ph = phases(rp.kernels.omega, times)
-    omega = ph.omega
+    omega = rp.kernels.omega
+    ph = phases(omega, times)
     w0tot = data.w0.total_coeffs()
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
     source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
@@ -307,6 +306,29 @@ def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
     assert len(built) == 4
     assert np.array_equal(np.concatenate(built), grid.times)
     assert all(len(t) * BASIS.size <= CHUNK_ELEMENTS for t in built)
+
+
+def test_basis_geometry_built_once_per_basis(monkeypatch):
+    # a solve and both estimate probes read one stored, read-only array of each
+    from mgtlab.symbols import estimate_probe
+
+    seen = {}
+    for name in ("lift_matrix", "boundary_flux", "normal_derivatives"):
+        def spy(self, method=getattr(EigenBasis, name), name=name):
+            arr = method(self)
+            seen.setdefault(name, []).append(arr)
+            return arr
+
+        monkeypatch.setattr(EigenBasis, name, spy)
+    basis = build_basis(DomainSpec("interval", 256), 16)
+    data = make_scenario(basis, ScenarioSpec(seed=4, g_family="poly", g_amp=0.1))
+    bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 400))
+    for which in ("resolvent_4a", "semigroup_10"):
+        estimate_probe(bundle, data, which)
+    assert sorted(seen) == ["boundary_flux", "lift_matrix", "normal_derivatives"]
+    for arrays in seen.values():
+        assert all(arr is arrays[0] for arr in arrays)
+        assert not arrays[0].flags.writeable
 
 
 def test_solve_mgt_memory_is_a_few_solution_arrays():
@@ -409,30 +431,7 @@ def test_compatible_spectral_h2_stability():
     assert abs(sups[32] - sups[16]) / sups[16] < 0.01
 
 
-def test_trace_decomposition_zero_data():
-    grid = TimeGrid(1.0, 200)
-    data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
-    dec = trace_decomposition(data, PARAMS, grid)
-    assert np.all(dec.wave_part.total("w") == 0.0)
-    assert np.all(dec.v21 == 0.0)
-    assert np.all(dec.v22 == 0.0)
-    assert dec.identity_error == 0.0
-
-
-def test_trace_decomposition_identity():
-    grid = TimeGrid(1.0, 10000)
-    data = eigen_data(0)
-    dec = trace_decomposition(data, PARAMS, grid)
-    assert dec.identity_error < 1e-6
-    assert dec.identity_ok
-
-
-def test_trace_decomposition_full_scenario():
-    grid = TimeGrid(1.0, 4000)
-    data = make_scenario(BASIS, ScenarioSpec(seed=12))
-    bundle = solve_mgt(data, PARAMS, grid)
-    dec = trace_decomposition(data, PARAMS, grid, bundle, identity_rtol=1e-5)
-    assert dec.identity_ok
+def test_wt_trace_norm_stable_under_mode_refinement():
     # lateral L2 norm of d_nu w_t is finite and mode-refinement stable
     def wt_trace_norm(n):
         basis = build_basis(DomainSpec("interval", 256), n)
@@ -463,19 +462,6 @@ def test_cross_route_general_parameters(alpha, b, c):
         num = np.max(np.linalg.norm(bundle.total(which) - ref, axis=1))
         den = np.max(np.linalg.norm(ref, axis=1))
         assert num / den < 1e-5
-
-
-def test_trace_decomposition_trace_sum():
-    # d_nu v = d_nu z + d_nu v21 + d_nu v22 with d_nu v = e^{gamma t/2} d_nu w
-    params = MgtParams(alpha=1.5, b=4.0, c=0.7)
-    basis = build_basis(DomainSpec("interval", 256), 12)
-    grid = TimeGrid(1.0, 4000)
-    data = make_scenario(basis, ScenarioSpec(seed=3))
-    bundle = solve_mgt(data, params, grid)
-    dec = trace_decomposition(data, params, grid, bundle)
-    lhs = np.exp(0.5 * params.gamma * grid.times)[:, None] * bundle.trace("w").series
-    rhs = dec.trace_z + dec.trace_v21 + dec.trace_v22
-    assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-4
 
 
 def test_equation_residual_decays_first_order():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgtlab
-from mgtlab import cosine, quadrature, reduction
+from mgtlab import quadrature
 from mgtlab.cosine import phases
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
@@ -32,7 +32,6 @@ from mgtlab.reduction import (
     build_kernel,
     reduce_problem,
     solve_mgt,
-    trace_decomposition,
 )
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct
@@ -192,23 +191,6 @@ def test_prefix_exponential_matches_step_recursion(rate):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.all(got[0] == 0.0)
     assert np.array_equal(prefix_exponential(rate, values[:, 0], dt), got[:, 0])
-
-
-def test_trace_decomposition_builds_one_phase_table(monkeypatch):
-    # the wave solve and both smoothing convolutions read one table
-    grid = TimeGrid(1.0, 200)
-    data = make_scenario(BASIS, ScenarioSpec(seed=9))
-    bundle = solve_mgt(data, PARAMS, grid)
-    built = []
-
-    def counting(omega, times):
-        built.append(len(times))
-        return phases(omega, times)
-
-    monkeypatch.setattr(reduction, "phases", counting)
-    monkeypatch.setattr(cosine, "phases", counting)
-    trace_decomposition(data, PARAMS, grid, bundle)
-    assert built == [grid.steps + 1]
 
 
 def chunked(prefix, values, cuts):

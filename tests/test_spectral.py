@@ -13,7 +13,6 @@ from mgtlab.spectral import (
     TimeGrid,
     Trajectory,
     build_basis,
-    dirichlet_map,
     gram_forms,
     gram_rows,
     grid_sobolev_norm,
@@ -79,7 +78,7 @@ def test_eigen_residual_under_differencing(mode, cells):
 
 def test_dirichlet_map_affine_interval():
     basis = build_basis(INTERVAL, 8)
-    lift = dirichlet_map(basis, [2.0, -1.0])
+    lift = SpectralField(basis, np.zeros(basis.size), [2.0, -1.0])
     x = basis.grid_points(64)
     assert np.allclose(lift.evaluate(64), 2.0 - 3.0 * x)
 
@@ -87,7 +86,7 @@ def test_dirichlet_map_affine_interval():
 def test_dirichlet_map_coefficients_match_quadrature():
     # oracle: numerical quadrature of (1 - x) sqrt(2) sin(k pi x)
     basis = build_basis(INTERVAL, 8)
-    lift = dirichlet_map(basis, [1.0, 0.0])
+    lift = SpectralField(basis, np.zeros(basis.size), [1.0, 0.0])
     x = np.linspace(0.0, 1.0, 20001)
     for k in range(1, 9):
         ref = np.trapezoid((1.0 - x) * np.sqrt(2) * np.sin(k * np.pi * x), x)
@@ -97,7 +96,7 @@ def test_dirichlet_map_coefficients_match_quadrature():
 
 def test_dirichlet_map_zero_data():
     basis = build_basis(INTERVAL, 8)
-    lift = dirichlet_map(basis, [0.0, 0.0])
+    lift = SpectralField(basis, np.zeros(basis.size), [0.0, 0.0])
     assert np.all(lift.total_coeffs() == 0.0)
     assert np.all(lift.evaluate(32) == 0.0)
 
@@ -105,7 +104,7 @@ def test_dirichlet_map_zero_data():
 def test_dirichlet_map_rejects_nonfinite():
     basis = build_basis(INTERVAL, 4)
     with pytest.raises(ValueError):
-        dirichlet_map(basis, [np.nan, 0.0])
+        SpectralField(basis, np.zeros(basis.size), [np.nan, 0.0])
 
 
 @pytest.mark.parametrize("domain", [INTERVAL, SQUARE])
@@ -230,7 +229,7 @@ def test_normal_trace_eigenfunctions():
 
 def test_normal_trace_lifting_only():
     basis = build_basis(INTERVAL, 8)
-    lift = dirichlet_map(basis, [1.0, 3.0])  # a + (b-a) x with slope 2
+    lift = SpectralField(basis, np.zeros(basis.size), [1.0, 3.0])  # slope 2
     res = normal_trace(basis, lift.coeffs[None], lift.boundary[None])
     assert res.converged
     assert res.series[0, 1] == pytest.approx(2.0)

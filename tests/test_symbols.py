@@ -234,7 +234,6 @@ def test_probe_zero_data_ratio_zero():
     bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 200))
     res = estimate_probe(bundle, data, "semigroup_10")
     assert res.ratio == 0.0
-    assert res.passed
 
 
 def test_probe_refinement_stability():

@@ -10,7 +10,6 @@ from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 from mgtlab.volterra import (
     VolterraProblem,
     VolterraSingularError,
-    iterated_kernel,
     residual,
     solve_direct,
     solve_picard,
@@ -99,8 +98,8 @@ def test_picard_nonconvergence_flag():
 def test_iterated_kernel_closed_forms():
     grid = TimeGrid(1.0, 800)
     ker = const_kernel(grid, 1.0)
-    l2 = iterated_kernel(ker, 2, grid)
-    l3 = iterated_kernel(ker, 3, grid)
+    l2 = convolve_product(ker, ker, grid.dt, "gregory4")
+    l3 = convolve_product(ker, l2, grid.dt, "gregory4")
     assert np.max(np.abs(l2 - grid.times)) < 1e-10
     assert np.max(np.abs(l3 - grid.times**2 / 2)) < 1e-10
 
@@ -109,20 +108,12 @@ def test_iterated_kernel_exponential_oracle():
     # symbolic convolution: (e^{-t} * e^{-t})(t) = t e^{-t}
     grid = TimeGrid(1.0, 1000)
     ker = np.exp(-grid.times)
-    l2 = iterated_kernel(ker, 2, grid)
+    l2 = convolve_product(ker, ker, grid.dt, "gregory4")
     assert np.max(np.abs(l2 - grid.times * np.exp(-grid.times))) < 1e-6
-
-
-def test_iterated_kernel_rejects_bad_order():
-    grid = TimeGrid(1.0, 10)
-    with pytest.raises(ValueError):
-        iterated_kernel(const_kernel(grid), 0, grid)
 
 
 def test_kernel_samples_must_match_grid():
     grid = TimeGrid(1.0, 10)
-    with pytest.raises(ValueError):
-        iterated_kernel(np.ones(5), 2, grid)
     with pytest.raises(ValueError):
         VolterraProblem(np.ones((11, 3)), np.ones((11, 2)), grid)
 
