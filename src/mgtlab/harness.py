@@ -20,6 +20,7 @@ import numpy as np
 
 from .generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
+from .quadrature import row_chunks
 from .reduction import MgtData, MgtParams, SolutionBundle, solve_mgt
 from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
 from .symbols import estimate_probe, lopatinskii_sweep
@@ -289,10 +290,17 @@ def _rel_change(new: float, old: float) -> float:
 
 
 def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative sup-in-time L2 distance between coefficient trajectories."""
-    num = np.max(np.linalg.norm(a - b, axis=1))
-    den = max(np.max(np.linalg.norm(b, axis=1)), 1e-300)
-    return float(num / den)
+    """Relative sup-in-time L2 distance between coefficient trajectories.
+
+    The row norms are taken chunk by chunk (quadrature.row_chunks), so no
+    temporary the size of the trajectories is formed; np.maximum keeps a
+    NaN or inf row in the result.
+    """
+    num = den = -np.inf
+    for rows in row_chunks(len(b), b.shape[1]):
+        num = np.maximum(num, np.max(np.linalg.norm(a[rows] - b[rows], axis=1)))
+        den = np.maximum(den, np.max(np.linalg.norm(b[rows], axis=1)))
+    return float(num / max(den, 1e-300))
 
 
 def discrete_equation_residual(bundle: SolutionBundle, data: MgtData) -> float:

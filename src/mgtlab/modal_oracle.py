@@ -179,23 +179,30 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
 
     segments = scan_blocks(body)
     length = segments[0].shape[1]
-    # R^i - I for i = 0..L, component-major for the elementwise products
-    pw = np.moveaxis(power_increments(step, length), 1, -1)
+    # R^i - I for i = 0..L, component-major and contiguous for the elementwise
+    # products; each pass sums its three products ((p0 + p1) + p2) in buffers
+    pw = np.ascontiguousarray(np.moveaxis(power_increments(step, length), 1, -1))
     one = pw[1]
     for seg in segments:
         # zero-state pass inside every block at once
+        acc, tmp = np.empty((2,) + seg[:, 0].shape)
         for i in range(1, seg.shape[1]):
             prev, row = seg[:, i - 1], seg[:, i]
-            row += (one[:, 0] * prev[:, 0, None] + one[:, 1] * prev[:, 1, None]
-                    + one[:, 2] * prev[:, 2, None])
+            np.multiply(one[:, 0], prev[:, 0, None], out=acc)
+            for j in (1, 2):
+                acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
+            row += acc
             row += prev
     prev = states[0]
+    acc, tmp = np.empty((2,) + segments[0][0].shape)
     for seg in segments:
         for block in seg:
             # add R^{i+1} times the state before the block
             n = block.shape[0]
-            block += (pw[1:n + 1, :, 0] * prev[0] + pw[1:n + 1, :, 1] * prev[1]
-                      + pw[1:n + 1, :, 2] * prev[2])
+            np.multiply(pw[1:n + 1, :, 0], prev[0], out=acc[:n])
+            for j in (1, 2):
+                acc[:n] += np.multiply(pw[1:n + 1, :, j], prev[j], out=tmp[:n])
+            block += acc[:n]
             block += prev
             prev = block[-1]
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)

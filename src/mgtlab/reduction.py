@@ -370,29 +370,44 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     # M^i - I for i = 0..L; memory read-out rows dt k^T M^i, component-major
     pw = power_increments(grot @ (np.eye(3) - kick) - kick, length)
     reads = dt * (kvec[:, None, :] @ (pw[:length] + np.eye(3)))[:, :, 0]
-    reads = np.moveaxis(reads, -1, 1)
-    carry = np.moveaxis(pw[length], 0, -1)
+    reads = np.ascontiguousarray(np.moveaxis(reads, -1, 1))
+    carry = np.ascontiguousarray(np.moveaxis(pw[length], 0, -1))
 
     def zero_state(blocks):
-        # the collocation inside every block at once, from X = 0
-        xc, xs, xe = np.zeros((3,) + blocks[:, 0].shape)
+        # the collocation inside every block at once, from X = 0; the
+        # products go through buffers in the order of the plain expressions
+        xc, xs, xe = x = np.zeros((3,) + blocks[:, 0].shape)
+        t1, t2, t3 = np.empty_like(x)
         for i in range(blocks.shape[1]):
             vi = blocks[:, i]
-            vi -= dt * (a * xs + b * xc + c * xe)
+            np.multiply(a, xs, out=t1)
+            t1 += np.multiply(b, xc, out=t2)
+            t1 += np.multiply(c, xe, out=t2)
+            t1 *= dt
+            vi -= t1
             xc += vi
             xe += vi
-            xc, xs = xc + (cm1 * xc - sn * xs), xs + (sn * xc + cm1 * xs)
-            xe += em1 * xe
+            # xc + (cm1 xc - sn xs), xs + (sn xc + cm1 xs)
+            np.multiply(cm1, xc, out=t1)
+            t1 -= np.multiply(sn, xs, out=t3)
+            np.multiply(sn, xc, out=t2)
+            t2 += np.multiply(cm1, xs, out=t3)
+            xc += t1
+            xs += t2
+            xe += np.multiply(em1, xe, out=t1)
         return np.stack([xc, xs, xe], axis=1)
 
     ends = [zero_state(seg) for seg in segments]
     # X at row 1 is G e v_0 / 2; carry it from block to block
     x = 0.5 * np.stack([(1.0 + cm1) * v[0], sn * v[0], (1.0 + em1) * v[0]])
+    acc, tmp = np.empty((2,) + segments[0][0].shape)
     for seg, seg_ends in zip(segments, ends):
         for block, end in zip(seg, seg_ends):
             n = block.shape[0]
-            block -= (reads[:n, 0, None] * x[0] + reads[:n, 1, None] * x[1]
-                      + reads[:n, 2, None] * x[2])
+            np.multiply(reads[:n, 0, None], x[0], out=acc[:n])
+            for j in (1, 2):
+                acc[:n] += np.multiply(reads[:n, j, None], x[j], out=tmp[:n])
+            block -= acc[:n]
             step = (carry[:, 0, None] * x[0] + carry[:, 1, None] * x[1]
                     + carry[:, 2, None] * x[2])
             step += end
@@ -424,13 +439,15 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings
+    names, first_bad = ("w", "wt", "wtt"), {}
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
         rp = reduce_problem(data, params, grid)
         sol = _solve_structured(rp.kernels, rp.rhs, grid)
         lift = rp.basis.lift_matrix()
-        w_int, wt_int, wtt_int = (np.empty((grid.steps + 1, rp.basis.size)) for _ in range(3))
+        w_int, wt_int, wtt_int = outs = [np.empty((grid.steps + 1, rp.basis.size))
+                                         for _ in names]
         for rows in row_chunks(grid.steps + 1, rp.basis.size):
             t = times[rows]
             dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows))
@@ -442,13 +459,17 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
             np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int[rows])
             np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
                         out=wtt_int[rows])
+            for name, arr in zip(names, outs):
+                # min/max propagate NaN and +-inf, read while the chunk is in cache
+                chunk = arr[rows]
+                if name not in first_bad and not (np.isfinite(chunk.min())
+                                                  and np.isfinite(chunk.max())):
+                    first_bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
 
-    for name, arr in (("w", w_int), ("wt", wt_int), ("wtt", wtt_int)):
-        # min/max propagate NaN and +-inf without an array-sized temporary
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            first = np.argmin(np.all(np.isfinite(arr), axis=1))
+    for name in names:
+        if name in first_bad:
             raise ReductionError(
-                f"non-finite {name} from t = {times[first]:.6g} on: the "
+                f"non-finite {name} from t = {first_bad[name]:.6g} on: the "
                 "exponentially weighted transform left the float range")
 
     meta = {"boundary_derivative_source": rp.boundary_signal.derivative_source,

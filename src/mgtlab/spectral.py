@@ -9,6 +9,7 @@ basis where its expansion converges slowly.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -48,6 +49,13 @@ class DomainSpec:
         return 2 if self.kind == INTERVAL else 4
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_times(horizon: float, steps: int) -> np.ndarray:
+    times = np.linspace(0.0, horizon, steps + 1)
+    times.flags.writeable = False
+    return times
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T]."""
@@ -67,7 +75,8 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The grid's times, built once per (horizon, steps) and read-only."""
+        return _grid_times(self.horizon, self.steps)
 
     def refined(self) -> "TimeGrid":
         return TimeGrid(self.horizon, self.steps * 2)
@@ -501,6 +510,8 @@ class Trajectory:
     As in SpectralField, the coefficients are the whole function when
     boundary is None; otherwise they are the zero-trace part, and the harmonic
     lifting of boundary.values / dvalues / ddvalues completes w / w_t / w_tt.
+    The normal traces are computed once each, on first use, and kept with
+    read-only series.
     """
 
     basis: EigenBasis
@@ -509,6 +520,8 @@ class Trajectory:
     wt: np.ndarray
     wtt: np.ndarray
     boundary: BoundarySignal | None
+    traces: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
+                                     compare=False)
 
     def interior(self, which: str) -> np.ndarray:
         return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
@@ -523,10 +536,15 @@ class Trajectory:
         """L2 eigen-coefficients of the whole function, lifting included."""
         if self.boundary is None:
             return self.interior(which)
-        return self.interior(which) + self.boundary_values(which) @ self.basis.lift_matrix()
+        lifted = self.boundary_values(which) @ self.basis.lift_matrix()
+        return np.add(self.interior(which), lifted, out=lifted)
 
     def trace(self, which: str) -> NormalTrace:
-        return normal_trace(self.basis, self.interior(which), self.boundary_values(which))
+        if which not in self.traces:
+            res = normal_trace(self.basis, self.interior(which), self.boundary_values(which))
+            res.series.flags.writeable = False
+            self.traces[which] = res
+        return self.traces[which]
 
     def field(self, m: int, which: str = "w") -> SpectralField:
         boundary = self.boundary_values(which)

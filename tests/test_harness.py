@@ -1,20 +1,27 @@
 """Config validation, runners, CSV determinism, CLI exit codes."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtlab import harness
 from mgtlab.cli import main
 from mgtlab.harness import (
     ConfigError,
     ScenarioConfig,
+    relative_sup_error,
     run_compare_oracle,
     run_convergence,
     run_regularity_witness,
     run_solve,
 )
+from mgtlab.quadrature import CHUNK_ELEMENTS, row_chunks
+from mgtlab.spectral import BoundarySignal, DomainSpec, TimeGrid, Trajectory, build_basis
 
 
 def small_config(**overrides):
@@ -302,3 +309,71 @@ def test_witness_summary_reports_families(tmp_path):
     assert summary["boundary_family"] == "trig"
     assert summary["boundary_flagged"] is False
     assert len(summary["incompatible_H2_sups"]) == 2
+
+
+# -- the chunked cross-route error -------------------------------------------
+
+
+def sup_error_at_once(a, b):
+    # the one-shot formula that relative_sup_error evaluates chunk by chunk
+    num = np.max(np.linalg.norm(a - b, axis=1))
+    den = max(np.max(np.linalg.norm(b, axis=1)), 1e-300)
+    return float(num / den)
+
+
+def chunk_rows(modes):
+    return CHUNK_ELEMENTS // modes
+
+
+@settings(max_examples=30, deadline=None)
+@given(modes=st.sampled_from([16, 32, 256]),
+       extra=st.sampled_from(["1", "C-1", "C", "C+1", "2C+1"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_relative_sup_error_matches_one_shot_formula(modes, extra, seed):
+    c = chunk_rows(modes)
+    rows = {"1": 1, "C-1": c - 1, "C": c, "C+1": c + 1, "2C+1": 2 * c + 1}[extra]
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((rows, modes)) * np.exp(rng.uniform(-3, 3, (rows, 1)))
+    a = b + 1e-7 * rng.standard_normal((rows, modes))
+    assert relative_sup_error(a, b) == sup_error_at_once(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_relative_sup_error_keeps_non_finite_rows(bad, side):
+    # one bad row in the middle chunk of three reaches the result
+    modes = 32
+    rows = 2 * chunk_rows(modes) + 1
+    assert len(row_chunks(rows, modes)) == 3
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, rows, modes))
+    {"a": a, "b": b}[side][rows // 2, 5] = bad
+    with np.errstate(invalid="ignore"):
+        got, want = relative_sup_error(a, b), sup_error_at_once(a, b)
+    assert not math.isfinite(got)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_cross_route_helpers_make_no_grid_sized_temporaries():
+    rows, modes = 20001, 32
+    basis = build_basis(DomainSpec("interval", 256), modes)
+    grid = TimeGrid(1.0, rows - 1)
+    rng = np.random.default_rng(3)
+    edge = rng.standard_normal((rows, 2))
+    traj = Trajectory(basis, grid, rng.standard_normal((rows, modes)), None, None,
+                      BoundarySignal(grid, edge, edge, edge))
+    other = rng.standard_normal((rows, modes))
+    basis.lift_matrix()
+    nbytes = rows * modes * 8
+    tracemalloc.start()
+    try:
+        relative_sup_error(traj.w, other)
+        error_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        total = traj.total("w")
+        total_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.nbytes == nbytes
+    assert error_peak <= 2**20, error_peak
+    assert total_peak <= 1.25 * nbytes, total_peak

@@ -269,6 +269,28 @@ def test_solve_mgt_rejects_non_finite_output():
     assert caught == []
 
 
+def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
+    # the check runs chunk by chunk, but reports as a check of whole arrays
+    # would: w before wt before wtt, each at its first bad time
+    grid = TimeGrid(1.0, 10000)
+    rows = reduction.row_chunks(grid.steps + 1, BASIS.size)
+    assert len(rows) >= 3
+    late, early = rows[2].start + 3, rows[1].start + 1
+
+    def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
+        sol = solve(kernels, rhs, grid)
+        sol[late, 0, 1] = np.inf
+        sol[early, 1, 2] = np.nan
+        return sol
+
+    monkeypatch.setattr(reduction, "_solve_structured", spoiled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReductionError,
+                           match=f"non-finite w from t = {grid.times[late]:.6g} on"):
+            solve_mgt(eigen_data(0), PARAMS, grid)
+
+
 def test_solve_mgt_matches_oracle_eigenmode():
     grid = TimeGrid(1.0, 10000)
     data = eigen_data(0)
@@ -359,23 +381,54 @@ def test_solve_mgt_picard_agrees_with_direct():
 
 
 def owned_arrays(obj, prefix=""):
-    """Paths of the arrays reachable through obj's attributes, basis excepted."""
+    """Paths of the arrays reachable through obj's attributes, dict entries
+    and tuple items (named-tuple fields by name), basis excepted."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, tuple):
+        items = zip(getattr(obj, "_fields", map(str, range(len(obj)))), obj)
+    else:
+        items = vars(obj).items()
     found = set()
-    for name, val in vars(obj).items():
+    for name, val in items:
         if isinstance(val, np.ndarray):
             found.add(prefix + name)
-        elif hasattr(val, "__dict__") and name != "basis":
+        elif isinstance(val, (dict, tuple)) or (hasattr(val, "__dict__") and name != "basis"):
             found |= owned_arrays(val, f"{prefix}{name}.")
     return found
 
 
 def test_bundle_keeps_only_the_solution():
-    # neither the transformed solution nor the histories outlive the solve
+    # neither the transformed solution nor the histories outlive the solve;
+    # the two normal traces of the metadata are kept for later readers
     bundle = solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=3)), PARAMS,
                        TimeGrid(1.0, 100))
     assert owned_arrays(bundle) == {
         "w", "wt", "wtt", "f_samples",
-        "boundary.values", "boundary.dvalues", "boundary.ddvalues"}
+        "boundary.values", "boundary.dvalues", "boundary.ddvalues",
+        "traces.w.series", "traces.wt.series"}
+    for which in ("w", "wt"):
+        assert bundle.traces[which].series.shape == (101, 2)
+        assert not bundle.traces[which].series.flags.writeable
+
+
+def test_normal_traces_computed_once_per_bundle(monkeypatch):
+    # a solve's metadata and both estimate probes share two trace series
+    from mgtlab import spectral
+    from mgtlab.symbols import estimate_probe
+
+    calls = []
+
+    def counting(*args, trace=spectral.normal_trace):
+        calls.append(args)
+        return trace(*args)
+
+    monkeypatch.setattr(spectral, "normal_trace", counting)
+    data = make_scenario(BASIS, ScenarioSpec(seed=4, g_family="poly", g_amp=0.1))
+    bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 400))
+    for which in ("resolvent_4a", "semigroup_10"):
+        estimate_probe(bundle, data, which)
+    assert len(calls) == 2
 
 
 def test_transform_round_trip():
