@@ -6,11 +6,7 @@ certification of the uniform Lopatinskii condition for the equivalent
 first-order system.
 """
 
-from .cosine import (
-    BoundaryProbeResult,
-    CosineFamily,
-    boundary_convolution_probe,
-)
+from .cosine import boundary_convolution_probe
 from .modal_oracle import (
     ModeOde,
     characteristic_roots,

@@ -17,22 +17,6 @@ from .spectral import BoundarySignal, EigenBasis, TimeGrid
 
 
 @dataclass(frozen=True)
-class CosineFamily:
-    """Diagonal cosine family with a time scaling (speed = sqrt(b))."""
-
-    basis: EigenBasis
-    speed: float = 1.0
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.speed * self.basis.sqrt_eigenvalues
-
-
-@dataclass(frozen=True)
 class Phases:
     """cos(omega t) and sin(omega t) per mode: (len(times), len(omega)) each.
 
@@ -67,27 +51,14 @@ def sincos_conv(ph: Phases, f: np.ndarray, dt: float,
     return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
 
 
-@dataclass
-class BoundaryProbeResult:
-    """Norm series of the two boundary-to-interior convolution entries."""
+def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySignal,
+                               grid: TimeGrid) -> np.ndarray:
+    """C([0,T]; L2) norm series witnessing boundary-to-interior regularity.
 
-    grid: TimeGrid
-    minus_entry: np.ndarray  # L2 norms of A int R_-(t-s) D g(s) ds
-    plus_entry: np.ndarray   # L2 norms of A int R_+(t-s) D g(s) ds
-
-    def sup_minus(self) -> float:
-        return float(np.max(self.minus_entry))
-
-
-def boundary_convolution_probe(fam: CosineFamily, g: BoundarySignal,
-                               grid: TimeGrid) -> BoundaryProbeResult:
-    """C([0,T]; L2) norm series witnessing boundary-to-interior regularity."""
-    basis = fam.basis
+    Returns the (steps+1,) L2 norms of A int R_-(t-s) D g(s) ds for the wave
+    family of frequencies omega = speed * sqrt(mu).
+    """
     dhat = g.values @ basis.lift_matrix()
-    root = basis.sqrt_eigenvalues
-    conv_s, conv_c = sincos_conv(phases(fam.omega, grid.times), dhat, grid.dt)
-    minus = root * conv_s
-    plus = root * conv_c
-    return BoundaryProbeResult(grid,
-                               np.linalg.norm(minus, axis=1),
-                               np.linalg.norm(plus, axis=1))
+    omega = speed * basis.sqrt_eigenvalues
+    conv_s = sincos_conv(phases(omega, grid.times), dhat, grid.dt)[0]
+    return np.linalg.norm(basis.sqrt_eigenvalues * conv_s, axis=1)

@@ -26,7 +26,6 @@ _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 class ModeOde:
     """One projected mode: eigenvalue, equation constants and the flux source."""
 
-    index: int
     mu: float
     params: MgtParams
     source: Callable[[float], float] | None = None
@@ -95,18 +94,6 @@ def characteristic_roots(params: MgtParams, mu: float,
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
-def principal_symbol_roots(b: float, mu: float) -> np.ndarray:
-    """Roots of the principal part alone: 0 and +-i sqrt(b mu)."""
-    w = np.sqrt(b * mu)
-    return np.array([0.0, 1j * w, -1j * w])
-
-
-def cubic_residual(params: MgtParams, mu: float, roots: np.ndarray) -> float:
-    alpha, b, c2 = params.alpha, params.b, params.c**2
-    val = roots**3 + alpha * roots**2 + b * mu * roots + c2 * mu
-    return float(np.max(np.abs(val)))
-
-
 def exact_exponential_solution(params: MgtParams, mu: float,
                                initial: Sequence[float],
                                times: np.ndarray) -> np.ndarray:
@@ -124,8 +111,6 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     The states are total eigen-coefficients, so the trajectory carries no
     boundary signal.
 
-    Requires analytic g and g_t callables when Dirichlet data is present,
-    because the source carries one time derivative of the boundary flux.
     The source is sampled at RK4's stage times t_m, t_m + dt/2 and t_m + dt,
     one row chunk at a time.  For y' = A y + e_3 s(t) one RK4 step is exactly
     y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1}) with R
@@ -136,9 +121,6 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     reference.
     """
     basis = data.basis
-    if data.g is not None and data.g.gt is None:
-        raise ValueError("the oracle needs an analytic g_t callable")
-
     c2, b = params.c**2, params.b
     steps, dt = grid.steps, grid.dt
     size = basis.size

@@ -138,13 +138,9 @@ class MgtData:
         nodes = self.w0.basis.domain.boundary_size
         if self.g is None:
             return np.zeros(nodes), np.zeros(nodes)
-        h = 1e-6  # one-sided second-order difference for the flag only
-        vals = np.asarray(self.g.g(np.array([0.0, h, 2 * h])), dtype=float)
-        if self.g.gt is not None:
-            gt0 = np.asarray(self.g.gt(np.zeros(1)), dtype=float)[0]
-        else:
-            gt0 = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2 * h)
-        return vals[0], gt0
+        zero = np.zeros(1)
+        return (np.asarray(self.g.g(zero), dtype=float)[0],
+                np.asarray(self.g.gt(zero), dtype=float)[0])
 
     @property
     def basis(self) -> EigenBasis:
@@ -472,8 +468,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
                 f"non-finite {name} from t = {first_bad[name]:.6g} on: the "
                 "exponentially weighted transform left the float range")
 
-    meta = {"boundary_derivative_source": rp.boundary_signal.derivative_source,
-            "compatible_position": data.compatible_position,
+    meta = {"compatible_position": data.compatible_position,
             "compatible_velocity": data.compatible_velocity}
     bundle = SolutionBundle(rp.basis, grid, w_int, wt_int, wtt_int,
                             rp.boundary_signal, params=params,

@@ -133,30 +133,20 @@ class EigenBasis:
         return np.linspace(0.0, 1.0, n + 1)
 
     @_once
-    def normal_derivatives(self) -> np.ndarray:
-        """(boundary_size, modes) pointwise normal derivative of each mode.
-
-        Interval: d_nu e_k at x=0 and x=1 (outward normals -d/dx and +d/dx).
-        Square: edge-averaged values are not pointwise; use boundary_flux.
-        """
-        if self.domain.kind != INTERVAL:
-            raise NotImplementedError("pointwise normal derivatives are 1D only")
-        k = self.indices[:, 0]
-        d0 = -SQRT2 * k * np.pi
-        d1 = SQRT2 * k * np.pi * np.where(k % 2 == 0, 1.0, -1.0)
-        return np.vstack([d0, d1])
-
-    @_once
     def boundary_flux(self) -> np.ndarray:
         """(boundary_size, modes) pairings  integral_Gamma_i  d_nu e_k  dsigma.
 
-        For the interval the boundary measure is counting measure, so this
-        coincides with normal_derivatives.  For the square each row is the
+        For the interval the boundary measure is counting measure, so the rows
+        are the pointwise normal derivatives of each mode at x=0 and x=1
+        (outward normals -d/dx and +d/dx).  For the square each row is the
         line integral of d_nu e over one edge (x=0, x=1, y=0, y=1) against
         constant edge data.
         """
         if self.domain.kind == INTERVAL:
-            return self.normal_derivatives()
+            k = self.indices[:, 0]
+            d0 = -SQRT2 * k * np.pi
+            d1 = SQRT2 * k * np.pi * np.where(k % 2 == 0, 1.0, -1.0)
+            return np.vstack([d0, d1])
         j = self.indices[:, 0].astype(float)
         k = self.indices[:, 1].astype(float)
         oscil_k = 1.0 - np.where(self.indices[:, 1] % 2 == 0, 1.0, -1.0)
@@ -411,7 +401,7 @@ def normal_trace(basis: EigenBasis, interior: np.ndarray,
     """
     if basis.domain.kind != INTERVAL:
         raise NotImplementedError("normal traces are implemented on the interval")
-    dn = basis.normal_derivatives()
+    dn = basis.boundary_flux()
     series = interior @ dn.T
     half = np.argsort(basis.eigenvalues, kind="stable")[: max(1, basis.size // 2)]
     part = interior[:, half] @ dn[:, half].T
@@ -431,15 +421,12 @@ class BoundarySignal:
     """Dirichlet data sampled in time at each boundary node/edge.
 
     values/dvalues/ddvalues hold g, g_t, g_tt with shape (steps+1, nodes).
-    When time derivatives are not supplied analytically they are produced by
-    second-order centered differences and the source is recorded.
     """
 
     grid: TimeGrid
     values: np.ndarray
     dvalues: np.ndarray
     ddvalues: np.ndarray
-    derivative_source: str = "analytic"
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -459,35 +446,23 @@ class BoundarySignal:
         z = np.zeros((grid.steps + 1, nodes))
         return cls(grid, z, z.copy(), z.copy())
 
-    @classmethod
-    def from_samples(cls, grid: TimeGrid, values: np.ndarray) -> "BoundarySignal":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        dt = grid.dt
-        dvals = np.gradient(values, dt, axis=0, edge_order=2)
-        ddvals = np.gradient(dvals, dt, axis=0, edge_order=2)
-        return cls(grid, values, dvals, ddvals, derivative_source="finite_difference")
-
 
 @dataclass
 class BoundaryData:
-    """Analytic Dirichlet data: callables mapping times (T,) to values (T, nodes)."""
+    """Analytic Dirichlet data g with its first two time derivatives gt, gtt.
+
+    Each is a callable mapping times (T,) to values (T, nodes).
+    """
 
     g: Callable[[np.ndarray], np.ndarray]
-    gt: Callable[[np.ndarray], np.ndarray] | None = None
-    gtt: Callable[[np.ndarray], np.ndarray] | None = None
+    gt: Callable[[np.ndarray], np.ndarray]
+    gtt: Callable[[np.ndarray], np.ndarray]
     nodes: int = 2
 
     def sample(self, grid: TimeGrid) -> BoundarySignal:
         times = grid.times
-        values = self._sampled(self.g, times)
-        if self.gt is None:
-            return BoundarySignal.from_samples(grid, values)
-        dvals = self._sampled(self.gt, times)
-        if self.gtt is not None:
-            return BoundarySignal(grid, values, dvals, self._sampled(self.gtt, times))
-        ddvals = np.gradient(dvals, grid.dt, axis=0, edge_order=2)
-        return BoundarySignal(grid, values, dvals, ddvals,
-                              derivative_source="finite_difference")
+        return BoundarySignal(grid, *(self._sampled(fn, times)
+                                      for fn in (self.g, self.gt, self.gtt)))
 
     def _sampled(self, fn, times: np.ndarray) -> np.ndarray:
         out = np.asarray(fn(times), dtype=float)
@@ -550,18 +525,3 @@ class Trajectory:
         boundary = self.boundary_values(which)
         return SpectralField(self.basis, self.interior(which)[m],
                              None if boundary is None else boundary[m])
-
-
-def trajectory_on_grid(basis: EigenBasis, interior: np.ndarray,
-                       boundary: np.ndarray | None = None,
-                       n: int | None = None) -> np.ndarray:
-    """Evaluate a coefficient trajectory (steps+1, modes) on the 1D grid."""
-    if basis.domain.kind != INTERVAL:
-        raise NotImplementedError("trajectory evaluation is 1D only")
-    x = basis.grid_points(n)
-    vals = interior @ basis.eval_matrix_1d(x)
-    if boundary is not None:
-        a = boundary[:, 0][:, None]
-        b = boundary[:, 1][:, None]
-        vals = vals + a + (b - a) * x[None, :]
-    return vals

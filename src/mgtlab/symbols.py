@@ -47,10 +47,6 @@ class FrequencyPoint:
         return FrequencyPoint(self.tau / scale, self.weight_beta / scale,
                               self.eta / scale)
 
-    def scaled(self, factor: float) -> "FrequencyPoint":
-        return FrequencyPoint(self.tau * factor, self.weight_beta * factor,
-                              self.eta * factor)
-
 
 @dataclass(frozen=True)
 class SystemSymbol:
@@ -94,25 +90,11 @@ def _stable_eigenvalue(tau, beta, eta_sq, b: float):
     return np.where(lam.real < 0, lam, -lam)
 
 
-def determinant_residual(pt: FrequencyPoint, b: float, lam: complex) -> float:
-    """|det(lambda A^d - G)| at a candidate eigenvalue (normalized symbol)."""
-    sym = system_symbol(pt, b)
-    return float(abs(np.linalg.det(lam * sym.Ad - sym.G)))
-
-
 def stable_subspace(pt: FrequencyPoint, b: float) -> np.ndarray:
     """Unit vector spanning the stable subspace: (1, lam_minus, lam_minus^2)."""
     _, lam_minus = finite_eigenvalues(pt, b)
     z = np.array([1.0, lam_minus, lam_minus**2], dtype=complex)
     return z / np.linalg.norm(z)
-
-
-def subspace_residual(pt: FrequencyPoint, b: float) -> float:
-    """||(lam A^d - G) z|| for the normalized stable eigenvector."""
-    sym = system_symbol(pt.normalized(), b)
-    _, lam_minus = finite_eigenvalues(pt.normalized(), b)
-    z = stable_subspace(pt.normalized(), b)
-    return float(np.linalg.norm((lam_minus * sym.Ad - sym.G) @ z))
 
 
 def lopatinskii_ratio(pt: FrequencyPoint, b: float) -> float:

@@ -107,10 +107,3 @@ def solve_picard(problem: VolterraProblem, max_terms: int = 80,
         if sup < tol:
             return PicardResult(total, used, True, sup)
     return PicardResult(total, used, False, sup)
-
-
-def residual(problem: VolterraProblem, v: np.ndarray,
-             rule: str = DEFAULT_RULE) -> float:
-    """Sup norm of the discrete residual v + L*v - h for a candidate solution."""
-    conv = convolve_product(problem.kernel, v, problem.grid.dt, rule)
-    return float(np.max(np.abs(v + conv - problem.rhs)))

@@ -257,16 +257,33 @@ def test_cli_non_finite_solve_writes_record(tmp_path):
 
 
 def test_cli_solver_error_writes_record(tmp_path):
-    # witness needs interval trace machinery; the square triggers an error
-    cfg = {"domain_kind": "square", "grid_points_per_axis": 32,
-           "modes": [3, 4], "steps": 50, "horizon": 0.25}
+    # a valid config whose witness solves overflow (gamma = 1 at T = 2000)
+    cfg = {"grid_points_per_axis": 64, "modes": [4, 8], "steps": 2000,
+           "horizon": 2000.0}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code = main(["witness", "--config", str(path), "--out", str(tmp_path / "o")])
+    with np.errstate(all="ignore"):
+        code = main(["witness", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     record = json.loads((tmp_path / "o" / "error.json").read_text())
     assert record["command"] == "witness"
     assert record["error"]
+
+
+def test_cli_every_subcommand_on_the_square(tmp_path):
+    # each subcommand runs on a toy square config or is rejected up front as
+    # interval-only (exit 2); none fails inside a solve
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain_kind": "square", "modes": [3, 4], "steps": 64,
+                                "grid_points_per_axis": 32}))
+    codes = {}
+    for command in ("solve", "witness", "convergence", "symbols", "compare-oracle"):
+        out = tmp_path / command
+        codes[command] = main([command, "--config", str(path), "--out", str(out)])
+        assert not (out / "error.json").exists()
+    assert codes["solve"] == codes["witness"] == codes["symbols"] == 2
+    assert codes["convergence"] == 0
+    assert (tmp_path / "compare-oracle" / "compare_report.csv").is_file()
 
 
 def test_cli_dt_override(tmp_path):
@@ -283,8 +300,7 @@ def test_solve_norm_matches_oracle_built_value():
     from mgtlab.modal_oracle import solve_by_modes
     from mgtlab.reduction import MgtData, MgtParams, solve_mgt
     from mgtlab.spectral import (DomainSpec, SpectralField, TimeGrid,
-                                 build_basis, grid_sobolev_norm,
-                                 trajectory_on_grid)
+                                 build_basis, grid_sobolev_norm)
 
     params = MgtParams(alpha=2.0, b=1.0, c=1.0)
     basis = build_basis(DomainSpec("interval", 1024), 8)
@@ -297,8 +313,8 @@ def test_solve_norm_matches_oracle_built_value():
     bundle = solve_mgt(data, params, grid)
     sup_v = sup_interior_norms(bundle, 1024, stride=10)["w_H2"]
     oracle = solve_by_modes(data, params, grid)
-    vals = trajectory_on_grid(basis, oracle.w[::10], None, 1024)
-    sup_o = max(grid_sobolev_norm(r, (1.0 / 1024,), 2) for r in vals)
+    sup_o = max(grid_sobolev_norm(oracle.field(m).evaluate(1024), (1.0 / 1024,), 2)
+                for m in range(0, grid.steps + 1, 10))
     assert abs(sup_v - sup_o) / sup_o < 1e-4
 
 

@@ -335,7 +335,7 @@ def test_basis_geometry_built_once_per_basis(monkeypatch):
     from mgtlab.symbols import estimate_probe
 
     seen = {}
-    for name in ("lift_matrix", "boundary_flux", "normal_derivatives"):
+    for name in ("lift_matrix", "boundary_flux"):
         def spy(self, method=getattr(EigenBasis, name), name=name):
             arr = method(self)
             seen.setdefault(name, []).append(arr)
@@ -347,7 +347,7 @@ def test_basis_geometry_built_once_per_basis(monkeypatch):
     bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 400))
     for which in ("resolvent_4a", "semigroup_10"):
         estimate_probe(bundle, data, which)
-    assert sorted(seen) == ["boundary_flux", "lift_matrix", "normal_derivatives"]
+    assert sorted(seen) == ["boundary_flux", "lift_matrix"]
     for arrays in seen.values():
         assert all(arr is arrays[0] for arr in arrays)
         assert not arrays[0].flags.writeable

@@ -71,8 +71,7 @@ def oracle_error(params, basis, grid, seed):
             return (data.f.modes(at)[0, k] - c2 * (data.g.g(at)[0] @ flux[:, k])
                     - b * (data.g.gt(at)[0] @ flux[:, k]))
 
-        ode = ModeOde(index=k, mu=float(basis.eigenvalues[k]), params=params,
-                      source=source)
+        ode = ModeOde(mu=float(basis.eigenvalues[k]), params=params, source=source)
         refs.append(integrate_mode(ode, init[:, k], grid))
     ref = np.stack(refs, axis=-1)
     return max(np.max(np.abs(got - ref[:, j])) / np.max(np.abs(ref[:, j]))

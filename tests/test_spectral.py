@@ -20,7 +20,6 @@ from mgtlab.spectral import (
     normal_trace,
     row_forms,
     sobolev_norm,
-    trajectory_on_grid,
 )
 
 INTERVAL = DomainSpec("interval", 256)
@@ -193,7 +192,8 @@ def test_gram_norms_match_grid_norms(modes, n, seed, lift, scale):
     rng = np.random.default_rng(seed)
     interior = scale * rng.normal(size=(3, modes))
     boundary = scale * lift * rng.normal(size=(3, 2))
-    vals = trajectory_on_grid(basis, interior, boundary, n)
+    vals = np.stack([SpectralField(basis, c, e).evaluate(n)
+                     for c, e in zip(interior, boundary)])
     grams = gram_forms(basis, n)
     rows = gram_rows(interior, boundary)
     for s in (0, 1, 2):
@@ -271,7 +271,7 @@ def test_trajectory_total_trace_and_field():
         assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])
         assert np.array_equal(fld.boundary, edge[2])
     a, b = sig.values[:, 0], sig.values[:, 1]
-    expected = w @ basis.normal_derivatives().T + np.column_stack([a - b, b - a])
+    expected = w @ basis.boundary_flux().T + np.column_stack([a - b, b - a])
     assert np.array_equal(lifted.trace("w").series, expected)
     assert whole.field(1).boundary is None
 
@@ -282,19 +282,17 @@ def test_boundary_signal_shape_validation():
         BoundarySignal(grid, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
 
 
-def test_boundary_data_finite_difference_fallback():
-    grid = TimeGrid(1.0, 400)
-    data = BoundaryData(g=lambda t: np.column_stack([np.sin(t), 0.0 * t]), gt=None, gtt=None)
-    sig = data.sample(grid)
-    assert sig.derivative_source == "finite_difference"
-    assert np.max(np.abs(sig.dvalues[:, 0] - np.cos(grid.times))) < 1e-4
-
-
 def test_boundary_data_rejects_per_time_callables():
     # the callables take all times at once; a (nodes,) result is an error
-    data = BoundaryData(g=lambda t: np.array([1.0, 0.0]))
+    def per_time(t):
+        return np.array([1.0, 0.0])
+
+    data = BoundaryData(g=per_time, gt=per_time, gtt=per_time)
     with pytest.raises(ValueError, match=r"\(T, nodes\)"):
         data.sample(TimeGrid(1.0, 10))
+    # g_t and g_tt are part of the datum, never derived from g
+    with pytest.raises(TypeError):
+        BoundaryData(g=per_time)
 
 
 def test_boundary_data_analytic_derivatives_recorded():
@@ -303,5 +301,6 @@ def test_boundary_data_analytic_derivatives_recorded():
                         gt=lambda t: np.column_stack([1.0 + 0.0 * t, 0.0 * t]),
                         gtt=lambda t: np.zeros((len(t), 2)))
     sig = data.sample(grid)
-    assert sig.derivative_source == "analytic"
+    assert np.array_equal(sig.values[:, 0], grid.times)
     assert np.all(sig.dvalues[:, 0] == 1.0)
+    assert np.all(sig.ddvalues == 0.0)

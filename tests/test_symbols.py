@@ -8,12 +8,13 @@ probes' reference.
 import numpy as np
 import pytest
 
-from mgtlab import harness, spectral, symbols
+from mgtlab import spectral
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.harness import norm_series
 from mgtlab.reduction import MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import (
     DomainSpec,
+    EigenBasis,
     SpectralField,
     TimeGrid,
     _l2sq,
@@ -22,19 +23,16 @@ from mgtlab.spectral import (
     gram_rows,
     grid_sobolev_norm,
     sobolev_norm,
-    trajectory_on_grid,
 )
 from mgtlab.symbols import (
     FrequencyPoint,
     _probe_sides,
     analytic_ratio_floor,
-    determinant_residual,
     estimate_probe,
     finite_eigenvalues,
     lopatinskii_ratio,
     lopatinskii_sweep,
     stable_subspace,
-    subspace_residual,
     system_symbol,
 )
 
@@ -46,6 +44,19 @@ def random_sphere_points(n, seed=0, beta_min=1e-6):
     for row in raw:
         yield FrequencyPoint(row[0], max(abs(row[1]), beta_min),
                              np.array([row[2]])).normalized()
+
+
+def pencil(pt, b, lam):
+    """lam A^d - G for the symbol at pt (system_symbol, the paper's pencil)."""
+    sym = system_symbol(pt, b)
+    return lam * sym.Ad - sym.G
+
+
+def subspace_residual(pt, b):
+    """||(lam_- A^d - G) z|| for the unit stable eigenvector z at pt normalized."""
+    pt = pt.normalized()
+    _, lam_minus = finite_eigenvalues(pt, b)
+    return float(np.linalg.norm(pencil(pt, b, lam_minus) @ stable_subspace(pt, b)))
 
 
 def test_symbol_matrix_entries():
@@ -79,8 +90,8 @@ def test_degenerate_pencil_flag():
 def test_determinant_identity_random_points():
     for pt in random_sphere_points(200, seed=1):
         lp, lm = finite_eigenvalues(pt, 1.0)
-        assert determinant_residual(pt, 1.0, lp) < 1e-10
-        assert determinant_residual(pt, 1.0, lm) < 1e-10
+        assert abs(np.linalg.det(pencil(pt, 1.0, lp))) < 1e-10
+        assert abs(np.linalg.det(pencil(pt, 1.0, lm))) < 1e-10
 
 
 def test_conjugate_reflection_convention():
@@ -133,7 +144,7 @@ def test_first_component_never_vanishes():
 def test_homogeneity_degree_one():
     for pt in random_sphere_points(50, seed=6):
         lp, _ = finite_eigenvalues(pt, 1.0)
-        scaled = pt.scaled(3.7)
+        scaled = FrequencyPoint(3.7 * pt.tau, 3.7 * pt.weight_beta, 3.7 * pt.eta)
         lps, _ = finite_eigenvalues(scaled, 1.0)
         assert lps == pytest.approx(3.7 * lp, rel=1e-12)
         assert lopatinskii_ratio(scaled.normalized(), 1.0) == pytest.approx(
@@ -277,15 +288,14 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     hx = 1.0 / space_points
     spac = (dt, hx)
     w_vals, wt_vals, wtt_vals = (
-        trajectory_on_grid(basis, bundle.interior(comp),
-                           bundle.boundary_values(comp), space_points)
+        np.stack([bundle.field(m, comp).evaluate(space_points) for m in range(len(times))])
         for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
     fsamp = bundle.f_samples
-    f_vals = (trajectory_on_grid(basis, fsamp, None, space_points) if np.any(fsamp)
-              else np.zeros_like(w_vals))
+    f_vals = (np.stack([SpectralField(basis, row).evaluate(space_points) for row in fsamp])
+              if np.any(fsamp) else np.zeros_like(w_vals))
     dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
     lat = lambda arr: sum(_l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
 
@@ -334,15 +344,15 @@ def test_probe_sides_match_grid_reference(f_family):
 
 
 def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
-    # probes and norm series read cached Gram forms, never grid samples
+    # probes and norm series read cached Gram forms, never grid samples: the
+    # only eigenfunctions evaluated on a grid are those of each Gram build
     calls = []
+    for cls, name in ((SpectralField, "evaluate"), (EigenBasis, "eval_matrix_1d")):
+        def counting(self, *args, method=getattr(cls, name), name=name):
+            calls.append(name)
+            return method(self, *args)
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape)
-        return trajectory_on_grid(*args, **kwargs)
-
-    for module in (spectral, harness, symbols):
-        monkeypatch.setattr(module, "trajectory_on_grid", counting, raising=False)
+        monkeypatch.setattr(cls, name, counting)
     spectral._interval_grams.cache_clear()
     grid = TimeGrid(1.0, 200)
     for seed in range(5):
@@ -352,4 +362,4 @@ def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
             estimate_probe(bundle, data, which, space_points=128)
     assert spectral._interval_grams.cache_info().misses == 1
     norm_series(bundle, 256, stride=10)
-    assert calls == []
+    assert calls == ["eval_matrix_1d"] * spectral._interval_grams.cache_info().misses
