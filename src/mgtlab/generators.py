@@ -103,6 +103,12 @@ class ScenarioSpec:
     mismatch: float = 0.5
     knot: float = 0.4
 
+    def __post_init__(self):
+        for family in (self.f_family, self.g_family):
+            if family not in TIME_FAMILIES:
+                raise ValueError(f"unknown time family {family!r}, "
+                                 f"expected one of {TIME_FAMILIES}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]

@@ -21,7 +21,7 @@ import numpy as np
 from .generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
 from .quadrature import row_chunks
-from .reduction import MgtData, MgtParams, SolutionBundle, solve_mgt
+from .reduction import MgtParams, SolutionBundle, solve_mgt
 from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import boundary_convolution_probe
@@ -97,12 +97,14 @@ class ScenarioConfig:
     symbol: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.domain_kind not in ("interval", "square"):
-            raise ConfigError(f"unknown domain kind {self.domain_kind!r}")
         if not self.modes or any(int(n) < 1 for n in self.modes):
             raise ConfigError("modes must be a nonempty list of positive ints")
-        if self.horizon <= 0 or self.steps < 2:
-            raise ConfigError("need horizon > 0 and steps >= 2")
+        if self.horizon <= 0:
+            raise ConfigError("need horizon > 0")
+        for key, least in (("steps", 2), ("n_scenarios", 1)):
+            value = getattr(self, key)
+            if not (_positive(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"{key} must be an int >= {least}, got {value!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
@@ -118,6 +120,12 @@ class ScenarioConfig:
             _check_symbol_value(key, value)
         self.symbol = {**DEFAULT_SYMBOL, **self.symbol}
         self.modes = [int(n) for n in self.modes]
+        try:  # the domain, the constants and the scenario check their own values
+            self.domain()
+            self.mgt_params()
+            self.scenario_spec()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ScenarioConfig":
@@ -139,10 +147,7 @@ class ScenarioConfig:
             raise ConfigError(f"invalid config value: {exc}") from exc
 
     def mgt_params(self) -> MgtParams:
-        try:
-            return MgtParams(**self.params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid params: {exc}") from exc
+        return MgtParams(**self.params)
 
     def domain(self) -> DomainSpec:
         return DomainSpec(self.domain_kind, self.grid_points_per_axis)
@@ -152,10 +157,7 @@ class ScenarioConfig:
         raw.update(overrides)
         raw.setdefault("seed", self.seed)
         raw["seed"] = int(raw["seed"]) + seed_shift
-        try:
-            return ScenarioSpec.from_dict(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid scenario spec: {exc}") from exc
+        return ScenarioSpec.from_dict(raw)
 
 
 @dataclass
@@ -172,10 +174,8 @@ class ReportRow:
 
 @dataclass
 class Report:
-    experiment: str
     rows: list[ReportRow]
-    summary: dict
-    files: list[str] = field(default_factory=list)
+    files: list[str]
 
     @property
     def all_passed(self) -> bool:
@@ -234,7 +234,7 @@ def _finish(experiment: str, prefix: str, out_dir: str | Path, rows: list[Report
     files += [out / f"{prefix}_report.csv", out / f"{prefix}_summary.json"]
     write_rows_csv(files[-2], rows)
     write_summary_json(files[-1], summary)
-    return Report(experiment, rows, summary, [str(f) for f in files])
+    return Report(rows, [str(f) for f in files])
 
 
 # -- shared measurement helpers ----------------------------------------------
@@ -303,7 +303,7 @@ def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / max(den, 1e-300))
 
 
-def discrete_equation_residual(bundle: SolutionBundle, data: MgtData) -> float:
+def discrete_equation_residual(bundle: SolutionBundle) -> float:
     """Sup-t L2 residual of w_ttt + alpha w_tt - c^2 Lap w - b Lap w_t - f.
 
     One-sided (backward) differencing of w_tt supplies the third derivative,
@@ -392,7 +392,7 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     n_lo, n_hi = cfg.modes[0], cfg.modes[1]
     npt = cfg.grid_points_per_axis
     grid = TimeGrid(cfg.horizon, cfg.steps)
-    grid_fine = grid.refined()
+    grid_fine = TimeGrid(cfg.horizon, 2 * cfg.steps)
 
     spec = cfg.scenario_spec()
     g_family = spec.g_family
@@ -483,7 +483,7 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         exact_o = exact(ogrid.times)[0]
         oracle = solve_by_modes(data, params, ogrid)
         errs_oracle.append(float(np.max(np.abs(oracle.w[:, 0] - exact_o))))
-        resids.append(discrete_equation_residual(bundle, data))
+        resids.append(discrete_equation_residual(bundle))
 
     orders_v = _observed_orders(errs_volterra)
     orders_o = _observed_orders(errs_oracle)

@@ -147,19 +147,10 @@ class MgtData:
         return self.w0.basis
 
 
-@dataclass
-class ForcingTransform:
-    """Exponentially filtered forcing: lam and f-tilde with its time derivative."""
-
-    lam: np.ndarray
-    ftilde: np.ndarray
-    ftilde_t: np.ndarray
-
-
 def forcing_transform(f_samples: np.ndarray, params: MgtParams, grid: TimeGrid,
                       rows: slice = slice(None),
-                      carry: dict | None = None) -> ForcingTransform:
-    """lam(t) = int_0^t e^{-alpha(t-s)} f(s) ds and the transformed forcing.
+                      carry: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """f-tilde and its time derivative, from lam(t) = int_0^t e^{-alpha(t-s)} f(s) ds.
 
     lam uses the exact exponential-integrator recursion per step, so
     lam(0) = 0 and ftilde(0) = 0 hold exactly and linear-in-time forcing is
@@ -181,7 +172,7 @@ def forcing_transform(f_samples: np.ndarray, params: MgtParams, grid: TimeGrid,
     lam_t = f_samples - params.alpha * lam
     conv_t = lam - (params.c**2 / params.b) * conv
     ftilde_t = 0.5 * gamma * ftilde + envelope * (lam_t + gamma * conv_t)
-    return ForcingTransform(lam, ftilde, ftilde_t)
+    return ftilde, ftilde_t
 
 
 @dataclass(frozen=True)
@@ -212,14 +203,12 @@ class KernelFamily:
         return len(self.omega)
 
 
-def _omega(params: MgtParams, basis: EigenBasis) -> np.ndarray:
-    """Per-mode frequencies of the speed-sqrt(b) wave family."""
-    return np.sqrt(params.b) * basis.sqrt_eigenvalues
-
-
 def build_kernel(params: MgtParams, basis: EigenBasis) -> KernelFamily:
-    """Memory kernel of the transformed problem, in closed per-mode form."""
-    omega = _omega(params, basis)
+    """Memory kernel of the transformed problem, in closed per-mode form.
+
+    omega holds the per-mode frequencies of the speed-sqrt(b) wave family.
+    """
+    omega = np.sqrt(params.b) * basis.sqrt_eigenvalues
     rho = params.decay_exponent
     kappa = params.kernel_scale
     beta = params.volterra_beta
@@ -241,20 +230,15 @@ def _gtilde(sig: BoundarySignal, gamma: float, times: np.ndarray,
 
 @dataclass
 class ReducedProblem:
-    """What the Volterra solves read: kernels, right-hand sides, transformed data.
+    """What the Volterra solves and the recovery read.
 
     rhs has shape (steps+1, 3, modes): the right-hand sides of the v, v_t and
     v_tt solves, H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the kernel
-    samples and their time derivatives.
+    samples and their time derivatives, v0 = w0 and v1 = gamma/2 w0 + w1.
     """
 
-    params: MgtParams
-    basis: EigenBasis
-    grid: TimeGrid
     kernels: KernelFamily
     rhs: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
     boundary_signal: BoundarySignal
     f_samples: np.ndarray
 
@@ -272,8 +256,8 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
     times, dt = grid.times, grid.dt
-    omega = _omega(params, basis)
     kernels = build_kernel(params, basis)
+    omega = kernels.omega
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
@@ -288,7 +272,6 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     a1 = (0.5 * gamma * data.w0.coeffs + data.w1.coeffs
           + (0.5 * gamma * data.w0.boundary_values() + data.w1.boundary_values()
              - 0.5 * gamma * g0 - gt0) @ lift)
-    v0 = w0tot
     v1 = 0.5 * gamma * w0tot + w1tot
 
     # interior source h0 w0 + h1 w1 + h2 (w2 - b Lap w0); the lifting part of
@@ -309,25 +292,23 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
         ct, st = ph.cos, ph.sin
         dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(sig, gamma, t, rows))
         source = _data_source(params, t, w0tot, w1tot) + np.exp(rho * t)[:, None] * source_fixed
-        transform = forcing_transform(fsamp[rows], params, grid, rows, carry["forcing"])
+        ftilde, ftilde_t = forcing_transform(fsamp[rows], params, grid, rows, carry["forcing"])
         conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
-        conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + transform.ftilde_t,
+        conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
                                                dt, carry["source_t"])
-        conv_src = sincos_conv(ph, source + transform.ftilde, dt, carry["source"])[0]
+        conv_src = sincos_conv(ph, source + ftilde, dt, carry["source"])[0]
         ker, kdot = kernels.samples(ph)
         out = rhs[rows]
         out[:, 0] = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
         Ht = (-omega * st * a0 + ct * a1 + dhat_t - conv_dtt_c
               + st / omega * source_0 + conv_src_t / omega)
-        np.subtract(Ht, ker * v0, out=out[:, 1])
+        np.subtract(Ht, ker * w0tot, out=out[:, 1])
         Htt = (-omega**2 * ct * a0 - omega * st * a1 + omega * conv_dtt
                + ct * source_0 + conv_src_t_c)
-        np.subtract(Htt, kdot * v0, out=out[:, 2])
+        np.subtract(Htt, kdot * w0tot, out=out[:, 2])
         out[:, 2] -= ker * v1
 
-    return ReducedProblem(
-        params=params, basis=basis, grid=grid, kernels=kernels, rhs=rhs,
-        v0=v0, v1=v1, boundary_signal=sig, f_samples=fsamp)
+    return ReducedProblem(kernels, rhs, sig, fsamp)
 
 
 def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
@@ -439,12 +420,13 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
+        basis = data.basis
         rp = reduce_problem(data, params, grid)
         sol = _solve_structured(rp.kernels, rp.rhs, grid)
-        lift = rp.basis.lift_matrix()
-        w_int, wt_int, wtt_int = outs = [np.empty((grid.steps + 1, rp.basis.size))
+        lift = basis.lift_matrix()
+        w_int, wt_int, wtt_int = outs = [np.empty((grid.steps + 1, basis.size))
                                          for _ in names]
-        for rows in row_chunks(grid.steps + 1, rp.basis.size):
+        for rows in row_chunks(grid.steps + 1, basis.size):
             t = times[rows]
             dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows))
             v_int = sol[rows, 0] - dhat
@@ -470,10 +452,10 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
 
     meta = {"compatible_position": data.compatible_position,
             "compatible_velocity": data.compatible_velocity}
-    bundle = SolutionBundle(rp.basis, grid, w_int, wt_int, wtt_int,
+    bundle = SolutionBundle(basis, grid, w_int, wt_int, wtt_int,
                             rp.boundary_signal, params=params,
                             f_samples=rp.f_samples, metadata=meta)
-    if rp.basis.domain.kind == "interval":
+    if basis.domain.kind == "interval":
         meta["trace_w_converged"] = bundle.trace("w").converged
         meta["trace_wt_converged"] = bundle.trace("wt").converged
     else:

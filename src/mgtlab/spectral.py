@@ -78,9 +78,6 @@ class TimeGrid:
         """The grid's times, built once per (horizon, steps) and read-only."""
         return _grid_times(self.horizon, self.steps)
 
-    def refined(self) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.steps * 2)
-
 
 def _once(method):
     """A basis array built on first use and kept, read-only, on the basis."""
@@ -437,10 +434,6 @@ class BoundarySignal:
             if arr.shape != self.values.shape or arr.shape[0] != expected:
                 raise ValueError("signal arrays must share the time grid length")
 
-    @property
-    def nodes(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
     def zero(cls, grid: TimeGrid, nodes: int) -> "BoundarySignal":
         z = np.zeros((grid.steps + 1, nodes))
@@ -469,13 +462,6 @@ class BoundaryData:
         if out.shape != (len(times), self.nodes):
             raise ValueError("boundary callables must map (T,) times to (T, nodes) values")
         return out
-
-    @classmethod
-    def zero(cls, nodes: int = 2) -> "BoundaryData":
-        def z(t):
-            return np.zeros((len(t), nodes))
-
-        return cls(g=z, gt=z, gtt=z, nodes=nodes)
 
 
 @dataclass
@@ -520,8 +506,3 @@ class Trajectory:
             res.series.flags.writeable = False
             self.traces[which] = res
         return self.traces[which]
-
-    def field(self, m: int, which: str = "w") -> SpectralField:
-        boundary = self.boundary_values(which)
-        return SpectralField(self.basis, self.interior(which)[m],
-                             None if boundary is None else boundary[m])

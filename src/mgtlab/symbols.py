@@ -50,11 +50,10 @@ class FrequencyPoint:
 
 @dataclass(frozen=True)
 class SystemSymbol:
-    """Tangential symbol matrix with the singular normal matrix and boundary row."""
+    """Tangential symbol matrix with the singular normal matrix."""
 
     G: np.ndarray
     Ad: np.ndarray
-    B: np.ndarray
 
 
 def system_symbol(pt: FrequencyPoint, b: float) -> SystemSymbol:
@@ -66,7 +65,7 @@ def system_symbol(pt: FrequencyPoint, b: float) -> SystemSymbol:
         [0.0, 0.0, root],
         [-(s**3 + b * pt.eta_sq * s) / nsq, 0.0, b * s],
     ], dtype=complex)
-    return SystemSymbol(G=G, Ad=AD.copy(), B=B_ROW.copy())
+    return SystemSymbol(G=G, Ad=AD.copy())
 
 
 def finite_eigenvalues(pt: FrequencyPoint, b: float) -> tuple[complex, complex]:
@@ -111,8 +110,6 @@ def analytic_ratio_floor(b: float) -> float:
 
 @dataclass
 class SweepResult:
-    b: float
-    samples: int
     minimum: float
     argmin: FrequencyPoint
     floor: float
@@ -154,7 +151,7 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
     ratio = 1.0 / np.sqrt((1.0 + re * re + re2 * re2) + (im * im + im2 * im2))
     rows = np.column_stack([tau, beta, eta, ratio])
     i = int(np.argmin(ratio))
-    return SweepResult(b=b, samples=len(rows), minimum=float(ratio[i]),
+    return SweepResult(minimum=float(ratio[i]),
                        argmin=FrequencyPoint(tau[i], beta[i], eta[i]),
                        floor=analytic_ratio_floor(b), rows=rows)
 
@@ -164,11 +161,7 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
 
 @dataclass
 class ProbeResult:
-    which: str
-    weight_beta: float
-    lhs: float
-    rhs: float
-    ratio: float
+    ratio: float  # left side over right side, 0 when both vanish
 
 
 def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
@@ -186,8 +179,7 @@ def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
         raise ValueError(f"unknown probe {which!r}")
     lhs, rhs = _probe_sides(bundle, data, which, weight_beta, space_points)
     ratio = 0.0 if rhs == 0.0 and lhs == 0.0 else lhs / rhs
-    return ProbeResult(which=which, weight_beta=weight_beta, lhs=lhs, rhs=rhs,
-                       ratio=ratio)
+    return ProbeResult(ratio)
 
 
 def _probe_sides(bundle, data, which: str, beta: float,

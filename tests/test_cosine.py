@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgtlab.cosine import boundary_convolution_probe, phases, sincos_conv
-from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
+from mgtlab.spectral import BoundaryData, BoundarySignal, DomainSpec, TimeGrid, build_basis
 
 BASIS = build_basis(DomainSpec("interval", 256), 8)
 OMEGA = BASIS.sqrt_eigenvalues  # the wave family at speed 1
@@ -106,7 +106,7 @@ def test_kop_smoothing_bounded_under_mode_refinement():
 
 def test_boundary_probe_zero_signal():
     grid = TimeGrid(1.0, 100)
-    g = BoundaryData.zero().sample(grid)
+    g = BoundarySignal.zero(grid, 2)
     probe = boundary_convolution_probe(BASIS, 1.0, g, grid)
     assert probe.shape == (grid.steps + 1,)
     assert np.all(probe == 0.0)

@@ -66,8 +66,8 @@ def test_csv_bodies_match_golden(name, tmp_path):
     recorded = sorted((GOLDEN / name).glob("*.csv"))
     assert [p.name for p in produced] == [p.name for p in recorded]
     for got_path, want_path in zip(produced, recorded):
-        got = list(csv.reader(got_path.open()))
-        want = list(csv.reader(want_path.open()))
+        got, want = (list(csv.reader(path.read_text().splitlines()))
+                     for path in (got_path, want_path))
         assert len(got) == len(want), got_path.name
         for i, (row_got, row_want) in enumerate(zip(got, want)):
             assert len(row_got) == len(row_want), (got_path.name, i)

@@ -243,6 +243,24 @@ def test_cli_invalid_override_is_config_error(tmp_path, flags):
     assert not (tmp_path / "o" / "error.json").exists()
 
 
+@pytest.mark.parametrize("command,raw", [
+    ("solve", {"scenario": {"g_family": "nope"}}),
+    ("solve", {"grid_points_per_axis": 4}),
+    ("compare-oracle", {"n_scenarios": "3"}),
+    ("compare-oracle", {"n_scenarios": 0}),
+])
+def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
+    # caught before any work: exit 2 and no error record, never a failed run
+    # or a gate that passes on no rows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modes": [4], "steps": 20, "grid_points_per_axis": 64,
+                                **raw}))
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_json(path)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "error.json").exists()
+
+
 def test_cli_non_finite_solve_writes_record(tmp_path):
     # gamma = 1 at T = 2000: the exponential transform overflows
     path = tmp_path / "cfg.json"
@@ -313,7 +331,8 @@ def test_solve_norm_matches_oracle_built_value():
     bundle = solve_mgt(data, params, grid)
     sup_v = sup_interior_norms(bundle, 1024, stride=10)["w_H2"]
     oracle = solve_by_modes(data, params, grid)
-    sup_o = max(grid_sobolev_norm(oracle.field(m).evaluate(1024), (1.0 / 1024,), 2)
+    sup_o = max(grid_sobolev_norm(SpectralField(basis, oracle.w[m]).evaluate(1024),
+                                  (1.0 / 1024,), 2)
                 for m in range(0, grid.steps + 1, 10))
     assert abs(sup_v - sup_o) / sup_o < 1e-4
 

@@ -10,7 +10,7 @@ from mgtlab import reduction
 from mgtlab.cosine import phases, sincos_conv
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights
+from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
@@ -40,17 +40,24 @@ def eigen_data(k=0, amp=1.0):
     return MgtData(w0=SpectralField(BASIS, coeffs), w1=zero_field(), w2=zero_field())
 
 
-def histories(rp):
+def initial_v(data):
+    """v0 = w0 and v1 = gamma/2 w0 + w1, total coefficients of the data."""
+    w0tot = data.w0.total_coeffs()
+    return w0tot, 0.5 * PARAMS.gamma * w0tot + data.w1.total_coeffs()
+
+
+def histories(rp, data, grid):
     """H, H_t, H_tt rebuilt from the right-hand sides reduce_problem assembles."""
-    ker, kdot = kernel_at(rp.kernels, rp.grid.times)
+    ker, kdot = kernel_at(rp.kernels, grid.times)
+    v0, v1 = initial_v(data)
     rhs = rp.rhs
-    return rhs[:, 0], rhs[:, 1] + ker * rp.v0, rhs[:, 2] + kdot * rp.v0 + ker * rp.v1
+    return rhs[:, 0], rhs[:, 1] + ker * v0, rhs[:, 2] + kdot * v0 + ker * v1
 
 
-def lifted_boundary(rp):
+def lifted_boundary(rp, grid):
     """dhat: eigen-coefficients of the lifting of g-tilde = e^{gamma t/2} g."""
-    gtilde = _gtilde(rp.boundary_signal, rp.params.gamma, rp.grid.times)[0]
-    return gtilde @ rp.basis.lift_matrix()
+    gtilde = _gtilde(rp.boundary_signal, PARAMS.gamma, grid.times)[0]
+    return gtilde @ BASIS.lift_matrix()
 
 
 def memory_weight(params, t):
@@ -84,32 +91,33 @@ def test_coefficient_functions_consistent_with_transform():
 
 
 def test_forcing_transform_zero():
+    # lam = int_0^t e^{-alpha(t-s)} f(s) ds is prefix_exponential(-alpha, f)
     grid = TimeGrid(1.0, 100)
-    out = forcing_transform(np.zeros((101, 3)), PARAMS, grid)
-    assert np.all(out.lam == 0.0)
-    assert np.all(out.ftilde == 0.0)
+    f = np.zeros((101, 3))
+    assert np.all(prefix_exponential(-PARAMS.alpha, f, grid.dt) == 0.0)
+    assert np.all(forcing_transform(f, PARAMS, grid)[0] == 0.0)
 
 
 def test_forcing_transform_constant_forcing():
     grid = TimeGrid(1.0, 200)
     f = np.ones((201, 1))
-    out = forcing_transform(f, PARAMS, grid)
+    lam = prefix_exponential(-PARAMS.alpha, f, grid.dt)
     exact = (1.0 - np.exp(-2.0 * grid.times)) / 2.0
-    assert np.max(np.abs(out.lam[:, 0] - exact)) < 1e-12  # exact for constant f
-    assert out.lam[0, 0] == 0.0
-    assert out.ftilde[0, 0] == 0.0
+    assert np.max(np.abs(lam[:, 0] - exact)) < 1e-12  # exact for constant f
+    assert lam[0, 0] == 0.0
+    assert forcing_transform(f, PARAMS, grid)[0][0, 0] == 0.0
 
 
 def test_forcing_transform_order_two():
     # dt-halving Richardson oracle on f(t) = sin t
     errs = []
     ref_grid = TimeGrid(1.0, 8000)
-    ref = forcing_transform(np.sin(ref_grid.times)[:, None], PARAMS, ref_grid)
+    ref = forcing_transform(np.sin(ref_grid.times)[:, None], PARAMS, ref_grid)[0]
     for steps in (500, 1000, 2000):
         grid = TimeGrid(1.0, steps)
-        out = forcing_transform(np.sin(grid.times)[:, None], PARAMS, grid)
+        out = forcing_transform(np.sin(grid.times)[:, None], PARAMS, grid)[0]
         stride = 8000 // steps
-        errs.append(np.max(np.abs(out.ftilde[:, 0] - ref.ftilde[::stride, 0])))
+        errs.append(np.max(np.abs(out[:, 0] - ref[::stride, 0])))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.8
 
@@ -178,15 +186,16 @@ def test_affine_zero_data():
     grid = TimeGrid(1.0, 100)
     data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
     rp = reduce_problem(data, PARAMS, grid)
-    for hist in histories(rp):
+    for hist in histories(rp, data, grid):
         assert np.all(hist == 0.0)
 
 
 def test_reduce_problem_history_shapes():
     grid = TimeGrid(1.0, 50)
-    rp = reduce_problem(eigen_data(0), PARAMS, grid)
+    data = eigen_data(0)
+    rp = reduce_problem(data, PARAMS, grid)
     assert rp.rhs.shape == (51, 3, BASIS.size)
-    for hist in histories(rp):
+    for hist in histories(rp, data, grid):
         assert hist.shape == (51, BASIS.size)
 
 
@@ -224,10 +233,10 @@ def test_affine_rewritten_equals_raw_form():
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
     source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
               + np.exp(PARAMS.decay_exponent * times)[:, None] * source_fixed)
-    ftilde = forcing_transform(rp.f_samples, PARAMS, grid).ftilde
-    H_raw = (ph.cos * w0tot + ph.sin / omega * rp.v1
+    ftilde = forcing_transform(rp.f_samples, PARAMS, grid)[0]
+    H_raw = (ph.cos * w0tot + ph.sin / omega * initial_v(data)[1]
              + sincos_conv(ph, source + ftilde, dt)[0] / omega
-             + omega * sincos_conv(ph, lifted_boundary(rp), dt)[0])
+             + omega * sincos_conv(ph, lifted_boundary(rp, grid), dt)[0])
     H = rp.rhs[:, 0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H_raw)) < 1e-6 * scale
@@ -239,7 +248,7 @@ def test_affine_time_derivative_consistency():
     sups_t, sups_tt = [], []
     for steps in (500, 1000):
         grid = TimeGrid(1.0, steps)
-        H, Ht, Htt = histories(reduce_problem(data, PARAMS, grid))
+        H, Ht, Htt = histories(reduce_problem(data, PARAMS, grid), data, grid)
         dH = np.gradient(H, grid.dt, axis=0, edge_order=2)
         dHt = np.gradient(Ht, grid.dt, axis=0, edge_order=2)
         sups_t.append(np.max(np.abs(dH - Ht)))
@@ -439,7 +448,7 @@ def test_transform_round_trip():
     rp = reduce_problem(data, PARAMS, grid)
     v = _solve_structured(rp.kernels, rp.rhs.copy(), grid)[:, 0]
     damp = np.exp(-0.5 * PARAMS.gamma * grid.times)[:, None]
-    assert np.allclose(bundle.w, damp * (v - lifted_boundary(rp)), atol=1e-14)
+    assert np.allclose(bundle.w, damp * (v - lifted_boundary(rp, grid)), atol=1e-14)
 
 
 def test_gamma_zero_degeneracy():
@@ -525,7 +534,7 @@ def test_equation_residual_decays_first_order():
     for steps in (500, 1000, 2000):
         grid = TimeGrid(1.0, steps)
         bundle = solve_mgt(data, PARAMS, grid)
-        resids.append(discrete_equation_residual(bundle, data))
+        resids.append(discrete_equation_residual(bundle))
     orders = [np.log2(resids[i] / resids[i + 1]) for i in range(2)]
     # asymptotic rate 1; pairwise slopes carry a small finite-dt bias
     assert min(orders) >= 0.99

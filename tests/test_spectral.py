@@ -267,13 +267,12 @@ def test_trajectory_total_trace_and_field():
         assert lifted.total(which) == pytest.approx(interior + edge @ lift)
         assert whole.total(which) is interior
         assert whole.boundary_values(which) is None
-        fld = lifted.field(2, which)
+        assert lifted.boundary_values(which) is edge
+        fld = SpectralField(basis, lifted.interior(which)[2], edge[2])
         assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])
-        assert np.array_equal(fld.boundary, edge[2])
     a, b = sig.values[:, 0], sig.values[:, 1]
     expected = w @ basis.boundary_flux().T + np.column_stack([a - b, b - a])
     assert np.array_equal(lifted.trace("w").series, expected)
-    assert whole.field(1).boundary is None
 
 
 def test_boundary_signal_shape_validation():

@@ -288,7 +288,9 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     hx = 1.0 / space_points
     spac = (dt, hx)
     w_vals, wt_vals, wtt_vals = (
-        np.stack([bundle.field(m, comp).evaluate(space_points) for m in range(len(times))])
+        np.stack([SpectralField(basis, bundle.interior(comp)[m],
+                                bundle.boundary_values(comp)[m]).evaluate(space_points)
+                  for m in range(len(times))])
         for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
