@@ -8,7 +8,6 @@ directory), 2 for an invalid configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,30 +55,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ScenarioConfig:
-    """The config file (or the defaults), re-validated with the flag overrides."""
-    cfg = ScenarioConfig() if args.config is None else ScenarioConfig.from_json(args.config)
-    overrides = {}
+    """The config file (or the defaults) with the flags applied as edits, loaded."""
+    raw = {}
+    if args.config is not None:
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError: not valid JSON
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be an object, got {raw!r}")
     if args.modes is not None:
         try:
-            overrides["modes"] = [int(tok) for tok in args.modes.split(",") if tok]
+            raw["modes"] = [int(tok) for tok in args.modes.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"bad --modes value: {exc}") from exc
-    if args.dt is not None:
-        if args.dt <= 0 or args.dt > cfg.horizon:
-            raise ConfigError("--dt must lie in (0, horizon]")
-        overrides["steps"] = max(2, round(cfg.horizon / args.dt))
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    tolerances = dict(cfg.tolerances)
+        raw["seed"] = args.seed
     for item in args.tol:
         name, _, value = item.partition("=")
-        if not value:
-            raise ConfigError("--tol expects NAME=VALUE")
         try:
-            tolerances[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value: {exc}") from exc
-    return dataclasses.replace(cfg, tolerances=tolerances, **overrides)
+            raw["tolerances"] = {**raw.get("tolerances", {}), name: float(value)}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}: {exc}") from exc
+    cfg = ScenarioConfig.from_dict(raw)
+    if args.dt is not None:  # the step count follows from the checked horizon
+        if not 0 < args.dt <= cfg.horizon:
+            raise ConfigError("--dt must lie in (0, horizon]")
+        cfg = ScenarioConfig.from_dict({**raw, "steps": max(2, round(cfg.horizon / args.dt))})
+    return cfg
 
 
 def print_report(report: Report) -> None:

@@ -109,14 +109,6 @@ class ScenarioSpec:
                 raise ValueError(f"unknown time family {family!r}, "
                                  f"expected one of {TIME_FAMILIES}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**raw)
-
 
 def make_boundary(spec: ScenarioSpec, nodes: int) -> BoundaryData:
     """Per-node time profiles; node phases are staggered deterministically."""

@@ -13,43 +13,19 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .generators import ScenarioSpec, make_scenario, manufactured_mode_case
+from .generators import ScenarioSpec, make_boundary, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
 from .quadrature import row_chunks
 from .reduction import MgtParams, SolutionBundle, solve_mgt
 from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import boundary_convolution_probe
-
-DEFAULT_TOLERANCES = {
-    "cross_route": 1e-6,
-    "interior_stability": 0.01,
-    "trace_stability": 0.05,
-    "boundary_probe_stability": 0.05,
-    "divergence_factor": 2.0,
-    "lopatinskii_min": 0.5,
-    "probe_spread": 10.0,
-    "probe_refinement": 0.10,
-    "volterra_order_min": 1.8,
-    "oracle_order_min": 3.8,
-    "residual_order_min": 1.0,
-}
-
-# knobs of the symbol suite (Lopatinskii sweeps and estimate probes)
-DEFAULT_SYMBOL = {
-    "b_grid": (0.25, 1.0, 4.0),
-    "samples": 10000,
-    "beta_min": 1e-6,
-    "weight_beta": 2.0,
-    "probe_scenarios": 100,
-    "probe_modes": 16,
-    "probe_steps": 400,
-}
 
 # time families that violate the square-integrable-second-derivative class
 H2_VIOLATING_FAMILIES = ("ramp_kink", "step")
@@ -59,25 +35,80 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-def _positive(value, kind=numbers.Real) -> bool:
-    """A finite number > 0 of the given kind (a bool is not a number here)."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+def _load(tp, raw, path: str):
+    """The decoded JSON value raw, checked against the annotation tp.
 
-
-def _check_symbol_value(key: str, value) -> None:
-    """Reject a symbol-suite value whose type differs from its default's."""
-    default = DEFAULT_SYMBOL[key]
-    if isinstance(default, tuple):
-        ok = (isinstance(value, (list, tuple)) and len(value) > 0
-              and all(_positive(b) for b in value))
-        want = "a non-empty list of positive numbers"
-    elif isinstance(default, int):
-        ok, want = _positive(value, numbers.Integral), "a positive int"
-    else:
-        ok, want = _positive(value), "a positive number"
+    A record loads from an object with no unknown keys, field by field, and
+    is then built, so its own range checks run; a list is non-empty.  Every
+    failure is a ConfigError that names the path.
+    """
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must be an object, got {raw!r}")
+        hints = typing.get_type_hints(tp)
+        unknown = sorted(set(raw) - {f.name for f in fields(tp)})
+        if unknown:
+            raise ConfigError(f"{path} has unknown keys {unknown}")
+        values = {key: _load(hints[key], value, f"{path}.{key}")
+                  for key, value in raw.items()}
+        try:
+            return tp(**values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    origin = typing.get_origin(tp)
+    if origin in (list, tuple):
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ConfigError(f"{path} must be a non-empty list, got {raw!r}")
+        item = typing.get_args(tp)[0]
+        return origin(_load(item, v, f"{path}[{i}]") for i, v in enumerate(raw))
+    number = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+    ok = {int: number and isinstance(raw, numbers.Integral),
+          float: number and math.isfinite(raw)}.get(tp, type(raw) is tp)
     if not ok:
-        raise ConfigError(f"symbol key {key!r} must be {want}, got {value!r}")
+        want = "a finite float" if tp is float else tp.__name__
+        raise ConfigError(f"{path} must be {want}, got {raw!r}")
+    return tp(raw)
+
+
+def _all_positive(record) -> None:
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if min(value if isinstance(value, tuple) else (value,)) <= 0:
+            raise ConfigError(f"{f.name} must be positive, got {value!r}")
+
+
+@dataclass
+class Tolerances:
+    """The pass/fail thresholds that the judged rows cite."""
+
+    cross_route: float = 1e-6
+    interior_stability: float = 0.01
+    trace_stability: float = 0.05
+    boundary_probe_stability: float = 0.05
+    divergence_factor: float = 2.0
+    lopatinskii_min: float = 0.5
+    probe_spread: float = 10.0
+    probe_refinement: float = 0.10
+    volterra_order_min: float = 1.8
+    oracle_order_min: float = 3.8
+    residual_order_min: float = 1.0
+
+    __post_init__ = _all_positive
+
+
+@dataclass
+class SymbolSuite:
+    """Knobs of the symbol suite (Lopatinskii sweeps and estimate probes)."""
+
+    b_grid: tuple[float, ...] = (0.25, 1.0, 4.0)
+    samples: int = 10000
+    beta_min: float = 1e-6
+    weight_beta: float = 2.0
+    probe_scenarios: int = 100
+    probe_modes: int = 16
+    probe_steps: int = 400
+
+    __post_init__ = _all_positive
 
 
 @dataclass
@@ -89,75 +120,37 @@ class ScenarioConfig:
     modes: list[int] = field(default_factory=lambda: [32, 64])
     horizon: float = 1.0
     steps: int = 2048  # dt defaults to horizon/2048
-    params: dict = field(default_factory=lambda: {"alpha": 2.0, "b": 1.0, "c": 1.0})
-    scenario: dict = field(default_factory=dict)
+    params: MgtParams = field(default_factory=lambda: MgtParams(alpha=2.0, b=1.0, c=1.0))
+    scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     seed: int = 0
     n_scenarios: int = 10
-    tolerances: dict = field(default_factory=dict)
-    symbol: dict = field(default_factory=dict)
+    tolerances: Tolerances = field(default_factory=Tolerances)
+    symbol: SymbolSuite = field(default_factory=SymbolSuite)
 
     def __post_init__(self):
-        if not self.modes or any(int(n) < 1 for n in self.modes):
-            raise ConfigError("modes must be a nonempty list of positive ints")
+        for key, value, least in (("modes", min(self.modes, default=0), 1),
+                                  ("steps", self.steps, 2),
+                                  ("n_scenarios", self.n_scenarios, 1),
+                                  ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         if self.horizon <= 0:
-            raise ConfigError("need horizon > 0")
-        for key, least in (("steps", 2), ("n_scenarios", 1)):
-            value = getattr(self, key)
-            if not (_positive(value, numbers.Integral) and value >= least):
-                raise ConfigError(f"{key} must be an int >= {least}, got {value!r}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        if any(v <= 0 for v in merged.values()):
-            raise ConfigError("tolerances must be positive")
-        self.tolerances = merged
-        unknown = set(self.symbol) - set(DEFAULT_SYMBOL)
-        if unknown:
-            raise ConfigError(f"unknown symbol keys: {sorted(unknown)}")
-        for key, value in self.symbol.items():
-            _check_symbol_value(key, value)
-        self.symbol = {**DEFAULT_SYMBOL, **self.symbol}
-        self.modes = [int(n) for n in self.modes]
-        try:  # the domain, the constants and the scenario check their own values
-            self.domain()
-            self.mgt_params()
-            self.scenario_spec()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+            raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
+        self.domain()  # the domain checks its own kind and grid size
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "ScenarioConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
-            raise ConfigError(f"invalid config value: {exc}") from exc
-
-    def mgt_params(self) -> MgtParams:
-        return MgtParams(**self.params)
+    def from_dict(cls, raw) -> "ScenarioConfig":
+        """The config that the JSON object raw describes; the only entry point."""
+        scenario = raw.get("scenario") if isinstance(raw, dict) else None
+        if isinstance(scenario, dict) and "seed" in scenario:
+            raise ConfigError("config.scenario.seed is not a key: set the top-level seed")
+        return _load(cls, raw, "config")
 
     def domain(self) -> DomainSpec:
         return DomainSpec(self.domain_kind, self.grid_points_per_axis)
 
     def scenario_spec(self, seed_shift: int = 0, **overrides) -> ScenarioSpec:
-        raw = dict(self.scenario)
-        raw.update(overrides)
-        raw.setdefault("seed", self.seed)
-        raw["seed"] = int(raw["seed"]) + seed_shift
-        return ScenarioSpec.from_dict(raw)
+        return replace(self.scenario, seed=self.seed + seed_shift, **overrides)
 
 
 @dataclass
@@ -331,17 +324,20 @@ def discrete_equation_residual(bundle: SolutionBundle) -> float:
 # -- runners ------------------------------------------------------------------
 
 
-def _interval_only(cfg: ScenarioConfig, command: str) -> None:
-    """Reject the square before any solve: command's grid norms are 1D."""
+def _interval_only(cfg: ScenarioConfig, command: str, mode_counts: int = 1) -> None:
+    """Reject before any solve the square (command's grid norms are 1D) and
+    a config with fewer than mode_counts mode counts."""
     if cfg.domain_kind != "interval":
         raise ConfigError(f"{command} is interval-only: its grid norms and normal "
                           f"traces are not implemented on the {cfg.domain_kind}")
+    if len(cfg.modes) < mode_counts:
+        raise ConfigError(f"{command} needs at least {mode_counts} mode counts")
 
 
 def run_solve(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Solve one scenario and write the norm time series plus a JSON summary."""
     _interval_only(cfg, "solve")
-    params = cfg.mgt_params()
+    params = cfg.params
     basis = build_basis(cfg.domain(), cfg.modes[0])
     grid = TimeGrid(cfg.horizon, cfg.steps)
     data = make_scenario(basis, cfg.scenario_spec())
@@ -384,10 +380,8 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     Hypothesis-violating boundary families mark clause b as flagged instead
     of asserting a stability number.
     """
-    _interval_only(cfg, "witness")
-    if len(cfg.modes) < 2:
-        raise ConfigError("witness needs at least two mode counts")
-    params = cfg.mgt_params()
+    _interval_only(cfg, "witness", mode_counts=2)
+    params = cfg.params
     tol = cfg.tolerances
     n_lo, n_hi = cfg.modes[0], cfg.modes[1]
     npt = cfg.grid_points_per_axis
@@ -412,24 +406,24 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     for key in ("w_H2", "wt_H1", "wtt_L2"):
         change = _rel_change(sup_hi[key], sup_lo[key])
         rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", f"a_interior_{key}",
-                              change, 0.0, tol["interior_stability"],
-                              change < tol["interior_stability"]))
+                              change, 0.0, tol.interior_stability,
+                              change < tol.interior_stability))
 
     h1_lo, l2_lo = trace_space_norms(bundles["lo"])
     h1_hi, l2_hi = trace_space_norms(bundles["hi_fine"])
     if flagged_boundary:
         rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "b_trace_H1_Sigma",
-                              float("nan"), 0.0, tol["trace_stability"], None,
+                              float("nan"), 0.0, tol.trace_stability, None,
                               note=f"flagged: {g_family} violates the H2-in-time hypothesis"))
     else:
         change = _rel_change(h1_hi, h1_lo)
         rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "b_trace_H1_Sigma",
-                              change, 0.0, tol["trace_stability"],
-                              change < tol["trace_stability"]))
+                              change, 0.0, tol.trace_stability,
+                              change < tol.trace_stability))
     change = _rel_change(l2_hi, l2_lo)
     rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "c_trace_wt_L2_Sigma",
-                          change, 0.0, tol["trace_stability"],
-                          change < tol["trace_stability"]))
+                          change, 0.0, tol.trace_stability,
+                          change < tol.trace_stability))
 
     # clause d: divergence under a compatibility violation
     bad_spec = cfg.scenario_spec(compatible=False)
@@ -440,8 +434,8 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         sups.append(sup_interior_norms(bundle, npt)["w_H2"])
     growth = sups[1] / max(sups[0], 1e-300)
     rows.append(ReportRow("witness", f"N{n_lo}->N{n_hi}", "d_incompatible_H2_growth",
-                          growth, tol["divergence_factor"], tol["divergence_factor"],
-                          growth >= tol["divergence_factor"],
+                          growth, tol.divergence_factor, tol.divergence_factor,
+                          growth >= tol.divergence_factor,
                           note="expected divergence witness"))
 
     summary = {
@@ -465,7 +459,7 @@ def _observed_orders(errors: list[float]) -> list[float]:
 
 def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Observed orders on a manufactured smooth solution, plus residual decay."""
-    params = cfg.mgt_params()
+    params = cfg.params
     tol = cfg.tolerances
     basis = build_basis(cfg.domain(), cfg.modes[0])
     levels = [cfg.steps, cfg.steps * 2, cfg.steps * 4]
@@ -490,14 +484,14 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     orders_r = _observed_orders(resids)
     rows = [
         ReportRow("convergence", "dt-halving", "volterra_order", min(orders_v),
-                  tol["volterra_order_min"], tol["volterra_order_min"],
-                  min(orders_v) >= tol["volterra_order_min"]),
+                  tol.volterra_order_min, tol.volterra_order_min,
+                  min(orders_v) >= tol.volterra_order_min),
         ReportRow("convergence", "dt-halving", "oracle_order", min(orders_o),
-                  tol["oracle_order_min"], tol["oracle_order_min"],
-                  min(orders_o) >= tol["oracle_order_min"]),
+                  tol.oracle_order_min, tol.oracle_order_min,
+                  min(orders_o) >= tol.oracle_order_min),
         ReportRow("convergence", "dt-halving", "residual_order", min(orders_r),
-                  tol["residual_order_min"], tol["residual_order_min"],
-                  min(orders_r) >= tol["residual_order_min"]),
+                  tol.residual_order_min, tol.residual_order_min,
+                  min(orders_r) >= tol.residual_order_min),
     ]
 
     # degraded order for a non-smooth forcing is reported, not failed
@@ -554,8 +548,8 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
 
 def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Cross-route agreement over randomized compatible scenarios."""
-    params = cfg.mgt_params()
-    tol = cfg.tolerances["cross_route"]
+    params = cfg.params
+    tol = cfg.tolerances.cross_route
     basis = build_basis(cfg.domain(), cfg.modes[0])
     grid = TimeGrid(cfg.horizon, cfg.steps)
     rows = []
@@ -577,29 +571,22 @@ def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
 
 def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Lopatinskii sweeps, estimate probes, and the boundary-probe witness."""
-    _interval_only(cfg, "symbols")
-    params = cfg.mgt_params()
+    _interval_only(cfg, "symbols", mode_counts=2)
+    params = cfg.params
     tol = cfg.tolerances
     sym = cfg.symbol
-    b_grid = sym["b_grid"]
-    samples = int(sym["samples"])
-    beta_min = float(sym["beta_min"])
-    weight_beta = float(sym["weight_beta"])
-    n_probe = int(sym["probe_scenarios"])
-    probe_modes = int(sym["probe_modes"])
-    probe_steps = int(sym["probe_steps"])
 
     rows = []
     sweep_rows = []
-    for b in b_grid:
-        sw = lopatinskii_sweep(float(b), samples=samples, beta_min=beta_min,
+    for b in sym.b_grid:
+        sw = lopatinskii_sweep(b, samples=sym.samples, beta_min=sym.beta_min,
                                seed=cfg.seed)
         sweep_rows.append((b, sw))
-        if abs(float(b) - 1.0) < 1e-12:
+        if abs(b - 1.0) < 1e-12:
             rows.append(ReportRow("symbols", f"b={b}", "lopatinskii_min",
-                                  sw.minimum, tol["lopatinskii_min"],
-                                  tol["lopatinskii_min"],
-                                  sw.minimum >= tol["lopatinskii_min"],
+                                  sw.minimum, tol.lopatinskii_min,
+                                  tol.lopatinskii_min,
+                                  sw.minimum >= tol.lopatinskii_min,
                                   note=f"argmin beta={sw.argmin.weight_beta:.3e}"))
         else:
             rows.append(ReportRow("symbols", f"b={b}", "lopatinskii_min",
@@ -612,53 +599,53 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
               [labels, all_rows[:, 0], all_rows[:, 1], all_rows[:, 2], all_rows[:, 3]])
 
     # estimate probes over randomized compatible scenarios
-    basis = build_basis(cfg.domain(), probe_modes)
-    grid = TimeGrid(cfg.horizon, probe_steps)
+    basis = build_basis(cfg.domain(), sym.probe_modes)
+    grid = TimeGrid(cfg.horizon, sym.probe_steps)
     ratios = {"resolvent_4a": [], "semigroup_10": []}
-    for i in range(n_probe):
+    for i in range(sym.probe_scenarios):
         data = make_scenario(basis, cfg.scenario_spec(seed_shift=i))
         bundle = solve_mgt(data, params, grid)
         for which in ratios:
-            res = estimate_probe(bundle, data, which, weight_beta=weight_beta,
+            res = estimate_probe(bundle, data, which, weight_beta=sym.weight_beta,
                                  space_points=cfg.grid_points_per_axis // 4)
             ratios[which].append(res.ratio)
     probe_cols = {k: np.array(v) for k, v in ratios.items()}
     probes = ("estimate_probes.csv", ["scenario", "resolvent_4a", "semigroup_10"],
-              [np.arange(n_probe, dtype=float),
+              [np.arange(sym.probe_scenarios, dtype=float),
                probe_cols["resolvent_4a"], probe_cols["semigroup_10"]])
     # the first scenarios again at 2N modes and 2S steps, one solve for both probes
-    refine_basis = build_basis(cfg.domain(), probe_modes * 2)
-    refine_grid = TimeGrid(cfg.horizon, probe_steps * 2)
+    refine_basis = build_basis(cfg.domain(), sym.probe_modes * 2)
+    refine_grid = TimeGrid(cfg.horizon, sym.probe_steps * 2)
     drifts = {which: [] for which in probe_cols}
-    for i in range(min(8, n_probe)):
+    for i in range(min(8, sym.probe_scenarios)):
         data = make_scenario(refine_basis, cfg.scenario_spec(seed_shift=i))
         bundle = solve_mgt(data, params, refine_grid)
         for which, vals in probe_cols.items():
-            res = estimate_probe(bundle, data, which, weight_beta=weight_beta,
+            res = estimate_probe(bundle, data, which, weight_beta=sym.weight_beta,
                                  space_points=cfg.grid_points_per_axis // 2)
             drifts[which].append(_rel_change(res.ratio, vals[i]))
     for which, vals in probe_cols.items():
         spread = float(vals.max() / np.median(vals))
         rows.append(ReportRow("symbols", "probe", f"{which}_max_over_median",
-                              spread, tol["probe_spread"], tol["probe_spread"],
-                              spread < tol["probe_spread"]))
+                              spread, tol.probe_spread, tol.probe_spread,
+                              spread < tol.probe_spread))
         drift = max(drifts[which])
         rows.append(ReportRow("symbols", "probe", f"{which}_refinement_drift",
-                              float(drift), tol["probe_refinement"],
-                              tol["probe_refinement"],
-                              drift < tol["probe_refinement"]))
+                              float(drift), tol.probe_refinement,
+                              tol.probe_refinement,
+                              drift < tol.probe_refinement))
 
     # boundary-to-interior probe under an L2-only (step) boundary datum
     probe_changes = _boundary_probe_stability(cfg)
     rows.append(ReportRow("symbols", f"N{cfg.modes[0]}->N{cfg.modes[1]}",
                           "boundary_probe_stability", probe_changes,
-                          tol["boundary_probe_stability"],
-                          tol["boundary_probe_stability"],
-                          probe_changes < tol["boundary_probe_stability"],
+                          tol.boundary_probe_stability,
+                          tol.boundary_probe_stability,
+                          probe_changes < tol.boundary_probe_stability,
                           note="step-in-time Dirichlet datum"))
 
     summary = {
-        "b_grid": list(b_grid),
+        "b_grid": list(sym.b_grid),
         "sweep_minima": {str(b): sw.minimum for b, sw in sweep_rows},
         "sweep_floors": {str(b): sw.floor for b, sw in sweep_rows},
         "probe_medians": {k: float(np.median(v)) for k, v in probe_cols.items()},
@@ -670,9 +657,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
 
 def _boundary_probe_stability(cfg: ScenarioConfig) -> float:
     """Mode-refinement change of the step-datum boundary convolution series."""
-    from .generators import make_boundary
-
-    params = cfg.mgt_params()
+    params = cfg.params
     grid = TimeGrid(cfg.horizon, cfg.steps)
     spec = cfg.scenario_spec(g_family="step", g_amp=1.0, g_offset=0.0)
     sups = []

@@ -165,26 +165,34 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     # products; each pass sums its three products ((p0 + p1) + p2) in buffers
     pw = np.ascontiguousarray(np.moveaxis(power_increments(step, length), 1, -1))
     one = pw[1]
-    for seg in segments:
-        # zero-state pass inside every block at once
-        acc, tmp = np.empty((2,) + seg[:, 0].shape)
-        for i in range(1, seg.shape[1]):
-            prev, row = seg[:, i - 1], seg[:, i]
-            np.multiply(one[:, 0], prev[:, 0, None], out=acc)
-            for j in (1, 2):
-                acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
-            row += acc
-            row += prev
-    prev = states[0]
-    acc, tmp = np.empty((2,) + segments[0][0].shape)
-    for seg in segments:
-        for block in seg:
-            # add R^{i+1} times the state before the block
-            n = block.shape[0]
-            np.multiply(pw[1:n + 1, :, 0], prev[0], out=acc[:n])
-            for j in (1, 2):
-                acc[:n] += np.multiply(pw[1:n + 1, :, j], prev[j], out=tmp[:n])
-            block += acc[:n]
-            block += prev
-            prev = block[-1]
+    # past RK4's stability limit the scan overflows: one error below, no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in segments:
+            # zero-state pass inside every block at once
+            acc, tmp = np.empty((2,) + seg[:, 0].shape)
+            for i in range(1, seg.shape[1]):
+                prev, row = seg[:, i - 1], seg[:, i]
+                np.multiply(one[:, 0], prev[:, 0, None], out=acc)
+                for j in (1, 2):
+                    acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
+                row += acc
+                row += prev
+        prev = states[0]
+        acc, tmp = np.empty((2,) + segments[0][0].shape)
+        for seg in segments:
+            for block in seg:
+                # add R^{i+1} times the state before the block
+                n = block.shape[0]
+                np.multiply(pw[1:n + 1, :, 0], prev[0], out=acc[:n])
+                for j in (1, 2):
+                    acc[:n] += np.multiply(pw[1:n + 1, :, j], prev[j], out=tmp[:n])
+                block += acc[:n]
+                block += prev
+                prev = block[-1]
+    # non-finite states are absorbing in the linear scan: the last one tells
+    if not np.isfinite(states[-1]).all():
+        bad = np.argmin(np.isfinite(states).all(axis=(1, 2)))
+        raise FloatingPointError(
+            f"RK4 oracle: non-finite state from t = {grid.times[bad]:.6g} on: "
+            "dt may be past the RK4 stability limit of the highest mode")
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)

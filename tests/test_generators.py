@@ -13,6 +13,7 @@ from mgtlab.generators import (
     space_modes,
     time_profile,
 )
+from mgtlab.harness import ScenarioConfig
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import MgtParams, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
@@ -64,8 +65,8 @@ def test_time_profile_array_matches_scalar(family, amp, freq, phase, offset, kno
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         time_profile("sawtooth")
-    with pytest.raises(ValueError):
-        ScenarioSpec.from_dict({"g_family": "trig", "bogus": 1})
+    with pytest.raises(ValueError, match="config.scenario.*bogus"):
+        ScenarioConfig.from_dict({"scenario": {"g_family": "trig", "bogus": 1}})
 
 
 def test_space_modes_deterministic_and_decaying():

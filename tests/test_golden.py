@@ -47,7 +47,7 @@ CASES = {
 
 def run_case(name: str, out_dir: Path) -> list[Path]:
     runner, overrides = CASES[name]
-    runner(ScenarioConfig(**{**BASE, **overrides}), out_dir)
+    runner(ScenarioConfig.from_dict({**BASE, **overrides}), out_dir)
     return sorted(out_dir.glob("*.csv"))
 
 

@@ -19,6 +19,7 @@ from mgtlab.harness import (
     run_convergence,
     run_regularity_witness,
     run_solve,
+    run_symbol_suite,
 )
 from mgtlab.quadrature import CHUNK_ELEMENTS, row_chunks
 from mgtlab.spectral import BoundarySignal, DomainSpec, TimeGrid, Trajectory, build_basis
@@ -34,27 +35,27 @@ def small_config(**overrides):
         scenario={"active_modes": 4},
     )
     base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig.from_dict(base)
 
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        ScenarioConfig(modes=[])
+        ScenarioConfig.from_dict({"modes": []})
     with pytest.raises(ConfigError):
-        ScenarioConfig(steps=1)
+        ScenarioConfig.from_dict({"steps": 1})
     with pytest.raises(ConfigError):
-        ScenarioConfig(domain_kind="torus")
+        ScenarioConfig.from_dict({"domain_kind": "torus"})
     with pytest.raises(ConfigError):
-        ScenarioConfig(tolerances={"cross_route": -1.0})
+        ScenarioConfig.from_dict({"tolerances": {"cross_route": -1.0}})
     with pytest.raises(ConfigError, match="cross_rout"):
-        ScenarioConfig(tolerances={"cross_rout": 1e-3})
+        ScenarioConfig.from_dict({"tolerances": {"cross_rout": 1e-3}})
 
 
 def test_config_rejects_unknown_symbol_keys(tmp_path):
     # a misspelled symbol-suite key is an error, not a silent default
     with pytest.raises(ConfigError, match="probe_scenaros.*sampels"):
-        ScenarioConfig(symbol={"sampels": 1000, "probe_scenaros": 3})
-    assert ScenarioConfig(symbol={"samples": 50}).symbol["samples"] == 50
+        ScenarioConfig.from_dict({"symbol": {"sampels": 1000, "probe_scenaros": 3}})
+    assert ScenarioConfig.from_dict({"symbol": {"samples": 50}}).symbol.samples == 50
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"symbol": {"sampels": 1000}}))
     code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -73,7 +74,7 @@ def test_config_rejects_mistyped_symbol_values(tmp_path, symbol):
     # a mistyped symbol-suite value is a config error (exit 2), not a failed run
     key = next(iter(symbol))
     with pytest.raises(ConfigError, match=key):
-        ScenarioConfig(symbol=symbol)
+        ScenarioConfig.from_dict({"symbol": symbol})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"symbol": symbol}))
     code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -82,16 +83,17 @@ def test_config_rejects_mistyped_symbol_values(tmp_path, symbol):
 
 
 def test_config_accepts_well_typed_symbol_values():
-    cfg = ScenarioConfig(symbol={"b_grid": [0.5, 2], "beta_min": 1, "weight_beta": 2.5,
-                                 "samples": np.int64(20), "probe_steps": 40})
-    assert cfg.symbol["b_grid"] == [0.5, 2] and cfg.symbol["samples"] == 20
+    cfg = ScenarioConfig.from_dict({"symbol": {
+        "b_grid": [0.5, 2], "beta_min": 1, "weight_beta": 2.5,
+        "samples": np.int64(20), "probe_steps": 40}})
+    assert cfg.symbol.b_grid == (0.5, 2.0) and cfg.symbol.samples == 20
 
 
 def test_config_from_json_rejects_unknown_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modez": [4]}))
     with pytest.raises(ConfigError):
-        ScenarioConfig.from_json(path)
+        ScenarioConfig.from_dict(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("raw", [{"modes": ["a"]}, {"steps": "100"},
@@ -100,16 +102,16 @@ def test_config_from_json_rejects_mistyped_values(tmp_path, raw):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError):
-        ScenarioConfig.from_json(path)
+        ScenarioConfig.from_dict(json.loads(path.read_text()))
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_from_json_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modes": [4, 8], "steps": 64, "horizon": 0.25}))
-    cfg = ScenarioConfig.from_json(path)
+    cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
     assert cfg.modes == [4, 8]
-    assert cfg.tolerances["cross_route"] == 1e-6
+    assert cfg.tolerances.cross_route == 1e-6
 
 
 def test_run_solve_writes_series_and_summary(tmp_path):
@@ -141,7 +143,7 @@ def test_symbol_suite_solves_each_scenario_once(monkeypatch, tmp_path):
         return solve(data, params, grid)
 
     monkeypatch.setattr(harness, "solve_mgt", counting)
-    runner(ScenarioConfig(**{**BASE, **overrides}), tmp_path)
+    runner(ScenarioConfig.from_dict({**BASE, **overrides}), tmp_path)
     assert sorted(steps) == [40] * 8 + [80] * 8
 
 
@@ -165,6 +167,21 @@ def test_run_witness_flags_kinked_boundary(tmp_path):
 def test_run_witness_needs_two_mode_counts(tmp_path):
     with pytest.raises(ConfigError):
         run_regularity_witness(small_config(modes=[16]), tmp_path)
+
+
+def test_symbols_needs_two_mode_counts_before_any_work(monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep ran before the mode counts were checked")
+
+    monkeypatch.setattr(harness, "lopatinskii_sweep", no_work)
+    monkeypatch.setattr(harness, "solve_mgt", no_work)
+    cfg = ScenarioConfig.from_dict({"modes": [4], "steps": 20, "grid_points_per_axis": 64})
+    with pytest.raises(ConfigError, match="symbols needs at least 2 mode counts"):
+        run_symbol_suite(cfg, tmp_path / "o")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modes": [4], "steps": 20, "grid_points_per_axis": 64}))
+    assert main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_compare_oracle_rows(tmp_path):
@@ -236,7 +253,8 @@ def test_cli_bad_tolerance_name(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--modes", "0"], ["--modes=-3,4"], ["--modes", ","],
-                                   ["--tol", "cross_route=0"]])
+                                   ["--tol", "cross_route=0"],
+                                   ["--modes", "4", "--dt", "0.05", "--seed", "-1"]])
 def test_cli_invalid_override_is_config_error(tmp_path, flags):
     code = main(["solve", "--out", str(tmp_path / "o"), *flags])
     assert code == 2
@@ -248,6 +266,18 @@ def test_cli_invalid_override_is_config_error(tmp_path, flags):
     ("solve", {"grid_points_per_axis": 4}),
     ("compare-oracle", {"n_scenarios": "3"}),
     ("compare-oracle", {"n_scenarios": 0}),
+    # each of these loaded (and ran some other config, or failed inside a run)
+    # before every value was checked against its field's type
+    ("solve", {"modes": [4.7]}), ("solve", {"modes": [True]}),
+    ("solve", {"seed": 1.5}), ("solve", {"seed": -1}),
+    ("solve", {"scenario": {"g_amp": "x"}}), ("solve", {"scenario": {"compatible": "no"}}),
+    ("solve", {"scenario": {"active_modes": 2.5}}), ("solve", {"grid_points_per_axis": 100.5}),
+    ("solve", {"params": {"alpha": float("nan"), "b": 1.0, "c": 1.0}}),
+    ("solve", {"params": {"alpha": "2", "b": 1.0, "c": 1.0}}),
+    ("solve", {"horizon": float("inf")}), ("solve", {"horizon": "1"}),
+    ("solve", {"tolerances": {"cross_route": float("nan")}}),
+    ("solve", {"tolerances": {"cross_route": "x"}}),
+    ("compare-oracle", {"n_scenarios": True}),
 ])
 def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
     # caught before any work: exit 2 and no error record, never a failed run
@@ -256,7 +286,7 @@ def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
     path.write_text(json.dumps({"modes": [4], "steps": 20, "grid_points_per_axis": 64,
                                 **raw}))
     with pytest.raises(ConfigError):
-        ScenarioConfig.from_json(path)
+        ScenarioConfig.from_dict(json.loads(path.read_text()))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o" / "error.json").exists()
 
@@ -272,6 +302,20 @@ def test_cli_non_finite_solve_writes_record(tmp_path):
     record = json.loads((tmp_path / "o" / "error.json").read_text())
     assert record["error"] == "ReductionError"
     assert "non-finite w" in record["message"]
+
+
+def test_cli_unstable_oracle_writes_record(tmp_path):
+    # RK4 at dt = 0.1 leaves its stability region on 64 modes: exit 1 with an
+    # error record, never a nan row (a numpy warning would be the record here)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modes": [64], "steps": 100, "horizon": 10.0,
+                                "n_scenarios": 1}))
+    code = main(["compare-oracle", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    record = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert record["error"] == "FloatingPointError"
+    assert record["message"].startswith("RK4 oracle: non-finite state from t = ")
+    assert not (tmp_path / "o" / "compare_report.csv").exists()
 
 
 def test_cli_solver_error_writes_record(tmp_path):

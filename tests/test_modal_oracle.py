@@ -1,5 +1,7 @@
 """Per-mode ODE oracle: integration accuracy, roots, stability threshold."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from mgtlab.modal_oracle import (
     integrate_mode,
     solve_by_modes,
 )
-from mgtlab.reduction import MgtParams, solve_mgt
-from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
+from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
+from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 256), 8)
@@ -163,3 +165,27 @@ def test_oracle_agreement_with_reduction_across_cases():
         err = (np.max(np.linalg.norm(bundle.total("w") - oracle.w, axis=1))
                / np.max(np.linalg.norm(oracle.w, axis=1)))
         assert err < 1e-6
+
+
+def test_solve_by_modes_raises_past_the_stability_limit():
+    # 64 modes at dt = 0.1: the top modes leave RK4's stability region and the
+    # states overflow; one error names the oracle, never NaN and no numpy
+    # RuntimeWarning before it
+    basis = build_basis(DomainSpec("interval", 256), 64)
+    data = make_scenario(basis, ScenarioSpec(seed=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^RK4 oracle: non-finite state from t = \d"):
+            solve_by_modes(data, PARAMS, TimeGrid(10.0, 100))
+    assert caught == []
+
+
+def test_solve_by_modes_names_the_first_non_finite_time():
+    # a forcing that turns NaN at t = 0.5 spoils the state from that row on
+    zero = SpectralField(BASIS, np.zeros(BASIS.size))
+    forcing = ForcingData(modes=lambda t: np.where(t[:, None] < 0.5, 1.0, np.nan)
+                          * np.ones(BASIS.size))
+    data = MgtData(w0=zero, w1=zero, w2=zero, f=forcing)
+    with pytest.raises(FloatingPointError, match="from t = 0.5 on"):
+        solve_by_modes(data, PARAMS, TimeGrid(1.0, 100))
