@@ -45,10 +45,22 @@ def sincos_conv(ph: Phases, f: np.ndarray, dt: float,
     consecutive row chunks (quadrature.prefix_trapezoid); ph and f then hold
     one chunk's rows.
     """
-    carry = {} if carry is None else carry
-    pc = prefix_trapezoid(ph.cos * f, dt, carry.setdefault("cos", {}))
-    ps = prefix_trapezoid(ph.sin * f, dt, carry.setdefault("sin", {}))
+    pc, ps = _prefix_pair(ph, f, dt, carry)
     return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
+
+
+def sin_conv(ph: Phases, f: np.ndarray, dt: float, carry: dict | None = None) -> np.ndarray:
+    """The sine convolution of sincos_conv alone, with the same bits."""
+    pc, ps = _prefix_pair(ph, f, dt, carry)
+    return ph.sin * pc - ph.cos * ps
+
+
+def _prefix_pair(ph: Phases, f: np.ndarray, dt: float,
+                 carry: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """The carried prefix sums of cos f and sin f."""
+    carry = {} if carry is None else carry
+    return (prefix_trapezoid(ph.cos * f, dt, carry.setdefault("cos", {})),
+            prefix_trapezoid(ph.sin * f, dt, carry.setdefault("sin", {})))
 
 
 def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySignal,
@@ -60,5 +72,5 @@ def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySigna
     """
     dhat = g.values @ basis.lift_matrix()
     omega = speed * basis.sqrt_eigenvalues
-    conv_s = sincos_conv(phases(omega, grid.times), dhat, grid.dt)[0]
+    conv_s = sin_conv(phases(omega, grid.times), dhat, grid.dt)
     return np.linalg.norm(basis.sqrt_eigenvalues * conv_s, axis=1)

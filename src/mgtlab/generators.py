@@ -9,7 +9,8 @@ continuity and leaves square-integrability only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class ScenarioSpec:
             if family not in TIME_FAMILIES:
                 raise ValueError(f"unknown time family {family!r}, "
                                  f"expected one of {TIME_FAMILIES}")
+        if self.active_modes < 0:
+            raise ValueError(f"active_modes must be >= 0, got {self.active_modes!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def make_boundary(spec: ScenarioSpec, nodes: int) -> BoundaryData:

@@ -15,7 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import power_increments, row_chunks, scan_blocks
+from .quadrature import (
+    each_group,
+    mode_groups,
+    power_increments,
+    row_chunks,
+    scan_blocks,
+    stream_groups,
+)
 from .reduction import MgtData, MgtParams
 from .spectral import TimeGrid, Trajectory
 
@@ -117,8 +124,10 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     the degree-4 Taylor polynomial of dt A, so the steps run as a blocked
     linear scan (quadrature.scan_blocks) on the state buffer, which first
     holds the inputs.  Like RK4's own update, each step adds a small
-    increment (R - I) y + input to y.  _rk4/integrate_mode are the scalar
-    reference.
+    increment (R - I) y + input to y.  Modes are independent past the
+    full-width sampling, so each mode group (quadrature.mode_groups) adds its
+    inputs and scans its own columns of the state buffer.  _rk4/integrate_mode
+    are the scalar reference.
     """
     basis = data.basis
     c2, b = params.c**2, params.b
@@ -144,51 +153,37 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     states[0] = (data.w0.total_coeffs(), data.w1.total_coeffs(),
                  data.w2.total_coeffs())
     body = states[1:]
-    body[:] = 0.0
     flux = basis.boundary_flux()
-    for rows in row_chunks(steps, size):
+    groups = mode_groups(size)
+
+    def sources(rows):
+        # the sources at the three stage times of the chunk's steps
         t = np.arange(rows.start, rows.stop) * dt
-        out = body[rows]
-        for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
+        srcs = []
+        for ts in (t, t + 0.5 * dt, t + dt):
             src = np.zeros((len(ts), size))
             if data.f is not None:
                 src[:] = data.f.modes(ts)
             if data.g is not None:
                 src -= c2 * (data.g.g(ts) @ flux)
                 src -= b * (data.g.gt(ts) @ flux)
-            for j in range(3):
-                out[:, j] += weight[:, j] * src
+            srcs.append(src)
+        return srcs
 
-    segments = scan_blocks(body)
-    length = segments[0].shape[1]
-    # R^i - I for i = 0..L, component-major and contiguous for the elementwise
-    # products; each pass sums its three products ((p0 + p1) + p2) in buffers
-    pw = np.ascontiguousarray(np.moveaxis(power_increments(step, length), 1, -1))
-    one = pw[1]
+    def add_inputs(cols, rows, srcs):
+        out = body[rows, :, cols]
+        out[:] = 0.0
+        for weight, src in zip(weights, srcs):
+            for j in range(3):
+                out[:, j] += weight[cols, j] * src[:, cols]
+
+    # chunks of the whole width, as one group takes them: the data callables
+    # see the same times at any group count
+    stream_groups(add_inputs, groups, row_chunks(steps, size), sources)
+
     # past RK4's stability limit the scan overflows: one error below, no warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in segments:
-            # zero-state pass inside every block at once
-            acc, tmp = np.empty((2,) + seg[:, 0].shape)
-            for i in range(1, seg.shape[1]):
-                prev, row = seg[:, i - 1], seg[:, i]
-                np.multiply(one[:, 0], prev[:, 0, None], out=acc)
-                for j in (1, 2):
-                    acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
-                row += acc
-                row += prev
-        prev = states[0]
-        acc, tmp = np.empty((2,) + segments[0][0].shape)
-        for seg in segments:
-            for block in seg:
-                # add R^{i+1} times the state before the block
-                n = block.shape[0]
-                np.multiply(pw[1:n + 1, :, 0], prev[0], out=acc[:n])
-                for j in (1, 2):
-                    acc[:n] += np.multiply(pw[1:n + 1, :, j], prev[j], out=tmp[:n])
-                block += acc[:n]
-                block += prev
-                prev = block[-1]
+        each_group(lambda cols: _scan_group(step[cols], states[..., cols]), groups)
     # non-finite states are absorbing in the linear scan: the last one tells
     if not np.isfinite(states[-1]).all():
         bad = np.argmin(np.isfinite(states).all(axis=(1, 2)))
@@ -196,3 +191,36 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
             f"RK4 oracle: non-finite state from t = {grid.times[bad]:.6g} on: "
             "dt may be past the RK4 stability limit of the highest mode")
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)
+
+
+def _scan_group(step: np.ndarray, states: np.ndarray) -> None:
+    """solve_by_modes' scan on the (steps+1, 3, modes) columns states, whose
+    row 0 holds the initial state and later rows the inputs; R - I is step."""
+    segments = scan_blocks(states[1:])
+    length = segments[0].shape[1]
+    # R^i - I for i = 0..L, component-major and contiguous for the elementwise
+    # products; each pass sums its three products ((p0 + p1) + p2) in buffers
+    pw = np.ascontiguousarray(np.moveaxis(power_increments(step, length), 1, -1))
+    one = pw[1]
+    for seg in segments:
+        # zero-state pass inside every block at once
+        acc, tmp = np.empty((2,) + seg[:, 0].shape)
+        for i in range(1, seg.shape[1]):
+            prev, row = seg[:, i - 1], seg[:, i]
+            np.multiply(one[:, 0], prev[:, 0, None], out=acc)
+            for j in (1, 2):
+                acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
+            row += acc
+            row += prev
+    prev = states[0]
+    acc, tmp = np.empty((2,) + segments[0][0].shape)
+    for seg in segments:
+        for block in seg:
+            # add R^{i+1} times the state before the block
+            n = block.shape[0]
+            np.multiply(pw[1:n + 1, :, 0], prev[0], out=acc[:n])
+            for j in (1, 2):
+                acc[:n] += np.multiply(pw[1:n + 1, :, j], prev[j], out=tmp[:n])
+            block += acc[:n]
+            block += prev
+            prev = block[-1]

@@ -8,7 +8,14 @@ direct Volterra solver needs for its tightest reproduction targets.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
@@ -18,6 +25,15 @@ RULES = ("trapezoid", "gregory4")
 # Values per (rows x columns) array of a chunk of a streamed time loop: 256 KiB
 # of float64, so that a chunk's arrays stay in cache.
 CHUNK_ELEMENTS = 2**15
+
+# Modes per group below which a mode group's share of a chunk is too short
+# to pay for handing it to another thread: on a 2-vCPU host, 32 modes per
+# group ran slower than one group and 64 or more ran faster.
+GROUP_MODES = 64
+
+# (executor, worker count), made by the first multi-group call; a forked
+# child has none of the parent's threads, so it makes its own
+_pool: tuple[ThreadPoolExecutor, int] | None = None
 
 # Gregory endpoint weights of the order-4 rule (interior weight is 1).
 _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
@@ -116,17 +132,139 @@ def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
 
     Returns a (S // L, L, ...) view of the full blocks, followed by a
     (1, r, ...) view of the r leftover rows when r > 0; writing to a block
-    writes to rows.
+    writes to rows, also when rows is a column slice of a wider array.
     """
-    if not rows.flags.c_contiguous:
-        raise ValueError("scan rows must be C-contiguous")
     n = rows.shape[0]
     length = math.isqrt(n - 1) + 1 if n else 1
     full = n - n % length
-    views = [rows[:full].reshape((-1, length) + rows.shape[1:])]
+    # splitting the leading axis never needs a copy, whatever the strides of
+    # the other axes: a column slice of a wider array scans in place
+    views = [rows[:full].reshape((-1, length) + rows.shape[1:], copy=False)]
     if full < n:
         views.append(rows[full:][None])
     return views
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def mode_groups(size: int) -> list[slice]:
+    """Contiguous column slices of a size-mode basis, one per core used.
+
+    There are min(cores, size // GROUP_MODES) groups, at least one, of sizes
+    as equal as they go.  Modes are independent in both solution routes, so
+    a group runs every per-mode operation of the whole basis in the same
+    float order on the same values: the result does not depend on the count.
+    """
+    count = max(1, min(_cores(), size // GROUP_MODES))
+    edges = [size * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def group_chunks(rows: int, groups: list[slice]) -> list[slice]:
+    """row_chunks of range(rows) for the widest of mode_groups' groups (the
+    last), so that each group's chunk arrays stay in its core's cache."""
+    return row_chunks(rows, groups[-1].stop - groups[-1].start)
+
+
+def stream_groups(work, groups: list[slice], chunks: list[slice], shared) -> None:
+    """work(cols, chunk, shared(chunk)) for every group of mode_groups and
+    every row chunk in order, the groups concurrently.
+
+    shared(chunk) holds a chunk's full-width values; it is made once per
+    chunk, on the calling thread, which then runs the first group on it.
+    The other groups run on a thread pool made on first use, each fed the
+    chunks through a queue two deep, so no group waits for another at every
+    chunk; numpy releases the GIL inside its loops.  Each group runs in a
+    copy of the caller's context, so np.errstate carries over.  Returns when
+    every group is done, raising the first group's error.  One group runs
+    on the calling thread alone.
+    """
+    if len(groups) == 1:
+        for chunk in chunks:
+            work(groups[0], chunk, shared(chunk))
+        return
+    pool = _pool_of(len(groups) - 1)
+    feeds = [queue.Queue(maxsize=2) for _ in groups[1:]]
+
+    def follow(cols, feed):
+        # a failed group keeps draining its feed, so the caller never blocks
+        failure = None
+        while (item := feed.get()) is not None:
+            if failure is None:
+                try:
+                    work(cols, *item)
+                except BaseException as exc:
+                    failure = exc
+        if failure is not None:
+            raise failure
+
+    futures = [pool.submit(contextvars.copy_context().run, follow, cols, feed)
+               for cols, feed in zip(groups[1:], feeds)]
+    try:
+        for chunk in chunks:
+            item = (chunk, shared(chunk))
+            for feed in feeds:
+                feed.put(item)
+            work(groups[0], *item)
+    finally:
+        for feed in feeds:
+            feed.put(None)
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def each_group(work, groups: list[slice]) -> None:
+    """work(cols) for every group of mode_groups, concurrently (stream_groups)."""
+    stream_groups(lambda cols, chunk, values: work(cols), groups, [slice(None)],
+                  lambda chunk: None)
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_of(workers: int) -> ThreadPoolExecutor:
+    """The module's thread pool, made or grown to at least workers threads."""
+    global _pool
+    if _pool is None or _pool[1] < workers:
+        if _pool is not None:
+            _pool[0].shutdown(wait=False)
+        workers = max(workers, _cores() - 1)
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="mgtlab"), workers
+    return _pool[0]
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's get-num-threads entry of a numpy wheel, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads of numpy's BLAS, None when it cannot be asked.
+
+    Full-width matrix products may round differently at another count;
+    the mode-group count never moves a bit.
+    """
+    get = _openblas_threads()
+    return None if get is None else get()
 
 
 def power_increments(step: np.ndarray, count: int) -> np.ndarray:

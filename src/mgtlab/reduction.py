@@ -5,8 +5,11 @@ from MgtParams, assemble the per-mode memory kernel and the right-hand sides
 built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
 with the Dirichlet data.  Assembly and recovery stream over row chunks of
-the time grid (quadrature.row_chunks), carrying the running integrals from
+the time grid (quadrature.group_chunks), carrying the running integrals from
 chunk to chunk, so that no grid-length phase table or history is formed.
+Modes are independent past the full-width lifting products, so every step
+runs over mode groups (quadrature.mode_groups), one per core on wide bases,
+each on its own columns of the shared arrays and with its own carries.
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -21,8 +24,17 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import Phases, phases, sincos_conv
-from .quadrature import power_increments, prefix_exponential, row_chunks, scan_blocks
+from .cosine import Phases, phases, sin_conv, sincos_conv
+from .quadrature import (
+    blas_threads,
+    each_group,
+    group_chunks,
+    mode_groups,
+    power_increments,
+    prefix_exponential,
+    scan_blocks,
+    stream_groups,
+)
 from .spectral import (
     BoundaryData,
     BoundarySignal,
@@ -202,6 +214,11 @@ class KernelFamily:
     def size(self) -> int:
         return len(self.omega)
 
+    def __getitem__(self, cols: slice) -> "KernelFamily":
+        """The kernels of the modes cols."""
+        return KernelFamily(self.omega[cols], self.rho, self.sin_coeff[cols],
+                            self.cos_coeff[cols], self.exp_coeff[cols])
+
 
 def build_kernel(params: MgtParams, basis: EigenBasis) -> KernelFamily:
     """Memory kernel of the transformed problem, in closed per-mode form.
@@ -251,7 +268,8 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     lifting of g-tilde, the g-tilde_tt convolution and the source
     convolution); H_t and H_tt are its time derivatives.  The rows are built
     chunk by chunk, each from its own phase table, with the running
-    convolutions carried from chunk to chunk.
+    convolutions carried from chunk to chunk; within a chunk each mode group
+    fills its own columns.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -285,28 +303,40 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
         fsamp = np.zeros((grid.steps + 1, basis.size))
 
     rhs = np.empty((grid.steps + 1, 3, basis.size))
-    carry = defaultdict(dict)
-    for rows in row_chunks(grid.steps + 1, basis.size):
+    groups = mode_groups(basis.size)
+    carries = {cols.start: defaultdict(dict) for cols in groups}
+
+    def lifted(rows):
+        return [x @ lift for x in _gtilde(sig, gamma, times[rows], rows)]
+
+    def fill(cols, rows, dhats):
+        carry, om, kers = carries[cols.start], omega[cols], kernels[cols]
         t = times[rows]
-        ph = phases(omega, t)
+        grow = np.exp(rho * t)[:, None]
+        ph = phases(om, t)
         ct, st = ph.cos, ph.sin
-        dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(sig, gamma, t, rows))
-        source = _data_source(params, t, w0tot, w1tot) + np.exp(rho * t)[:, None] * source_fixed
-        ftilde, ftilde_t = forcing_transform(fsamp[rows], params, grid, rows, carry["forcing"])
+        dhat, dhat_t, dhat_tt = (x[:, cols] for x in dhats)
+        source = (_data_source(params, t, w0tot[cols], w1tot[cols])
+                  + grow * source_fixed[cols])
+        ftilde, ftilde_t = forcing_transform(fsamp[rows, cols], params, grid, rows,
+                                             carry["forcing"])
         conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
         conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
                                                dt, carry["source_t"])
-        conv_src = sincos_conv(ph, source + ftilde, dt, carry["source"])[0]
-        ker, kdot = kernels.samples(ph)
-        out = rhs[rows]
-        out[:, 0] = ct * a0 + st / omega * a1 + dhat - conv_dtt / omega + conv_src / omega
-        Ht = (-omega * st * a0 + ct * a1 + dhat_t - conv_dtt_c
-              + st / omega * source_0 + conv_src_t / omega)
-        np.subtract(Ht, ker * w0tot, out=out[:, 1])
-        Htt = (-omega**2 * ct * a0 - omega * st * a1 + omega * conv_dtt
-               + ct * source_0 + conv_src_t_c)
-        np.subtract(Htt, kdot * w0tot, out=out[:, 2])
-        out[:, 2] -= ker * v1
+        conv_src = sin_conv(ph, source + ftilde, dt, carry["source"])
+        ker, kdot = kers.samples(ph)
+        out = rhs[rows, :, cols]
+        out[:, 0] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
+                     + conv_src / om)
+        Ht = (-om * st * a0[cols] + ct * a1[cols] + dhat_t - conv_dtt_c
+              + st / om * source_0[cols] + conv_src_t / om)
+        np.subtract(Ht, ker * w0tot[cols], out=out[:, 1])
+        Htt = (-om**2 * ct * a0[cols] - om * st * a1[cols] + om * conv_dtt
+               + ct * source_0[cols] + conv_src_t_c)
+        np.subtract(Htt, kdot * w0tot[cols], out=out[:, 2])
+        out[:, 2] -= ker * v1[cols]
+
+    stream_groups(fill, groups, group_chunks(grid.steps + 1, groups), lifted)
 
     return ReducedProblem(kernels, rhs, sig, fsamp)
 
@@ -325,12 +355,20 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     with trapezoid weights.  G - I and M - I are formed without cancellation
     (half-angle sine, expm1), so that their rounding does not build up.
 
-    rhs has shape (steps+1, modes) or (steps+1, k, modes) and must be
-    C-contiguous; it is overwritten with the solution, which is returned.
-    The k right-hand sides go through the same elementwise float operations
-    as k separate solves, so batching does not change a bit.
+    rhs has shape (steps+1, modes) or (steps+1, k, modes); it is overwritten
+    with the solution, which is returned.  The k right-hand sides go through
+    the same elementwise float operations as k separate solves, and each mode
+    group scans its own columns in place, so neither batching nor grouping
+    changes a bit.
     """
-    dt = grid.dt
+    v = rhs.reshape(rhs.shape[0], -1, rhs.shape[-1])
+    each_group(lambda cols: _scan_group(kernels[cols], v[..., cols], grid.dt),
+               mode_groups(kernels.size))
+    return rhs
+
+
+def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
+    """_solve_structured on the (steps+1, k, modes) columns v of its kernels."""
     a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
     # G - I: cos(omega dt) - 1, sin(omega dt) and e^{rho dt} - 1
     cm1 = -2.0 * np.sin(0.5 * kernels.omega * dt) ** 2
@@ -341,7 +379,6 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     grot[:, 0, 1], grot[:, 1, 0], grot[:, 2, 2] = -sn, sn, em1
     kvec = np.stack([b, a, c], axis=-1)
     kick = dt * np.array([1.0, 0.0, 1.0])[:, None] * kvec[:, None, :]
-    v = rhs.reshape(rhs.shape[0], -1, rhs.shape[-1])
     segments = scan_blocks(v[1:])
     length = segments[0].shape[1]
     # M^i - I for i = 0..L; memory read-out rows dt k^T M^i, component-major
@@ -389,7 +426,6 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
                     + carry[:, 2, None] * x[2])
             step += end
             x = x + step
-    return rhs
 
 
 @dataclass
@@ -398,12 +434,19 @@ class SolutionBundle(Trajectory):
 
     w/wt/wtt are zero-trace coefficients completed by the lifting of the
     sampled Dirichlet data (boundary); f_samples holds the sampled interior
-    forcing, zeros when the problem has none.
+    forcing, zeros when the problem has none, and is the component "f",
+    which has no boundary part.
     """
 
     params: MgtParams
     f_samples: np.ndarray
     metadata: dict
+
+    def interior(self, which: str) -> np.ndarray:
+        return self.f_samples if which == "f" else super().interior(which)
+
+    def boundary_values(self, which: str) -> np.ndarray | None:
+        return None if which == "f" else super().boundary_values(which)
 
 
 def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundle:
@@ -415,44 +458,53 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     and the product-rule recovery of the derivatives.
     """
     # overflow of the exponential weights is reported once, by the
-    # finite-output check below, not as a stream of numpy warnings
-    names, first_bad = ("w", "wt", "wtt"), {}
+    # finite-output check below, not as a stream of numpy warnings; each
+    # mode group notes the first bad time of each output in its columns
+    names = ("w", "wt", "wtt")
+    basis = data.basis
+    groups = mode_groups(basis.size)
+    first_bad = {cols.start: {} for cols in groups}
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
-        basis = data.basis
         rp = reduce_problem(data, params, grid)
         sol = _solve_structured(rp.kernels, rp.rhs, grid)
         lift = basis.lift_matrix()
-        w_int, wt_int, wtt_int = outs = [np.empty((grid.steps + 1, basis.size))
-                                         for _ in names]
-        for rows in row_chunks(grid.steps + 1, basis.size):
+        outs = [np.empty((grid.steps + 1, basis.size)) for _ in names]
+
+        def lifted(rows):
+            return [x @ lift for x in _gtilde(rp.boundary_signal, gamma, times[rows], rows)]
+
+        def recover(cols, rows, dhats):
             t = times[rows]
-            dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows))
-            v_int = sol[rows, 0] - dhat
-            vt_int = sol[rows, 1] - dhat_t
-            vtt_int = sol[rows, 2] - dhat_tt
             damp = np.exp(-0.5 * gamma * t)[:, None]
-            np.multiply(damp, v_int, out=w_int[rows])
-            np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int[rows])
+            w_int, wt_int, wtt_int = (arr[rows, cols] for arr in outs)
+            v_int, vt_int, vtt_int = (sol[rows, j, cols] - dhats[j][:, cols]
+                                      for j in range(3))
+            np.multiply(damp, v_int, out=w_int)
+            np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
             np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
-                        out=wtt_int[rows])
-            for name, arr in zip(names, outs):
+                        out=wtt_int)
+            bad = first_bad[cols.start]
+            for name, chunk in zip(names, (w_int, wt_int, wtt_int)):
                 # min/max propagate NaN and +-inf, read while the chunk is in cache
-                chunk = arr[rows]
-                if name not in first_bad and not (np.isfinite(chunk.min())
-                                                  and np.isfinite(chunk.max())):
-                    first_bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
+                if name not in bad and not (np.isfinite(chunk.min())
+                                            and np.isfinite(chunk.max())):
+                    bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
+
+        stream_groups(recover, groups, group_chunks(grid.steps + 1, groups), lifted)
 
     for name in names:
-        if name in first_bad:
+        found = [bad[name] for bad in first_bad.values() if name in bad]
+        if found:
             raise ReductionError(
-                f"non-finite {name} from t = {first_bad[name]:.6g} on: the "
+                f"non-finite {name} from t = {min(found):.6g} on: the "
                 "exponentially weighted transform left the float range")
 
     meta = {"compatible_position": data.compatible_position,
-            "compatible_velocity": data.compatible_velocity}
-    bundle = SolutionBundle(basis, grid, w_int, wt_int, wtt_int,
+            "compatible_velocity": data.compatible_velocity,
+            "mode_groups": len(groups), "blas_threads": blas_threads()}
+    bundle = SolutionBundle(basis, grid, *outs,
                             rp.boundary_signal, params=params,
                             f_samples=rp.f_samples, metadata=meta)
     if basis.domain.kind == "interval":

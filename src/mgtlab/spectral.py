@@ -471,8 +471,8 @@ class Trajectory:
     As in SpectralField, the coefficients are the whole function when
     boundary is None; otherwise they are the zero-trace part, and the harmonic
     lifting of boundary.values / dvalues / ddvalues completes w / w_t / w_tt.
-    The normal traces are computed once each, on first use, and kept with
-    read-only series.
+    The normal traces and the Gram rows are computed once each, on first
+    use, and kept read-only.
     """
 
     basis: EigenBasis
@@ -483,6 +483,8 @@ class Trajectory:
     boundary: BoundarySignal | None
     traces: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                      compare=False)
+    rows: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
+                                   compare=False)
 
     def interior(self, which: str) -> np.ndarray:
         return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
@@ -506,3 +508,11 @@ class Trajectory:
             res.series.flags.writeable = False
             self.traces[which] = res
         return self.traces[which]
+
+    def gram_rows(self, which: str) -> np.ndarray:
+        """The rows of one component at every time that the Gram forms act on."""
+        if which not in self.rows:
+            rows = gram_rows(self.interior(which), self.boundary_values(which))
+            rows.flags.writeable = False
+            self.rows[which] = rows
+        return self.rows[which]

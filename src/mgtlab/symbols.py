@@ -194,11 +194,10 @@ def _probe_sides(bundle, data, which: str, beta: float,
     grid = bundle.grid
     weights = composite_weights(grid.steps, grid.dt)
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
-    y_w, y_wt, y_wtt = (gram_rows(bundle.interior(comp), edge)
-                        for comp, edge in (("w", g), ("wt", g_t), ("wtt", g_tt)))
+    y_w, y_wt, y_wtt = (bundle.gram_rows(comp) for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
-    y_f = gram_rows(bundle.f_samples) if np.any(bundle.f_samples) else None
+    y_f = bundle.gram_rows("f") if np.any(bundle.f_samples) else None
     sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":

@@ -69,6 +69,14 @@ def test_unknown_family_rejected():
         ScenarioConfig.from_dict({"scenario": {"g_family": "trig", "bogus": 1}})
 
 
+@pytest.mark.parametrize("override", [{"active_modes": -1}, {"f_amp": float("nan")},
+                                      {"g_freq": float("inf")}, {"knot": -float("inf")}])
+def test_scenario_rejects_out_of_range_values(override):
+    name = next(iter(override))
+    with pytest.raises(ValueError, match=name):
+        ScenarioSpec(**override)
+
+
 def test_space_modes_deterministic_and_decaying():
     a = space_modes(BASIS, np.random.default_rng(3), active=6, decay=2.0)
     b = space_modes(BASIS, np.random.default_rng(3), active=6, decay=2.0)

@@ -1,0 +1,205 @@
+"""Mode groups: both routes give the same bits at any group count.
+
+Wide bases run as contiguous mode groups, one per core
+(quadrature.mode_groups); each group runs every per-mode operation on its
+own columns of the shared arrays.  Here the floor of modes per group and the
+core count are patched so that toy bases split into 1, 2 and 3 (uneven)
+groups, with small row chunks so that every group carries its running sums
+over several chunks; every output must match one group bit for bit.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from mgtlab import quadrature, reduction
+from mgtlab.generators import ScenarioSpec, make_scenario
+from mgtlab.modal_oracle import solve_by_modes
+from mgtlab.quadrature import group_chunks, mode_groups, stream_groups
+from mgtlab.reduction import MgtData, MgtParams, ReductionError, solve_mgt
+from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
+
+PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
+BASES = {"interval": build_basis(DomainSpec("interval", 64), 8),
+         "square": build_basis(DomainSpec("square", 32), 4)}
+
+
+def grouped(monkeypatch, count):
+    """Split every basis of 2 or more modes into count groups, with chunks
+    of at most 256 values."""
+    monkeypatch.setattr(quadrature, "GROUP_MODES", 1)
+    monkeypatch.setattr(quadrature, "_cores", lambda: count)
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 256)
+
+
+def outputs(data, grid):
+    bundle = solve_mgt(data, PARAMS, grid)
+    oracle = solve_by_modes(data, PARAMS, grid)
+    out = {f"mgt_{k}": bundle.interior(k) for k in ("w", "wt", "wtt", "f")}
+    out.update({f"oracle_{k}": oracle.interior(k) for k in ("w", "wt", "wtt")})
+    if bundle.basis.domain.kind == "interval":
+        out.update({f"trace_{k}": bundle.trace(k).series for k in ("w", "wt")})
+    return out, bundle.metadata["mode_groups"]
+
+
+def test_mode_groups_cover_the_basis_in_order(monkeypatch):
+    monkeypatch.setattr(quadrature, "_cores", lambda: 2)
+    assert mode_groups(127) == [slice(0, 127)]
+    assert mode_groups(128) == [slice(0, 64), slice(64, 128)]
+    assert mode_groups(4096) == [slice(0, 2048), slice(2048, 4096)]
+    monkeypatch.setattr(quadrature, "_cores", lambda: 3)
+    assert mode_groups(200) == [slice(0, 66), slice(66, 133), slice(133, 200)]
+    monkeypatch.setattr(quadrature, "_cores", lambda: 1)
+    assert mode_groups(4096) == [slice(0, 4096)]
+    # the chunks of a multi-group solve hold CHUNK_ELEMENTS values per group
+    assert group_chunks(100, [slice(0, 100)]) == quadrature.row_chunks(100, 100)
+    assert group_chunks(10001, [slice(0, 128), slice(128, 256)]) == \
+        quadrature.row_chunks(10001, 128)
+
+
+@pytest.mark.parametrize("domain", sorted(BASES))
+@pytest.mark.parametrize("forcing", [True, False])
+@pytest.mark.parametrize("boundary", [True, False])
+def test_groups_give_the_bits_of_one_group(monkeypatch, domain, forcing, boundary):
+    basis = BASES[domain]
+    spec = make_scenario(basis, ScenarioSpec(seed=3, g_family="poly"))
+    data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
+                   g=spec.g if boundary else None)
+    grid = TimeGrid(1.0, 300)
+    want, groups = outputs(data, grid)
+    assert groups == 1
+    for count in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            grouped(mp, count)
+            got, groups = outputs(data, grid)
+        assert groups == count
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), (count, key)
+
+
+def errors(monkeypatch, solve, data, grid):
+    """(type, message) of the error that solve raises at 1, 2 and 3 groups."""
+    found = set()
+    for count in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            grouped(mp, count)
+            with pytest.raises(Exception) as info:
+                solve(data, grid)
+        found.add((info.type, str(info.value)))
+    return found
+
+
+def test_groups_raise_the_overflow_error_of_one_group(monkeypatch):
+    # gamma = 9: the transform's exponentials leave the float range near t = 158
+    params = MgtParams(alpha=10.0, b=1.0, c=1.0)
+    data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
+    found = errors(monkeypatch, lambda d, g: solve_mgt(d, params, g), data,
+                   TimeGrid(400.0, 400))
+    assert len(found) == 1
+    kind, message = found.pop()
+    assert kind is ReductionError and message.startswith("non-finite w from t = ")
+
+
+@pytest.mark.parametrize("early_col,late_col", [(6, 0), (0, 6)])
+def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_col):
+    # 8 modes in groups [0, 2), [2, 5), [5, 8): each group finds its own
+    # first bad time, and the error names the earliest of them
+    grouped(monkeypatch, 3)
+    grid = TimeGrid(1.0, 300)
+    early, late = 40, 250
+
+    def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
+        sol = solve(kernels, rhs, grid)
+        sol[late, 0, late_col] = np.inf
+        sol[early, 0, early_col] = np.nan
+        return sol
+
+    monkeypatch.setattr(reduction, "_solve_structured", spoiled)
+    data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
+    with pytest.raises(ReductionError,
+                       match=f"non-finite w from t = {grid.times[early]:.6g} on"):
+        solve_mgt(data, PARAMS, grid)
+
+
+def test_groups_raise_the_rk4_error_of_one_group(monkeypatch):
+    # dt = 0.5 is far past RK4's stability limit on the upper modes
+    data = make_scenario(BASES["square"], ScenarioSpec(seed=2))
+    found = errors(monkeypatch, lambda d, g: solve_by_modes(d, PARAMS, g), data,
+                   TimeGrid(100.0, 200))
+    assert len(found) == 1
+    kind, message = found.pop()
+    assert kind is FloatingPointError
+    assert message.startswith("RK4 oracle: non-finite state from t = ")
+
+
+def finishes(fn, timeout=60.0):
+    """fn() on a thread that must end within timeout seconds; its result,
+    or the exception it raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "stream_groups did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_stream_groups_raises_a_failed_group_and_returns(failing):
+    # a failure in any group, on the calling thread or the pool, ends the
+    # call with that error once every group is done; none is left waiting
+    groups = [slice(0, 2), slice(2, 4), slice(4, 6)]
+    seen = []
+    lock = threading.Lock()
+
+    def work(cols, chunk, values):
+        with lock:
+            seen.append((cols.start, chunk.start, values))
+        if cols.start == 2 * failing and chunk.start == 0:
+            raise KeyError(cols.start)
+
+    with pytest.raises(KeyError) as info:
+        finishes(lambda: stream_groups(work, groups, [slice(0, 3), slice(3, 6)],
+                                       lambda chunk: chunk.stop))
+    assert info.value.args == (2 * failing,)
+    # every group saw each chunk it ran with that chunk's values
+    assert {(start, values) for _, start, values in seen} <= {(0, 3), (3, 6)}
+    if failing:
+        # the calling thread's group ran to the end
+        assert (0, 3, 6) in seen
+    assert threading.active_count() < 10
+
+
+def test_stream_groups_under_thread_switching_stress():
+    # more groups than cores and a tiny switch interval: every group must
+    # carry its own running sums over every chunk, with no lost update
+    values = np.random.default_rng(7).integers(-9, 9, size=(600, 10)).astype(float)
+    groups = [slice(2 * i, 2 * i + 2) for i in range(5)]
+    chunks = [slice(i, i + 10) for i in range(0, 600, 10)]
+    out = np.empty_like(values)
+    carries = {}
+
+    def work(cols, chunk, shared):
+        out[chunk, cols] = carries[cols.start] + np.cumsum(shared[:, cols], axis=0)
+        carries[cols.start] = out[chunk.stop - 1, cols]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            carries.update({cols.start: np.zeros(2) for cols in groups})
+            finishes(lambda: stream_groups(work, groups, chunks,
+                                           lambda chunk: values[chunk].copy()))
+            assert np.array_equal(out, np.cumsum(values, axis=0))
+    finally:
+        sys.setswitchinterval(interval)

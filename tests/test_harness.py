@@ -120,6 +120,8 @@ def test_run_solve_writes_series_and_summary(tmp_path):
     summary = json.loads((tmp_path / "solve_summary.json").read_text())
     assert summary["sup_norms"]["w_H2"] > 0
     assert "generated_at" in summary["metadata"]
+    assert summary["metadata"]["mode_groups"] == 1
+    assert summary["metadata"]["blas_threads"] is None or summary["metadata"]["blas_threads"] >= 1
     assert report.all_passed  # informational rows only
 
 
@@ -278,6 +280,8 @@ def test_cli_invalid_override_is_config_error(tmp_path, flags):
     ("solve", {"tolerances": {"cross_route": float("nan")}}),
     ("solve", {"tolerances": {"cross_route": "x"}}),
     ("compare-oracle", {"n_scenarios": True}),
+    # loaded, then failed inside the run (exit 1) before ScenarioSpec's range checks
+    ("solve", {"scenario": {"active_modes": -1}}),
 ])
 def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
     # caught before any work: exit 2 and no error record, never a failed run
@@ -388,6 +392,8 @@ def test_witness_summary_reports_families(tmp_path):
     assert summary["boundary_family"] == "trig"
     assert summary["boundary_flagged"] is False
     assert len(summary["incompatible_H2_sups"]) == 2
+    assert summary["metadata"]["mode_groups"] == 1
+    assert "blas_threads" in summary["metadata"]
 
 
 # -- the chunked cross-route error -------------------------------------------

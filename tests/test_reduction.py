@@ -10,7 +10,7 @@ from mgtlab import reduction
 from mgtlab.cosine import phases, sincos_conv
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential
+from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential, row_chunks
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
@@ -282,7 +282,7 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
     # the check runs chunk by chunk, but reports as a check of whole arrays
     # would: w before wt before wtt, each at its first bad time
     grid = TimeGrid(1.0, 10000)
-    rows = reduction.row_chunks(grid.steps + 1, BASIS.size)
+    rows = row_chunks(grid.steps + 1, BASIS.size)
     assert len(rows) >= 3
     late, early = rows[2].start + 3, rows[1].start + 1
 

@@ -89,8 +89,18 @@ def test_scan_blocks_cover_rows_in_order(steps):
     for v in views:
         v += 1.0  # views write through
     assert rows[0, 0] == 1.0 and rows[-1, -1] == 2.0 * steps
-    with pytest.raises(ValueError):
-        scan_blocks(np.zeros((steps, 4))[:, ::2])
+
+
+@pytest.mark.parametrize("steps", SCAN_STEPS)
+@pytest.mark.parametrize("cols", [slice(1, 3), slice(0, 5, 2)])
+def test_scan_blocks_write_through_column_views(steps, cols):
+    # a mode group scans its columns of the shared array in place
+    parent = np.arange(steps * 5 * 3.0).reshape(steps, 3, 5)
+    want = parent.copy()
+    want[..., cols] += 1.0
+    for v in scan_blocks(parent[..., cols]):
+        v += 1.0
+    assert np.array_equal(parent, want)
 
 
 def test_power_increments_match_matrix_power():

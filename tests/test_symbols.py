@@ -8,7 +8,7 @@ probes' reference.
 import numpy as np
 import pytest
 
-from mgtlab import spectral
+from mgtlab import spectral, symbols
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.harness import norm_series
 from mgtlab.reduction import MgtData, MgtParams, solve_mgt
@@ -365,3 +365,29 @@ def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
     assert spectral._interval_grams.cache_info().misses == 1
     norm_series(bundle, 256, stride=10)
     assert calls == ["eval_matrix_1d"] * spectral._interval_grams.cache_info().misses
+
+
+def test_probes_share_the_gram_rows_of_a_bundle(monkeypatch):
+    # both probes read the (S+1)-row rows of w, wt, wtt and f that the bundle
+    # keeps: 4 builds per bundle, not 4 per probe, with the same bits
+    grid = TimeGrid(1.0, 200)
+    data = make_scenario(BASIS, ScenarioSpec(seed=4))
+    want = {}
+    for which in ("resolvent_4a", "semigroup_10"):
+        want[which] = estimate_probe(solve_mgt(data, PARAMS, grid), data, which,
+                                     space_points=128).ratio
+    built = []
+
+    def counting(interior, boundary=None):
+        if interior.shape[0] == grid.steps + 1:
+            built.append(interior.shape)
+        return gram_rows(interior, boundary)
+
+    monkeypatch.setattr(spectral, "gram_rows", counting)
+    monkeypatch.setattr(symbols, "gram_rows", counting)
+    bundle = solve_mgt(data, PARAMS, grid)
+    for which in ("resolvent_4a", "semigroup_10"):
+        assert estimate_probe(bundle, data, which, space_points=128).ratio == want[which]
+    assert len(built) == 4
+    with pytest.raises(ValueError):
+        bundle.gram_rows("w")[0, 0] = 1.0
