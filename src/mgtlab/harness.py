@@ -27,8 +27,9 @@ from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, 
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import boundary_convolution_probe
 
-# time families that violate the square-integrable-second-derivative class
-H2_VIOLATING_FAMILIES = ("ramp_kink", "step")
+# boundary time families that violate the square-integrable-second-derivative
+# class and that the routes solve (step data is rejected by ScenarioConfig)
+H2_VIOLATING_FAMILIES = ("ramp_kink",)
 
 
 class ConfigError(ValueError):
@@ -136,6 +137,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
+        if self.scenario.g_family == "step":
+            # the jump of g puts a Dirac mass in g_t that both routes drop
+            raise ConfigError("config.scenario.g_family 'step' is not solvable: both "
+                              "routes drop the Dirac mass of its jump from g_t")
         self.domain()  # the domain checks its own kind and grid size
 
     @classmethod
@@ -321,7 +326,7 @@ def discrete_equation_residual(bundle: SolutionBundle) -> float:
     flux = basis.boundary_flux()
     q = bundle.boundary.values @ flux
     qd = bundle.boundary.dvalues @ flux
-    rhs = -params.c**2 * q - params.b * qd + bundle.f_samples
+    rhs = -params.c**2 * q - params.b * qd + bundle.interior("f")
     resid = (wttt + params.alpha * wtt[tail] + params.b * mu * wt[tail]
              + params.c**2 * mu * w[tail] - rhs[tail])
     return float(np.max(np.linalg.norm(resid, axis=1)))

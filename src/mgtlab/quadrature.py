@@ -113,10 +113,12 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float,
 
 
 def row_chunks(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows) in order, of at most CHUNK_ELEMENTS // width
-    rows each (at least one) and as equal as they go: so no chunk is a single
-    row, whose matrix products numpy rounds by another (vector) routine."""
+    """Slices covering range(rows) in order, as equal as they go, of at most
+    max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is
+    1: numpy rounds a one-row matrix product by another (vector) routine."""
     count = -(-rows // max(1, CHUNK_ELEMENTS // width))
+    if rows >= 2:
+        count = min(count, rows // 2)
     edges = [rows * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 

@@ -6,7 +6,8 @@ built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
 with the Dirichlet data.  Assembly and recovery stream over row chunks of
 the time grid (quadrature.group_chunks), carrying the running integrals from
-chunk to chunk, so that no grid-length phase table or history is formed.
+chunk to chunk, so that no grid-length phase table, history or forcing table
+is formed.
 Modes are independent past the full-width lifting products, so every step
 runs over mode groups (quadrature.mode_groups), one per core on wide bases,
 each on its own columns of the shared arrays and with its own carries.
@@ -106,13 +107,19 @@ def _data_source(params: MgtParams, times: np.ndarray, w0tot: np.ndarray,
 
 @dataclass
 class ForcingData:
-    """Interior forcing as a callable: times (T,) -> eigen-coefficients (T, modes)."""
+    """Interior forcing as a callable: times (T,) -> eigen-coefficients (T, modes).
+
+    The callable acts elementwise in time, so a row chunk of times gives the
+    same floats as the whole grid: the solvers sample it chunk by chunk and
+    no grid-length forcing table is formed.
+    """
 
     modes: Callable[[np.ndarray], np.ndarray]
 
-    def sample(self, grid: TimeGrid, size: int) -> np.ndarray:
-        out = np.asarray(self.modes(grid.times), dtype=float)
-        if out.shape != (grid.steps + 1, size):
+    def sample(self, times: np.ndarray, size: int) -> np.ndarray:
+        """The eigen-coefficients at times, of shape (len(times), size)."""
+        out = np.asarray(self.modes(times), dtype=float)
+        if out.shape != (len(times), size):
             raise ValueError("forcing callable must map (T,) times to (T, modes) values")
         return out
 
@@ -252,12 +259,12 @@ class ReducedProblem:
     rhs has shape (steps+1, 3, modes): the right-hand sides of the v, v_t and
     v_tt solves, H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the kernel
     samples and their time derivatives, v0 = w0 and v1 = gamma/2 w0 + w1.
+    The interior forcing enters rhs only; it is not kept.
     """
 
     kernels: KernelFamily
     rhs: np.ndarray
     boundary_signal: BoundarySignal
-    f_samples: np.ndarray
 
 
 def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedProblem:
@@ -268,8 +275,9 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     lifting of g-tilde, the g-tilde_tt convolution and the source
     convolution); H_t and H_tt are its time derivatives.  The rows are built
     chunk by chunk, each from its own phase table, with the running
-    convolutions carried from chunk to chunk; within a chunk each mode group
-    fills its own columns.
+    convolutions carried from chunk to chunk.  A chunk's full-width values
+    (the lifting products and the forcing samples at its times) are made
+    once; each mode group then fills its own columns from their columns.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -297,19 +305,18 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     source_fixed = w2tot + params.b * basis.eigenvalues * data.w0.coeffs
     source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
-    if data.f is not None:
-        fsamp = data.f.sample(grid, basis.size)
-    else:
-        fsamp = np.zeros((grid.steps + 1, basis.size))
-
     rhs = np.empty((grid.steps + 1, 3, basis.size))
     groups = mode_groups(basis.size)
     carries = {cols.start: defaultdict(dict) for cols in groups}
 
-    def lifted(rows):
-        return [x @ lift for x in _gtilde(sig, gamma, times[rows], rows)]
+    def shared(rows):
+        t = times[rows]
+        fsamp = (data.f.sample(t, basis.size) if data.f is not None
+                 else np.zeros((len(t), basis.size)))
+        return [x @ lift for x in _gtilde(sig, gamma, t, rows)], fsamp
 
-    def fill(cols, rows, dhats):
+    def fill(cols, rows, values):
+        dhats, fsamp = values
         carry, om, kers = carries[cols.start], omega[cols], kernels[cols]
         t = times[rows]
         grow = np.exp(rho * t)[:, None]
@@ -318,7 +325,7 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
         dhat, dhat_t, dhat_tt = (x[:, cols] for x in dhats)
         source = (_data_source(params, t, w0tot[cols], w1tot[cols])
                   + grow * source_fixed[cols])
-        ftilde, ftilde_t = forcing_transform(fsamp[rows, cols], params, grid, rows,
+        ftilde, ftilde_t = forcing_transform(fsamp[:, cols], params, grid, rows,
                                              carry["forcing"])
         conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
         conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
@@ -336,9 +343,9 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
         np.subtract(Htt, kdot * w0tot[cols], out=out[:, 2])
         out[:, 2] -= ker * v1[cols]
 
-    stream_groups(fill, groups, group_chunks(grid.steps + 1, groups), lifted)
+    stream_groups(fill, groups, group_chunks(grid.steps + 1, groups), shared)
 
-    return ReducedProblem(kernels, rhs, sig, fsamp)
+    return ReducedProblem(kernels, rhs, sig)
 
 
 def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
@@ -433,17 +440,22 @@ class SolutionBundle(Trajectory):
     """The solved trajectory, the forcing it was solved with, and diagnostics.
 
     w/wt/wtt are zero-trace coefficients completed by the lifting of the
-    sampled Dirichlet data (boundary); f_samples holds the sampled interior
-    forcing, zeros when the problem has none, and is the component "f",
-    which has no boundary part.
+    sampled Dirichlet data (boundary).  forcing is the interior forcing
+    callable, None when the problem has none; the component "f" samples it
+    on the grid on each read (zeros without forcing) and has no boundary
+    part, so no forcing table outlives a read.
     """
 
     params: MgtParams
-    f_samples: np.ndarray
+    forcing: ForcingData | None
     metadata: dict
 
     def interior(self, which: str) -> np.ndarray:
-        return self.f_samples if which == "f" else super().interior(which)
+        if which != "f":
+            return super().interior(which)
+        if self.forcing is None:
+            return np.zeros((self.grid.steps + 1, self.basis.size))
+        return self.forcing.sample(self.grid.times, self.basis.size)
 
     def boundary_values(self, which: str) -> np.ndarray | None:
         return None if which == "f" else super().boundary_values(which)
@@ -506,7 +518,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
             "mode_groups": len(groups), "blas_threads": blas_threads()}
     bundle = SolutionBundle(basis, grid, *outs,
                             rp.boundary_signal, params=params,
-                            f_samples=rp.f_samples, metadata=meta)
+                            forcing=data.f, metadata=meta)
     if basis.domain.kind == "interval":
         meta["trace_w_converged"] = bundle.trace("w").converged
         meta["trace_wt_converged"] = bundle.trace("wt").converged

@@ -197,7 +197,11 @@ def _probe_sides(bundle, data, which: str, beta: float,
     y_w, y_wt, y_wtt = (bundle.gram_rows(comp) for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
-    y_f = bundle.gram_rows("f") if np.any(bundle.f_samples) else None
+    # f is sampled once per bundle, through its cached rows; rows of an
+    # all-zero forcing count as no forcing
+    y_f = None if bundle.forcing is None else bundle.gram_rows("f")
+    if y_f is not None and not y_f.any():
+        y_f = None
     sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":

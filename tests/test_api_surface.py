@@ -103,17 +103,122 @@ def unused_definitions() -> list:
     return found
 
 
-def unread_fields() -> list:
-    """Annotated class fields that no attribute load in src/ reads,
-    REFERENCE_FIELDS excepted."""
-    read = {sub.attr for tree in TREES.values() for sub in ast.walk(tree)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def scope_nodes(node):
+    """The nodes below node that belong to its own scope: nested functions,
+    lambdas and classes are yielded but not entered."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, SCOPES):
+            yield from scope_nodes(child)
+
+
+def annotated_class(annotation, classes: set) -> str | None:
+    """The package class that an annotation names (C, "C" or C | None)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = (annotation.left, annotation.right)
+        found = {annotated_class(side, classes) for side in sides} - {None}
+        none = any(isinstance(side, ast.Constant) and side.value is None for side in sides)
+        return found.pop() if len(found) == 1 and none else None
+    if isinstance(annotation, ast.Name) and annotation.id in classes:
+        return annotation.id
+    return None
+
+
+def local_classes(func, owner: str | None, classes: set) -> dict:
+    """{name: package class} of the names that func binds, each only where
+    every binding gives that class: self in a method of owner, a parameter
+    or variable annotated with a package class, or a name assigned from a
+    package constructor.  Every other local name maps to None (untyped)."""
+    bound = {}
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    method = owner is not None and not isinstance(func, ast.Lambda) and not any(
+        isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+        for d in func.decorator_list)
+    for i, arg in enumerate(params + [a for a in (args.vararg, args.kwarg) if a]):
+        is_self = method and i == 0
+        bound.setdefault(arg.arg, set()).add(
+            owner if is_self else annotated_class(getattr(arg, "annotation", None), classes))
+    typed = set()  # the target nodes of the assignments read here
+    for node in scope_nodes(func):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            typed.add(node.target)
+            bound.setdefault(node.target.id, set()).add(
+                annotated_class(node.annotation, classes))
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            call = node.value
+            made = (call.func.id if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id in classes else None)
+            typed.add(node.targets[0])
+            bound.setdefault(node.targets[0].id, set()).add(made)
+        elif (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+              and node not in typed):
+            bound.setdefault(node.id, set()).add(None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.setdefault(node.name, set()).add(None)
+    return {name: kinds.pop() if len(kinds) == 1 else None for name, kinds in bound.items()}
+
+
+def field_reads(trees) -> set:
+    """(class, attribute) of each attribute load in trees; the class is the
+    receiver's where it is known (local_classes, also in nested scopes) and
+    None where it is not."""
+    classes = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    reads = set()
+
+    def visit(scope, env, owner):
+        for node in scope_nodes(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                receiver = env.get(node.value.id) if isinstance(node.value, ast.Name) else None
+                reads.add((receiver, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                visit(node, {}, node.name)
+            elif isinstance(node, SCOPES):
+                visit(node, {**env, **local_classes(node, owner, classes)}, None)
+
+    for tree in trees:
+        visit(tree, {}, None)
+    return reads
+
+
+def lineage(trees) -> dict:
+    """Each package class with the package classes it derives from, itself
+    first."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def line(name):
+        return {name}.union(*(line(b) for b in bases[name] if b in bases))
+
+    return {name: line(name) for name in bases}
+
+
+def unread_fields(trees: dict = TREES) -> list:
+    """Annotated class fields that no attribute load in trees reads,
+    REFERENCE_FIELDS excepted.
+
+    A load on a receiver of known class (field_reads) reads the field of
+    that class and of the package classes it derives from; a load on any
+    other receiver reads the field of that name on every class.
+    """
+    reads = field_reads(trees.values())
+    lines = lineage(trees.values())
+    readers = {}
+    for receiver, attr in reads:
+        readers.setdefault(attr, set()).update(lines.get(receiver, {None}))
     return [f"{path.stem}.{node.name}.{item.target.id}"
-            for path, tree in TREES.items() for node in tree.body
+            for path, tree in trees.items() for node in tree.body
             if isinstance(node, ast.ClassDef)
             for item in node.body
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            and item.target.id not in read
+            and not readers.get(item.target.id, set()) & {None, node.name}
             and f"{node.name}.{item.target.id}" not in REFERENCE_FIELDS]
 
 
@@ -134,6 +239,36 @@ def test_every_definition_is_named_outside_itself():
     # and no reference entry outlives its definition
     defined = {qualname for tree in TREES.values() for qualname, _ in definitions(tree)}
     assert REFERENCE <= defined
+
+
+SYNTHETIC = """
+class A:
+    x: int
+class B:
+    x: int
+    y: int
+class C(B):
+    def total(self):
+        return self.y
+class D:
+    z: int
+class E:
+    z: int
+def read(a: A, maybe: "A | None"):
+    d = D()
+    return a.x + maybe.x + d.z
+"""
+
+
+def test_field_reads_count_against_a_known_receiver_class():
+    # a.x on an annotated A reads no B.x; self.y in subclass C reads B.y
+    trees = {Path("m.py"): ast.parse(SYNTHETIC)}
+    assert unread_fields(trees) == ["m.B.x", "m.E.z"]
+    # an untyped receiver, or a name bound to two classes, reads every class
+    for source in ("def any_x(obj):\n    return obj.x + obj.z\n",
+                   "def two():\n    v = B()\n    v = E()\n    return v.x + v.z\n"):
+        trees = {Path("m.py"): ast.parse(SYNTHETIC + source)}
+        assert unread_fields(trees) == []
 
 
 def test_every_field_is_read():

@@ -18,7 +18,7 @@ from mgtlab import quadrature, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import group_chunks, mode_groups, stream_groups
-from mgtlab.reduction import MgtData, MgtParams, ReductionError, solve_mgt
+from mgtlab.reduction import ForcingData, MgtData, MgtParams, ReductionError, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -77,6 +77,33 @@ def test_groups_give_the_bits_of_one_group(monkeypatch, domain, forcing, boundar
         assert groups == count
         for key, value in want.items():
             assert np.array_equal(got[key], value), (count, key)
+
+
+@pytest.mark.parametrize("domain,count,steps", [("interval", 1, 10000),
+                                                ("square", 2, 2000)])
+def test_solve_samples_the_forcing_one_chunk_at_a_time(monkeypatch, domain, count,
+                                                       steps):
+    # the forcing callable is asked for one row chunk's times at a time and
+    # for each time once: a solve forms no grid-length forcing table
+    if count > 1:
+        grouped(monkeypatch, count)
+    basis = BASES[domain]
+    spec = make_scenario(basis, ScenarioSpec(seed=2))
+    asked = []
+
+    def modes(t, inner=spec.f.modes):
+        asked.append(len(t))
+        return inner(t)
+
+    data = MgtData(spec.w0, spec.w1, spec.w2, f=ForcingData(modes), g=spec.g)
+    grid = TimeGrid(1.0, steps)
+    groups = mode_groups(basis.size)
+    chunks = group_chunks(grid.steps + 1, groups)
+    assert len(groups) == count and len(chunks) >= 3
+    bundle = solve_mgt(data, PARAMS, grid)
+    assert bundle.metadata["mode_groups"] == count
+    assert max(asked) <= max(c.stop - c.start for c in chunks)
+    assert sum(asked) == grid.steps + 1
 
 
 def errors(monkeypatch, solve, data, grid):

@@ -295,6 +295,18 @@ def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
     assert not (tmp_path / "o" / "error.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "witness", "compare-oracle",
+                                     "convergence", "symbols"])
+def test_cli_rejects_step_dirichlet_data(tmp_path, capsys, command):
+    # both routes drop the Dirac mass of a step in g_t: exit 2 before any solve
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"modes": [4, 8], "steps": 20, "grid_points_per_axis": 64,
+                                "scenario": {"g_family": "step"}}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config.scenario.g_family" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_non_finite_solve_writes_record(tmp_path):
     # gamma = 1 at T = 2000: the exponential transform overflows
     path = tmp_path / "cfg.json"

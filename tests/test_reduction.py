@@ -12,6 +12,7 @@ from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential, row_chunks
 from mgtlab.reduction import (
+    ForcingData,
     MgtData,
     MgtParams,
     ReductionError,
@@ -233,7 +234,7 @@ def test_affine_rewritten_equals_raw_form():
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
     source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
               + np.exp(PARAMS.decay_exponent * times)[:, None] * source_fixed)
-    ftilde = forcing_transform(rp.f_samples, PARAMS, grid)[0]
+    ftilde = forcing_transform(data.f.sample(times, BASIS.size), PARAMS, grid)[0]
     H_raw = (ph.cos * w0tot + ph.sin / omega * initial_v(data)[1]
              + sincos_conv(ph, source + ftilde, dt)[0] / omega
              + omega * sincos_conv(ph, lifted_boundary(rp, grid), dt)[0])
@@ -413,12 +414,34 @@ def test_bundle_keeps_only_the_solution():
     bundle = solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=3)), PARAMS,
                        TimeGrid(1.0, 100))
     assert owned_arrays(bundle) == {
-        "w", "wt", "wtt", "f_samples",
+        "w", "wt", "wtt",
         "boundary.values", "boundary.dvalues", "boundary.ddvalues",
         "traces.w.series", "traces.wt.series"}
     for which in ("w", "wt"):
         assert bundle.traces[which].series.shape == (101, 2)
         assert not bundle.traces[which].series.flags.writeable
+
+
+def test_bundle_samples_the_forcing_on_read():
+    # "f" is the forcing callable on the grid's times, bit for bit, and zeros
+    # without forcing; it has no boundary part
+    grid = TimeGrid(1.0, 300)
+    data = make_scenario(BASIS, ScenarioSpec(seed=5, g_family="poly"))
+    bundle = solve_mgt(data, PARAMS, grid)
+    assert bundle.forcing is data.f
+    assert np.array_equal(bundle.interior("f"), data.f.modes(grid.times))
+    assert bundle.boundary_values("f") is None
+    free = solve_mgt(MgtData(data.w0, data.w1, data.w2, g=data.g), PARAMS, grid)
+    assert free.forcing is None
+    assert np.array_equal(free.interior("f"), np.zeros((grid.steps + 1, BASIS.size)))
+
+
+def test_solve_checks_the_forcing_shape():
+    data = make_scenario(BASIS, ScenarioSpec(seed=5))
+    bad = MgtData(data.w0, data.w1, data.w2,
+                  f=ForcingData(lambda t: np.zeros((len(t), BASIS.size - 1))))
+    with pytest.raises(ValueError, match="forcing callable must map"):
+        solve_mgt(bad, PARAMS, TimeGrid(1.0, 100))
 
 
 def test_normal_traces_computed_once_per_bundle(monkeypatch):

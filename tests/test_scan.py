@@ -24,7 +24,7 @@ from mgtlab.cosine import phases
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, power_increments, prefix_exponential,
-                               prefix_trapezoid, scan_blocks)
+                               prefix_trapezoid, row_chunks, scan_blocks)
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
@@ -238,3 +238,25 @@ def test_chunked_rhs_equals_one_chunk(edge, forcing, boundary, seed):
         mp.setattr(quadrature, "CHUNK_ELEMENTS", rows * BASIS.size)
         whole = reduce_problem(data, PARAMS, grid).rhs
     assert np.array_equal(chunks, whole)
+
+
+@pytest.mark.parametrize("width", [1, 64, 10961, 10962, 2**14, 2**15, 2**16])
+def test_row_chunks_never_make_a_one_row_chunk(width):
+    # numpy rounds a one-row matrix product by its vector routine
+    for rows in range(1, 41):
+        chunks = row_chunks(rows, width)
+        assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+        assert chunks[-1].stop == rows
+        sizes = [c.stop - c.start for c in chunks]
+        assert min(sizes) >= (1 if rows == 1 else 2), (rows, sizes)
+        assert max(sizes) <= max(3, CHUNK_ELEMENTS // width)
+
+
+def test_row_chunks_of_narrow_widths_are_unchanged():
+    # at 256 or fewer modes per chunk the chunks, and so every solve's bits,
+    # are those of the plain ceil(rows / (CHUNK_ELEMENTS // width)) split
+    for width in range(1, 257):
+        for rows in (*range(1, 41), 127, 128, 129, 2001, 10001, 10002):
+            count = -(-rows // (CHUNK_ELEMENTS // width))
+            edges = [rows * i // count for i in range(count + 1)]
+            assert row_chunks(rows, width) == [slice(a, b) for a, b in zip(edges, edges[1:])]

@@ -11,7 +11,7 @@ import pytest
 from mgtlab import spectral, symbols
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.harness import norm_series
-from mgtlab.reduction import MgtData, MgtParams, solve_mgt
+from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import (
     DomainSpec,
     EigenBasis,
@@ -295,7 +295,7 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
-    fsamp = bundle.f_samples
+    fsamp = bundle.interior("f")
     f_vals = (np.stack([SpectralField(basis, row).evaluate(space_points) for row in fsamp])
               if np.any(fsamp) else np.zeros_like(w_vals))
     dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
@@ -391,3 +391,34 @@ def test_probes_share_the_gram_rows_of_a_bundle(monkeypatch):
     assert len(built) == 4
     with pytest.raises(ValueError):
         bundle.gram_rows("w")[0, 0] = 1.0
+
+
+def test_probes_sample_the_forcing_once_per_bundle():
+    # the two probes of a bundle read f through its cached rows: one sampling
+    # pass over the grid between them, none without forcing, and an all-zero
+    # forcing counts as none
+    grid = TimeGrid(1.0, 200)
+    data = make_scenario(BASIS, ScenarioSpec(seed=4))
+    asked = []
+
+    def counted(inner):
+        def modes(t):
+            asked.append(len(t))
+            return inner(t)
+        return ForcingData(modes)
+
+    def ratios(forcing):
+        case = MgtData(data.w0, data.w1, data.w2, f=forcing, g=data.g)
+        bundle = solve_mgt(case, PARAMS, grid)
+        asked.clear()
+        out = [estimate_probe(bundle, case, which, space_points=128).ratio
+               for which in ("resolvent_4a", "semigroup_10")]
+        return out, list(asked), bundle
+
+    _, calls, _ = ratios(counted(data.f.modes))
+    assert calls == [grid.steps + 1]
+    free, _, bundle = ratios(None)
+    assert "f" not in bundle.rows
+    zero, calls, _ = ratios(counted(lambda t: np.zeros((len(t), BASIS.size))))
+    assert calls == [grid.steps + 1]
+    assert zero == free
