@@ -16,12 +16,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import (
-    each_group,
+    each_part,
     mode_groups,
     power_increments,
-    row_chunks,
+    row_runs,
     scan_blocks,
-    stream_groups,
 )
 from .reduction import MgtData, MgtParams
 from .spectral import TimeGrid, Trajectory
@@ -118,16 +117,17 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     The states are total eigen-coefficients, so the trajectory carries no
     boundary signal.
 
-    The source is sampled at RK4's stage times t_m, t_m + dt/2 and t_m + dt,
-    one row chunk at a time.  For y' = A y + e_3 s(t) one RK4 step is exactly
+    The source is sampled at RK4's stage times t_m, t_m + dt/2 and t_m + dt
+    and weighted into the state buffer one full-width row chunk at a time,
+    in contiguous runs of chunks, one per core (quadrature.row_runs).  For
+    y' = A y + e_3 s(t) one RK4 step is exactly
     y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1}) with R
     the degree-4 Taylor polynomial of dt A, so the steps run as a blocked
     linear scan (quadrature.scan_blocks) on the state buffer, which first
     holds the inputs.  Like RK4's own update, each step adds a small
-    increment (R - I) y + input to y.  Modes are independent past the
-    full-width sampling, so each mode group (quadrature.mode_groups) adds its
-    inputs and scans its own columns of the state buffer.  _rk4/integrate_mode
-    are the scalar reference.
+    increment (R - I) y + input to y.  Modes are independent in the scan, so
+    each mode group (quadrature.mode_groups) scans its own columns of the
+    state buffer.  _rk4/integrate_mode are the scalar reference.
     """
     basis = data.basis
     c2, b = params.c**2, params.b
@@ -154,36 +154,28 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
                  data.w2.total_coeffs())
     body = states[1:]
     flux = basis.boundary_flux()
-    groups = mode_groups(size)
 
-    def sources(rows):
-        # the sources at the three stage times of the chunk's steps
-        t = np.arange(rows.start, rows.stop) * dt
-        srcs = []
-        for ts in (t, t + 0.5 * dt, t + dt):
-            src = np.zeros((len(ts), size))
-            if data.f is not None:
-                src[:] = data.f.modes(ts)
-            if data.g is not None:
-                src -= c2 * (data.g.g(ts) @ flux)
-                src -= b * (data.g.gt(ts) @ flux)
-            srcs.append(src)
-        return srcs
+    def add_inputs(run):
+        # the sources at the three stage times of each chunk's steps
+        for rows in run:
+            t = np.arange(rows.start, rows.stop) * dt
+            out = body[rows]
+            out[:] = 0.0
+            for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
+                src = (data.f.sample(ts, size) if data.f is not None
+                       else np.zeros((len(ts), size)))
+                if data.g is not None:
+                    src = src - c2 * (data.g.g(ts) @ flux)
+                    src -= b * (data.g.gt(ts) @ flux)
+                for j in range(3):
+                    out[:, j] += weight[:, j] * src
 
-    def add_inputs(cols, rows, srcs):
-        out = body[rows, :, cols]
-        out[:] = 0.0
-        for weight, src in zip(weights, srcs):
-            for j in range(3):
-                out[:, j] += weight[cols, j] * src[:, cols]
-
-    # chunks of the whole width, as one group takes them: the data callables
-    # see the same times at any group count
-    stream_groups(add_inputs, groups, row_chunks(steps, size), sources)
+    each_part(add_inputs, row_runs(steps, size))
 
     # past RK4's stability limit the scan overflows: one error below, no warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        each_group(lambda cols: _scan_group(step[cols], states[..., cols]), groups)
+        each_part(lambda cols: _scan_group(step[cols], states[..., cols]),
+                  mode_groups(size))
     # non-finite states are absorbing in the linear scan: the last one tells
     if not np.isfinite(states[-1]).all():
         bad = np.argmin(np.isfinite(states).all(axis=(1, 2)))

@@ -31,8 +31,8 @@ CHUNK_ELEMENTS = 2**15
 # group ran slower than one group and 64 or more ran faster.
 GROUP_MODES = 64
 
-# (executor, worker count), made by the first multi-group call; a forked
-# child has none of the parent's threads, so it makes its own
+# (executor, worker count), made by the first call with two or more parts;
+# a forked child has none of the parent's threads, so it makes its own
 _pool: tuple[ThreadPoolExecutor, int] | None = None
 
 # Gregory endpoint weights of the order-4 rule (interior weight is 1).
@@ -112,6 +112,13 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float,
     return out
 
 
+def _even_split(size: int, count: int) -> list[slice]:
+    """count contiguous slices covering range(size) in order, of sizes as
+    equal as they go."""
+    edges = [size * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def row_chunks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, as equal as they go, of at most
     max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is
@@ -119,8 +126,7 @@ def row_chunks(rows: int, width: int) -> list[slice]:
     count = -(-rows // max(1, CHUNK_ELEMENTS // width))
     if rows >= 2:
         count = min(count, rows // 2)
-    edges = [rows * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return _even_split(rows, count)
 
 
 def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -161,9 +167,7 @@ def mode_groups(size: int) -> list[slice]:
     a group runs every per-mode operation of the whole basis in the same
     float order on the same values: the result does not depend on the count.
     """
-    count = max(1, min(_cores(), size // GROUP_MODES))
-    edges = [size * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return _even_split(size, max(1, min(_cores(), size // GROUP_MODES)))
 
 
 def group_chunks(rows: int, groups: list[slice]) -> list[slice]:
@@ -172,16 +176,50 @@ def group_chunks(rows: int, groups: list[slice]) -> list[slice]:
     return row_chunks(rows, groups[-1].stop - groups[-1].start)
 
 
+def row_runs(rows: int, width: int) -> list[list[slice]]:
+    """row_chunks(rows, width) cut into contiguous runs of whole chunks, one
+    per mode group of a width-mode basis, fewer when there are fewer chunks.
+
+    For the stages that carry nothing from chunk to chunk: each run goes to
+    its own core (each_part) and every chunk spans the full width, so each
+    chunk computes what one group computes, with the same bits.
+    """
+    chunks = row_chunks(rows, width)
+    runs = _even_split(len(chunks), min(len(mode_groups(width)), len(chunks)))
+    return [chunks[run] for run in runs]
+
+
+def each_part(work, parts: list) -> list:
+    """[work(part) for part in parts], the parts concurrently.
+
+    The first part runs on the calling thread, the others on a thread pool
+    made on first use, each in a copy of the caller's context, so
+    np.errstate carries over; numpy releases the GIL inside its loops.
+    Returns when every part is done, raising the first part's error.  One
+    part runs on the calling thread alone.
+    """
+    futures = []
+    if len(parts) > 1:
+        pool = _pool_of(len(parts) - 1)
+        futures = [pool.submit(contextvars.copy_context().run, work, part)
+                   for part in parts[1:]]
+    try:
+        first = work(parts[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 def stream_groups(work, groups: list[slice], chunks: list[slice], shared) -> None:
     """work(cols, chunk, shared(chunk)) for every group of mode_groups and
-    every row chunk in order, the groups concurrently.
+    every row chunk in order, the groups concurrently; for a stage that
+    carries running sums from chunk to chunk in each group.
 
     shared(chunk) holds a chunk's full-width values; it is made once per
     chunk, on the calling thread, which then runs the first group on it.
-    The other groups run on a thread pool made on first use, each fed the
-    chunks through a queue two deep, so no group waits for another at every
-    chunk; numpy releases the GIL inside its loops.  Each group runs in a
-    copy of the caller's context, so np.errstate carries over.  Returns when
+    The other groups run on the pool of each_part, each fed the chunks
+    through a queue two deep, so no group waits for another at every
+    chunk.  Each group runs in a copy of the caller's context.  Returns when
     every group is done, raising the first group's error.  One group runs
     on the calling thread alone.
     """
@@ -218,12 +256,6 @@ def stream_groups(work, groups: list[slice], chunks: list[slice], shared) -> Non
         wait(futures)
     for future in futures:
         future.result()
-
-
-def each_group(work, groups: list[slice]) -> None:
-    """work(cols) for every group of mode_groups, concurrently (stream_groups)."""
-    stream_groups(lambda cols, chunk, values: work(cols), groups, [slice(None)],
-                  lambda chunk: None)
 
 
 def _forget_pool() -> None:

@@ -5,12 +5,13 @@ from MgtParams, assemble the per-mode memory kernel and the right-hand sides
 built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
 with the Dirichlet data.  Assembly and recovery stream over row chunks of
-the time grid (quadrature.group_chunks), carrying the running integrals from
-chunk to chunk, so that no grid-length phase table, history or forcing table
-is formed.
-Modes are independent past the full-width lifting products, so every step
-runs over mode groups (quadrature.mode_groups), one per core on wide bases,
-each on its own columns of the shared arrays and with its own carries.
+the time grid, so that no grid-length phase table, history or forcing table
+is formed.  Modes are independent past the full-width lifting products:
+the assembly, which carries running integrals from chunk to chunk, runs
+over mode groups (quadrature.mode_groups, stream_groups), one per core on
+wide bases, each on its own columns and with its own carries, and so do
+the scans; the recovery, which carries nothing, runs full-width chunks in
+contiguous runs, one per core (quadrature.row_runs).
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -28,11 +29,12 @@ import numpy as np
 from .cosine import Phases, phases, sin_conv, sincos_conv
 from .quadrature import (
     blas_threads,
-    each_group,
+    each_part,
     group_chunks,
     mode_groups,
     power_increments,
     prefix_exponential,
+    row_runs,
     scan_blocks,
     stream_groups,
 )
@@ -111,7 +113,10 @@ class ForcingData:
 
     The callable acts elementwise in time, so a row chunk of times gives the
     same floats as the whole grid: the solvers sample it chunk by chunk and
-    no grid-length forcing table is formed.
+    no grid-length forcing table is formed.  It must be pure, its values
+    depending on the times alone: the RK4 oracle's row runs
+    (quadrature.row_runs) call it on disjoint time arrays from several
+    threads at once.
     """
 
     modes: Callable[[np.ndarray], np.ndarray]
@@ -369,8 +374,8 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     changes a bit.
     """
     v = rhs.reshape(rhs.shape[0], -1, rhs.shape[-1])
-    each_group(lambda cols: _scan_group(kernels[cols], v[..., cols], grid.dt),
-               mode_groups(kernels.size))
+    each_part(lambda cols: _scan_group(kernels[cols], v[..., cols], grid.dt),
+              mode_groups(kernels.size))
     return rhs
 
 
@@ -471,11 +476,9 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
-    # mode group notes the first bad time of each output in its columns
+    # run of row chunks notes the first bad time of each output in its rows
     names = ("w", "wt", "wtt")
     basis = data.basis
-    groups = mode_groups(basis.size)
-    first_bad = {cols.start: {} for cols in groups}
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
@@ -484,30 +487,29 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
         lift = basis.lift_matrix()
         outs = [np.empty((grid.steps + 1, basis.size)) for _ in names]
 
-        def lifted(rows):
-            return [x @ lift for x in _gtilde(rp.boundary_signal, gamma, times[rows], rows)]
+        def recover(run):
+            bad = {}
+            for rows in run:
+                t = times[rows]
+                dhats = [x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows)]
+                damp = np.exp(-0.5 * gamma * t)[:, None]
+                w_int, wt_int, wtt_int = (arr[rows] for arr in outs)
+                v_int, vt_int, vtt_int = (sol[rows, j] - dhats[j] for j in range(3))
+                np.multiply(damp, v_int, out=w_int)
+                np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
+                np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
+                            out=wtt_int)
+                for name, chunk in zip(names, (w_int, wt_int, wtt_int)):
+                    # min/max propagate NaN and +-inf, read while the chunk is in cache
+                    if name not in bad and not (np.isfinite(chunk.min())
+                                                and np.isfinite(chunk.max())):
+                        bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
+            return bad
 
-        def recover(cols, rows, dhats):
-            t = times[rows]
-            damp = np.exp(-0.5 * gamma * t)[:, None]
-            w_int, wt_int, wtt_int = (arr[rows, cols] for arr in outs)
-            v_int, vt_int, vtt_int = (sol[rows, j, cols] - dhats[j][:, cols]
-                                      for j in range(3))
-            np.multiply(damp, v_int, out=w_int)
-            np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
-            np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
-                        out=wtt_int)
-            bad = first_bad[cols.start]
-            for name, chunk in zip(names, (w_int, wt_int, wtt_int)):
-                # min/max propagate NaN and +-inf, read while the chunk is in cache
-                if name not in bad and not (np.isfinite(chunk.min())
-                                            and np.isfinite(chunk.max())):
-                    bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
-
-        stream_groups(recover, groups, group_chunks(grid.steps + 1, groups), lifted)
+        first_bad = each_part(recover, row_runs(grid.steps + 1, basis.size))
 
     for name in names:
-        found = [bad[name] for bad in first_bad.values() if name in bad]
+        found = [bad[name] for bad in first_bad if name in bad]
         if found:
             raise ReductionError(
                 f"non-finite {name} from t = {min(found):.6g} on: the "
@@ -515,7 +517,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
 
     meta = {"compatible_position": data.compatible_position,
             "compatible_velocity": data.compatible_velocity,
-            "mode_groups": len(groups), "blas_threads": blas_threads()}
+            "mode_groups": len(mode_groups(basis.size)), "blas_threads": blas_threads()}
     bundle = SolutionBundle(basis, grid, *outs,
                             rp.boundary_signal, params=params,
                             forcing=data.f, metadata=meta)

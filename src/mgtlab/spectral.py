@@ -444,7 +444,10 @@ class BoundarySignal:
 class BoundaryData:
     """Analytic Dirichlet data g with its first two time derivatives gt, gtt.
 
-    Each is a callable mapping times (T,) to values (T, nodes).
+    Each is a callable mapping times (T,) to values (T, nodes).  They must
+    be pure, their values depending on the times alone: the RK4 oracle's
+    row runs (quadrature.row_runs) call them on disjoint time arrays from
+    several threads at once.
     """
 
     g: Callable[[np.ndarray], np.ndarray]

@@ -1,15 +1,19 @@
-"""Mode groups: both routes give the same bits at any group count.
+"""Mode groups and row runs: both routes give the same bits at any count.
 
 Wide bases run as contiguous mode groups, one per core
 (quadrature.mode_groups); each group runs every per-mode operation on its
-own columns of the shared arrays.  Here the floor of modes per group and the
-core count are patched so that toy bases split into 1, 2 and 3 (uneven)
-groups, with small row chunks so that every group carries its running sums
-over several chunks; every output must match one group bit for bit.
+own columns of the shared arrays.  The stages that carry nothing from row
+chunk to row chunk run as contiguous runs of full-width chunks instead, as
+many as there are groups (quadrature.row_runs).  Here the floor of modes
+per group and the core count are patched so that toy bases split into 1, 2
+and 3 (uneven) groups and runs, with small row chunks so that every group
+carries its running sums over several chunks and every run takes several
+chunks; every output must match one group bit for bit.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +21,14 @@ import pytest
 from mgtlab import quadrature, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import group_chunks, mode_groups, stream_groups
+from mgtlab.quadrature import (
+    each_part,
+    group_chunks,
+    mode_groups,
+    row_chunks,
+    row_runs,
+    stream_groups,
+)
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, ReductionError, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 
@@ -57,6 +68,15 @@ def test_mode_groups_cover_the_basis_in_order(monkeypatch):
     assert group_chunks(100, [slice(0, 100)]) == quadrature.row_chunks(100, 100)
     assert group_chunks(10001, [slice(0, 128), slice(128, 256)]) == \
         quadrature.row_chunks(10001, 128)
+    # the row runs cut a stage's full-width chunks into one run per group,
+    # never more runs than chunks
+    monkeypatch.setattr(quadrature, "_cores", lambda: 2)
+    runs = row_runs(10001, 256)
+    assert [len(run) for run in runs] == [39, 40]
+    assert sum(runs, []) == row_chunks(10001, 256)
+    assert row_runs(10001, 32) == [row_chunks(10001, 32)]
+    monkeypatch.setattr(quadrature, "_cores", lambda: 8)
+    assert row_runs(3, 1024) == [[slice(0, 3)]]
 
 
 @pytest.mark.parametrize("domain", sorted(BASES))
@@ -129,24 +149,29 @@ def test_groups_raise_the_overflow_error_of_one_group(monkeypatch):
     assert kind is ReductionError and message.startswith("non-finite w from t = ")
 
 
-@pytest.mark.parametrize("early_col,late_col", [(6, 0), (0, 6)])
+@pytest.mark.parametrize("early_col,late_col", [(6, 0), (0, 6), (None, 3)])
 def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_col):
-    # 8 modes in groups [0, 2), [2, 5), [5, 8): each group finds its own
-    # first bad time, and the error names the earliest of them
+    # 8 modes in 3 runs of row chunks: each run finds its own first bad time,
+    # and the error names the earliest of them, also when only the last run
+    # finds one (no early column)
     grouped(monkeypatch, 3)
     grid = TimeGrid(1.0, 300)
     early, late = 40, 250
+    runs = row_runs(grid.steps + 1, 8)
+    assert len(runs) == 3 and early < runs[0][-1].stop and runs[-1][0].start <= late
 
     def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
         sol = solve(kernels, rhs, grid)
         sol[late, 0, late_col] = np.inf
-        sol[early, 0, early_col] = np.nan
+        if early_col is not None:
+            sol[early, 0, early_col] = np.nan
         return sol
 
     monkeypatch.setattr(reduction, "_solve_structured", spoiled)
     data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
+    first = late if early_col is None else early
     with pytest.raises(ReductionError,
-                       match=f"non-finite w from t = {grid.times[early]:.6g} on"):
+                       match=f"non-finite w from t = {grid.times[first]:.6g} on"):
         solve_mgt(data, PARAMS, grid)
 
 
@@ -175,7 +200,7 @@ def finishes(fn, timeout=60.0):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     thread.join(timeout)
-    assert not thread.is_alive(), "stream_groups did not return"
+    assert not thread.is_alive(), "the call did not return"
     if "error" in out:
         raise out["error"]
     return out["value"]
@@ -230,3 +255,50 @@ def test_stream_groups_under_thread_switching_stress():
             assert np.array_equal(out, np.cumsum(values, axis=0))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_each_part_runs_one_part_inline():
+    caller = threading.get_ident()
+    assert each_part(lambda part: (part, threading.get_ident()), ["a"]) == [("a", caller)]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_each_part_raises_after_every_part_has_finished(failing):
+    # a failing part, on the calling thread or the pool, raises only once
+    # the other parts are done; the results keep the order of the parts
+    done = []
+
+    def work(part):
+        if part == failing:
+            raise KeyError(part)
+        time.sleep(0.2)
+        done.append(part)
+        return part
+
+    with pytest.raises(KeyError) as info:
+        finishes(lambda: each_part(work, [0, 1, 2]))
+    assert info.value.args == (failing,)
+    assert sorted(done) == sorted({0, 1, 2} - {failing})
+    assert finishes(lambda: each_part(lambda part: 2 * part, [0, 1, 2])) == [0, 2, 4]
+
+
+def test_each_part_keeps_the_callers_errstate():
+    # the overflow is in the part that runs on the pool
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            each_part(np.exp, [np.ones(2), np.full(2, 1e3)])
+    with np.errstate(over="ignore"):
+        assert np.isinf(each_part(np.exp, [np.ones(2), np.full(2, 1e3)])[1]).all()
+
+
+def test_one_group_solves_never_ask_for_the_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("a one-group solve asked for the thread pool")
+
+    monkeypatch.setattr(quadrature, "_pool_of", no_pool)
+    basis = build_basis(DomainSpec("interval", 128), 32)
+    data = make_scenario(basis, ScenarioSpec(seed=4, g_family="poly"))
+    grid = TimeGrid(1.0, 2000)
+    assert len(mode_groups(basis.size)) == 1 and len(row_chunks(grid.steps, 32)) >= 2
+    assert solve_mgt(data, PARAMS, grid).metadata["mode_groups"] == 1
+    assert np.isfinite(solve_by_modes(data, PARAMS, grid).wtt).all()

@@ -189,3 +189,14 @@ def test_solve_by_modes_names_the_first_non_finite_time():
     data = MgtData(w0=zero, w1=zero, w2=zero, f=forcing)
     with pytest.raises(FloatingPointError, match="from t = 0.5 on"):
         solve_by_modes(data, PARAMS, TimeGrid(1.0, 100))
+
+
+@pytest.mark.parametrize("solve", [solve_by_modes, solve_mgt])
+def test_both_routes_reject_a_forcing_of_the_wrong_width(solve):
+    # a callable of one column would broadcast over every mode; both routes
+    # read the forcing through ForcingData.sample, which checks its shape
+    zero = SpectralField(BASIS, np.zeros(BASIS.size))
+    forcing = ForcingData(modes=lambda t: np.sin(t)[:, None])
+    data = MgtData(w0=zero, w1=zero, w2=zero, f=forcing)
+    with pytest.raises(ValueError, match=r"\(T, modes\)"):
+        solve(data, PARAMS, TimeGrid(1.0, 100))
