@@ -18,9 +18,15 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 RULES = ("trapezoid", "gregory4")
+
+# glibc's malloc maps each block above its threshold (128 KiB at start)
+# afresh, page faults and all, until it frees a mapped block; it then serves
+# blocks up to that size from its heap.  Freeing 1 MiB here spares a small
+# solve's temporaries those faults: a 400-step, 16-mode solve with both
+# estimate probes made 275 of them without it, none with it.
+np.empty(2**17)
 
 # Values per (rows x columns) array of a chunk of a streamed time loop: 256 KiB
 # of float64, so that a chunk's arrays stay in cache.
@@ -30,6 +36,11 @@ CHUNK_ELEMENTS = 2**15
 # to pay for handing it to another thread: on a 2-vCPU host, 32 modes per
 # group ran slower than one group and 64 or more ran faster.
 GROUP_MODES = 64
+
+# prefix_exponential's blocks: up to EXP_BLOCK rows, two levels of them, and
+# rebasing factors within 2^+-32
+EXP_BLOCK = 32
+_EXP_RANGE = 32 * math.log(2)
 
 # (executor, worker count), made by the first call with two or more parts;
 # a forked child has none of the parent's threads, so it makes its own
@@ -82,8 +93,19 @@ def prefix_trapezoid(values: np.ndarray, dt: float, carry: dict | None = None) -
     cs = np.array(values, dtype=float)
     first = carry.setdefault("first", cs[0].copy())
     cs[0] += carry.get("sum", 0.0)
-    carry["sum"] = np.cumsum(cs, axis=0, out=cs)[-1].copy()
+    carry["sum"] = _running_sum(cs, 0)[-1].copy()
     return dt * (cs - 0.5 * values - 0.5 * first)
+
+
+def _running_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """a's running sums along axis, in place, returned.  Two float columns
+    of a C-contiguous a add as one complex: the same additions, half the
+    lanes of numpy's one-lane-at-a-time cumsum."""
+    if axis < a.ndim - 1 and a.shape[-1] % 2 == 0 and a.flags.c_contiguous:
+        np.cumsum(lanes := a.view(np.complex128), axis=axis, out=lanes)
+    else:
+        np.cumsum(a, axis=axis, out=a)
+    return a
 
 
 def prefix_exponential(rate: float, values: np.ndarray, dt: float,
@@ -93,23 +115,107 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float,
     The per-step update uses the closed-form weights of an exponential
     integrator, so constant and linear sample profiles integrate exactly and
     the result is second-order accurate in dt for smooth data.  The update
-    out[m+1] = e out[m] + w_left values[m] + w_right values[m+1] is one
-    first-order filter along axis 0, started so that out[0] = 0; carry
-    continues its state over row chunks as in prefix_trapezoid.
+    out[m+1] = e out[m] + u[m+1], u[m+1] = w_left values[m] + w_right
+    values[m+1], runs along axis 0 from out[0] = 0, in blocks anchored at
+    absolute row indices, of a length set by |rate*dt| alone: in a block
+    after row s, out[s+j] = e^j (out[s] + sum_{0<i<=j} e^-i u[s+i]), a
+    running sum of rebased inputs.  The block-start states out[s] follow the
+    same recurrence one level up (e^length for e, the blocks' zero-state
+    ends for u), and a loop carries the top level's.  carry, a dict that
+    starts empty, continues the integrals over consecutive row chunks: it
+    keeps the row offset, the last row, and each level's partial sum and
+    block-start state.  Each value takes the same float operations wherever
+    a call starts and whatever its column count, so chunked calls give the
+    bits of one call.
     """
     values = np.asarray(values, dtype=float)
     if abs(rate) < 1e-14:
         return prefix_trapezoid(values, dt, carry)
     carry = {} if carry is None else carry
+    e, w_left, w_right, lengths = _exp_weights(rate, dt)
+    rows = values.reshape(len(values), -1)
+    first = carry.get("rows", 0)
+    carry["rows"] = first + len(rows)
+    buf, lead = _exp_buffer(first, len(rows), rows.shape[1], lengths)
+    u = buf[lead:lead + len(rows)]
+    np.multiply(rows, w_right, out=u)
+    u[1:] += w_left * rows[:-1]
+    u[0] = u[0] + w_left * carry["last"] if "last" in carry else 0.0
+    carry["last"] = rows[-1].copy()
+    return _exp_scan(e, buf, lead, lead + len(rows), first, lengths, carry).reshape(values.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _exp_weights(rate: float, dt: float) -> tuple[float, float, float, tuple[int, ...]]:
+    """e = exp(rate*dt), w_left, w_right and the block lengths of
+    prefix_exponential: two levels of up to EXP_BLOCK rows, each while its
+    e^+-length stays within 2^+-32; none for |rate*dt| > 11."""
     # int_{t_m}^{t_{m+1}} exp(rate*(t_{m+1}-s)) * linear(s) ds
-    e = np.exp(rate * dt)
+    e = float(np.exp(rate * dt))
     i1 = (e - 1.0) / rate
     i2 = (e - 1.0) / rate**2 - dt / rate  # moment against (s - t_m)/dt scaled below
-    w_left = i1 - i2 / dt
-    w_right = i2 / dt
-    out, carry["state"] = lfilter([w_right, w_left], [1.0, -e], values, axis=0,
-                                  zi=carry.get("state", -w_right * values[:1]))
-    return out
+    lengths = []
+    for _ in range(2):
+        length = min(EXP_BLOCK, int(_EXP_RANGE / (math.prod(lengths) * abs(rate * dt))))
+        if length < 2:
+            break
+        lengths.append(length)
+    return e, i1 - i2 / dt, i2 / dt, tuple(lengths)
+
+
+def _exp_buffer(first: int, count: int, cols: int, lengths: tuple) -> tuple[np.ndarray, int]:
+    """Whole blocks of lengths[0] rows over the absolute rows first.. of
+    count rows, zero outside them, and the offset of row first."""
+    length = lengths[0] if lengths else 1
+    lead = first % length
+    buf = np.empty((-(-(lead + count) // length) * length, cols))
+    buf[:lead] = buf[lead + count:] = 0.0
+    return buf, lead
+
+
+@functools.lru_cache(maxsize=64)
+def _exp_powers(e: float, step: int, length: int, cols: int) -> tuple[np.ndarray, ...]:
+    """Read-only (length, cols) tables of e^(step*j) and e^(-step*j), j = 1..length."""
+    tables = tuple(np.repeat([[e ** (sign * step * j)] for j in range(1, length + 1)], cols, 1)
+                   for sign in (1, -1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _exp_scan(e: float, buf: np.ndarray, lead: int, stop: int, first: int,
+              lengths: tuple, carry: dict, step: int = 1) -> np.ndarray:
+    """x_n = e^step x_{n-1} + u_n in place over buf[lead:stop] (from
+    _exp_buffer), which holds u_n for the absolute rows n = first..; x
+    before them is carry's, else 0."""
+    if not lengths:
+        f, x = e ** step, carry.get("x", 0.0)
+        for n in range(lead, stop):
+            x = buf[n] = f * x + buf[n]
+        carry["x"] = x
+        return buf[lead:stop]
+    length, cols = lengths[0], buf.shape[1]
+    pos, neg = _exp_powers(e, step, length, cols)
+    blocks = buf.reshape(-1, length, cols)
+    blocks *= neg
+    if "sum" in carry:
+        blocks[0, lead] += carry.pop("sum")
+    _running_sum(blocks, 1)
+    done = stop // length
+    starts = carry.get("start", np.zeros((1, cols)))
+    if done:
+        # one level up, the zero-state values at the ends of the blocks done here
+        ends, up = _exp_buffer(first // length, done, cols, lengths[1:])
+        np.multiply(blocks[:done, -1], pos[-1], out=ends[up:up + done])
+        starts = np.concatenate([starts, _exp_scan(e, ends, up, up + done, first // length,
+                                                   lengths[1:], carry.setdefault("up", {}),
+                                                   step * length)])
+        carry["start"] = starts[done:done + 1]
+    if done < len(blocks):
+        carry["sum"] = blocks[done, (stop - 1) % length].copy()
+    blocks += starts[:len(blocks), None]
+    blocks *= pos
+    return buf[lead:stop]
 
 
 def _even_split(size: int, count: int) -> list[slice]:
@@ -345,7 +451,9 @@ def convolve_product(kernel_samples: np.ndarray, x: np.ndarray, dt: float,
     if kernel.shape[1] == 1 and xs.shape[1] > 1:
         kernel = np.broadcast_to(kernel, xs.shape).copy()
     m_top = xs.shape[0] - 1
-    full = fftconvolve(kernel, xs, axes=0)[: m_top + 1]
+    n = 2 * (m_top + 1)  # zero padding past the linear convolution's 2 m_top + 1 rows
+    full = np.fft.irfft(np.fft.rfft(kernel, n, axis=0) * np.fft.rfft(xs, n, axis=0), n,
+                        axis=0)[: m_top + 1]
     if rule == "trapezoid":
         out = dt * (full - 0.5 * kernel * xs[0] - 0.5 * kernel[0] * xs)
         out[0] = 0.0

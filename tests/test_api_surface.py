@@ -1,6 +1,9 @@
 """The package holds only code that the package itself runs."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -278,3 +281,14 @@ def test_every_field_is_read():
               for node in tree.body if isinstance(node, ast.ClassDef)
               for item in node.body if isinstance(item, ast.AnnAssign)}
     assert REFERENCE_FIELDS <= fields
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone: scipy.signal was most of the time
+    # and resident memory of `import mgtlab`
+    code = ("import sys, mgtlab, mgtlab.cli, mgtlab.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mgtlab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ bit for bit against one call on all the rows.
 
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,9 @@ from mgtlab import quadrature
 from mgtlab.cosine import phases
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
-from mgtlab.quadrature import (CHUNK_ELEMENTS, power_increments, prefix_exponential,
-                               prefix_trapezoid, row_chunks, scan_blocks)
+from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
+                               prefix_exponential, prefix_trapezoid, row_chunks,
+                               scan_blocks)
 from mgtlab.reduction import (
     MgtData,
     MgtParams,
@@ -188,14 +190,19 @@ def test_routes_make_sublinear_python_steps(route):
 
 @pytest.mark.parametrize("rate", [-2.0, -0.5, 0.7])
 def test_prefix_exponential_matches_step_recursion(rate):
+    # the step recursion on the same float weights, taken in exact
+    # arithmetic: in float64 it is itself up to 2.5e-15 off at rate 0.7
     values = np.random.default_rng(4).normal(size=(300, 5))
     dt = 0.01
     e = np.exp(rate * dt)
     i2 = (e - 1.0) / rate**2 - dt / rate
-    w_left, w_right = (e - 1.0) / rate - i2 / dt, i2 / dt
+    e, w_left, w_right = (Fraction(float(w)) for w in (e, (e - 1.0) / rate - i2 / dt, i2 / dt))
     want = np.zeros_like(values)
-    for m in range(len(values) - 1):
-        want[m + 1] = e * want[m] + w_left * values[m] + w_right * values[m + 1]
+    for col in range(values.shape[1]):
+        v, x = [Fraction(float(s)) for s in values[:, col]], Fraction(0)
+        for m in range(len(v) - 1):
+            x = e * x + w_left * v[m] + w_right * v[m + 1]
+            want[m + 1, col] = float(x)
     got = prefix_exponential(rate, values, dt)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.all(got[0] == 0.0)
@@ -210,17 +217,29 @@ def chunked(prefix, values, cuts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 120), cols=st.integers(1, 4), seed=st.integers(0, 2**16),
-       rate=st.sampled_from([-2.0, -0.5, 0.7, 1e-15]), data=st.data())
+@given(rows=st.integers(1, 3 * EXP_BLOCK**2 + 2 * EXP_BLOCK), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**16),
+       rate=st.sampled_from([-2.0, -0.5, 0.7, 1e-15, -500.0, -5000.0]), data=st.data())
 def test_carried_prefix_sums_equal_one_call(rows, cols, seed, rate, data):
-    # a prefix continued over any row chunks gives the bits of one call
+    # a prefix continued over any row chunks gives the bits of one call;
+    # prefix_exponential anchors its blocks at absolute rows, EXP_BLOCK rows
+    # and EXP_BLOCK blocks a level at these rates but the last two (|rate*dt|
+    # 5 and 50: short blocks, and none), so cuts also fall on block anchors
+    # of either level and one row either side of them
     values = np.random.default_rng(seed).normal(size=(rows, cols))
-    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=6))
-                  if rows > 1 else [])
+    cuts = []
+    if rows > 1:
+        anchors = [a + d for size in (EXP_BLOCK, EXP_BLOCK**2) for a in range(size, rows, size)
+                   for d in (-1, 0, 1) if a + d < rows]
+        cut = st.integers(1, rows - 1)
+        cuts = sorted(data.draw(st.sets(cut | st.sampled_from(anchors) if anchors else cut,
+                                        max_size=6)))
     dt = 0.01
     for prefix in (lambda v, c: prefix_trapezoid(v, dt, c),
                    lambda v, c: prefix_exponential(rate, v, dt, c)):
-        assert np.array_equal(chunked(prefix, values, cuts), prefix(values, None))
+        whole = prefix(values, None)
+        assert np.all(np.isfinite(whole))
+        assert np.array_equal(chunked(prefix, values, cuts), whole)
 
 
 @settings(max_examples=16, deadline=None)
