@@ -19,7 +19,7 @@ from .quadrature import (
     each_part,
     mode_groups,
     power_increments,
-    row_runs,
+    row_chunks,
     scan_blocks,
 )
 from .reduction import MgtData, MgtParams
@@ -117,17 +117,18 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     The states are total eigen-coefficients, so the trajectory carries no
     boundary signal.
 
-    The source is sampled at RK4's stage times t_m, t_m + dt/2 and t_m + dt
-    and weighted into the state buffer one full-width row chunk at a time,
-    in contiguous runs of chunks, one per core (quadrature.row_runs).  For
+    Each mode group (quadrature.mode_groups) runs on its own core and
+    weights the source into its columns of the state buffer, one row chunk
+    at a time; a chunk samples RK4's stage times once each, its step ends
+    t_m (shared by neighbouring steps) and midpoints t_m + dt/2.  For
     y' = A y + e_3 s(t) one RK4 step is exactly
     y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1}) with R
     the degree-4 Taylor polynomial of dt A, so the steps run as a blocked
     linear scan (quadrature.scan_blocks) on the state buffer, which first
     holds the inputs.  Like RK4's own update, each step adds a small
     increment (R - I) y + input to y.  Modes are independent in the scan, so
-    each mode group (quadrature.mode_groups) scans its own columns of the
-    state buffer.  _rk4/integrate_mode are the scalar reference.
+    each mode group scans its own columns of the state buffer too.
+    _rk4/integrate_mode are the scalar reference.
     """
     basis = data.basis
     c2, b = params.c**2, params.b
@@ -155,22 +156,28 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     body = states[1:]
     flux = basis.boundary_flux()
 
-    def add_inputs(run):
-        # the sources at the three stage times of each chunk's steps
-        for rows in run:
-            t = np.arange(rows.start, rows.stop) * dt
-            out = body[rows]
-            out[:] = 0.0
-            for weight, ts in zip(weights, (t, t + 0.5 * dt, t + dt)):
-                src = (data.f.sample(ts, size) if data.f is not None
-                       else np.zeros((len(ts), size)))
-                if data.g is not None:
-                    src = src - c2 * (data.g.g(ts) @ flux)
-                    src -= b * (data.g.gt(ts) @ flux)
-                for j in range(3):
-                    out[:, j] += weight[:, j] * src
+    def source(ts, cols):
+        src = (data.f.sample(ts, size)[:, cols] if data.f is not None
+               else np.zeros((len(ts), cols.stop - cols.start)))
+        if data.g is not None:
+            src = src - c2 * (data.g.g(ts) @ flux[:, cols])
+            src -= b * (data.g.gt(ts) @ flux[:, cols])
+        return src
 
-    each_part(add_inputs, row_runs(steps, size))
+    def add_inputs(cols):
+        # the sources at each distinct stage time of a chunk's steps: its
+        # step ends t_m (shared by neighbouring steps) and midpoints
+        for rows in row_chunks(steps, cols.stop - cols.start):
+            t = np.arange(rows.start, rows.stop + 1) * dt
+            ends = source(t, cols)
+            out = body[rows, :, cols]
+            out[:] = 0.0
+            for weight, src in zip(weights, (ends[:-1], source(t[:-1] + dt / 2, cols),
+                                             ends[1:])):
+                for j in range(3):
+                    out[:, j] += weight[cols, j] * src
+
+    each_part(add_inputs, mode_groups(size))
 
     # past RK4's stability limit the scan overflows: one error below, no warnings
     with np.errstate(over="ignore", invalid="ignore"):

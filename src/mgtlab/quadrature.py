@@ -13,7 +13,6 @@ import ctypes
 import functools
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -32,9 +31,9 @@ np.empty(2**17)
 # of float64, so that a chunk's arrays stay in cache.
 CHUNK_ELEMENTS = 2**15
 
-# Modes per group below which a mode group's share of a chunk is too short
-# to pay for handing it to another thread: on a 2-vCPU host, 32 modes per
-# group ran slower than one group and 64 or more ran faster.
+# Modes per group below which a mode group's row loop is too narrow to pay
+# for handing it to another thread: on a 2-vCPU host, 32 modes per group ran
+# slower than one group and 64 or more ran faster.
 GROUP_MODES = 64
 
 # prefix_exponential's blocks: up to EXP_BLOCK rows, two levels of them, and
@@ -228,7 +227,12 @@ def _even_split(size: int, count: int) -> list[slice]:
 def row_chunks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, as equal as they go, of at most
     max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is
-    1: numpy rounds a one-row matrix product by another (vector) routine."""
+    1: numpy rounds a one-row matrix product by another (vector) routine.
+
+    Each mode group chunks its row loop by its own width, so that its chunk
+    arrays stay in its core's cache; the running sums carried from chunk to
+    chunk give the same bits however the rows are chunked.
+    """
     count = -(-rows // max(1, CHUNK_ELEMENTS // width))
     if rows >= 2:
         count = min(count, rows // 2)
@@ -272,27 +276,10 @@ def mode_groups(size: int) -> list[slice]:
     as equal as they go.  Modes are independent in both solution routes, so
     a group runs every per-mode operation of the whole basis in the same
     float order on the same values: the result does not depend on the count.
+    Every parallel stage runs each_part over these groups, each group its
+    whole row loop on its own columns.
     """
     return _even_split(size, max(1, min(_cores(), size // GROUP_MODES)))
-
-
-def group_chunks(rows: int, groups: list[slice]) -> list[slice]:
-    """row_chunks of range(rows) for the widest of mode_groups' groups (the
-    last), so that each group's chunk arrays stay in its core's cache."""
-    return row_chunks(rows, groups[-1].stop - groups[-1].start)
-
-
-def row_runs(rows: int, width: int) -> list[list[slice]]:
-    """row_chunks(rows, width) cut into contiguous runs of whole chunks, one
-    per mode group of a width-mode basis, fewer when there are fewer chunks.
-
-    For the stages that carry nothing from chunk to chunk: each run goes to
-    its own core (each_part) and every chunk spans the full width, so each
-    chunk computes what one group computes, with the same bits.
-    """
-    chunks = row_chunks(rows, width)
-    runs = _even_split(len(chunks), min(len(mode_groups(width)), len(chunks)))
-    return [chunks[run] for run in runs]
 
 
 def each_part(work, parts: list) -> list:
@@ -314,54 +301,6 @@ def each_part(work, parts: list) -> list:
     finally:
         wait(futures)
     return [first] + [future.result() for future in futures]
-
-
-def stream_groups(work, groups: list[slice], chunks: list[slice], shared) -> None:
-    """work(cols, chunk, shared(chunk)) for every group of mode_groups and
-    every row chunk in order, the groups concurrently; for a stage that
-    carries running sums from chunk to chunk in each group.
-
-    shared(chunk) holds a chunk's full-width values; it is made once per
-    chunk, on the calling thread, which then runs the first group on it.
-    The other groups run on the pool of each_part, each fed the chunks
-    through a queue two deep, so no group waits for another at every
-    chunk.  Each group runs in a copy of the caller's context.  Returns when
-    every group is done, raising the first group's error.  One group runs
-    on the calling thread alone.
-    """
-    if len(groups) == 1:
-        for chunk in chunks:
-            work(groups[0], chunk, shared(chunk))
-        return
-    pool = _pool_of(len(groups) - 1)
-    feeds = [queue.Queue(maxsize=2) for _ in groups[1:]]
-
-    def follow(cols, feed):
-        # a failed group keeps draining its feed, so the caller never blocks
-        failure = None
-        while (item := feed.get()) is not None:
-            if failure is None:
-                try:
-                    work(cols, *item)
-                except BaseException as exc:
-                    failure = exc
-        if failure is not None:
-            raise failure
-
-    futures = [pool.submit(contextvars.copy_context().run, follow, cols, feed)
-               for cols, feed in zip(groups[1:], feeds)]
-    try:
-        for chunk in chunks:
-            item = (chunk, shared(chunk))
-            for feed in feeds:
-                feed.put(item)
-            work(groups[0], *item)
-    finally:
-        for feed in feeds:
-            feed.put(None)
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _forget_pool() -> None:

@@ -6,12 +6,10 @@ built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
 with the Dirichlet data.  Assembly and recovery stream over row chunks of
 the time grid, so that no grid-length phase table, history or forcing table
-is formed.  Modes are independent past the full-width lifting products:
-the assembly, which carries running integrals from chunk to chunk, runs
-over mode groups (quadrature.mode_groups, stream_groups), one per core on
-wide bases, each on its own columns and with its own carries, and so do
-the scans; the recovery, which carries nothing, runs full-width chunks in
-contiguous runs, one per core (quadrature.row_runs).
+is formed.  Modes are independent, so assembly, scan and recovery each run
+over mode groups (quadrature.mode_groups, each_part), one per core on wide
+bases: each group runs its whole row loop on its own columns, with its own
+carries and its columns of the lifting products.
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -30,13 +28,11 @@ from .cosine import Phases, phases, sin_conv, sincos_conv
 from .quadrature import (
     blas_threads,
     each_part,
-    group_chunks,
     mode_groups,
     power_increments,
     prefix_exponential,
-    row_runs,
+    row_chunks,
     scan_blocks,
-    stream_groups,
 )
 from .spectral import (
     BoundaryData,
@@ -114,9 +110,8 @@ class ForcingData:
     The callable acts elementwise in time, so a row chunk of times gives the
     same floats as the whole grid: the solvers sample it chunk by chunk and
     no grid-length forcing table is formed.  It must be pure, its values
-    depending on the times alone: the RK4 oracle's row runs
-    (quadrature.row_runs) call it on disjoint time arrays from several
-    threads at once.
+    depending on the times alone: every mode group of both routes calls it
+    from its own thread.
     """
 
     modes: Callable[[np.ndarray], np.ndarray]
@@ -278,11 +273,11 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     H comes from the twice integrated-by-parts form of the wave
     representation (terms in w0 - Dg(0), the shifted velocity datum, the
     lifting of g-tilde, the g-tilde_tt convolution and the source
-    convolution); H_t and H_tt are its time derivatives.  The rows are built
-    chunk by chunk, each from its own phase table, with the running
-    convolutions carried from chunk to chunk.  A chunk's full-width values
-    (the lifting products and the forcing samples at its times) are made
-    once; each mode group then fills its own columns from their columns.
+    convolution); H_t and H_tt are its time derivatives.  Each mode group
+    builds its columns chunk by chunk over its own row chunks, each from its
+    own phase table, with the running convolutions carried from chunk to
+    chunk; it takes its columns of the lifting products and of the forcing
+    samples at the chunk's times.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -311,44 +306,38 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
     rhs = np.empty((grid.steps + 1, 3, basis.size))
-    groups = mode_groups(basis.size)
-    carries = {cols.start: defaultdict(dict) for cols in groups}
 
-    def shared(rows):
-        t = times[rows]
-        fsamp = (data.f.sample(t, basis.size) if data.f is not None
-                 else np.zeros((len(t), basis.size)))
-        return [x @ lift for x in _gtilde(sig, gamma, t, rows)], fsamp
+    def assemble(cols):
+        carry, om, kers = defaultdict(dict), omega[cols], kernels[cols]
+        lift_cols = lift[:, cols]
+        for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
+            t = times[rows]
+            grow = np.exp(rho * t)[:, None]
+            ph = phases(om, t)
+            ct, st = ph.cos, ph.sin
+            dhat, dhat_t, dhat_tt = (x @ lift_cols for x in _gtilde(sig, gamma, t, rows))
+            fsamp = (data.f.sample(t, basis.size)[:, cols] if data.f is not None
+                     else np.zeros((len(t), len(om))))
+            source = (_data_source(params, t, w0tot[cols], w1tot[cols])
+                      + grow * source_fixed[cols])
+            ftilde, ftilde_t = forcing_transform(fsamp, params, grid, rows, carry["forcing"])
+            conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
+            conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
+                                                   dt, carry["source_t"])
+            conv_src = sin_conv(ph, source + ftilde, dt, carry["source"])
+            ker, kdot = kers.samples(ph)
+            out = rhs[rows, :, cols]
+            out[:, 0] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
+                         + conv_src / om)
+            Ht = (-om * st * a0[cols] + ct * a1[cols] + dhat_t - conv_dtt_c
+                  + st / om * source_0[cols] + conv_src_t / om)
+            np.subtract(Ht, ker * w0tot[cols], out=out[:, 1])
+            Htt = (-om**2 * ct * a0[cols] - om * st * a1[cols] + om * conv_dtt
+                   + ct * source_0[cols] + conv_src_t_c)
+            np.subtract(Htt, kdot * w0tot[cols], out=out[:, 2])
+            out[:, 2] -= ker * v1[cols]
 
-    def fill(cols, rows, values):
-        dhats, fsamp = values
-        carry, om, kers = carries[cols.start], omega[cols], kernels[cols]
-        t = times[rows]
-        grow = np.exp(rho * t)[:, None]
-        ph = phases(om, t)
-        ct, st = ph.cos, ph.sin
-        dhat, dhat_t, dhat_tt = (x[:, cols] for x in dhats)
-        source = (_data_source(params, t, w0tot[cols], w1tot[cols])
-                  + grow * source_fixed[cols])
-        ftilde, ftilde_t = forcing_transform(fsamp[:, cols], params, grid, rows,
-                                             carry["forcing"])
-        conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
-        conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
-                                               dt, carry["source_t"])
-        conv_src = sin_conv(ph, source + ftilde, dt, carry["source"])
-        ker, kdot = kers.samples(ph)
-        out = rhs[rows, :, cols]
-        out[:, 0] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
-                     + conv_src / om)
-        Ht = (-om * st * a0[cols] + ct * a1[cols] + dhat_t - conv_dtt_c
-              + st / om * source_0[cols] + conv_src_t / om)
-        np.subtract(Ht, ker * w0tot[cols], out=out[:, 1])
-        Htt = (-om**2 * ct * a0[cols] - om * st * a1[cols] + om * conv_dtt
-               + ct * source_0[cols] + conv_src_t_c)
-        np.subtract(Htt, kdot * w0tot[cols], out=out[:, 2])
-        out[:, 2] -= ker * v1[cols]
-
-    stream_groups(fill, groups, group_chunks(grid.steps + 1, groups), shared)
+    each_part(assemble, mode_groups(basis.size))
 
     return ReducedProblem(kernels, rhs, sig)
 
@@ -476,7 +465,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
-    # run of row chunks notes the first bad time of each output in its rows
+    # mode group notes the first bad time of each output in its columns
     names = ("w", "wt", "wtt")
     basis = data.basis
     with np.errstate(over="ignore", invalid="ignore"):
@@ -487,14 +476,15 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
         lift = basis.lift_matrix()
         outs = [np.empty((grid.steps + 1, basis.size)) for _ in names]
 
-        def recover(run):
+        def recover(cols):
             bad = {}
-            for rows in run:
+            lift_cols = lift[:, cols]
+            for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
                 t = times[rows]
-                dhats = [x @ lift for x in _gtilde(rp.boundary_signal, gamma, t, rows)]
+                dhats = [x @ lift_cols for x in _gtilde(rp.boundary_signal, gamma, t, rows)]
                 damp = np.exp(-0.5 * gamma * t)[:, None]
-                w_int, wt_int, wtt_int = (arr[rows] for arr in outs)
-                v_int, vt_int, vtt_int = (sol[rows, j] - dhats[j] for j in range(3))
+                w_int, wt_int, wtt_int = (arr[rows, cols] for arr in outs)
+                v_int, vt_int, vtt_int = (sol[rows, j, cols] - dhats[j] for j in range(3))
                 np.multiply(damp, v_int, out=w_int)
                 np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
                 np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
@@ -506,7 +496,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
                         bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
             return bad
 
-        first_bad = each_part(recover, row_runs(grid.steps + 1, basis.size))
+        first_bad = each_part(recover, mode_groups(basis.size))
 
     for name in names:
         found = [bad[name] for bad in first_bad if name in bad]

@@ -445,9 +445,8 @@ class BoundaryData:
     """Analytic Dirichlet data g with its first two time derivatives gt, gtt.
 
     Each is a callable mapping times (T,) to values (T, nodes).  They must
-    be pure, their values depending on the times alone: the RK4 oracle's
-    row runs (quadrature.row_runs) call them on disjoint time arrays from
-    several threads at once.
+    be pure, their values depending on the times alone: every mode group
+    of the RK4 oracle calls g and gt from its own thread.
     """
 
     g: Callable[[np.ndarray], np.ndarray]

@@ -1,19 +1,18 @@
-"""Mode groups and row runs: both routes give the same bits at any count.
+"""Mode groups: both routes give the same bits at any group count.
 
 Wide bases run as contiguous mode groups, one per core
-(quadrature.mode_groups); each group runs every per-mode operation on its
-own columns of the shared arrays.  The stages that carry nothing from row
-chunk to row chunk run as contiguous runs of full-width chunks instead, as
-many as there are groups (quadrature.row_runs).  Here the floor of modes
-per group and the core count are patched so that toy bases split into 1, 2
-and 3 (uneven) groups and runs, with small row chunks so that every group
-carries its running sums over several chunks and every run takes several
-chunks; every output must match one group bit for bit.
+(quadrature.mode_groups); every parallel stage runs each group's whole row
+loop on its own core, on its own columns of the shared arrays.  Here the
+floor of modes per group and the core count are patched so that toy bases
+split into 1, 2 and 3 (uneven) groups, with small row chunks so that every
+group carries its running sums over several chunks; every output must
+match one group bit for bit.
 """
 
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,16 +20,9 @@ import pytest
 from mgtlab import quadrature, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import (
-    each_part,
-    group_chunks,
-    mode_groups,
-    row_chunks,
-    row_runs,
-    stream_groups,
-)
+from mgtlab.quadrature import each_part, mode_groups, row_chunks
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, ReductionError, solve_mgt
-from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
+from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASES = {"interval": build_basis(DomainSpec("interval", 64), 8),
@@ -64,19 +56,6 @@ def test_mode_groups_cover_the_basis_in_order(monkeypatch):
     assert mode_groups(200) == [slice(0, 66), slice(66, 133), slice(133, 200)]
     monkeypatch.setattr(quadrature, "_cores", lambda: 1)
     assert mode_groups(4096) == [slice(0, 4096)]
-    # the chunks of a multi-group solve hold CHUNK_ELEMENTS values per group
-    assert group_chunks(100, [slice(0, 100)]) == quadrature.row_chunks(100, 100)
-    assert group_chunks(10001, [slice(0, 128), slice(128, 256)]) == \
-        quadrature.row_chunks(10001, 128)
-    # the row runs cut a stage's full-width chunks into one run per group,
-    # never more runs than chunks
-    monkeypatch.setattr(quadrature, "_cores", lambda: 2)
-    runs = row_runs(10001, 256)
-    assert [len(run) for run in runs] == [39, 40]
-    assert sum(runs, []) == row_chunks(10001, 256)
-    assert row_runs(10001, 32) == [row_chunks(10001, 32)]
-    monkeypatch.setattr(quadrature, "_cores", lambda: 8)
-    assert row_runs(3, 1024) == [[slice(0, 3)]]
 
 
 @pytest.mark.parametrize("domain", sorted(BASES))
@@ -103,8 +82,9 @@ def test_groups_give_the_bits_of_one_group(monkeypatch, domain, forcing, boundar
                                                 ("square", 2, 2000)])
 def test_solve_samples_the_forcing_one_chunk_at_a_time(monkeypatch, domain, count,
                                                        steps):
-    # the forcing callable is asked for one row chunk's times at a time and
-    # for each time once: a solve forms no grid-length forcing table
+    # the forcing callable is asked for one row chunk's times at a time and,
+    # by each mode group, for each time once: a solve forms no grid-length
+    # forcing table
     if count > 1:
         grouped(monkeypatch, count)
     basis = BASES[domain]
@@ -118,12 +98,43 @@ def test_solve_samples_the_forcing_one_chunk_at_a_time(monkeypatch, domain, coun
     data = MgtData(spec.w0, spec.w1, spec.w2, f=ForcingData(modes), g=spec.g)
     grid = TimeGrid(1.0, steps)
     groups = mode_groups(basis.size)
-    chunks = group_chunks(grid.steps + 1, groups)
-    assert len(groups) == count and len(chunks) >= 3
+    chunks = [row_chunks(grid.steps + 1, cols.stop - cols.start) for cols in groups]
+    assert len(groups) == count and min(map(len, chunks)) >= 3
     bundle = solve_mgt(data, PARAMS, grid)
     assert bundle.metadata["mode_groups"] == count
-    assert max(asked) <= max(c.stop - c.start for c in chunks)
-    assert sum(asked) == grid.steps + 1
+    assert max(asked) <= max(c.stop - c.start for c in sum(chunks, []))
+    assert sum(asked) == count * (grid.steps + 1)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_oracle_samples_each_distinct_time_once_per_chunk(monkeypatch, count):
+    # a chunk of a group's steps samples its step ends, shared by neighbouring
+    # steps, and its midpoints: 2S + chunks times per group, not the 3S of
+    # three stage times per step
+    grouped(monkeypatch, count)
+    spec = make_scenario(BASES["interval"], ScenarioSpec(seed=2, g_family="poly"))
+    asked = Counter()
+    lock = threading.Lock()
+
+    def counted(name, fn):
+        def wrapped(t):
+            with lock:
+                asked[name] += len(t)
+            return fn(t)
+        return wrapped
+
+    g = BoundaryData(counted("g", spec.g.g), counted("gt", spec.g.gt),
+                     counted("gtt", spec.g.gtt), nodes=spec.g.nodes)
+    data = MgtData(spec.w0, spec.w1, spec.w2, f=ForcingData(counted("f", spec.f.modes)),
+                   g=g)
+    asked.clear()
+    grid = TimeGrid(1.0, 300)
+    solve_by_modes(data, PARAMS, grid)
+    groups = mode_groups(data.basis.size)
+    want = sum(2 * grid.steps + len(row_chunks(grid.steps, cols.stop - cols.start))
+               for cols in groups)
+    assert len(groups) == count
+    assert asked == {"g": want, "gt": want, "f": want}
 
 
 def errors(monkeypatch, solve, data, grid):
@@ -151,14 +162,13 @@ def test_groups_raise_the_overflow_error_of_one_group(monkeypatch):
 
 @pytest.mark.parametrize("early_col,late_col", [(6, 0), (0, 6), (None, 3)])
 def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_col):
-    # 8 modes in 3 runs of row chunks: each run finds its own first bad time,
-    # and the error names the earliest of them, also when only the last run
-    # finds one (no early column)
+    # 8 modes in 3 mode groups: each group finds its own first bad time in
+    # its columns, and the error names the earliest of them, also when only
+    # the middle group finds one (no early column)
     grouped(monkeypatch, 3)
     grid = TimeGrid(1.0, 300)
     early, late = 40, 250
-    runs = row_runs(grid.steps + 1, 8)
-    assert len(runs) == 3 and early < runs[0][-1].stop and runs[-1][0].start <= late
+    assert mode_groups(8) == [slice(0, 2), slice(2, 5), slice(5, 8)]
 
     def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
         sol = solve(kernels, rhs, grid)
@@ -206,55 +216,24 @@ def finishes(fn, timeout=60.0):
     return out["value"]
 
 
-@pytest.mark.parametrize("failing", [0, 1, 2])
-def test_stream_groups_raises_a_failed_group_and_returns(failing):
-    # a failure in any group, on the calling thread or the pool, ends the
-    # call with that error once every group is done; none is left waiting
-    groups = [slice(0, 2), slice(2, 4), slice(4, 6)]
-    seen = []
-    lock = threading.Lock()
-
-    def work(cols, chunk, values):
-        with lock:
-            seen.append((cols.start, chunk.start, values))
-        if cols.start == 2 * failing and chunk.start == 0:
-            raise KeyError(cols.start)
-
-    with pytest.raises(KeyError) as info:
-        finishes(lambda: stream_groups(work, groups, [slice(0, 3), slice(3, 6)],
-                                       lambda chunk: chunk.stop))
-    assert info.value.args == (2 * failing,)
-    # every group saw each chunk it ran with that chunk's values
-    assert {(start, values) for _, start, values in seen} <= {(0, 3), (3, 6)}
-    if failing:
-        # the calling thread's group ran to the end
-        assert (0, 3, 6) in seen
-    assert threading.active_count() < 10
-
-
-def test_stream_groups_under_thread_switching_stress():
+def test_groups_under_thread_switching_stress(monkeypatch):
     # more groups than cores and a tiny switch interval: every group must
     # carry its own running sums over every chunk, with no lost update
-    values = np.random.default_rng(7).integers(-9, 9, size=(600, 10)).astype(float)
-    groups = [slice(2 * i, 2 * i + 2) for i in range(5)]
-    chunks = [slice(i, i + 10) for i in range(0, 600, 10)]
-    out = np.empty_like(values)
-    carries = {}
-
-    def work(cols, chunk, shared):
-        out[chunk, cols] = carries[cols.start] + np.cumsum(shared[:, cols], axis=0)
-        carries[cols.start] = out[chunk.stop - 1, cols]
-
+    data = make_scenario(BASES["square"], ScenarioSpec(seed=6, g_family="poly"))
+    grid = TimeGrid(1.0, 300)
+    want, _ = outputs(data, grid)
+    grouped(monkeypatch, 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            carries.update({cols.start: np.zeros(2) for cols in groups})
-            finishes(lambda: stream_groups(work, groups, chunks,
-                                           lambda chunk: values[chunk].copy()))
-            assert np.array_equal(out, np.cumsum(values, axis=0))
+            got, groups = finishes(lambda: outputs(data, grid))
+            assert groups == 5
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), key
     finally:
         sys.setswitchinterval(interval)
+    assert threading.active_count() < 10
 
 
 def test_each_part_runs_one_part_inline():
