@@ -17,11 +17,9 @@ from .reduction import (
     ForcingData,
     MgtData,
     MgtParams,
-    ReducedProblem,
     SolutionBundle,
     build_kernel,
     forcing_transform,
-    reduce_problem,
     solve_mgt,
 )
 from .spectral import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import ScenarioSpec, make_boundary, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
-from .quadrature import blas_threads, mode_groups, row_chunks
+from .quadrature import row_chunks
 from .reduction import MgtParams, SolutionBundle, solve_mgt
 from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
 from .symbols import estimate_probe, lopatinskii_sweep
@@ -30,6 +30,9 @@ from .cosine import boundary_convolution_probe
 # boundary time families that violate the square-integrable-second-derivative
 # class and that the routes solve (step data is rejected by ScenarioConfig)
 H2_VIOLATING_FAMILIES = ("ramp_kink",)
+
+# the keys of a solve's metadata that a run summary records, from its widest solve
+RUN_METADATA = ("mode_groups", "blas_threads")
 
 
 class ConfigError(ValueError):
@@ -109,7 +112,10 @@ class SymbolSuite:
     probe_modes: int = 16
     probe_steps: int = 400
 
-    __post_init__ = _all_positive
+    def __post_init__(self):
+        _all_positive(self)
+        if self.samples < 1000:  # lopatinskii_sweep's floor
+            raise ConfigError(f"samples must be >= 1000, got {self.samples!r}")
 
 
 @dataclass
@@ -233,12 +239,6 @@ def _finish(experiment: str, prefix: str, out_dir: str | Path, rows: list[Report
     write_rows_csv(files[-2], rows)
     write_summary_json(files[-1], summary)
     return Report(rows, [str(f) for f in files])
-
-
-def _spread(size: int) -> dict:
-    """Summary metadata of a run whose widest solve has size modes: its mode
-    groups (as solve_mgt's metadata records them) and numpy's BLAS threads."""
-    return {"mode_groups": len(mode_groups(size)), "blas_threads": blas_threads()}
 
 
 # -- shared measurement helpers ----------------------------------------------
@@ -460,7 +460,7 @@ def run_regularity_witness(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "trace_H1": [h1_lo, h1_hi],
         "trace_wt_L2": [l2_lo, l2_hi],
         "incompatible_H2_sups": sups,
-        "metadata": _spread(bundles["hi"].basis.size),
+        "metadata": {k: bundles["hi"].metadata[k] for k in RUN_METADATA},
     }
     return _finish("witness", "witness", out_dir, rows, summary)
 
@@ -551,7 +551,7 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "orders": {"volterra": orders_v, "oracle": orders_o, "residual": orders_r},
         "nonsmooth_errors": errs_rough,
         "truncation_diffs": diffs,
-        "metadata": _spread(ref_basis.size),
+        "metadata": {k: ref_bundle.metadata[k] for k in RUN_METADATA},
     }
     errors = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_err", "residual"],
               [np.array(levels, dtype=float), np.array(errs_volterra),
@@ -578,13 +578,18 @@ def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         rows.append(ReportRow("compare-oracle", f"scenario{i}", "rel_sup_L2",
                               err, 0.0, tol, err < tol))
     summary = {"n_scenarios": cfg.n_scenarios, "modes": cfg.modes[0],
-               "steps": cfg.steps, "worst": worst, "metadata": _spread(basis.size)}
+               "steps": cfg.steps, "worst": worst,
+               "metadata": {k: bundle.metadata[k] for k in RUN_METADATA}}
     return _finish("compare-oracle", "compare", out_dir, rows, summary)
 
 
 def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Lopatinskii sweeps, estimate probes, and the boundary-probe witness."""
     _interval_only(cfg, "symbols", mode_counts=2)
+    if cfg.grid_points_per_axis < 32:
+        # the probes take grid_points_per_axis // 4 points, and a grid needs 8
+        raise ConfigError("symbols needs grid_points_per_axis >= 32, got "
+                          f"{cfg.grid_points_per_axis!r}")
     params = cfg.params
     tol = cfg.tolerances
     sym = cfg.symbol
@@ -664,7 +669,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "probe_medians": {k: float(np.median(v)) for k, v in probe_cols.items()},
         "probe_max": {k: float(v.max()) for k, v in probe_cols.items()},
         "boundary_probe_change": probe_changes,
-        "metadata": _spread(refine_basis.size),
+        "metadata": {k: bundle.metadata[k] for k in RUN_METADATA},  # a 2N-mode solve
     }
     return _finish("symbols", "symbols", out_dir, rows, summary, points, probes)
 

@@ -127,7 +127,7 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     linear scan (quadrature.scan_blocks) on the state buffer, which first
     holds the inputs.  Like RK4's own update, each step adds a small
     increment (R - I) y + input to y.  Modes are independent in the scan, so
-    each mode group scans its own columns of the state buffer too.
+    each mode group goes on to scan its own columns in the same pass.
     _rk4/integrate_mode are the scalar reference.
     """
     basis = data.basis
@@ -164,7 +164,7 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
             src -= b * (data.g.gt(ts) @ flux[:, cols])
         return src
 
-    def add_inputs(cols):
+    def solve_group(cols):
         # the sources at each distinct stage time of a chunk's steps: its
         # step ends t_m (shared by neighbouring steps) and midpoints
         for rows in row_chunks(steps, cols.stop - cols.start):
@@ -176,13 +176,11 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
                                              ends[1:])):
                 for j in range(3):
                     out[:, j] += weight[cols, j] * src
+        # past RK4's stability limit the scan overflows: one error below, no warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            _scan_group(step[cols], states[..., cols])
 
-    each_part(add_inputs, mode_groups(size))
-
-    # past RK4's stability limit the scan overflows: one error below, no warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        each_part(lambda cols: _scan_group(step[cols], states[..., cols]),
-                  mode_groups(size))
+    each_part(solve_group, mode_groups(size))
     # non-finite states are absorbing in the linear scan: the last one tells
     if not np.isfinite(states[-1]).all():
         bad = np.argmin(np.isfinite(states).all(axis=(1, 2)))

@@ -276,8 +276,8 @@ def mode_groups(size: int) -> list[slice]:
     as equal as they go.  Modes are independent in both solution routes, so
     a group runs every per-mode operation of the whole basis in the same
     float order on the same values: the result does not depend on the count.
-    Every parallel stage runs each_part over these groups, each group its
-    whole row loop on its own columns.
+    Each solution route is one each_part pass over these groups, each group
+    running the whole route on its own columns.
     """
     return _even_split(size, max(1, min(_cores(), size // GROUP_MODES)))
 

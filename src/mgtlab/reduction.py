@@ -6,10 +6,10 @@ built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
 with the Dirichlet data.  Assembly and recovery stream over row chunks of
 the time grid, so that no grid-length phase table, history or forcing table
-is formed.  Modes are independent, so assembly, scan and recovery each run
-over mode groups (quadrature.mode_groups, each_part), one per core on wide
-bases: each group runs its whole row loop on its own columns, with its own
-carries and its columns of the lifting products.
+is formed.  Modes are independent through the whole route, so it runs in one
+pass over mode groups (quadrature.mode_groups, each_part), one per core on
+wide bases: each group assembles, scans and recovers its own columns of one
+buffer, with its own carries and its columns of the lifting products.
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -252,32 +252,21 @@ def _gtilde(sig: BoundarySignal, gamma: float, times: np.ndarray,
             envelope * (0.25 * gamma**2 * g + gamma * gt + gtt))
 
 
-@dataclass
-class ReducedProblem:
-    """What the Volterra solves and the recovery read.
+def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
+    """The kernels, the sampled Dirichlet data and the assembly of a mode group.
 
-    rhs has shape (steps+1, 3, modes): the right-hand sides of the v, v_t and
-    v_tt solves, H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the kernel
-    samples and their time derivatives, v0 = w0 and v1 = gamma/2 w0 + w1.
-    The interior forcing enters rhs only; it is not kept.
-    """
-
-    kernels: KernelFamily
-    rhs: np.ndarray
-    boundary_signal: BoundarySignal
-
-
-def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedProblem:
-    """Assemble the kernels and the three right-hand sides per mode.
-
-    H comes from the twice integrated-by-parts form of the wave
-    representation (terms in w0 - Dg(0), the shifted velocity datum, the
-    lifting of g-tilde, the g-tilde_tt convolution and the source
-    convolution); H_t and H_tt are its time derivatives.  Each mode group
-    builds its columns chunk by chunk over its own row chunks, each from its
-    own phase table, with the running convolutions carried from chunk to
-    chunk; it takes its columns of the lifting products and of the forcing
-    samples at the chunk's times.
+    assemble(out, cols) writes the right-hand sides of the v, v_t and v_tt
+    solves for the modes cols into the three planes of out, of shape
+    (3, steps+1, modes): H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the
+    kernel samples and their time derivatives, v0 = w0 and
+    v1 = gamma/2 w0 + w1.  H comes from the twice integrated-by-parts form of
+    the wave representation (terms in w0 - Dg(0), the shifted velocity
+    datum, the lifting of g-tilde, the g-tilde_tt convolution and the source
+    convolution); H_t and H_tt are its time derivatives.  The columns are
+    built chunk by chunk over the group's own row chunks, each from its own
+    phase table, with the running convolutions carried from chunk to chunk;
+    the group takes its columns of the lifting products and of the forcing
+    samples at the chunk's times, and no forcing table is kept.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -305,9 +294,7 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
     source_fixed = w2tot + params.b * basis.eigenvalues * data.w0.coeffs
     source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
-    rhs = np.empty((grid.steps + 1, 3, basis.size))
-
-    def assemble(cols):
+    def assemble(out, cols):
         carry, om, kers = defaultdict(dict), omega[cols], kernels[cols]
         lift_cols = lift[:, cols]
         for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
@@ -326,24 +313,21 @@ def reduce_problem(data: MgtData, params: MgtParams, grid: TimeGrid) -> ReducedP
                                                    dt, carry["source_t"])
             conv_src = sin_conv(ph, source + ftilde, dt, carry["source"])
             ker, kdot = kers.samples(ph)
-            out = rhs[rows, :, cols]
-            out[:, 0] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
-                         + conv_src / om)
+            h, ht, htt = (plane[rows, cols] for plane in out)
+            h[:] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
+                    + conv_src / om)
             Ht = (-om * st * a0[cols] + ct * a1[cols] + dhat_t - conv_dtt_c
                   + st / om * source_0[cols] + conv_src_t / om)
-            np.subtract(Ht, ker * w0tot[cols], out=out[:, 1])
+            np.subtract(Ht, ker * w0tot[cols], out=ht)
             Htt = (-om**2 * ct * a0[cols] - om * st * a1[cols] + om * conv_dtt
                    + ct * source_0[cols] + conv_src_t_c)
-            np.subtract(Htt, kdot * w0tot[cols], out=out[:, 2])
-            out[:, 2] -= ker * v1[cols]
+            np.subtract(Htt, kdot * w0tot[cols], out=htt)
+            htt -= ker * v1[cols]
 
-    each_part(assemble, mode_groups(basis.size))
-
-    return ReducedProblem(kernels, rhs, sig)
+    return kernels, sig, assemble
 
 
-def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
-                      grid: TimeGrid) -> np.ndarray:
+def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
     """Trapezoid collocation for the structured kernel, as a blocked linear scan.
 
     In the rotating frame X_m = sum_{j<m} w_j (cos, sin, e^rho)(t_m - t_j) v_j
@@ -356,20 +340,12 @@ def _solve_structured(kernels: KernelFamily, rhs: np.ndarray,
     with trapezoid weights.  G - I and M - I are formed without cancellation
     (half-angle sine, expm1), so that their rounding does not build up.
 
-    rhs has shape (steps+1, modes) or (steps+1, k, modes); it is overwritten
-    with the solution, which is returned.  The k right-hand sides go through
-    the same elementwise float operations as k separate solves, and each mode
-    group scans its own columns in place, so neither batching nor grouping
-    changes a bit.
+    v holds the right-hand sides, shape (steps+1, k, modes) for the modes of
+    kernels, and is overwritten with the solution; it may be a strided view.
+    The k right-hand sides go through the same elementwise float operations
+    as k separate solves, so neither batching, mode grouping nor the layout
+    of v changes a bit.
     """
-    v = rhs.reshape(rhs.shape[0], -1, rhs.shape[-1])
-    each_part(lambda cols: _scan_group(kernels[cols], v[..., cols], grid.dt),
-              mode_groups(kernels.size))
-    return rhs
-
-
-def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
-    """_solve_structured on the (steps+1, k, modes) columns v of its kernels."""
     a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
     # G - I: cos(omega dt) - 1, sin(omega dt) and e^{rho dt} - 1
     cm1 = -2.0 * np.sin(0.5 * kernels.omega * dt) ** 2
@@ -459,9 +435,13 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     """Solve the MGT Cauchy-Dirichlet problem through the Volterra reduction.
 
     Three per-mode Volterra solves produce v, v_t, v_tt with right-hand sides
-    H, H_t - L(t)v0, H_tt - (d/dt L(t))v0 - L(t)v1 (reduce_problem); the
-    exponential transform is then undone chunk by chunk via w = e^{-gamma t/2} v
-    and the product-rule recovery of the derivatives.
+    H, H_t - L(t)v0, H_tt - (d/dt L(t))v0 - L(t)v1; the exponential transform
+    is then undone via w = e^{-gamma t/2} v and the product-rule recovery of
+    the derivatives.  Modes are independent throughout, so each mode group
+    runs the whole route on its columns of one (3, steps+1, modes) buffer:
+    it assembles the right-hand sides into the three planes, scans them in
+    place as a (steps+1, 3, cols) view, and overwrites each plane with its
+    output chunk by chunk; the planes are the bundle's w, wt and wtt.
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
@@ -471,32 +451,33 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
-        rp = reduce_problem(data, params, grid)
-        sol = _solve_structured(rp.kernels, rp.rhs, grid)
+        kernels, sig, assemble = _assembly(data, params, grid)
         lift = basis.lift_matrix()
-        outs = [np.empty((grid.steps + 1, basis.size)) for _ in names]
+        buf = np.empty((3, grid.steps + 1, basis.size))
 
-        def recover(cols):
+        def solve_group(cols):
+            assemble(buf, cols)
+            _scan_group(kernels[cols], np.moveaxis(buf[..., cols], 0, 1), grid.dt)
             bad = {}
             lift_cols = lift[:, cols]
             for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
                 t = times[rows]
-                dhats = [x @ lift_cols for x in _gtilde(rp.boundary_signal, gamma, t, rows)]
+                dhats = [x @ lift_cols for x in _gtilde(sig, gamma, t, rows)]
                 damp = np.exp(-0.5 * gamma * t)[:, None]
-                w_int, wt_int, wtt_int = (arr[rows, cols] for arr in outs)
-                v_int, vt_int, vtt_int = (sol[rows, j, cols] - dhats[j] for j in range(3))
+                w_int, wt_int, wtt_int = outs = [plane[rows, cols] for plane in buf]
+                v_int, vt_int, vtt_int = (out - dhat for out, dhat in zip(outs, dhats))
                 np.multiply(damp, v_int, out=w_int)
                 np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
                 np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
                             out=wtt_int)
-                for name, chunk in zip(names, (w_int, wt_int, wtt_int)):
+                for name, chunk in zip(names, outs):
                     # min/max propagate NaN and +-inf, read while the chunk is in cache
                     if name not in bad and not (np.isfinite(chunk.min())
                                                 and np.isfinite(chunk.max())):
                         bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
             return bad
 
-        first_bad = each_part(recover, mode_groups(basis.size))
+        first_bad = each_part(solve_group, mode_groups(basis.size))
 
     for name in names:
         found = [bad[name] for bad in first_bad if name in bad]
@@ -508,8 +489,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     meta = {"compatible_position": data.compatible_position,
             "compatible_velocity": data.compatible_velocity,
             "mode_groups": len(mode_groups(basis.size)), "blas_threads": blas_threads()}
-    bundle = SolutionBundle(basis, grid, *outs,
-                            rp.boundary_signal, params=params,
+    bundle = SolutionBundle(basis, grid, *buf, sig, params=params,
                             forcing=data.f, metadata=meta)
     if basis.domain.kind == "interval":
         meta["trace_w_converged"] = bundle.trace("w").converged

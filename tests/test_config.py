@@ -115,3 +115,35 @@ def test_readme_schema_loads_and_names_every_field():
                 break
             node = node[key]
     assert missing == []
+
+
+def symbols_exit(tmp_path, raw) -> int:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return main(["symbols", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_symbol_samples_below_the_sweep_floor_are_a_config_error(tmp_path):
+    # lopatinskii_sweep needs 10^3 samples: exit 2, not a solver error
+    with pytest.raises(ConfigError, match=r"config\.symbol: samples must be >= 1000"):
+        ScenarioConfig.from_dict({"symbol": {"samples": 999}})
+    assert ScenarioConfig.from_dict({"symbol": {"samples": 1000}}).symbol.samples == 1000
+    assert symbols_exit(tmp_path, {"symbol": {"samples": 500}}) == 2
+    assert not (tmp_path / "o" / "error.json").exists()
+
+
+def test_symbols_rejects_a_grid_too_coarse_for_its_probes(tmp_path, monkeypatch):
+    # the probes read grid_points_per_axis // 4 points, under a grid's floor
+    # of 8 at 16: the runner stops with exit 2 before any solve
+    from mgtlab import harness
+
+    def no_solve(*args):
+        raise AssertionError("symbols solved before checking its grid")
+
+    monkeypatch.setattr(harness, "solve_mgt", no_solve)
+    raw = {"grid_points_per_axis": 16, "modes": [4, 8], "steps": 20,
+           "symbol": {"samples": 1000, "probe_scenarios": 1, "probe_steps": 20}}
+    with pytest.raises(ConfigError, match="grid_points_per_axis >= 32"):
+        harness.run_symbol_suite(ScenarioConfig.from_dict(raw), tmp_path / "o")
+    assert symbols_exit(tmp_path, raw) == 2
+    assert not (tmp_path / "o" / "error.json").exists()

@@ -1,12 +1,12 @@
 """Mode groups: both routes give the same bits at any group count.
 
 Wide bases run as contiguous mode groups, one per core
-(quadrature.mode_groups); every parallel stage runs each group's whole row
-loop on its own core, on its own columns of the shared arrays.  Here the
-floor of modes per group and the core count are patched so that toy bases
-split into 1, 2 and 3 (uneven) groups, with small row chunks so that every
-group carries its running sums over several chunks; every output must
-match one group bit for bit.
+(quadrature.mode_groups); each route is one pass in which every group runs
+the whole route on its own core, on its own columns of the shared arrays.
+Here the floor of modes per group and the core count are patched so that
+toy bases split into 1, 2 and 3 (uneven) groups, with small row chunks so
+that every group carries its running sums over several chunks; every output
+must match one group bit for bit.
 """
 
 import sys
@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mgtlab import quadrature, reduction
+from mgtlab import modal_oracle, quadrature, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import each_part, mode_groups, row_chunks
@@ -76,6 +76,23 @@ def test_groups_give_the_bits_of_one_group(monkeypatch, domain, forcing, boundar
         assert groups == count
         for key, value in want.items():
             assert np.array_equal(got[key], value), (count, key)
+
+
+@pytest.mark.parametrize("module,route", [(reduction, "solve_mgt"),
+                                          (modal_oracle, "solve_by_modes")])
+def test_each_route_is_one_pass_over_the_mode_groups(monkeypatch, module, route):
+    # every group runs its whole route, with no wait for the other groups
+    passes = []
+
+    def counted(work, parts):
+        passes.append(len(parts))
+        return each_part(work, parts)
+
+    monkeypatch.setattr(module, "each_part", counted)
+    grouped(monkeypatch, 3)
+    data = make_scenario(BASES["interval"], ScenarioSpec(seed=3, g_family="poly"))
+    getattr(module, route)(data, PARAMS, TimeGrid(1.0, 300))
+    assert passes == [3]
 
 
 @pytest.mark.parametrize("domain,count,steps", [("interval", 1, 10000),
@@ -170,15 +187,19 @@ def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_c
     early, late = 40, 250
     assert mode_groups(8) == [slice(0, 2), slice(2, 5), slice(5, 8)]
 
-    def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
-        sol = solve(kernels, rhs, grid)
-        sol[late, 0, late_col] = np.inf
-        if early_col is not None:
-            sol[early, 0, early_col] = np.nan
-        return sol
-
-    monkeypatch.setattr(reduction, "_solve_structured", spoiled)
     data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
+    omega = reduction.build_kernel(PARAMS, data.basis).omega
+
+    def spoiled(kernels, v, dt, scan=reduction._scan_group):
+        # v holds a group's columns only: column col of the basis is its
+        # column col - start
+        scan(kernels, v, dt)
+        start = int(np.flatnonzero(omega == kernels.omega[0])[0])
+        for row, col, bad in ((late, late_col, np.inf), (early, early_col, np.nan)):
+            if col is not None and start <= col < start + kernels.size:
+                v[row, 0, col - start] = bad
+
+    monkeypatch.setattr(reduction, "_scan_group", spoiled)
     first = late if early_col is None else early
     with pytest.raises(ReductionError,
                        match=f"non-finite w from t = {grid.times[first]:.6g} on"):

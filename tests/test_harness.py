@@ -55,7 +55,7 @@ def test_config_rejects_unknown_symbol_keys(tmp_path):
     # a misspelled symbol-suite key is an error, not a silent default
     with pytest.raises(ConfigError, match="probe_scenaros.*sampels"):
         ScenarioConfig.from_dict({"symbol": {"sampels": 1000, "probe_scenaros": 3}})
-    assert ScenarioConfig.from_dict({"symbol": {"samples": 50}}).symbol.samples == 50
+    assert ScenarioConfig.from_dict({"symbol": {"samples": 5000}}).symbol.samples == 5000
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"symbol": {"sampels": 1000}}))
     code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -85,8 +85,8 @@ def test_config_rejects_mistyped_symbol_values(tmp_path, symbol):
 def test_config_accepts_well_typed_symbol_values():
     cfg = ScenarioConfig.from_dict({"symbol": {
         "b_grid": [0.5, 2], "beta_min": 1, "weight_beta": 2.5,
-        "samples": np.int64(20), "probe_steps": 40}})
-    assert cfg.symbol.b_grid == (0.5, 2.0) and cfg.symbol.samples == 20
+        "samples": np.int64(2000), "probe_steps": 40}})
+    assert cfg.symbol.b_grid == (0.5, 2.0) and cfg.symbol.samples == 2000
 
 
 def test_config_from_json_rejects_unknown_fields(tmp_path):

@@ -18,11 +18,11 @@ from mgtlab.reduction import (
     ReductionError,
     build_kernel,
     forcing_transform,
-    reduce_problem,
     solve_mgt,
+    _assembly,
     _data_source,
     _gtilde,
-    _solve_structured,
+    _scan_group,
 )
 from mgtlab.spectral import DomainSpec, EigenBasis, SpectralField, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
@@ -47,17 +47,33 @@ def initial_v(data):
     return w0tot, 0.5 * PARAMS.gamma * w0tot + data.w1.total_coeffs()
 
 
-def histories(rp, data, grid):
-    """H, H_t, H_tt rebuilt from the right-hand sides reduce_problem assembles."""
-    ker, kdot = kernel_at(rp.kernels, grid.times)
+def assembled(data, params, grid):
+    """The kernels, the sampled Dirichlet data and the (3, steps+1, modes)
+    right-hand sides that solve_mgt's assembly writes, the basis as one group."""
+    kernels, sig, assemble = _assembly(data, params, grid)
+    rhs = np.empty((3, grid.steps + 1, data.basis.size))
+    assemble(rhs, slice(0, data.basis.size))
+    return kernels, sig, rhs
+
+
+def scanned(kernels, rhs, dt):
+    """A copy of the (steps+1, k, modes) or (steps+1, modes) right-hand
+    sides rhs, solved by the structured scan."""
+    out = rhs.copy()
+    _scan_group(kernels, out.reshape(out.shape[0], -1, out.shape[-1]), dt)
+    return out
+
+
+def histories(kernels, rhs, data, grid):
+    """H, H_t, H_tt rebuilt from the assembled right-hand sides rhs."""
+    ker, kdot = kernel_at(kernels, grid.times)
     v0, v1 = initial_v(data)
-    rhs = rp.rhs
-    return rhs[:, 0], rhs[:, 1] + ker * v0, rhs[:, 2] + kdot * v0 + ker * v1
+    return rhs[0], rhs[1] + ker * v0, rhs[2] + kdot * v0 + ker * v1
 
 
-def lifted_boundary(rp, grid):
+def lifted_boundary(sig, grid):
     """dhat: eigen-coefficients of the lifting of g-tilde = e^{gamma t/2} g."""
-    gtilde = _gtilde(rp.boundary_signal, PARAMS.gamma, grid.times)[0]
+    gtilde = _gtilde(sig, PARAMS.gamma, grid.times)[0]
     return gtilde @ BASIS.lift_matrix()
 
 
@@ -161,7 +177,7 @@ def test_structured_solver_matches_generic_collocation():
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(401, BASIS.size))
     ph = phases(family.omega, grid.times)
-    fast = _solve_structured(family, rhs.copy(), grid)
+    fast = scanned(family, rhs, grid.dt)
     ker = family.samples(ph)[0]
     slow = solve_direct(VolterraProblem(ker, rhs, grid), rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
@@ -174,10 +190,10 @@ def test_structured_solver_batches_columns_exactly():
     grid = TimeGrid(1.0, 64)
     rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
     ph = phases(family.omega, grid.times)
-    batched = _solve_structured(family, rhs.copy(), grid)
+    batched = scanned(family, rhs, grid.dt)
     ker = family.samples(ph)[0]
     for col in range(3):
-        single = _solve_structured(family, rhs[:, col].copy(), grid)
+        single = scanned(family, rhs[:, col], grid.dt)
         assert np.array_equal(batched[:, col], single)
         slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
         assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
@@ -186,17 +202,17 @@ def test_structured_solver_batches_columns_exactly():
 def test_affine_zero_data():
     grid = TimeGrid(1.0, 100)
     data = MgtData(w0=zero_field(), w1=zero_field(), w2=zero_field())
-    rp = reduce_problem(data, PARAMS, grid)
-    for hist in histories(rp, data, grid):
+    kernels, _, rhs = assembled(data, PARAMS, grid)
+    for hist in histories(kernels, rhs, data, grid):
         assert np.all(hist == 0.0)
 
 
 def test_reduce_problem_history_shapes():
     grid = TimeGrid(1.0, 50)
     data = eigen_data(0)
-    rp = reduce_problem(data, PARAMS, grid)
-    assert rp.rhs.shape == (51, 3, BASIS.size)
-    for hist in histories(rp, data, grid):
+    kernels, _, rhs = assembled(data, PARAMS, grid)
+    assert rhs.shape == (3, 51, BASIS.size)
+    for hist in histories(kernels, rhs, data, grid):
         assert hist.shape == (51, BASIS.size)
 
 
@@ -204,7 +220,7 @@ def test_affine_matches_term_by_term_quadrature():
     # independent quadrature of the raw representation, one eigenmode of data
     grid = TimeGrid(1.0, 4000)
     data = eigen_data(0)
-    rp = reduce_problem(data, PARAMS, grid)
+    rhs = assembled(data, PARAMS, grid)[2]
     mu = BASIS.eigenvalues[0]
     omega = np.sqrt(PARAMS.b * mu)
     gamma = PARAMS.gamma
@@ -216,19 +232,19 @@ def test_affine_matches_term_by_term_quadrature():
         expected = (np.cos(omega * t) + 0.5 * gamma * np.sin(omega * t) / omega
                     + conv / omega)
         m = round(t / grid.dt)
-        assert rp.rhs[m, 0, 0] == pytest.approx(expected, abs=1e-7)
-    assert np.max(np.abs(rp.rhs[:, 0, 1:])) == 0.0
+        assert rhs[0, m, 0] == pytest.approx(expected, abs=1e-7)
+    assert np.max(np.abs(rhs[0, :, 1:])) == 0.0
 
 
 def test_affine_rewritten_equals_raw_form():
     grid = TimeGrid(1.0, 2000)
     spec = ScenarioSpec(seed=2)
     data = make_scenario(BASIS, spec)
-    rp = reduce_problem(data, PARAMS, grid)
+    kernels, sig, rhs = assembled(data, PARAMS, grid)
     # raw wave representation of H: data terms, the source and forcing
     # convolution and the lifting convolution, without integration by parts
     times, dt = grid.times, grid.dt
-    omega = rp.kernels.omega
+    omega = kernels.omega
     ph = phases(omega, times)
     w0tot = data.w0.total_coeffs()
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
@@ -237,8 +253,8 @@ def test_affine_rewritten_equals_raw_form():
     ftilde = forcing_transform(data.f.sample(times, BASIS.size), PARAMS, grid)[0]
     H_raw = (ph.cos * w0tot + ph.sin / omega * initial_v(data)[1]
              + sincos_conv(ph, source + ftilde, dt)[0] / omega
-             + omega * sincos_conv(ph, lifted_boundary(rp, grid), dt)[0])
-    H = rp.rhs[:, 0]
+             + omega * sincos_conv(ph, lifted_boundary(sig, grid), dt)[0])
+    H = rhs[0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H_raw)) < 1e-6 * scale
 
@@ -249,7 +265,8 @@ def test_affine_time_derivative_consistency():
     sups_t, sups_tt = [], []
     for steps in (500, 1000):
         grid = TimeGrid(1.0, steps)
-        H, Ht, Htt = histories(reduce_problem(data, PARAMS, grid), data, grid)
+        kernels, _, rhs = assembled(data, PARAMS, grid)
+        H, Ht, Htt = histories(kernels, rhs, data, grid)
         dH = np.gradient(H, grid.dt, axis=0, edge_order=2)
         dHt = np.gradient(Ht, grid.dt, axis=0, edge_order=2)
         sups_t.append(np.max(np.abs(dH - Ht)))
@@ -287,13 +304,13 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
     assert len(rows) >= 3
     late, early = rows[2].start + 3, rows[1].start + 1
 
-    def spoiled(kernels, rhs, grid, solve=reduction._solve_structured):
-        sol = solve(kernels, rhs, grid)
-        sol[late, 0, 1] = np.inf
-        sol[early, 1, 2] = np.nan
-        return sol
+    def spoiled(kernels, v, dt, scan=reduction._scan_group):
+        # one mode group: v holds every column of the (steps+1, 3, modes) view
+        scan(kernels, v, dt)
+        v[late, 0, 1] = np.inf
+        v[early, 1, 2] = np.nan
 
-    monkeypatch.setattr(reduction, "_solve_structured", spoiled)
+    monkeypatch.setattr(reduction, "_scan_group", spoiled)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ReductionError,
@@ -364,7 +381,7 @@ def test_basis_geometry_built_once_per_basis(monkeypatch):
 
 
 def test_solve_mgt_memory_is_a_few_solution_arrays():
-    # the rhs buffer, the solution and the forcing samples: under 10 arrays
+    # the one buffer of right-hand sides and outputs: under 10 arrays
     # of (steps+1) x modes float64, where grid-length histories take about 20
     basis = build_basis(DomainSpec("interval", 256), 32)
     data = make_scenario(basis, ScenarioSpec(seed=5))
@@ -378,14 +395,37 @@ def test_solve_mgt_memory_is_a_few_solution_arrays():
     assert peak <= 10 * (grid.steps + 1) * basis.size * 8, peak
 
 
+def test_solve_mgt_outputs_are_the_planes_of_one_buffer():
+    # assembly, scan and recovery share one (3, steps+1, modes) buffer whose
+    # C-contiguous planes become w, wt and wtt; the chunk temporaries are
+    # small next to it here, so the peak stays under 1.5 buffers where a
+    # separate set of outputs would take two
+    basis = build_basis(DomainSpec("interval", 256), 64)
+    data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly", f_family="trig"))
+    grid = TimeGrid(1.0, 20000)
+    tracemalloc.start()
+    try:
+        bundle = solve_mgt(data, PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf = bundle.w.base
+    assert buf is not None and buf.shape == (3, grid.steps + 1, basis.size)
+    for i, which in enumerate(("w", "wt", "wtt")):
+        plane = getattr(bundle, which)
+        assert plane.base is buf and plane.flags.c_contiguous
+        assert plane.ctypes.data == buf[i].ctypes.data
+    assert peak < 1.5 * buf.nbytes, peak / buf.nbytes
+
+
 def test_solve_mgt_picard_agrees_with_direct():
     # the Picard series on solve_mgt's right-hand sides against its scan
     grid = TimeGrid(1.0, 1500)
-    rp = reduce_problem(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
-    ker, rhs = kernel_at(rp.kernels, grid.times)[0], rp.rhs
-    direct = _solve_structured(rp.kernels, rhs.copy(), grid)
+    kernels, _, rhs = assembled(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
+    ker = kernel_at(kernels, grid.times)[0]
+    direct = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)
     for col in range(3):
-        res = solve_picard(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
+        res = solve_picard(VolterraProblem(ker, rhs[col], grid), rule="trapezoid")
         assert res.converged and res.terms_used >= 1
         assert np.max(np.abs(direct[:, col] - res.values)) < 1e-10
 
@@ -468,19 +508,19 @@ def test_transform_round_trip():
     grid = TimeGrid(1.0, 500)
     data = make_scenario(BASIS, ScenarioSpec(seed=6))
     bundle = solve_mgt(data, PARAMS, grid)
-    rp = reduce_problem(data, PARAMS, grid)
-    v = _solve_structured(rp.kernels, rp.rhs.copy(), grid)[:, 0]
+    kernels, sig, rhs = assembled(data, PARAMS, grid)
+    v = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)[:, 0]
     damp = np.exp(-0.5 * PARAMS.gamma * grid.times)[:, None]
-    assert np.allclose(bundle.w, damp * (v - lifted_boundary(rp, grid)), atol=1e-14)
+    assert np.allclose(bundle.w, damp * (v - lifted_boundary(sig, grid)), atol=1e-14)
 
 
 def test_gamma_zero_degeneracy():
     params = MgtParams(alpha=1.0, b=1.0, c=1.0)
     grid = TimeGrid(1.0, 400)
     data = make_scenario(BASIS, ScenarioSpec(seed=8))
-    rp = reduce_problem(data, params, grid)
-    v = _solve_structured(rp.kernels, rp.rhs.copy(), grid)[:, 0]
-    assert np.array_equal(v, rp.rhs[:, 0])
+    kernels, _, rhs = assembled(data, params, grid)
+    v = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)[:, 0]
+    assert np.array_equal(v, rhs[0])
 
 
 def test_compatibility_flags():

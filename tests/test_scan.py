@@ -27,14 +27,7 @@ from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
                                prefix_exponential, prefix_trapezoid, row_chunks,
                                scan_blocks)
-from mgtlab.reduction import (
-    MgtData,
-    MgtParams,
-    _solve_structured,
-    build_kernel,
-    reduce_problem,
-    solve_mgt,
-)
+from mgtlab.reduction import MgtData, MgtParams, _assembly, _scan_group, build_kernel, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct
 
@@ -48,7 +41,8 @@ def structured_error(params, basis, grid, seed):
     """Worst sup-relative gap of the scan to solve_direct over 3 columns."""
     family = build_kernel(params, basis)
     rhs = np.random.default_rng(seed).normal(size=(grid.steps + 1, 3, basis.size))
-    fast = _solve_structured(family, rhs.copy(), grid)
+    fast = rhs.copy()
+    _scan_group(family, fast, grid.dt)
     ker = family.samples(phases(family.omega, grid.times))[0]
     worst = 0.0
     for col in range(3):
@@ -252,10 +246,11 @@ def test_chunked_rhs_equals_one_chunk(edge, forcing, boundary, seed):
     spec = make_scenario(BASIS, ScenarioSpec(seed=seed, g_family="poly"))
     data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
                    g=spec.g if boundary else None)
-    chunks = reduce_problem(data, PARAMS, grid).rhs
+    chunks, whole = np.empty((2, 3, rows, BASIS.size))
+    _assembly(data, PARAMS, grid)[2](chunks, slice(0, BASIS.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "CHUNK_ELEMENTS", rows * BASIS.size)
-        whole = reduce_problem(data, PARAMS, grid).rhs
+        _assembly(data, PARAMS, grid)[2](whole, slice(0, BASIS.size))
     assert np.array_equal(chunks, whole)
 
 
