@@ -1,4 +1,4 @@
-"""Cosine/sine operator families, the sin/cos convolution, and boundary probes.
+"""Cosine/sine operator families: phase rows and boundary probes.
 
 All operators act diagonally on eigen-coefficients through the real-valued
 primitives cos(omega_k t) and sin(omega_k t)/sqrt(mu_k) with
@@ -8,59 +8,44 @@ formula pairs operator powers so that products are real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quadrature import prefix_trapezoid
 from .spectral import BoundarySignal, EigenBasis, TimeGrid
 
+# Anchor spacing of PhaseRows: trig on one row in 64 plus a 64-row offset
+# table per mode group, both small next to a row chunk.
+ANCHOR = 64
 
-@dataclass(frozen=True)
-class Phases:
-    """cos(omega t) and sin(omega t) per mode: (len(times), len(omega)) each.
 
-    The Volterra route builds one table per row chunk of its grid;
-    boundary_convolution_probe builds one for the whole grid.
+class PhaseRows:
+    """cos(omega t) and sin(omega t) on any rows of a uniform grid.
+
+    cos/sin are evaluated only at the anchor rows n = a*ANCHOR and at the
+    in-block offsets j*dt; row a*ANCHOR + j is
+        cos = cos_a cos_j - sin_a sin_j,  sin = sin_a cos_j + cos_a sin_j,
+    so a row's bits depend on its absolute index alone, whichever rows a
+    call asks for, and the trig work on a grid of S+1 rows and N modes is
+    (ceil((S+1)/ANCHOR) + ANCHOR) N values instead of (S+1) N.  The result
+    is within a few ulp of |omega t| of cos/sin of outer(times, omega).
     """
 
-    times: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
+    def __init__(self, omega: np.ndarray, times: np.ndarray, dt: float):
+        self._anchor_cos, self._anchor_sin = _cos_sin(np.outer(times[::ANCHOR], omega))
+        offsets = np.arange(min(ANCHOR, len(times))) * dt
+        self._step_cos, self._step_sin = _cos_sin(np.outer(offsets, omega))
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of omega t on the grid rows rows, (len, modes) each."""
+        anchor, step = np.divmod(np.arange(rows.start, rows.stop), ANCHOR)
+        ca, sa = self._anchor_cos[anchor], self._anchor_sin[anchor]
+        cj, sj = self._step_cos[step], self._step_sin[step]
+        return ca * cj - sa * sj, sa * cj + ca * sj
 
 
-def phases(omega: np.ndarray, times: np.ndarray) -> Phases:
-    """The phase table of omega on times (sin is computed in the phase buffer)."""
-    phase = np.outer(times, omega)
-    cos = np.cos(phase)
-    return Phases(times, cos, np.sin(phase, out=phase))
-
-
-def sincos_conv(ph: Phases, f: np.ndarray, dt: float,
-                carry: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Running integrals of sin(omega (t-s)) f(s) ds and cos(omega (t-s)) f(s) ds.
-
-    The angle addition turns both into one pair of prefix sums, of cos f and
-    sin f, read against the table at t.  carry continues both sums over
-    consecutive row chunks (quadrature.prefix_trapezoid); ph and f then hold
-    one chunk's rows.
-    """
-    pc, ps = _prefix_pair(ph, f, dt, carry)
-    return ph.sin * pc - ph.cos * ps, ph.cos * pc + ph.sin * ps
-
-
-def sin_conv(ph: Phases, f: np.ndarray, dt: float, carry: dict | None = None) -> np.ndarray:
-    """The sine convolution of sincos_conv alone, with the same bits."""
-    pc, ps = _prefix_pair(ph, f, dt, carry)
-    return ph.sin * pc - ph.cos * ps
-
-
-def _prefix_pair(ph: Phases, f: np.ndarray, dt: float,
-                 carry: dict | None) -> tuple[np.ndarray, np.ndarray]:
-    """The carried prefix sums of cos f and sin f."""
-    carry = {} if carry is None else carry
-    return (prefix_trapezoid(ph.cos * f, dt, carry.setdefault("cos", {})),
-            prefix_trapezoid(ph.sin * f, dt, carry.setdefault("sin", {})))
+def _cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phase) and sin(phase), sin computed in the phase buffer."""
+    return np.cos(phase), np.sin(phase, out=phase)
 
 
 def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySignal,
@@ -68,9 +53,13 @@ def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySigna
     """C([0,T]; L2) norm series witnessing boundary-to-interior regularity.
 
     Returns the (steps+1,) L2 norms of A int R_-(t-s) D g(s) ds for the wave
-    family of frequencies omega = speed * sqrt(mu).
+    family of frequencies omega = speed * sqrt(mu): by angle addition the
+    sine convolution is sin(omega t) Pc - cos(omega t) Ps, with Pc and Ps the
+    running integrals of cos(omega s) and sin(omega s) times the lifted data.
     """
     dhat = g.values @ basis.lift_matrix()
     omega = speed * basis.sqrt_eigenvalues
-    conv_s = sin_conv(phases(omega, grid.times), dhat, grid.dt)
+    cos, sin = PhaseRows(omega, grid.times, grid.dt).rows(slice(0, grid.steps + 1))
+    conv_s = sin * prefix_trapezoid(cos * dhat, grid.dt) - cos * prefix_trapezoid(sin * dhat,
+                                                                                 grid.dt)
     return np.linalg.norm(basis.sqrt_eigenvalues * conv_s, axis=1)

@@ -196,8 +196,13 @@ def _scan_group(step: np.ndarray, states: np.ndarray) -> None:
     segments = scan_blocks(states[1:])
     length = segments[0].shape[1]
     # R^i - I for i = 0..L, component-major and contiguous for the elementwise
-    # products; each pass sums its three products ((p0 + p1) + p2) in buffers
-    pw = np.ascontiguousarray(np.moveaxis(power_increments(step, length), 1, -1))
+    # products; each pass sums its three products ((p0 + p1) + p2) in buffers.
+    # The carry multiplies whole states by these powers, so their rounding
+    # is the scan's largest error where a state's components differ in
+    # scale: they are taken in extended precision (where numpy's longdouble
+    # has it) and rounded once
+    pw = power_increments(step.astype(np.longdouble), length).astype(float)
+    pw = np.ascontiguousarray(np.moveaxis(pw, 1, -1))
     one = pw[1]
     for seg in segments:
         # zero-state pass inside every block at once

@@ -93,7 +93,11 @@ def prefix_trapezoid(values: np.ndarray, dt: float, carry: dict | None = None) -
     first = carry.setdefault("first", cs[0].copy())
     cs[0] += carry.get("sum", 0.0)
     carry["sum"] = _running_sum(cs, 0)[-1].copy()
-    return dt * (cs - 0.5 * values - 0.5 * first)
+    # dt * (cs - 0.5 values - 0.5 first), in place
+    cs -= np.multiply(values, 0.5, dtype=float)
+    cs -= 0.5 * first
+    cs *= dt
+    return cs
 
 
 def _running_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -353,9 +357,9 @@ def power_increments(step: np.ndarray, count: int) -> np.ndarray:
     D_{a+b} = D_a + D_b + D_a D_b: about log2(count) batched products.  The
     one-step maps of a scan are close to the identity, and a rounding of M
     itself would repeat at every step; carrying M^i - I keeps the relative
-    precision of the small increments.
+    precision of the small increments.  The powers take step's float type.
     """
-    out = np.zeros((count + 1,) + step.shape)
+    out = np.zeros((count + 1,) + step.shape, dtype=step.dtype)
     if count:
         out[1] = step
     have = 1

@@ -24,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import Phases, phases, sin_conv, sincos_conv
+from .cosine import PhaseRows
 from .quadrature import (
     blas_threads,
     each_part,
     mode_groups,
     power_increments,
     prefix_exponential,
+    prefix_trapezoid,
     row_chunks,
     scan_blocks,
 )
@@ -199,7 +200,10 @@ class KernelFamily:
     """Per-mode memory kernels  A sin(omega t) + B cos(omega t) + C e^{rho t}.
 
     The closed form of the inner exponential integral makes B + C = 0, so
-    every kernel vanishes at t = 0 and the collocation stays explicit.
+    every kernel vanishes at t = 0 and the collocation stays explicit.  The
+    assembly folds A, B, C into per-mode constants of its planes and the
+    scan reads them through its rotating frame, so no kernel is sampled on
+    the grid.
     """
 
     omega: np.ndarray
@@ -207,15 +211,6 @@ class KernelFamily:
     sin_coeff: np.ndarray
     cos_coeff: np.ndarray
     exp_coeff: np.ndarray
-
-    def samples(self, ph: Phases) -> tuple[np.ndarray, np.ndarray]:
-        """The kernels and their time derivatives on the table's times."""
-        grow = np.exp(self.rho * ph.times)[:, None]
-        ker = self.sin_coeff * ph.sin + self.cos_coeff * ph.cos + self.exp_coeff * grow
-        kdot = (self.sin_coeff * self.omega * ph.cos
-                - self.cos_coeff * self.omega * ph.sin
-                + self.rho * self.exp_coeff * grow)
-        return ker, kdot
 
     @property
     def size(self) -> int:
@@ -258,21 +253,30 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     assemble(out, cols) writes the right-hand sides of the v, v_t and v_tt
     solves for the modes cols into the three planes of out, of shape
     (3, steps+1, modes): H, H_t - k v0 and H_tt - k' v0 - k v1 with k, k' the
-    kernel samples and their time derivatives, v0 = w0 and
-    v1 = gamma/2 w0 + w1.  H comes from the twice integrated-by-parts form of
-    the wave representation (terms in w0 - Dg(0), the shifted velocity
-    datum, the lifting of g-tilde, the g-tilde_tt convolution and the source
-    convolution); H_t and H_tt are its time derivatives.  The columns are
-    built chunk by chunk over the group's own row chunks, each from its own
-    phase table, with the running convolutions carried from chunk to chunk;
-    the group takes its columns of the lifting products and of the forcing
-    samples at the chunk's times, and no forcing table is kept.
+    kernels and their time derivatives, v0 = w0 and v1 = gamma/2 w0 + w1.
+    H comes from the twice integrated-by-parts form of the wave
+    representation (terms in w0 - Dg(0), the shifted velocity datum, the
+    lifting of g-tilde, the g-tilde_tt convolution and the source
+    convolution); H_t and H_tt are its time derivatives.
+
+    By angle addition every convolution with sin or cos of omega (t - s)
+    reads cos(omega t) and sin(omega t) against the running trapezoid
+    integrals Pc_k, Ps_k of cos(omega s) u_k and sin(omega s) u_k, for
+    u_1 = dhat_tt, u_2 = rho source + ftilde_t and u_3 = source + ftilde.
+    The kernel terms fold into per-mode constants, built once per group, so
+    each plane is cos(omega t) X + sin(omega t) Y (+ e^{rho t} Z) plus its
+    lifting term dhat or dhat_t, where X and Y are constants plus sums of
+    the six integrals; no kernel is sampled on the grid.  The columns are
+    built over the group's own row chunks, with phase rows from one
+    PhaseRows per group and the integrals and the forcing transform carried
+    from chunk to chunk; the group takes its columns of the lifting products
+    and of the forcing samples at the chunk's times, and no forcing table is
+    kept.  Each chunk temporary is dropped once read.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
     times, dt = grid.times, grid.dt
     kernels = build_kernel(params, basis)
-    omega = kernels.omega
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
@@ -290,39 +294,57 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     v1 = 0.5 * gamma * w0tot + w1tot
 
     # interior source h0 w0 + h1 w1 + h2 (w2 - b Lap w0); the lifting part of
-    # w0 is harmonic so Lap w0 only sees the zero-trace coefficients
+    # w0 is harmonic so Lap w0 only sees the zero-trace coefficients.  Every
+    # h is a constant times e^{rho t}, so the source is e^{rho t} source_0
     source_fixed = w2tot + params.b * basis.eigenvalues * data.w0.coeffs
     source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
     def assemble(out, cols):
-        carry, om, kers = defaultdict(dict), omega[cols], kernels[cols]
+        carry, kers = defaultdict(dict), kernels[cols]
+        om, ka, kb, kc = kers.omega, kers.sin_coeff, kers.cos_coeff, kers.exp_coeff
+        inv = 1.0 / om
+        a0c, a1c, s0, v0, v1c = (x[cols] for x in (a0, a1, source_0, w0tot, v1))
+        # the per-mode constants of cos, sin and e^{rho t} in each plane
+        h_cos, h_sin = a0c, a1c * inv
+        ht_cos, ht_sin, ht_exp = a1c - kb * v0, -om * a0c + s0 * inv - ka * v0, -kc * v0
+        htt_cos = -om**2 * a0c + s0 - ka * om * v0 - kb * v1c
+        htt_sin = -om * a1c + kb * om * v0 - ka * v1c
+        htt_exp = -kc * (rho * v0 + v1c)
         lift_cols = lift[:, cols]
+        phase = PhaseRows(om, times, dt)
+
+        def sums(ct, st, u, name):
+            # Pc and Ps of u, carried under name
+            return (prefix_trapezoid(ct * u, dt, carry[name + " cos"]),
+                    prefix_trapezoid(st * u, dt, carry[name + " sin"]))
+
         for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
             t = times[rows]
-            grow = np.exp(rho * t)[:, None]
-            ph = phases(om, t)
-            ct, st = ph.cos, ph.sin
+            ct, st = phase.rows(rows)
             dhat, dhat_t, dhat_tt = (x @ lift_cols for x in _gtilde(sig, gamma, t, rows))
-            fsamp = (data.f.sample(t, basis.size)[:, cols] if data.f is not None
-                     else np.zeros((len(t), len(om))))
-            source = (_data_source(params, t, w0tot[cols], w1tot[cols])
-                      + grow * source_fixed[cols])
-            ftilde, ftilde_t = forcing_transform(fsamp, params, grid, rows, carry["forcing"])
-            conv_dtt, conv_dtt_c = sincos_conv(ph, dhat_tt, dt, carry["dtt"])
-            conv_src_t, conv_src_t_c = sincos_conv(ph, rho * source + ftilde_t,
-                                                   dt, carry["source_t"])
-            conv_src = sin_conv(ph, source + ftilde, dt, carry["source"])
-            ker, kdot = kers.samples(ph)
+            pc1, ps1 = sums(ct, st, dhat_tt, "dtt")
+            del dhat_tt
+            grow = np.exp(rho * t)[:, None]
+            source = grow * s0
+            source_t = rho * source
+            if data.f is not None:
+                ftilde, ftilde_t = forcing_transform(data.f.sample(t, basis.size)[:, cols],
+                                                     params, grid, rows, carry["forcing"])
+                source += ftilde
+                source_t += ftilde_t
+                del ftilde, ftilde_t
+            pc3, ps3 = sums(ct, st, source, "source")
+            del source
             h, ht, htt = (plane[rows, cols] for plane in out)
-            h[:] = (ct * a0[cols] + st / om * a1[cols] + dhat - conv_dtt / om
-                    + conv_src / om)
-            Ht = (-om * st * a0[cols] + ct * a1[cols] + dhat_t - conv_dtt_c
-                  + st / om * source_0[cols] + conv_src_t / om)
-            np.subtract(Ht, ker * w0tot[cols], out=ht)
-            Htt = (-om**2 * ct * a0[cols] - om * st * a1[cols] + om * conv_dtt
-                   + ct * source_0[cols] + conv_src_t_c)
-            np.subtract(Htt, kdot * w0tot[cols], out=htt)
-            htt -= ker * v1[cols]
+            h[:] = dhat + ct * (h_cos + (ps1 - ps3) * inv) + st * (h_sin + (pc3 - pc1) * inv)
+            del pc3, ps3, dhat
+            pc2, ps2 = sums(ct, st, source_t, "source_t")
+            del source_t
+            ht[:] = (dhat_t + grow * ht_exp + ct * (ht_cos - pc1 - ps2 * inv)
+                     + st * (ht_sin - ps1 + pc2 * inv))
+            del dhat_t
+            htt[:] = (grow * htt_exp + ct * (htt_cos + pc2 - om * ps1)
+                      + st * (htt_sin + ps2 + om * pc1))
 
     return kernels, sig, assemble
 

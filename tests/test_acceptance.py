@@ -7,7 +7,7 @@ T <= 2.
 
 import numpy as np
 
-from mgtlab.cosine import boundary_convolution_probe, phases
+from mgtlab.cosine import boundary_convolution_probe
 from mgtlab.generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from mgtlab.harness import (
     discrete_equation_residual,
@@ -20,6 +20,7 @@ from mgtlab.reduction import MgtParams, build_kernel, solve_mgt
 from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 from mgtlab.symbols import estimate_probe, lopatinskii_sweep
 from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
+from reference import kernel_samples
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 DOMAIN = DomainSpec("interval", 1024)
@@ -131,7 +132,7 @@ def test_criterion_5_volterra_engine():
         "one": np.ones(grid.steps + 1),
         "sin": np.sin(grid.times),
         "exp": np.exp(-grid.times),
-        "mgt_mode_1": mgt.samples(phases(mgt.omega, grid.times))[0][:, 0],
+        "mgt_mode_1": kernel_samples(mgt, grid.times)[0][:, 0],
     }
     worst_gap = 0.0
     for kernel in kernels.values():

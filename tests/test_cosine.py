@@ -1,10 +1,11 @@
-"""Phase tables, the sin/cos convolution, the smoothing convolution, boundary probes."""
+"""Phase rows, the sin/cos convolution, the smoothing convolution, boundary probes."""
 
 import numpy as np
 import pytest
 
-from mgtlab.cosine import boundary_convolution_probe, phases, sincos_conv
+from mgtlab.cosine import ANCHOR, PhaseRows, boundary_convolution_probe
 from mgtlab.spectral import BoundaryData, BoundarySignal, DomainSpec, TimeGrid, build_basis
+from reference import phase_table, sincos_conv
 
 BASIS = build_basis(DomainSpec("interval", 256), 8)
 OMEGA = BASIS.sqrt_eigenvalues  # the wave family at speed 1
@@ -12,31 +13,63 @@ OMEGA = BASIS.sqrt_eigenvalues  # the wave family at speed 1
 
 def smoothing(basis, f, grid):
     """K f = (1/sqrt(mu)) int_0^t sin(sqrt(mu) (t-s)) f(s) ds per mode, as the
-    Volterra route forms it from sincos_conv."""
+    Volterra route forms it from the prefix sums of cos f and sin f."""
     root = basis.sqrt_eigenvalues
-    return sincos_conv(phases(root, grid.times), f, grid.dt)[0] / root
+    return sincos_conv(*phase_table(root, grid.times), f, grid.dt)[0] / root
+
+
+def all_rows(omega, grid):
+    """cos and sin of omega t on every row of grid, from PhaseRows."""
+    return PhaseRows(omega, grid.times, grid.dt).rows(slice(0, grid.steps + 1))
 
 
 def test_phases_identity_at_zero():
-    ph = phases(OMEGA, np.zeros(1))
-    assert np.all(ph.cos == 1.0)
-    assert np.all(ph.sin == 0.0)
+    cos, sin = all_rows(OMEGA, TimeGrid(1.0, 3))
+    assert np.all(cos[0] == 1.0)
+    assert np.all(sin[0] == 0.0)
 
 
 def test_phases_eigenmode_half_period():
     # omega_1 = pi on the unit interval at speed 1
-    ph = phases(OMEGA, np.array([1.0]))
-    assert ph.cos[0, 0] == pytest.approx(np.cos(np.pi))
-    assert ph.sin[0, 0] == pytest.approx(0.0, abs=1e-15)
+    cos, sin = all_rows(OMEGA, TimeGrid(1.0, 1))
+    assert cos[1, 0] == pytest.approx(np.cos(np.pi))
+    assert sin[1, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, ANCHOR - 2, ANCHOR - 1, ANCHOR, 10 * ANCHOR + 17])
+@pytest.mark.parametrize("horizon", [1.0, 50.0, 2000.0])
+def test_phase_rows_match_cos_sin_of_outer(steps, horizon):
+    # within a few ulp of |omega t|: the angle addition rounds at most a few
+    # times at unit scale, and t_anchor + j dt differs from t by an ulp of t
+    grid = TimeGrid(horizon, steps)
+    omega = np.concatenate([OMEGA, [1e-3, 0.37, 40.0]])
+    cos, sin = all_rows(omega, grid)
+    want_cos, want_sin = phase_table(omega, grid.times)
+    bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(np.outer(grid.times, omega)))
+    assert np.all(np.abs(cos - want_cos) <= bound)
+    assert np.all(np.abs(sin - want_sin) <= bound)
+
+
+def test_phase_rows_depend_on_the_absolute_row_alone():
+    # any cut of the rows gives the bits of one call on all of them
+    grid = TimeGrid(3.0, 5 * ANCHOR + 9)
+    phase = PhaseRows(OMEGA, grid.times, grid.dt)
+    whole = phase.rows(slice(0, grid.steps + 1))
+    cuts = [0, 1, ANCHOR - 1, ANCHOR, 2 * ANCHOR + 5, 4 * ANCHOR, 4 * ANCHOR + 1,
+            grid.steps + 1]
+    parts = [phase.rows(slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    for k in range(2):
+        assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
 
 
 def test_cosine_functional_equation_per_mode():
-    # d'Alembert: C(t+s) + C(t-s) = 2 C(t) C(s), rows of one table each
+    # d'Alembert: C(t+s) + C(t-s) = 2 C(t) C(s) on grid rows n +- m, n, m
+    grid = TimeGrid(2.0, 3 * ANCHOR)
+    cos = all_rows(OMEGA, grid)[0]
     rng = np.random.default_rng(0)
-    for t, s in rng.uniform(0.0, 2.0, size=(25, 2)):
-        cos = phases(OMEGA, np.array([t + s, t - s, t, s])).cos
-        lhs = cos[0] + cos[1]
-        rhs = 2.0 * cos[2] * cos[3]
+    for n, m in rng.integers(0, grid.steps // 2, size=(25, 2)):
+        lhs = cos[n + m] + cos[abs(n - m)]
+        rhs = 2.0 * cos[n] * cos[m]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -47,7 +80,7 @@ def test_sincos_conv_parts_match_derivative_and_quadrature():
     t = grid.times
     f = np.column_stack([np.cos(3.0 * t) + t, np.exp(-t), t**2])
     omega = OMEGA[:3]
-    sin_part, cos_part = sincos_conv(phases(omega, t), f, grid.dt)
+    sin_part, cos_part = sincos_conv(*phase_table(omega, t), f, grid.dt)
     slope = np.gradient(sin_part, grid.dt, axis=0, edge_order=2)
     assert np.max(np.abs(slope / omega - cos_part)) < 1e-6
     for m in (1, 777, 2500, 4000):
@@ -102,6 +135,21 @@ def test_kop_smoothing_bounded_under_mode_refinement():
         sups.append(np.sqrt(((1 + basis.eigenvalues) * kf**2).sum(axis=1)).max())
     assert abs(sups[2] - sups[1]) <= abs(sups[1] - sups[0]) + 1e-12
     assert abs(sups[2] - sups[0]) / sups[0] < 1e-3
+
+
+def test_boundary_probe_is_the_sine_convolution_norm():
+    # the probe's phase rows and prefix sums against the plain phase table
+    grid = TimeGrid(1.0, 700)
+    basis = build_basis(DomainSpec("interval", 256), 16)
+    g = BoundaryData(g=lambda t: np.column_stack([np.sin(3.0 * t), t**2]),
+                     gt=lambda t: np.column_stack([3.0 * np.cos(3.0 * t), 2.0 * t]),
+                     gtt=lambda t: np.column_stack([-9.0 * np.sin(3.0 * t), 2.0 + 0.0 * t]))
+    sig = g.sample(grid)
+    dhat = sig.values @ basis.lift_matrix()
+    conv = sincos_conv(*phase_table(2.0 * basis.sqrt_eigenvalues, grid.times), dhat, grid.dt)[0]
+    want = np.linalg.norm(basis.sqrt_eigenvalues * conv, axis=1)
+    got = boundary_convolution_probe(basis, 2.0, sig, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 def test_boundary_probe_zero_signal():

@@ -6,8 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mgtlab import reduction
-from mgtlab.cosine import phases, sincos_conv
+from mgtlab import cosine, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential, row_chunks
@@ -26,6 +25,7 @@ from mgtlab.reduction import (
 )
 from mgtlab.spectral import DomainSpec, EigenBasis, SpectralField, TimeGrid, build_basis
 from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
+from reference import assembled_planes, kernel_samples, phase_table, sincos_conv
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 256), 8)
@@ -66,7 +66,7 @@ def scanned(kernels, rhs, dt):
 
 def histories(kernels, rhs, data, grid):
     """H, H_t, H_tt rebuilt from the assembled right-hand sides rhs."""
-    ker, kdot = kernel_at(kernels, grid.times)
+    ker, kdot = kernel_samples(kernels, grid.times)
     v0, v1 = initial_v(data)
     return rhs[0], rhs[1] + ker * v0, rhs[2] + kdot * v0 + ker * v1
 
@@ -139,14 +139,9 @@ def test_forcing_transform_order_two():
     assert min(orders) > 1.8
 
 
-def kernel_at(family, t):
-    """(kernel, kernel derivative) samples of a family at the times t."""
-    return family.samples(phases(family.omega, np.asarray(t, dtype=float)))
-
-
 def test_kernel_vanishes_at_zero_and_matches_quadrature():
     family = build_kernel(PARAMS, BASIS)
-    assert np.max(np.abs(kernel_at(family, [0.0])[0])) < 1e-14
+    assert np.max(np.abs(kernel_samples(family, [0.0])[0])) < 1e-14
     # quadrature oracle for the inner convolution of the closed form
     omega = family.omega[0]
     t = 0.73
@@ -154,20 +149,20 @@ def test_kernel_vanishes_at_zero_and_matches_quadrature():
     inner = np.trapezoid(np.sin(omega * (t - s)) * memory_weight(PARAMS, s), s)
     expected = (-PARAMS.volterra_beta / omega * np.sin(omega * t)
                 - inner / omega)
-    got = kernel_at(family, [t])[0][0, 0]
+    got = kernel_samples(family, [t])[0][0, 0]
     assert got == pytest.approx(expected, abs=1e-8)
 
 
 def test_kernel_derivative_initial_slope():
     family = build_kernel(PARAMS, BASIS)
-    assert np.allclose(kernel_at(family, [0.0])[1][0], -PARAMS.volterra_beta)
+    assert np.allclose(kernel_samples(family, [0.0])[1][0], -PARAMS.volterra_beta)
 
 
 def test_kernel_zero_when_gamma_zero():
     params = MgtParams(alpha=1.0, b=1.0, c=1.0)
     family = build_kernel(params, BASIS)
     t = np.linspace(0.0, 2.0, 50)
-    assert np.max(np.abs(kernel_at(family, t)[0])) == 0.0
+    assert np.max(np.abs(kernel_samples(family, t)[0])) == 0.0
 
 
 def test_structured_solver_matches_generic_collocation():
@@ -176,9 +171,8 @@ def test_structured_solver_matches_generic_collocation():
     grid = TimeGrid(1.0, 400)
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(401, BASIS.size))
-    ph = phases(family.omega, grid.times)
     fast = scanned(family, rhs, grid.dt)
-    ker = family.samples(ph)[0]
+    ker = kernel_samples(family, grid.times)[0]
     slow = solve_direct(VolterraProblem(ker, rhs, grid), rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
 
@@ -189,9 +183,8 @@ def test_structured_solver_batches_columns_exactly():
     family = build_kernel(PARAMS, BASIS)
     grid = TimeGrid(1.0, 64)
     rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
-    ph = phases(family.omega, grid.times)
     batched = scanned(family, rhs, grid.dt)
-    ker = family.samples(ph)[0]
+    ker = kernel_samples(family, grid.times)[0]
     for col in range(3):
         single = scanned(family, rhs[:, col], grid.dt)
         assert np.array_equal(batched[:, col], single)
@@ -245,15 +238,15 @@ def test_affine_rewritten_equals_raw_form():
     # convolution and the lifting convolution, without integration by parts
     times, dt = grid.times, grid.dt
     omega = kernels.omega
-    ph = phases(omega, times)
+    cos, sin = phase_table(omega, times)
     w0tot = data.w0.total_coeffs()
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
     source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
               + np.exp(PARAMS.decay_exponent * times)[:, None] * source_fixed)
     ftilde = forcing_transform(data.f.sample(times, BASIS.size), PARAMS, grid)[0]
-    H_raw = (ph.cos * w0tot + ph.sin / omega * initial_v(data)[1]
-             + sincos_conv(ph, source + ftilde, dt)[0] / omega
-             + omega * sincos_conv(ph, lifted_boundary(sig, grid), dt)[0])
+    H_raw = (cos * w0tot + sin / omega * initial_v(data)[1]
+             + sincos_conv(cos, sin, source + ftilde, dt)[0] / omega
+             + omega * sincos_conv(cos, sin, lifted_boundary(sig, grid), dt)[0])
     H = rhs[0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H_raw)) < 1e-6 * scale
@@ -341,20 +334,78 @@ def test_solve_mgt_velocity_consistent_with_differencing():
 
 
 def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
-    # histories and kernel samples read one table per row chunk: together
-    # the tables cover the grid's times once, in order
+    # the assembly reads the phase rows one row chunk at a time: together
+    # the chunks cover the grid once, in order
     built = []
 
-    def counting(omega, times):
-        built.append(times)
-        return phases(omega, times)
+    def counting(self, rows, build=cosine.PhaseRows.rows):
+        built.append(rows)
+        return build(self, rows)
 
-    monkeypatch.setattr(reduction, "phases", counting)
+    monkeypatch.setattr(cosine.PhaseRows, "rows", counting)
     grid = TimeGrid(1.0, 3 * CHUNK_ELEMENTS // BASIS.size)
     solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
     assert len(built) == 4
-    assert np.array_equal(np.concatenate(built), grid.times)
-    assert all(len(t) * BASIS.size <= CHUNK_ELEMENTS for t in built)
+    assert [r.start for r in built] == [0] + [r.stop for r in built[:-1]]
+    assert built[-1].stop == grid.steps + 1
+    assert all((r.stop - r.start) * BASIS.size <= CHUNK_ELEMENTS for r in built)
+
+
+@pytest.mark.parametrize("steps", [cosine.ANCHOR - 3, 3 * CHUNK_ELEMENTS // BASIS.size])
+def test_assembly_takes_trig_at_anchor_rows_only(monkeypatch, steps):
+    # cos and sin each run on at most (ceil((S+1)/B) + B) N values per
+    # group, B the anchor spacing, where a table on every row takes (S+1) N
+    counts = {"cos": 0, "sin": 0}
+
+    def counting(name, fn):
+        def trig(x, *args, **kwargs):
+            counts[name] += np.size(x)
+            return fn(x, *args, **kwargs)
+        return trig
+
+    grid = TimeGrid(1.0, steps)
+    # polynomial data in time, so that sampling it takes no trig
+    data = make_scenario(BASIS, ScenarioSpec(seed=3, f_family="poly", g_family="poly"))
+    assemble = _assembly(data, PARAMS, grid)[2]
+    out = np.empty((3, grid.steps + 1, BASIS.size))
+    for name in counts:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    assemble(out, slice(0, BASIS.size))
+    bound = (-(-(grid.steps + 1) // cosine.ANCHOR) + cosine.ANCHOR) * BASIS.size
+    assert 0 < counts["cos"] <= bound and 0 < counts["sin"] <= bound
+
+
+PLANE_CASES = [(kind, forcing, boundary) for kind in ("interval", "square")
+               for forcing in (False, True) for boundary in (False, True)]
+
+
+@pytest.mark.parametrize("kind, forcing, boundary", PLANE_CASES)
+def test_assembly_planes_match_the_term_by_term_form(kind, forcing, boundary):
+    # the folded planes against the sine and cosine convolutions and kernel
+    # samples of the plain phase table, each within 1e-13 of its sup
+    basis = build_basis(DomainSpec(kind, 64 if kind == "interval" else 16), 12)
+    spec = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
+    data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
+                   g=spec.g if boundary else None)
+    grid = TimeGrid(2.0, 3000)
+    rhs = assembled(data, PARAMS, grid)[2]
+    want = assembled_planes(data, PARAMS, grid)
+    for got_plane, want_plane in zip(rhs, want):
+        assert np.max(np.abs(got_plane - want_plane)) <= 1e-13 * np.max(np.abs(want_plane))
+
+
+def test_no_forcing_gives_the_bits_of_a_zero_forcing():
+    # f = None skips the forcing transform and adds no zeros
+    grid = TimeGrid(1.0, 2 * CHUNK_ELEMENTS // BASIS.size + 5)
+    spec = make_scenario(BASIS, ScenarioSpec(seed=6, g_family="poly"))
+    zero = ForcingData(modes=lambda t: np.zeros((len(t), BASIS.size)))
+    without, with_zero = (assembled(MgtData(spec.w0, spec.w1, spec.w2, f=f, g=spec.g),
+                                    PARAMS, grid)[2] for f in (None, zero))
+    assert np.array_equal(without, with_zero)
+    for which in ("w", "wt", "wtt"):
+        assert np.array_equal(*(getattr(solve_mgt(MgtData(spec.w0, spec.w1, spec.w2, f=f,
+                                                          g=spec.g), PARAMS, grid), which)
+                                for f in (None, zero)))
 
 
 def test_basis_geometry_built_once_per_basis(monkeypatch):
@@ -422,7 +473,7 @@ def test_solve_mgt_picard_agrees_with_direct():
     # the Picard series on solve_mgt's right-hand sides against its scan
     grid = TimeGrid(1.0, 1500)
     kernels, _, rhs = assembled(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
-    ker = kernel_at(kernels, grid.times)[0]
+    ker = kernel_samples(kernels, grid.times)[0]
     direct = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)
     for col in range(3):
         res = solve_picard(VolterraProblem(ker, rhs[col], grid), rule="trapezoid")

@@ -1,10 +1,13 @@
 """Eigenbasis geometry, Dirichlet map, Sobolev norms, trajectories, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgtlab import spectral
 from mgtlab.spectral import (
     BoundaryData,
     BoundarySignal,
@@ -245,6 +248,33 @@ def test_normal_trace_flags_slow_tail():
     assert not res.converged
     # the lifting never enters the flag: it has no eigen-sum to truncate
     assert not normal_trace(basis, coeffs[None], np.array([[5.0, -5.0]])).converged
+
+
+@pytest.mark.parametrize("decay", [1.0, 3.0])
+def test_normal_trace_reads_the_lower_half_as_views(decay):
+    # interval eigenvalues ascend, so the lower half of the spectrum is the
+    # leading columns: the series and the flag keep the bits of the half
+    # taken by argsort, and no half-plane copy is made
+    basis = build_basis(INTERVAL, 128)
+    assert np.all(np.diff(basis.eigenvalues) > 0)
+    rng = np.random.default_rng(int(decay))
+    interior = rng.normal(size=(2001, 128)) / np.arange(1, 129) ** decay
+    boundary = rng.normal(size=(2001, 2))
+    dn = basis.boundary_flux()
+    half = np.argsort(basis.eigenvalues, kind="stable")[:64]
+    series = interior @ dn.T
+    part = interior[:, half] @ dn[:, half].T
+    scale = np.max(np.abs(series)) + 1e-12
+    converged = bool(np.max(np.abs(series - part)) <= spectral._TRACE_RTOL * scale)
+    slope = boundary[:, 0] - boundary[:, 1]
+    got = normal_trace(basis, interior, boundary)
+    assert got.converged == converged and converged == (decay > 2.0)
+    assert np.array_equal(got.series, series + np.column_stack([slope, -slope]))
+    tracemalloc.start()
+    normal_trace(basis, interior)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < interior.nbytes // 8
 
 
 def test_normal_trace_rejects_square():

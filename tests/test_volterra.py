@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mgtlab.cosine import phases
 from mgtlab.quadrature import composite_weights, convolve_product
 from mgtlab.reduction import MgtParams, build_kernel
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
@@ -13,6 +12,7 @@ from mgtlab.volterra import (
     solve_direct,
     solve_picard,
 )
+from reference import kernel_samples
 
 
 def const_kernel(grid, value=1.0):
@@ -138,7 +138,7 @@ def test_mgt_kernel_direct_vs_picard():
     params = MgtParams(alpha=2.0, b=1.0, c=1.0)
     family = build_kernel(params, basis)
     grid = TimeGrid(1.0, 1000)
-    ker = family.samples(phases(family.omega, grid.times))[0][:, 0]
+    ker = kernel_samples(family, grid.times)[0][:, 0]
     prob = VolterraProblem(ker, np.cos(grid.times), grid)
     v = solve_direct(prob)
     res = solve_picard(prob, tol=1e-12)
