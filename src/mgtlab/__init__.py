@@ -7,12 +7,7 @@ first-order system.
 """
 
 from .cosine import boundary_convolution_probe
-from .modal_oracle import (
-    ModeOde,
-    characteristic_roots,
-    integrate_mode,
-    solve_by_modes,
-)
+from .modal_oracle import solve_by_modes
 from .reduction import (
     ForcingData,
     MgtData,
@@ -32,22 +27,8 @@ from .spectral import (
     Trajectory,
     build_basis,
     normal_trace,
-    sobolev_norm,
 )
-from .symbols import (
-    FrequencyPoint,
-    SystemSymbol,
-    estimate_probe,
-    finite_eigenvalues,
-    lopatinskii_sweep,
-    stable_subspace,
-)
-from .volterra import (
-    PicardResult,
-    VolterraProblem,
-    solve_direct,
-    solve_picard,
-)
+from .symbols import estimate_probe, lopatinskii_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -605,7 +605,7 @@ def run_symbol_suite(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                                   sw.minimum, tol.lopatinskii_min,
                                   tol.lopatinskii_min,
                                   sw.minimum >= tol.lopatinskii_min,
-                                  note=f"argmin beta={sw.argmin.weight_beta:.3e}"))
+                                  note=f"argmin beta={sw.rows[sw.argmin, 1]:.3e}"))
         else:
             rows.append(ReportRow("symbols", f"b={b}", "lopatinskii_min",
                                   sw.minimum, sw.floor, sw.floor,

@@ -1,17 +1,15 @@
-"""Independent ground truth: per-mode third-order ODE integration and roots.
+"""Independent ground truth: per-mode third-order ODE integration by RK4.
 
 Projecting the MGT equation on a Dirichlet eigenfunction e_k gives
     w_k''' + alpha w_k'' + b mu_k w_k' + c^2 mu_k w_k
         = f_k - c^2 q_k(t) - b q_k'(t),
 where q_k(t) is the boundary pairing of the Dirichlet datum with d_nu e_k.
 The cubic r^3 + alpha r^2 + b mu r + c^2 mu is the per-mode symbol; its root
-pattern encodes the uniform-stability threshold.
+pattern (characteristic_roots in tests/reference.py) encodes the
+uniform-stability threshold.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,91 +22,6 @@ from .quadrature import (
 )
 from .reduction import MgtData, MgtParams
 from .spectral import TimeGrid, Trajectory
-
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
-
-
-@dataclass
-class ModeOde:
-    """One projected mode: eigenvalue, equation constants and the flux source."""
-
-    mu: float
-    params: MgtParams
-    source: Callable[[float], float] | None = None
-
-
-def _rk4(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    dt = grid.dt
-    out = np.empty((grid.steps + 1,) + y0.shape)
-    out[0] = y0
-    y = y0
-    for m in range(grid.steps):
-        t = m * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[m + 1] = y
-    return out
-
-
-def integrate_mode(ode: ModeOde, initial: Sequence[float],
-                   grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 integration of one mode; returns (steps+1, 3) states."""
-    p = ode.params
-    mu = ode.mu
-    source = ode.source or (lambda t: 0.0)
-
-    def rhs(t, y):
-        return np.array([
-            y[1],
-            y[2],
-            source(t) - p.alpha * y[2] - p.b * mu * y[1] - p.c**2 * mu * y[0],
-        ])
-
-    return _rk4(rhs, np.asarray(initial, dtype=float), grid)
-
-
-def characteristic_roots(params: MgtParams, mu: float,
-                         polish_steps: int = 2) -> np.ndarray:
-    """Roots of r^3 + alpha r^2 + b mu r + c^2 mu by depressed cubic + Newton."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    alpha, b, c2 = params.alpha, params.b, params.c**2
-    p = b * mu - alpha**2 / 3.0
-    q = 2.0 * alpha**3 / 27.0 - alpha * b * mu / 3.0 + c2 * mu
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    sqrt_disc = np.sqrt(complex(disc))
-    u3 = -q / 2.0 + sqrt_disc
-    scale = max(abs(p) ** 1.5, abs(q), 1e-30)
-    if abs(u3) < 1e-14 * scale:
-        u3 = -q / 2.0 - sqrt_disc
-    if abs(u3) < 1e-14 * scale:
-        # p and q both vanish: triple root of the depressed cubic
-        roots = np.full(3, -alpha / 3.0, dtype=complex)
-    else:
-        u = u3 ** (1.0 / 3.0)
-        us = _CUBE_ROOTS_OF_UNITY * u
-        vs = -p / (3.0 * us)
-        roots = us + vs - alpha / 3.0
-    for _ in range(polish_steps):
-        val = roots**3 + alpha * roots**2 + b * mu * roots + c2 * mu
-        der = 3.0 * roots**2 + 2.0 * alpha * roots + b * mu
-        safe = np.abs(der) > 1e-30
-        roots = np.where(safe, roots - val / der, roots)
-    return roots[np.lexsort((roots.imag, roots.real))]
-
-
-def exact_exponential_solution(params: MgtParams, mu: float,
-                               initial: Sequence[float],
-                               times: np.ndarray) -> np.ndarray:
-    """Closed-form homogeneous mode trajectory from the cubic's roots."""
-    roots = characteristic_roots(params, mu)
-    vand = np.vander(roots, 3, increasing=True).T
-    coeff = np.linalg.solve(vand, np.asarray(initial, dtype=complex))
-    vals = (coeff[None, :] * np.exp(np.outer(times, roots))).sum(axis=1)
-    return vals.real
 
 
 def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
@@ -128,7 +41,7 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     holds the inputs.  Like RK4's own update, each step adds a small
     increment (R - I) y + input to y.  Modes are independent in the scan, so
     each mode group goes on to scan its own columns in the same pass.
-    _rk4/integrate_mode are the scalar reference.
+    The scalar, step-by-step RK4 referee is in tests/reference.py.
     """
     basis = data.basis
     c2, b = params.c**2, params.b

@@ -1,9 +1,11 @@
-"""Quadrature weight families shared by the convolution and Volterra machinery.
+"""Uniform-grid quadrature, streamed time loops and mode-group parallelism.
 
-All rules act on uniform grids t_j = j*dt and integrate over [0, t_m].  The
-"trapezoid" rule is the order-2 workhorse; "gregory4" upgrades the endpoint
-weights so that smooth integrands are resolved to fourth order, which the
-direct Volterra solver needs for its tightest reproduction targets.
+On grids t_j = j*dt: composite trapezoid weights over [0, t_m], and running
+integrals (trapezoid, and exponentially weighted) carried across row chunks.
+Around them sit the row chunks and blocked scans of the time loops, and the
+mode groups that run each solution route on every core.  The fourth-order
+Gregory rule and the product-quadrature convolution of the Volterra
+referees are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
-
-RULES = ("trapezoid", "gregory4")
 
 # glibc's malloc maps each block above its threshold (128 KiB at start)
 # afresh, page faults and all, until it frees a mapped block; it then serves
@@ -45,39 +45,16 @@ _EXP_RANGE = 32 * math.log(2)
 # a forked child has none of the parent's threads, so it makes its own
 _pool: tuple[ThreadPoolExecutor, int] | None = None
 
-# Gregory endpoint weights of the order-4 rule (interior weight is 1).
-_GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
-# Closed rows used while the Gregory stencil does not fit (m <= 5):
-# trapezoid, Simpson, Simpson 3/8, composite Simpson, Simpson + 3/8.
-_SHORT_ROWS = {
-    0: np.array([0.0]),
-    1: np.array([0.5, 0.5]),
-    2: np.array([1.0, 4.0, 1.0]) / 3.0,
-    3: np.array([3.0, 9.0, 9.0, 3.0]) / 8.0,
-    4: np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 3.0,
-    5: np.array([1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0 + 3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0]),
-}
-
-
-def composite_weights(m: int, dt: float, rule: str = "trapezoid") -> np.ndarray:
-    """Weights w_0..w_m approximating the integral of samples over [0, m*dt]."""
-    if rule not in RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+def composite_weights(m: int, dt: float) -> np.ndarray:
+    """Trapezoid weights w_0..w_m of the integral of samples over [0, m*dt]."""
     if m < 0:
         raise ValueError("need m >= 0")
-    if rule == "trapezoid":
-        if m == 0:
-            return np.zeros(1)
-        w = np.full(m + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        return w
-    if m <= 5:
-        return dt * _SHORT_ROWS[m].copy()
-    w = np.ones(m + 1)
-    w[:3] = _GREGORY_EDGE
-    w[-3:] = _GREGORY_EDGE[::-1]
-    return dt * w
+    if m == 0:
+        return np.zeros(1)
+    w = np.full(m + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
 
 
 def prefix_trapezoid(values: np.ndarray, dt: float, carry: dict | None = None) -> np.ndarray:
@@ -372,42 +349,3 @@ def power_increments(step: np.ndarray, count: int) -> np.ndarray:
         have += take
     return out
 
-
-def convolve_product(kernel_samples: np.ndarray, x: np.ndarray, dt: float,
-                     rule: str = "trapezoid") -> np.ndarray:
-    """Product-quadrature convolution (Wx)_m = sum_j w_j^{(m)} K_{m-j} x_j.
-
-    Exactly the lower-triangular operator inverted by the direct Volterra
-    solver with the same rule, so Neumann iteration on W reproduces the
-    collocated solution.
-    """
-    if rule not in RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    kernel = np.asarray(kernel_samples, dtype=float)
-    xs = np.asarray(x, dtype=float)
-    squeeze = False
-    if xs.ndim == 1:
-        xs = xs[:, None]
-        squeeze = True
-    if kernel.ndim == 1:
-        kernel = kernel[:, None]
-    if kernel.shape[1] == 1 and xs.shape[1] > 1:
-        kernel = np.broadcast_to(kernel, xs.shape).copy()
-    m_top = xs.shape[0] - 1
-    n = 2 * (m_top + 1)  # zero padding past the linear convolution's 2 m_top + 1 rows
-    full = np.fft.irfft(np.fft.rfft(kernel, n, axis=0) * np.fft.rfft(xs, n, axis=0), n,
-                        axis=0)[: m_top + 1]
-    if rule == "trapezoid":
-        out = dt * (full - 0.5 * kernel * xs[0] - 0.5 * kernel[0] * xs)
-        out[0] = 0.0
-    else:
-        corr = np.zeros_like(full)
-        edge = _GREGORY_EDGE - 1.0
-        for i, ei in enumerate(edge):
-            corr[i:] += ei * kernel[: m_top + 1 - i] * xs[i]
-            corr[i:] += ei * kernel[i] * xs[: m_top + 1 - i]
-        out = dt * (full + corr)
-        for m in range(min(5, m_top) + 1):
-            w = composite_weights(m, dt, rule)
-            out[m] = (w[:, None] * kernel[m::-1] * xs[: m + 1]).sum(axis=0)
-    return out[:, 0] if squeeze else out

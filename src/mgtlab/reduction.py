@@ -145,9 +145,16 @@ class MgtData:
 
     def __post_init__(self):
         basis = self.w0.basis
-        for other in (self.w1, self.w2):
-            if other.basis.size != basis.size:
-                raise ValueError("data fields must share one basis")
+        kind = basis.domain.kind
+        for name, other in (("w1", self.w1), ("w2", self.w2)):
+            if (other.basis.domain.kind, other.basis.mode_count) != (kind, basis.mode_count):
+                raise ValueError(
+                    f"data fields must share one basis: w0 has mode count {basis.mode_count} "
+                    f"on the {kind}, {name} {other.basis.mode_count} on the "
+                    f"{other.basis.domain.kind}")
+        nodes = basis.domain.boundary_size
+        if self.g is not None and self.g.nodes != nodes:
+            raise ValueError(f"Dirichlet data has {self.g.nodes} boundary nodes, the {kind} {nodes}")
         g0, gt0 = self._boundary_at_zero()
         self.compatible_position = bool(
             np.max(np.abs(self.w0.boundary_values() - g0)) <= COMPAT_TOL)
@@ -358,8 +365,9 @@ def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
     with e = (1, 0, 1) and G = rot(omega dt) + e^{rho dt}: per mode an order-3
     linear recurrence with one-step map M = G (I - dt e k^T) from m = 1 on,
     run as a blocked scan (quadrature.scan_blocks).  The kernel vanishes at
-    0, so the step is explicit; the equations are identical to solve_direct
-    with trapezoid weights.  G - I and M - I are formed without cancellation
+    0, so the step is explicit; the equations are identical to the
+    collocation referee solve_direct (tests/reference.py) with trapezoid
+    weights.  G - I and M - I are formed without cancellation
     (half-angle sine, expm1), so that their rounding does not build up.
 
     v holds the right-hand sides, shape (steps+1, k, modes) for the modes of

@@ -23,9 +23,6 @@ SQRT2 = np.sqrt(2.0)
 INTERVAL = "interval"
 SQUARE = "square"
 
-# terms kept when evaluating the square-domain harmonic lifting
-_SQUARE_LIFT_TERMS = 128
-
 # relative gap allowed between half-spectrum and full normal-trace sums
 _TRACE_RTOL = 0.05
 
@@ -208,126 +205,8 @@ class SpectralField:
             return np.zeros(self.basis.domain.boundary_size)
         return self.boundary.copy()
 
-    def evaluate(self, n: int | None = None) -> np.ndarray:
-        """Values on the uniform physical grid (1D array, or 2D for the square)."""
-        if self.basis.domain.kind == INTERVAL:
-            x = self.basis.grid_points(n)
-            vals = self.coeffs @ self.basis.eval_matrix_1d(x)
-            if self.boundary is not None:
-                vals = vals + lifting_values_interval(self.boundary, x)
-            return vals
-        n = n or self.basis.domain.grid_points_per_axis
-        x = self.basis.grid_points(n)
-        nm = self.basis.mode_count
-        cmat = self.coeffs.reshape(nm, nm)
-        sx = np.sin(np.outer(np.arange(1, nm + 1) * np.pi, x))
-        vals = 2.0 * sx.T @ cmat @ sx
-        if self.boundary is not None:
-            vals = vals + lifting_values_square(self.boundary, x)
-        return vals
-
-
-def lifting_values_interval(boundary: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # 1D harmonic functions are affine
-    a, b = boundary
-    return a + (b - a) * x
-
-
-def lifting_values_square(boundary: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Harmonic extension of constant-per-edge data on the tensor grid x (x) x."""
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    out = np.zeros_like(xx)
-    k = np.arange(1, _SQUARE_LIFT_TERMS + 1)
-    amp = 2.0 * (1.0 - (-1.0) ** k) / (k * np.pi)  # Fourier sine coefficients of 1
-    for edge, value in enumerate(boundary):
-        if value == 0.0:
-            continue
-        if edge in (0, 1):  # x = 0 or x = 1
-            depth = xx if edge == 0 else 1.0 - xx
-            trans = yy
-        else:  # y = 0 or y = 1
-            depth = yy if edge == 2 else 1.0 - yy
-            trans = xx
-        # sinh(k pi (1-d)) / sinh(k pi) in overflow-safe exponential form
-        kd = k[:, None, None] * np.pi
-        ratio = np.exp(-kd * depth[None]) * (1.0 - np.exp(-2.0 * kd * (1.0 - depth[None])))
-        ratio /= 1.0 - np.exp(-2.0 * kd)
-        sines = np.sin(kd * trans[None])
-        out += value * np.tensordot(amp, ratio * sines, axes=(0, 0))
-    return out
-
 
 # -- Sobolev norms ----------------------------------------------------------
-
-
-def _l2sq(arr: np.ndarray, spacings) -> float | np.ndarray:
-    """Squared L2 norm of grid samples: nested trapezoid rules, last axis first.
-
-    The rules run over the trailing len(spacings) axes; leading axes are a
-    batch and give an array, no batch gives a float.
-    """
-    out = arr**2
-    for h in reversed(list(spacings)):
-        out = np.trapezoid(out, dx=h, axis=-1)
-    return out if out.ndim else float(out)
-
-
-def grid_sobolev_norm(values: np.ndarray, spacings, s: int) -> float | np.ndarray:
-    """Finite-difference H^s norm of grid samples; s in {0, 1, 2}.
-
-    The norm is taken over the trailing len(spacings) axes.  Leading axes,
-    if any, are a batch: the result is then an array of norms, each equal
-    to the norm of its own samples.
-    """
-    if s not in (0, 1, 2):
-        raise ValueError("s must be one of 0, 1, 2")
-    values = np.asarray(values, dtype=float)
-    if np.isscalar(spacings):
-        spacings = [spacings] * values.ndim
-    nd = len(spacings)
-    if not 0 < nd <= values.ndim:
-        raise ValueError("one spacing per (trailing) axis is required")
-
-    total = _l2sq(values, spacings)
-    if s >= 1:
-        grads = [np.gradient(values, h, axis=ax - nd, edge_order=2)
-                 for ax, h in enumerate(spacings)]
-        total += sum(_l2sq(g, spacings) for g in grads)
-    if s == 2:
-        # one term per multi-index: (2,0), (1,1), (0,2) in 2D
-        for ax1, g in enumerate(grads):
-            for ax2 in range(ax1, nd):
-                gg = np.gradient(g, spacings[ax2], axis=ax2 - nd, edge_order=2)
-                total += _l2sq(gg, spacings)
-    return np.sqrt(total) if values.ndim > nd else float(np.sqrt(total))
-
-
-def sobolev_norm(target, s: int, method: str = "spectral",
-                 n: int | None = None) -> float:
-    """H^s norm of a SpectralField (or raw grid samples), s in {0, 1, 2}.
-
-    method="spectral" returns (sum (1+mu_k)^s |u_k|^2)^(1/2) over the total
-    eigen-coefficients; it is equivalent to H^s only for zero-trace fields
-    when s > 1/2, so grid norms are the norm of record for lifted fields.
-    method="grid" evaluates the field and applies finite differences.
-    """
-    if s not in (0, 1, 2):
-        raise ValueError("s must be one of 0, 1, 2")
-    if isinstance(target, SpectralField):
-        if method == "spectral":
-            u = target.total_coeffs()
-            return float(np.sqrt(np.sum((1.0 + target.basis.eigenvalues) ** s * u**2)))
-        if method == "grid":
-            npts = n or target.basis.domain.grid_points_per_axis
-            h = 1.0 / npts
-            vals = target.evaluate(npts)
-            return grid_sobolev_norm(vals, [h] * vals.ndim, s)
-        raise ValueError(f"unknown norm method {method!r}")
-    if method != "grid":
-        raise ValueError("raw grid samples support only the grid method")
-    values = np.asarray(target, dtype=float)
-    h = 1.0 / (values.shape[0] - 1)
-    return grid_sobolev_norm(values, [h] * values.ndim, s)
 
 
 def gram_forms(basis: EigenBasis, n: int | None = None) -> tuple[np.ndarray, ...]:
@@ -336,8 +215,9 @@ def gram_forms(basis: EigenBasis, n: int | None = None) -> tuple[np.ndarray, ...
     The grid norms act on rows y = (interior coefficients, a, b), where a, b
     are the node values of the affine lifting: ||d_x^k u||^2 with k
     np.gradient(edge_order=2) differences and the trapezoid rule on the
-    (n+1)-point grid equals y G_k y^T, so grid_sobolev_norm of the evaluated
-    field is (y (G0 + ... + Gs) y^T)^(1/2) up to rounding.  The matrices are
+    (n+1)-point grid equals y G_k y^T, so the finite-difference H^s norm of
+    the evaluated field (the grid-norm referee in tests/reference.py) is
+    (y (G0 + ... + Gs) y^T)^(1/2) up to rounding.  The matrices are
     built once per (modes, n) and returned read-only.
     """
     if basis.domain.kind != INTERVAL:

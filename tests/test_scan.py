@@ -4,7 +4,8 @@ The structured Volterra solve and the RK4 oracle each run as a two-level
 scan (quadrature.scan_blocks): a zero-state pass inside every block at once,
 then the block-start states carried with powers of the one-step map.  The
 references are the generic trapezoid collocation (solve_direct) and the
-scalar RK4 integrator (integrate_mode), both of which step once per row.
+scalar RK4 integrator (integrate_mode) of tests/reference.py, both of which
+step once per row.
 The prefix sums and the right-hand sides streamed in row chunks are checked
 bit for bit against one call on all the rows.
 """
@@ -22,14 +23,13 @@ from hypothesis import strategies as st
 import mgtlab
 from mgtlab import quadrature
 from mgtlab.generators import ScenarioSpec, make_scenario
-from mgtlab.modal_oracle import ModeOde, integrate_mode, solve_by_modes
+from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
                                prefix_exponential, prefix_trapezoid, row_chunks,
                                scan_blocks)
 from mgtlab.reduction import MgtData, MgtParams, _assembly, _scan_group, build_kernel, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
-from mgtlab.volterra import VolterraProblem, solve_direct
-from reference import kernel_samples
+from reference import ModeOde, integrate_mode, kernel_samples, solve_direct
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 64), 4)
@@ -46,7 +46,7 @@ def structured_error(params, basis, grid, seed):
     ker = kernel_samples(family, grid.times)[0]
     worst = 0.0
     for col in range(3):
-        slow = solve_direct(VolterraProblem(ker, rhs[:, col], grid), rule="trapezoid")
+        slow = solve_direct(ker, rhs[:, col], grid.dt, rule="trapezoid")
         worst = max(worst, np.max(np.abs(fast[:, col] - slow)) / np.max(np.abs(slow)))
     return worst
 

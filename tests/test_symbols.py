@@ -1,8 +1,8 @@
 """Symbol eigenstructure, the Lopatinskii sweep, weighted norms, probes.
 
 Weighted norms and both probes read the Gram forms of the grid norms
-(spectral.gram_forms); the grid evaluation they replace is kept here as the
-probes' reference.
+(spectral.gram_forms); the grid evaluation they replace, built here from the
+grid norms of tests/reference.py, is the probes' reference.
 """
 
 import numpy as np
@@ -17,21 +17,19 @@ from mgtlab.spectral import (
     EigenBasis,
     SpectralField,
     TimeGrid,
-    _l2sq,
     build_basis,
     gram_forms,
     gram_rows,
-    grid_sobolev_norm,
-    sobolev_norm,
 )
-from mgtlab.symbols import (
+from mgtlab.symbols import _probe_sides, analytic_ratio_floor, estimate_probe, lopatinskii_sweep
+from reference import (
+    AD,
     FrequencyPoint,
-    _probe_sides,
-    analytic_ratio_floor,
-    estimate_probe,
+    evaluate,
     finite_eigenvalues,
+    grid_sobolev_norm,
+    l2sq,
     lopatinskii_ratio,
-    lopatinskii_sweep,
     stable_subspace,
     system_symbol,
 )
@@ -48,8 +46,7 @@ def random_sphere_points(n, seed=0, beta_min=1e-6):
 
 def pencil(pt, b, lam):
     """lam A^d - G for the symbol at pt (system_symbol, the paper's pencil)."""
-    sym = system_symbol(pt, b)
-    return lam * sym.Ad - sym.G
+    return lam * AD - system_symbol(pt, b)
 
 
 def subspace_residual(pt, b):
@@ -61,12 +58,12 @@ def subspace_residual(pt, b):
 
 def test_symbol_matrix_entries():
     pt = FrequencyPoint(0.3, 0.4, [0.5]).normalized()
-    sym = system_symbol(pt, 2.0)
+    g = system_symbol(pt, 2.0)
     s = 1j * pt.tau + pt.weight_beta
-    assert sym.G[2, 0] == pytest.approx(-(s**3 + 2.0 * pt.eta_sq * s) / pt.norm_sq)
-    assert sym.G[2, 2] == pytest.approx(2.0 * s)
-    assert sym.G[0, 1] == pytest.approx(np.sqrt(pt.norm_sq))
-    assert np.linalg.matrix_rank(sym.Ad) == 2
+    assert g[2, 0] == pytest.approx(-(s**3 + 2.0 * pt.eta_sq * s) / pt.norm_sq)
+    assert g[2, 2] == pytest.approx(2.0 * s)
+    assert g[0, 1] == pytest.approx(np.sqrt(pt.norm_sq))
+    assert np.linalg.matrix_rank(AD) == 2
 
 
 def test_eigenvalues_trivial_point():
@@ -168,7 +165,7 @@ def test_sweep_other_b_values():
         sweep = lopatinskii_sweep(b, samples=2000, seed=0)
         assert sweep.minimum > 0.0
         assert sweep.minimum >= analytic_ratio_floor(b) - 1e-9
-        assert sweep.argmin is not None
+        assert sweep.rows[sweep.argmin, 3] == sweep.minimum
 
 
 def test_sweep_rejects_small_sample_count():
@@ -186,7 +183,7 @@ def test_sweep_rows_match_pointwise_ratio():
                 for t, be, e in zip(tau, beta, eta)]
         np.testing.assert_allclose(ratio, want, rtol=0, atol=1e-14)
         assert sweep.minimum == ratio.min()
-        assert sweep.argmin.weight_beta == beta[np.argmin(ratio)]
+        assert sweep.argmin == np.argmin(ratio)
 
 
 def weighted_norm(field, k, beta, n):
@@ -206,7 +203,7 @@ def test_weighted_norm_zero_and_k0():
     rng = np.random.default_rng(0)
     field = SpectralField(basis, rng.normal(size=8), rng.normal(size=2))
     assert weighted_norm(field, 0, 7.3, 64) == pytest.approx(
-        sobolev_norm(field, 0, method="grid", n=64), rel=1e-13)
+        grid_sobolev_norm(evaluate(field, 64), 1.0 / 64, 0), rel=1e-13)
 
 
 def test_weighted_norm_symbolic_oracle():
@@ -231,7 +228,7 @@ def test_weighted_norm_reduces_to_sobolev_at_unit_weight():
     field = SpectralField(basis, rng.normal(size=16) / np.arange(1, 17) ** 2,
                           rng.normal(size=2))
     assert weighted_norm(field, 2, 1.0, 64) == pytest.approx(
-        grid_sobolev_norm(field.evaluate(64), (1.0 / 64,), 2), rel=1e-13)
+        grid_sobolev_norm(evaluate(field, 64), 1.0 / 64, 2), rel=1e-13)
 
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -288,18 +285,18 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     hx = 1.0 / space_points
     spac = (dt, hx)
     w_vals, wt_vals, wtt_vals = (
-        np.stack([SpectralField(basis, bundle.interior(comp)[m],
-                                bundle.boundary_values(comp)[m]).evaluate(space_points)
+        np.stack([evaluate(SpectralField(basis, bundle.interior(comp)[m],
+                                         bundle.boundary_values(comp)[m]), space_points)
                   for m in range(len(times))])
         for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
     fsamp = bundle.interior("f")
-    f_vals = (np.stack([SpectralField(basis, row).evaluate(space_points) for row in fsamp])
+    f_vals = (np.stack([evaluate(SpectralField(basis, row), space_points) for row in fsamp])
               if np.any(fsamp) else np.zeros_like(w_vals))
     dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
-    lat = lambda arr: sum(_l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
+    lat = lambda arr: sum(l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
 
     if which == "resolvent_4a":
         env = np.exp(-beta * times)[:, None]
@@ -307,28 +304,28 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
         u_t = env * (wt_vals - beta * w_vals)
         u_tt = env * (wtt_vals - 2.0 * beta * wt_vals + beta**2 * w_vals)
         u_x = dx(u)
-        lhs_q = (beta**4 * _l2sq(u, spac)
-                 + beta**2 * (_l2sq(u_t, spac) + _l2sq(u_x, spac))
-                 + _l2sq(u_tt, spac) + _l2sq(dx(u_t), spac) + _l2sq(dx(u_x), spac))
+        lhs_q = (beta**4 * l2sq(u, spac)
+                 + beta**2 * (l2sq(u_t, spac) + l2sq(u_x, spac))
+                 + l2sq(u_tt, spac) + l2sq(dx(u_t), spac) + l2sq(dx(u_x), spac))
         tr = env * trace_w
         tr_t = env * (trace_wt - beta * trace_w)
         lhs = beta * lhs_q + beta**2 * lat(tr) + lat(tr_t)
-        rhs = (_l2sq(env * f_vals, spac) / beta + beta**4 * lat(env * g)
+        rhs = (l2sq(env * f_vals, spac) / beta + beta**4 * lat(env * g)
                + beta**2 * lat(env * (g_t - beta * g))
                + lat(env * (g_tt - 2.0 * beta * g_t + beta**2 * g)))
         return lhs, rhs
 
     w_x = dx(w_vals)
-    lhs = (grid_sobolev_norm(w_vals[-1], (hx,), 2) ** 2
-           + grid_sobolev_norm(wt_vals[-1], (hx,), 1) ** 2
-           + _l2sq(wtt_vals[-1], (hx,))
-           + _l2sq(w_vals, spac) + _l2sq(wt_vals, spac) + _l2sq(w_x, spac)
-           + _l2sq(wtt_vals, spac) + _l2sq(dx(wt_vals), spac) + _l2sq(dx(w_x), spac)
+    lhs = (grid_sobolev_norm(w_vals[-1], hx, 2) ** 2
+           + grid_sobolev_norm(wt_vals[-1], hx, 1) ** 2
+           + l2sq(wtt_vals[-1], (hx,))
+           + l2sq(w_vals, spac) + l2sq(wt_vals, spac) + l2sq(w_x, spac)
+           + l2sq(wtt_vals, spac) + l2sq(dx(wt_vals), spac) + l2sq(dx(w_x), spac)
            + lat(trace_w) + lat(trace_wt))
-    rhs = _l2sq(f_vals, spac) + lat(g) + lat(g_t) + lat(g_tt)
-    w0, w1, w2 = (f.evaluate(space_points) for f in (data.w0, data.w1, data.w2))
-    rhs += (grid_sobolev_norm(w0, (hx,), 2) ** 2
-            + grid_sobolev_norm(w1, (hx,), 1) ** 2 + _l2sq(w2, (hx,)))
+    rhs = l2sq(f_vals, spac) + lat(g) + lat(g_t) + lat(g_tt)
+    w0, w1, w2 = (evaluate(f, space_points) for f in (data.w0, data.w1, data.w2))
+    rhs += (grid_sobolev_norm(w0, hx, 2) ** 2
+            + grid_sobolev_norm(w1, hx, 1) ** 2 + l2sq(w2, (hx,)))
     return lhs, rhs
 
 
@@ -349,12 +346,12 @@ def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
     # probes and norm series read cached Gram forms, never grid samples: the
     # only eigenfunctions evaluated on a grid are those of each Gram build
     calls = []
-    for cls, name in ((SpectralField, "evaluate"), (EigenBasis, "eval_matrix_1d")):
-        def counting(self, *args, method=getattr(cls, name), name=name):
-            calls.append(name)
-            return method(self, *args)
 
-        monkeypatch.setattr(cls, name, counting)
+    def counting(self, *args, method=EigenBasis.eval_matrix_1d):
+        calls.append("eval_matrix_1d")
+        return method(self, *args)
+
+    monkeypatch.setattr(EigenBasis, "eval_matrix_1d", counting)
     spectral._interval_grams.cache_clear()
     grid = TimeGrid(1.0, 200)
     for seed in range(5):

@@ -1,10 +1,12 @@
-"""The test configuration: a failing property test is reported, not fatal."""
+"""The test tooling: the pytest configuration and the digest tool."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYTEST_INI = Path(__file__).parents[1] / "pytest.ini"
+ROOT = Path(__file__).parents[1]
+PYTEST_INI = ROOT / "pytest.ini"
 
 FAILING = """
 from hypothesis import given, settings, strategies as st
@@ -32,3 +34,13 @@ def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_digest_tool_imports_and_parses_its_options():
+    # pytest does not collect tests/digest.py; --help imports everything it
+    # runs (test_acceptance's cases among them) and solves nothing
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"), "--help"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "--against" in run.stdout

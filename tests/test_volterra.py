@@ -1,18 +1,19 @@
-"""Direct collocation vs Picard series, iterated kernels, residuals."""
+"""The Volterra referees: direct collocation vs Picard series, iterated
+kernels, residuals."""
 
 import numpy as np
 import pytest
 
-from mgtlab.quadrature import composite_weights, convolve_product
 from mgtlab.reduction import MgtParams, build_kernel
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
-from mgtlab.volterra import (
-    VolterraProblem,
+from reference import (
     VolterraSingularError,
+    convolve_product,
+    kernel_samples,
+    rule_weights,
     solve_direct,
     solve_picard,
 )
-from reference import kernel_samples
 
 
 def const_kernel(grid, value=1.0):
@@ -22,14 +23,14 @@ def const_kernel(grid, value=1.0):
 def test_composite_weights_sum_to_interval():
     for rule in ("trapezoid", "gregory4"):
         for m in range(0, 12):
-            w = composite_weights(m, 0.1, rule)
+            w = rule_weights(m, 0.1, rule)
             assert w.sum() == pytest.approx(0.1 * m, abs=1e-14)
 
 
 def test_gregory_weights_exact_on_cubics():
     dt = 0.125
     m = 8
-    w = composite_weights(m, dt, "gregory4")
+    w = rule_weights(m, dt, "gregory4")
     s = np.arange(m + 1) * dt
     for p in range(4):
         assert np.dot(w, s**p) == pytest.approx((m * dt) ** (p + 1) / (p + 1), rel=1e-13)
@@ -38,18 +39,17 @@ def test_gregory_weights_exact_on_cubics():
 def test_zero_kernel_returns_rhs():
     grid = TimeGrid(1.0, 100)
     h = np.sin(grid.times)
-    prob = VolterraProblem(const_kernel(grid, 0.0), h, grid)
-    assert np.allclose(solve_direct(prob), h)
-    res = solve_picard(prob, tol=1e-12)
-    assert res.converged and res.terms_used == 1
-    assert np.allclose(res.values, h)
+    ker = const_kernel(grid, 0.0)
+    assert np.allclose(solve_direct(ker, h, grid.dt), h)
+    values, terms, converged, _ = solve_picard(ker, h, grid.dt, tol=1e-12)
+    assert converged and terms == 1
+    assert np.allclose(values, h)
 
 
 def test_unit_kernel_exponential_resolvent():
     # v + int_0^t v = 1  has the analytic resolvent v = e^{-t}
     grid = TimeGrid(1.0, 1000)
-    prob = VolterraProblem(const_kernel(grid, 1.0), np.ones(grid.steps + 1), grid)
-    v = solve_direct(prob)
+    v = solve_direct(const_kernel(grid, 1.0), np.ones(grid.steps + 1), grid.dt)
     assert np.max(np.abs(v - np.exp(-grid.times))) < 1e-8
 
 
@@ -57,11 +57,11 @@ def test_direct_vs_picard_cross_method():
     # cross-method oracle on a nontrivial kernel
     grid = TimeGrid(1.0, 1000)
     ker = np.sin(grid.times)
-    prob = VolterraProblem(ker, np.ones(grid.steps + 1), grid)
-    v = solve_direct(prob)
-    res = solve_picard(prob, tol=1e-12)
-    assert res.converged
-    assert np.max(np.abs(v - res.values)) < 1e-8
+    h = np.ones(grid.steps + 1)
+    v = solve_direct(ker, h, grid.dt)
+    values, _, converged, _ = solve_picard(ker, h, grid.dt, tol=1e-12)
+    assert converged
+    assert np.max(np.abs(v - values)) < 1e-8
 
 
 def test_picard_series_majorant():
@@ -80,18 +80,18 @@ def test_picard_series_majorant():
 
 def test_picard_partial_sums_approach_exponential():
     grid = TimeGrid(1.0, 500)
-    prob = VolterraProblem(const_kernel(grid, 1.0), np.ones(grid.steps + 1), grid)
-    res = solve_picard(prob, tol=1e-12)
-    assert res.converged
-    assert np.max(np.abs(res.values - np.exp(-grid.times))) < 1e-6
+    values, _, converged, _ = solve_picard(const_kernel(grid, 1.0), np.ones(grid.steps + 1),
+                                           grid.dt, tol=1e-12)
+    assert converged
+    assert np.max(np.abs(values - np.exp(-grid.times))) < 1e-6
 
 
 def test_picard_nonconvergence_flag():
     grid = TimeGrid(1.0, 50)
-    prob = VolterraProblem(const_kernel(grid, 5.0), np.ones(grid.steps + 1), grid)
-    res = solve_picard(prob, max_terms=2, tol=1e-14)
-    assert not res.converged
-    assert res.last_term_sup >= 1e-14
+    _, _, converged, last_sup = solve_picard(const_kernel(grid, 5.0), np.ones(grid.steps + 1),
+                                             grid.dt, max_terms=2, tol=1e-14)
+    assert not converged
+    assert last_sup >= 1e-14
 
 
 def test_iterated_kernel_closed_forms():
@@ -111,25 +111,18 @@ def test_iterated_kernel_exponential_oracle():
     assert np.max(np.abs(l2 - grid.times * np.exp(-grid.times))) < 1e-6
 
 
-def test_kernel_samples_must_match_grid():
-    grid = TimeGrid(1.0, 10)
-    with pytest.raises(ValueError):
-        VolterraProblem(np.ones((11, 3)), np.ones((11, 2)), grid)
-
-
 def test_residual_of_returned_solution():
     # sup norm of the discrete residual v + L*v - h, with the solvers' rule
     grid = TimeGrid(1.0, 500)
     ker = np.cos(grid.times)
-    prob = VolterraProblem(ker, np.cos(grid.times), grid)
+    h = np.cos(grid.times)
 
     def residual(v):
-        return np.max(np.abs(v + convolve_product(ker, v, grid.dt, "gregory4") - prob.rhs))
+        return np.max(np.abs(v + convolve_product(ker, v, grid.dt, "gregory4") - h))
 
-    assert residual(solve_direct(prob)) < 1e-12  # forward substitution solves exactly
+    assert residual(solve_direct(ker, h, grid.dt)) < 1e-12  # forward substitution solves exactly
     tol = 1e-11
-    res = solve_picard(prob, tol=tol)
-    assert residual(res.values) < 2 * tol  # truncation-tail bound
+    assert residual(solve_picard(ker, h, grid.dt, tol=tol)[0]) < 2 * tol  # truncation-tail bound
 
 
 def test_mgt_kernel_direct_vs_picard():
@@ -139,28 +132,27 @@ def test_mgt_kernel_direct_vs_picard():
     family = build_kernel(params, basis)
     grid = TimeGrid(1.0, 1000)
     ker = kernel_samples(family, grid.times)[0][:, 0]
-    prob = VolterraProblem(ker, np.cos(grid.times), grid)
-    v = solve_direct(prob)
-    res = solve_picard(prob, tol=1e-12)
-    assert res.converged
-    assert np.max(np.abs(v - res.values)) < 1e-6
+    h = np.cos(grid.times)
+    v = solve_direct(ker, h, grid.dt)
+    values, _, converged, _ = solve_picard(ker, h, grid.dt, tol=1e-12)
+    assert converged
+    assert np.max(np.abs(v - values)) < 1e-6
 
 
 def test_singularity_report():
     grid = TimeGrid(1.0, 10)
     # 1 + w_m l(0) == 0 at the first step: l(0) = -1/w_1 = -2/dt
     bad = const_kernel(grid, -2.0 / grid.dt)
-    prob = VolterraProblem(bad, np.ones(11), grid)
     with pytest.raises(VolterraSingularError):
-        solve_direct(prob, rule="trapezoid")
+        solve_direct(bad, np.ones(11), grid.dt, rule="trapezoid")
 
 
 def test_batched_columns_match_scalar_solves():
     grid = TimeGrid(1.0, 300)
     ker = np.sin(grid.times)
     rhs = np.stack([np.ones(301), np.cos(grid.times)], axis=1)
-    batched = solve_direct(VolterraProblem(ker, rhs, grid))
+    batched = solve_direct(ker, rhs, grid.dt)
     for col in range(2):
-        single = solve_direct(VolterraProblem(ker, rhs[:, col], grid))
+        single = solve_direct(ker, rhs[:, col], grid.dt)
         # summation order differs between shapes; agreement is to rounding
         assert np.allclose(batched[:, col], single, rtol=0, atol=1e-13)
