@@ -28,12 +28,16 @@ class PhaseRows:
     call asks for, and the trig work on a grid of S+1 rows and N modes is
     (ceil((S+1)/ANCHOR) + ANCHOR) N values instead of (S+1) N.  The result
     is within a few ulp of |omega t| of cos/sin of outer(times, omega).
+    The tables are read-only, so that one PhaseRows can serve every solve
+    on its grid (reduction.group_plan).
     """
 
     def __init__(self, omega: np.ndarray, times: np.ndarray, dt: float):
         self._anchor_cos, self._anchor_sin = _cos_sin(np.outer(times[::ANCHOR], omega))
         offsets = np.arange(min(ANCHOR, len(times))) * dt
         self._step_cos, self._step_sin = _cos_sin(np.outer(offsets, omega))
+        for table in vars(self).values():
+            table.flags.writeable = False
 
     def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of omega t on the grid rows rows, (len, modes) each."""

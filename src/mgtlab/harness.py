@@ -296,15 +296,21 @@ def _rel_change(new: float, old: float) -> float:
 def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     """Relative sup-in-time L2 distance between coefficient trajectories.
 
-    The row norms are taken chunk by chunk (quadrature.row_chunks), so no
-    temporary the size of the trajectories is formed; np.maximum keeps a
-    NaN or inf row in the result.
+    The squared row norms are summed chunk by chunk (quadrature.row_chunks)
+    in one chunk buffer, so no temporary the size of the trajectories is
+    formed, and one square root is taken of each running maximum: sqrt is
+    monotone and correctly rounded, so this gives the bits of the largest
+    np.linalg.norm of the rows.  np.maximum keeps a NaN or inf row in the
+    result.
     """
     num = den = -np.inf
     for rows in row_chunks(len(b), b.shape[1]):
-        num = np.maximum(num, np.max(np.linalg.norm(a[rows] - b[rows], axis=1)))
-        den = np.maximum(den, np.max(np.linalg.norm(b[rows], axis=1)))
-    return float(num / max(den, 1e-300))
+        sq = np.subtract(a[rows], b[rows])
+        sq *= sq
+        num = np.maximum(num, np.max(np.add.reduce(sq, axis=1)))
+        np.multiply(b[rows], b[rows], out=sq)
+        den = np.maximum(den, np.max(np.add.reduce(sq, axis=1)))
+    return float(np.sqrt(num) / max(np.sqrt(den), 1e-300))
 
 
 def discrete_equation_residual(bundle: SolutionBundle) -> float:

@@ -11,9 +11,12 @@ uniform-stability threshold.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .quadrature import (
+    block_length,
     each_part,
     mode_groups,
     power_increments,
@@ -21,7 +24,55 @@ from .quadrature import (
     scan_blocks,
 )
 from .reduction import MgtData, MgtParams
-from .spectral import TimeGrid, Trajectory
+from .spectral import EigenBasis, TimeGrid, Trajectory, group_plans
+
+
+@dataclass(frozen=True)
+class OraclePlan:
+    """The tables of one mode group's RK4 scan on one grid, read-only.
+
+    weights (3, 3, n): the source weights dt/6 (P_0, P_1/2, P_1), each
+    component j a contiguous row; flux (nodes, n): the group's columns of
+    the boundary flux; powers (L+1, 3, 3, n): R^i - I for i = 0..L,
+    component-major.  The powers multiply whole states in the carry, so
+    their rounding is the scan's largest error where a state's components
+    differ in scale: they are taken in extended precision (where numpy's
+    longdouble has it) and rounded once.  A 128-mode group on 10^4 steps
+    holds 0.95 MB.
+    """
+
+    weights: np.ndarray
+    flux: np.ndarray
+    powers: np.ndarray
+
+
+@group_plans
+def oracle_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slice) -> OraclePlan:
+    """The OraclePlan of the modes cols of basis on grid, built once per
+    value of its key (spectral.group_plans)."""
+    mu = basis.eigenvalues[cols]
+    dt = grid.dt
+    # dt A per mode, the companion matrix of the projected equation
+    ha = np.zeros((len(mu), 3, 3))
+    ha[:, 0, 1] = ha[:, 1, 2] = dt
+    ha[:, 2] = -dt * np.stack([params.c**2 * mu, params.b * mu,
+                               np.full(len(mu), params.alpha)], axis=-1)
+    eye = np.eye(3)
+    step = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)  # R - I
+    a1 = ha[:, :, 2]                    # dt A e_3
+    a2 = (ha @ a1[:, :, None])[:, :, 0]
+    a3 = (ha @ a2[:, :, None])[:, :, 0]
+    e3 = eye[2]
+    weights = dt / 6.0 * np.stack([e3 + a1 + a2 / 2.0 + a3 / 4.0,
+                                   4.0 * e3 + 2.0 * a1 + a2 / 2.0,
+                                   np.broadcast_to(e3, a1.shape)])
+    powers = power_increments(step.astype(np.longdouble), block_length(grid.steps)).astype(float)
+    tables = (np.ascontiguousarray(np.moveaxis(weights, -1, 1)),
+              np.ascontiguousarray(basis.boundary_flux()[:, cols]),
+              np.ascontiguousarray(np.moveaxis(powers, 1, -1)))
+    for table in tables:
+        table.flags.writeable = False
+    return OraclePlan(*tables)
 
 
 def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
@@ -40,7 +91,8 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     linear scan (quadrature.scan_blocks) on the state buffer, which first
     holds the inputs.  Like RK4's own update, each step adds a small
     increment (R - I) y + input to y.  Modes are independent in the scan, so
-    each mode group goes on to scan its own columns in the same pass.
+    each mode group goes on to scan its own columns in the same pass, with
+    the tables of its plan (oracle_plan).
     The scalar, step-by-step RK4 referee is in tests/reference.py.
     """
     basis = data.basis
@@ -48,50 +100,35 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     steps, dt = grid.steps, grid.dt
     size = basis.size
 
-    # dt A per mode, the companion matrix of the projected equation
-    ha = np.zeros((size, 3, 3))
-    ha[:, 0, 1] = ha[:, 1, 2] = dt
-    ha[:, 2] = -dt * np.stack([c2 * basis.eigenvalues, b * basis.eigenvalues,
-                               np.full(size, params.alpha)], axis=-1)
-    eye = np.eye(3)
-    step = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)  # R - I
-    a1 = ha[:, :, 2]                    # dt A e_3
-    a2 = (ha @ a1[:, :, None])[:, :, 0]
-    a3 = (ha @ a2[:, :, None])[:, :, 0]
-    e3 = eye[2]
-    weights = dt / 6.0 * np.stack([e3 + a1 + a2 / 2.0 + a3 / 4.0,
-                                   4.0 * e3 + 2.0 * a1 + a2 / 2.0,
-                                   np.broadcast_to(e3, a1.shape)])
-
     states = np.empty((steps + 1, 3, size))
     states[0] = (data.w0.total_coeffs(), data.w1.total_coeffs(),
                  data.w2.total_coeffs())
     body = states[1:]
-    flux = basis.boundary_flux()
-
-    def source(ts, cols):
-        src = (data.f.sample(ts, size)[:, cols] if data.f is not None
-               else np.zeros((len(ts), cols.stop - cols.start)))
-        if data.g is not None:
-            src = src - c2 * (data.g.g(ts) @ flux[:, cols])
-            src -= b * (data.g.gt(ts) @ flux[:, cols])
-        return src
 
     def solve_group(cols):
+        plan = oracle_plan(params, basis, grid, cols)
+
+        def source(ts):
+            src = (data.f.sample(ts, size)[:, cols] if data.f is not None
+                   else np.zeros((len(ts), cols.stop - cols.start)))
+            if data.g is not None:
+                src = src - c2 * (data.g.g(ts) @ plan.flux)
+                src -= b * (data.g.gt(ts) @ plan.flux)
+            return src
+
         # the sources at each distinct stage time of a chunk's steps: its
         # step ends t_m (shared by neighbouring steps) and midpoints
         for rows in row_chunks(steps, cols.stop - cols.start):
             t = np.arange(rows.start, rows.stop + 1) * dt
-            ends = source(t, cols)
+            ends = source(t)
             out = body[rows, :, cols]
             out[:] = 0.0
-            for weight, src in zip(weights, (ends[:-1], source(t[:-1] + dt / 2, cols),
-                                             ends[1:])):
+            for weight, src in zip(plan.weights, (ends[:-1], source(t[:-1] + dt / 2), ends[1:])):
                 for j in range(3):
-                    out[:, j] += weight[cols, j] * src
+                    out[:, j] += weight[j] * src
         # past RK4's stability limit the scan overflows: one error below, no warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            _scan_group(step[cols], states[..., cols])
+            _scan_group(plan.powers, states[..., cols])
 
     each_part(solve_group, mode_groups(size))
     # non-finite states are absorbing in the linear scan: the last one tells
@@ -103,19 +140,12 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)
 
 
-def _scan_group(step: np.ndarray, states: np.ndarray) -> None:
+def _scan_group(pw: np.ndarray, states: np.ndarray) -> None:
     """solve_by_modes' scan on the (steps+1, 3, modes) columns states, whose
-    row 0 holds the initial state and later rows the inputs; R - I is step."""
+    row 0 holds the initial state and later rows the inputs; pw holds
+    R^i - I for i = 0..L (OraclePlan.powers)."""
     segments = scan_blocks(states[1:])
-    length = segments[0].shape[1]
-    # R^i - I for i = 0..L, component-major and contiguous for the elementwise
-    # products; each pass sums its three products ((p0 + p1) + p2) in buffers.
-    # The carry multiplies whole states by these powers, so their rounding
-    # is the scan's largest error where a state's components differ in
-    # scale: they are taken in extended precision (where numpy's longdouble
-    # has it) and rounded once
-    pw = power_increments(step.astype(np.longdouble), length).astype(float)
-    pw = np.ascontiguousarray(np.moveaxis(pw, 1, -1))
+    # each pass sums its three products ((p0 + p1) + p2) in buffers
     one = pw[1]
     for seg in segments:
         # zero-state pass inside every block at once

@@ -205,6 +205,12 @@ def _even_split(size: int, count: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def runs(count: int, width: int) -> list[slice]:
+    """Slices covering range(count) in order, as equal as they go, each of
+    at most max(1, CHUNK_ELEMENTS // width) items of width values."""
+    return _even_split(count, -(-count // max(1, CHUNK_ELEMENTS // width)))
+
+
 def row_chunks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, as equal as they go, of at most
     max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is
@@ -218,6 +224,11 @@ def row_chunks(rows: int, width: int) -> list[slice]:
     if rows >= 2:
         count = min(count, rows // 2)
     return _even_split(rows, count)
+
+
+def block_length(rows: int) -> int:
+    """The block length L = ceil(sqrt(rows)) of scan_blocks on rows rows."""
+    return math.isqrt(rows - 1) + 1 if rows else 1
 
 
 def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -234,7 +245,7 @@ def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
     writes to rows, also when rows is a column slice of a wider array.
     """
     n = rows.shape[0]
-    length = math.isqrt(n - 1) + 1 if n else 1
+    length = block_length(n)
     full = n - n % length
     # splitting the leading axis never needs a copy, whatever the strides of
     # the other axes: a column slice of a wider array scans in place

@@ -9,7 +9,8 @@ the time grid, so that no grid-length phase table, history or forcing table
 is formed.  Modes are independent through the whole route, so it runs in one
 pass over mode groups (quadrature.mode_groups, each_part), one per core on
 wide bases: each group assembles, scans and recovers its own columns of one
-buffer, with its own carries and its columns of the lifting products.
+buffer, with its own carries and its columns of the lifting products, and
+with the tables of its plan, built once per problem shape (group_plan).
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -27,12 +28,14 @@ import numpy as np
 from .cosine import PhaseRows
 from .quadrature import (
     blas_threads,
+    block_length,
     each_part,
     mode_groups,
     power_increments,
     prefix_exponential,
     prefix_trapezoid,
     row_chunks,
+    runs,
     scan_blocks,
 )
 from .spectral import (
@@ -42,6 +45,7 @@ from .spectral import (
     SpectralField,
     TimeGrid,
     Trajectory,
+    group_plans,
 )
 
 COMPAT_TOL = 1e-8
@@ -255,7 +259,7 @@ def _gtilde(sig: BoundarySignal, gamma: float, times: np.ndarray,
 
 
 def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
-    """The kernels, the sampled Dirichlet data and the assembly of a mode group.
+    """The sampled Dirichlet data and the assembly of a mode group.
 
     assemble(out, cols) writes the right-hand sides of the v, v_t and v_tt
     solves for the modes cols into the three planes of out, of shape
@@ -274,16 +278,15 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     each plane is cos(omega t) X + sin(omega t) Y (+ e^{rho t} Z) plus its
     lifting term dhat or dhat_t, where X and Y are constants plus sums of
     the six integrals; no kernel is sampled on the grid.  The columns are
-    built over the group's own row chunks, with phase rows from one
-    PhaseRows per group and the integrals and the forcing transform carried
-    from chunk to chunk; the group takes its columns of the lifting products
-    and of the forcing samples at the chunk's times, and no forcing table is
-    kept.  Each chunk temporary is dropped once read.
+    built over the group's own row chunks, with the kernels and phase rows
+    of the group's plan (group_plan) and the integrals and the forcing
+    transform carried from chunk to chunk; the group takes its columns of
+    the lifting products and of the forcing samples at the chunk's times,
+    and no forcing table is kept.  Each chunk temporary is dropped once read.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
     times, dt = grid.times, grid.dt
-    kernels = build_kernel(params, basis)
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
@@ -307,7 +310,8 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
 
     def assemble(out, cols):
-        carry, kers = defaultdict(dict), kernels[cols]
+        carry, plan = defaultdict(dict), group_plan(params, basis, grid, cols)
+        kers = plan.kernels
         om, ka, kb, kc = kers.omega, kers.sin_coeff, kers.cos_coeff, kers.exp_coeff
         inv = 1.0 / om
         a0c, a1c, s0, v0, v1c = (x[cols] for x in (a0, a1, source_0, w0tot, v1))
@@ -318,7 +322,6 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
         htt_sin = -om * a1c + kb * om * v0 - ka * v1c
         htt_exp = -kc * (rho * v0 + v1c)
         lift_cols = lift[:, cols]
-        phase = PhaseRows(om, times, dt)
 
         def sums(ct, st, u, name):
             # Pc and Ps of u, carried under name
@@ -327,7 +330,7 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
 
         for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
             t = times[rows]
-            ct, st = phase.rows(rows)
+            ct, st = plan.phase.rows(rows)
             dhat, dhat_t, dhat_tt = (x @ lift_cols for x in _gtilde(sig, gamma, t, rows))
             pc1, ps1 = sums(ct, st, dhat_tt, "dtt")
             del dhat_tt
@@ -353,10 +356,73 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
             htt[:] = (grow * htt_exp + ct * (htt_cos + pc2 - om * ps1)
                       + st * (htt_sin + ps2 + om * pc1))
 
-    return kernels, sig, assemble
+    return sig, assemble
 
 
-def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
+@dataclass(frozen=True)
+class GroupPlan:
+    """The tables of one mode group's Volterra route on one grid, read-only.
+
+    kernels and phase (PhaseRows) serve the assembly; the rest the scan
+    (_scan_group): dt, em1 = e^{rho dt} - 1 and, each laid out as
+    contiguous (3, modes) rows, one per right-hand side, so that the scan's
+    updates of (..., 3, modes) states run as 3 x modes inner loops:
+    kvec (3, 3, n), k = (B, A, C) in the frame's order (cos, sin, exp);
+    turn (2, 3, n), cos(omega dt) - 1 and sin(omega dt); counter (2, 3, n),
+    -sin(omega dt) and cos(omega dt) - 1; reads (L, 3, 3, n), reads[i, j]
+    the component j of the read-out row dt k^T M^i, i < L; and carry
+    (3, 3, 3, n), carry[j, i] the (i, j) entry of the block carry M^L - I.
+    A 128-mode group on 10^4 steps holds 1.4 MB.
+    """
+
+    kernels: KernelFamily
+    phase: PhaseRows
+    dt: float
+    em1: float
+    kvec: np.ndarray
+    turn: np.ndarray
+    counter: np.ndarray
+    reads: np.ndarray
+    carry: np.ndarray
+
+
+def _rows(values: np.ndarray) -> np.ndarray:
+    """values (..., n) as read-only contiguous (..., 3, n) rows."""
+    out = np.ascontiguousarray(np.broadcast_to(values[..., None, :],
+                                               values.shape[:-1] + (3, values.shape[-1])))
+    out.flags.writeable = False
+    return out
+
+
+@group_plans
+def group_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slice) -> GroupPlan:
+    """The GroupPlan of the modes cols of basis on grid, built once per
+    value of its key (spectral.group_plans)."""
+    kernels = build_kernel(params, basis)[cols]
+    dt = grid.dt
+    a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
+    # G - I: cos(omega dt) - 1, sin(omega dt) and e^{rho dt} - 1
+    cm1 = -2.0 * np.sin(0.5 * kernels.omega * dt) ** 2
+    sn = np.sin(kernels.omega * dt)
+    em1 = np.expm1(kernels.rho * dt)
+    grot = np.zeros((kernels.size, 3, 3))
+    grot[:, 0, 0] = grot[:, 1, 1] = cm1
+    grot[:, 0, 1], grot[:, 1, 0], grot[:, 2, 2] = -sn, sn, em1
+    kvec = np.stack([b, a, c], axis=-1)
+    kick = dt * np.array([1.0, 0.0, 1.0])[:, None] * kvec[:, None, :]
+    length = block_length(grid.steps)
+    # M^i - I for i = 0..L; memory read-out rows dt k^T M^i
+    pw = power_increments(grot @ (np.eye(3) - kick) - kick, length)
+    reads = dt * (kvec[:, None, :] @ (pw[:length] + np.eye(3)))[:, :, 0]
+    for array in kernels.omega, kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff:
+        array.flags.writeable = False
+    return GroupPlan(kernels, PhaseRows(kernels.omega, grid.times, dt), dt, em1,
+                     _rows(kvec.T), _rows(np.stack([cm1, sn])), _rows(np.stack([-sn, cm1])),
+                     _rows(np.moveaxis(reads, -1, 1)),
+                     _rows(np.transpose(pw[length], (2, 1, 0))))
+
+
+def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
     """Trapezoid collocation for the structured kernel, as a blocked linear scan.
 
     In the rotating frame X_m = sum_{j<m} w_j (cos, sin, e^rho)(t_m - t_j) v_j
@@ -370,69 +436,67 @@ def _scan_group(kernels: KernelFamily, v: np.ndarray, dt: float) -> None:
     weights.  G - I and M - I are formed without cancellation
     (half-angle sine, expm1), so that their rounding does not build up.
 
-    v holds the right-hand sides, shape (steps+1, k, modes) for the modes of
-    kernels, and is overwritten with the solution; it may be a strided view.
-    The k right-hand sides go through the same elementwise float operations
-    as k separate solves, so neither batching, mode grouping nor the layout
-    of v changes a bit.
+    v holds the right-hand sides, shape (steps+1, k, modes), k <= 3, for the
+    modes of plan (GroupPlan), and is overwritten with the solution; it may
+    be a strided view.  The zero-state pass updates all three frame
+    components of every block of a segment at once; the carry pass then
+    carries the block-start states X from block to block and subtracts
+    their read-outs dt k^T M^i X from a run of blocks at a time, each run
+    a chunk's worth of values (quadrature.runs).  The k right-hand sides go
+    through the same elementwise float operations as k separate solves, so
+    neither batching, mode grouping, the runs nor the layout of v changes a
+    bit.
     """
-    a, b, c = kernels.sin_coeff, kernels.cos_coeff, kernels.exp_coeff
-    # G - I: cos(omega dt) - 1, sin(omega dt) and e^{rho dt} - 1
-    cm1 = -2.0 * np.sin(0.5 * kernels.omega * dt) ** 2
-    sn = np.sin(kernels.omega * dt)
-    em1 = np.expm1(kernels.rho * dt)
-    grot = np.zeros((kernels.size, 3, 3))
-    grot[:, 0, 0] = grot[:, 1, 1] = cm1
-    grot[:, 0, 1], grot[:, 1, 0], grot[:, 2, 2] = -sn, sn, em1
-    kvec = np.stack([b, a, c], axis=-1)
-    kick = dt * np.array([1.0, 0.0, 1.0])[:, None] * kvec[:, None, :]
-    segments = scan_blocks(v[1:])
-    length = segments[0].shape[1]
-    # M^i - I for i = 0..L; memory read-out rows dt k^T M^i, component-major
-    pw = power_increments(grot @ (np.eye(3) - kick) - kick, length)
-    reads = dt * (kvec[:, None, :] @ (pw[:length] + np.eye(3)))[:, :, 0]
-    reads = np.ascontiguousarray(np.moveaxis(reads, -1, 1))
-    carry = np.ascontiguousarray(np.moveaxis(pw[length], 0, -1))
+    k, dt, em1 = v.shape[1], plan.dt, plan.em1
+    kvec, turn, counter, reads, carry = (table[..., :k, :] for table in (
+        plan.kvec, plan.turn, plan.counter, plan.reads, plan.carry))
 
     def zero_state(blocks):
-        # the collocation inside every block at once, from X = 0; the
-        # products go through buffers in the order of the plain expressions
-        xc, xs, xe = x = np.zeros((3,) + blocks[:, 0].shape)
-        t1, t2, t3 = np.empty_like(x)
+        # the collocation inside every block at once, from X = 0, on the
+        # frame states x = (cos, sin, exp); each product goes through a
+        # buffer, and B xc + A xs and cm1 xc + (-sn xs) round as the plain
+        # A xs + B xc and cm1 xc - sn xs do
+        x = np.zeros((3,) + blocks[:, 0].shape)
+        scratch = np.empty((4,) + x.shape[1:])
+        prod, turned, back = scratch[:3], scratch[:2], scratch[2:]
         for i in range(blocks.shape[1]):
             vi = blocks[:, i]
-            np.multiply(a, xs, out=t1)
-            t1 += np.multiply(b, xc, out=t2)
-            t1 += np.multiply(c, xe, out=t2)
-            t1 *= dt
-            vi -= t1
-            xc += vi
-            xe += vi
+            kick = np.multiply(kvec[:, None], x, out=prod)[0]
+            kick += prod[1]
+            kick += prod[2]
+            kick *= dt
+            vi -= kick
+            x[::2] += vi
             # xc + (cm1 xc - sn xs), xs + (sn xc + cm1 xs)
-            np.multiply(cm1, xc, out=t1)
-            t1 -= np.multiply(sn, xs, out=t3)
-            np.multiply(sn, xc, out=t2)
-            t2 += np.multiply(cm1, xs, out=t3)
-            xc += t1
-            xs += t2
-            xe += np.multiply(em1, xe, out=t1)
-        return np.stack([xc, xs, xe], axis=1)
+            np.multiply(turn[:, None], x[0], out=turned)
+            turned += np.multiply(counter[:, None], x[1], out=back)
+            x[:2] += turned
+            x[2] += np.multiply(em1, x[2], out=prod[0])
+        return x
 
-    ends = [zero_state(seg) for seg in segments]
     # X at row 1 is G e v_0 / 2; carry it from block to block
-    x = 0.5 * np.stack([(1.0 + cm1) * v[0], sn * v[0], (1.0 + em1) * v[0]])
-    acc, tmp = np.empty((2,) + segments[0][0].shape)
-    for seg, seg_ends in zip(segments, ends):
-        for block, end in zip(seg, seg_ends):
-            n = block.shape[0]
-            np.multiply(reads[:n, 0, None], x[0], out=acc[:n])
+    x = 0.5 * np.stack([(1.0 + turn[0]) * v[0], turn[1] * v[0], (1.0 + em1) * v[0]])
+    terms = np.empty((3,) + x.shape)
+    for seg in scan_blocks(v[1:]):
+        ends = zero_state(seg)
+        rows = seg.shape[1]
+        for part in runs(len(seg), seg[0].size):
+            n = part.stop - part.start
+            starts = np.empty((n + 1,) + x.shape)
+            starts[0] = x
+            for i in range(n):
+                # X' = X + ((M^L - I) X + end)
+                start, x = starts[i], starts[i + 1]
+                np.multiply(carry, start[:, None], out=terms)
+                np.add(terms[0], terms[1], out=x)
+                x += terms[2]
+                x += ends[:, part.start + i]
+                x += start
+            acc = np.multiply(reads[:rows, 0], starts[:n, None, 0])
+            tmp = np.empty_like(acc)
             for j in (1, 2):
-                acc[:n] += np.multiply(reads[:n, j, None], x[j], out=tmp[:n])
-            block -= acc[:n]
-            step = (carry[:, 0, None] * x[0] + carry[:, 1, None] * x[1]
-                    + carry[:, 2, None] * x[2])
-            step += end
-            x = x + step
+                acc += np.multiply(reads[:rows, j], starts[:n, None, j], out=tmp)
+            seg[part] -= acc
 
 
 @dataclass
@@ -481,13 +545,14 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = params.gamma
         times = grid.times
-        kernels, sig, assemble = _assembly(data, params, grid)
+        sig, assemble = _assembly(data, params, grid)
         lift = basis.lift_matrix()
         buf = np.empty((3, grid.steps + 1, basis.size))
 
         def solve_group(cols):
             assemble(buf, cols)
-            _scan_group(kernels[cols], np.moveaxis(buf[..., cols], 0, 1), grid.dt)
+            _scan_group(group_plan(params, basis, grid, cols),
+                        np.moveaxis(buf[..., cols], 0, 1))
             bad = {}
             lift_cols = lift[:, cols]
             for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):

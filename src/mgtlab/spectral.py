@@ -168,6 +168,33 @@ def build_basis(domain: DomainSpec, mode_count: int) -> EigenBasis:
     return EigenBasis(domain, mode_count)
 
 
+# Plans kept per solution route: the mode groups of a problem or two
+# (criterion 8 refines at twice the modes and steps).
+PLANS = 8
+
+
+def group_plans(build):
+    """build(params, basis, grid, cols), the tables of the modes cols of
+    basis on grid, kept by value.
+
+    A basis is its domain and mode count, so the results are kept in an
+    lru_cache of PLANS entries keyed by (params, domain, mode count, grid,
+    cols.start, cols.stop): a basis built again, and every problem on the
+    same basis and grid, gets the same plan, whose arrays must be
+    read-only.  The wrapper has the cache's cache_info and cache_clear.
+    """
+    @functools.lru_cache(maxsize=PLANS)
+    def cached(params, domain, mode_count, grid, start, stop):
+        return build(params, EigenBasis(domain, mode_count), grid, slice(start, stop))
+
+    @functools.wraps(build)
+    def plan(params, basis: EigenBasis, grid: TimeGrid, cols: slice):
+        return cached(params, basis.domain, basis.mode_count, grid, cols.start, cols.stop)
+
+    plan.cache_info, plan.cache_clear = cached.cache_info, cached.cache_clear
+    return plan
+
+
 # -- fields ----------------------------------------------------------------
 
 

@@ -13,10 +13,12 @@ max|new - old| / max|old| per case, route and component:
     PYTHONPATH=src python tests/digest.py --against /tmp/before.npz
 
 The cases are acceptance criterion 1's ten scenarios (interval, 32 modes,
-10^4 steps) and one 16x16 square solved as 1, 2 and 3 mode groups, whose
-digests must also agree with each other.  numpy's BLAS is pinned to one
-thread before numpy loads, since matrix products round differently with
-more threads.  pytest does not collect this file.
+10^4 steps), one 16x16 square solved as 1, 2 and 3 mode groups, whose
+digests must also agree with each other, and criterion 8's small solves
+(interval, 16 modes, the default scenario at seeds 0-2) on 400 steps and
+on 401, whose last scan segment is a leftover block.  numpy's BLAS is
+pinned to one thread before numpy loads, since matrix products round
+differently with more threads.  pytest does not collect this file.
 """
 
 import os
@@ -32,7 +34,7 @@ import zipfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 from mgtlab import quadrature  # noqa: E402
-from mgtlab.generators import make_scenario  # noqa: E402
+from mgtlab.generators import ScenarioSpec, make_scenario  # noqa: E402
 from mgtlab.modal_oracle import solve_by_modes  # noqa: E402
 from mgtlab.reduction import solve_mgt  # noqa: E402
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis  # noqa: E402
@@ -49,6 +51,7 @@ def outputs(label, data, grid):
 
 
 def cases():
+    cores_of_host = quadrature._cores
     basis = build_basis(DOMAIN, 32)
     for spec in SCENARIOS:
         yield f"interval-seed{spec.seed}", make_scenario(basis, spec), TimeGrid(1.0, 10000)
@@ -58,6 +61,12 @@ def cases():
         quadrature._cores = lambda cores=cores: cores
         groups = len(quadrature.mode_groups(square.size))
         yield f"square-groups{groups}", data, TimeGrid(1.0, 3000)
+    quadrature._cores = cores_of_host
+    small = build_basis(DOMAIN, 16)
+    for steps in (400, 401):
+        for seed in range(3):
+            yield (f"small-steps{steps}-seed{seed}", make_scenario(small, ScenarioSpec(seed=seed)),
+                   TimeGrid(1.0, steps))
 
 
 def main():

@@ -190,13 +190,13 @@ def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_c
     data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
     omega = reduction.build_kernel(PARAMS, data.basis).omega
 
-    def spoiled(kernels, v, dt, scan=reduction._scan_group):
+    def spoiled(plan, v, scan=reduction._scan_group):
         # v holds a group's columns only: column col of the basis is its
         # column col - start
-        scan(kernels, v, dt)
-        start = int(np.flatnonzero(omega == kernels.omega[0])[0])
+        scan(plan, v)
+        start = int(np.flatnonzero(omega == plan.kernels.omega[0])[0])
         for row, col, bad in ((late, late_col, np.inf), (early, early_col, np.nan)):
-            if col is not None and start <= col < start + kernels.size:
+            if col is not None and start <= col < start + plan.kernels.size:
                 v[row, 0, col - start] = bad
 
     monkeypatch.setattr(reduction, "_scan_group", spoiled)

@@ -17,6 +17,7 @@ from mgtlab.reduction import (
     ReductionError,
     build_kernel,
     forcing_transform,
+    group_plan,
     solve_mgt,
     _assembly,
     _data_source,
@@ -56,17 +57,18 @@ def initial_v(data):
 def assembled(data, params, grid):
     """The kernels, the sampled Dirichlet data and the (3, steps+1, modes)
     right-hand sides that solve_mgt's assembly writes, the basis as one group."""
-    kernels, sig, assemble = _assembly(data, params, grid)
+    sig, assemble = _assembly(data, params, grid)
     rhs = np.empty((3, grid.steps + 1, data.basis.size))
     assemble(rhs, slice(0, data.basis.size))
-    return kernels, sig, rhs
+    return build_kernel(params, data.basis), sig, rhs
 
 
-def scanned(kernels, rhs, dt):
+def scanned(params, basis, grid, rhs):
     """A copy of the (steps+1, k, modes) or (steps+1, modes) right-hand
-    sides rhs, solved by the structured scan."""
+    sides rhs, solved by the structured scan, the basis as one group."""
     out = rhs.copy()
-    _scan_group(kernels, out.reshape(out.shape[0], -1, out.shape[-1]), dt)
+    plan = group_plan(params, basis, grid, slice(0, basis.size))
+    _scan_group(plan, out.reshape(out.shape[0], -1, out.shape[-1]))
     return out
 
 
@@ -177,7 +179,7 @@ def test_structured_solver_matches_generic_collocation():
     grid = TimeGrid(1.0, 400)
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(401, BASIS.size))
-    fast = scanned(family, rhs, grid.dt)
+    fast = scanned(PARAMS, BASIS, grid, rhs)
     ker = kernel_samples(family, grid.times)[0]
     slow = solve_direct(ker, rhs, grid.dt, rule="trapezoid")
     assert np.max(np.abs(fast - slow)) < 1e-11
@@ -189,10 +191,10 @@ def test_structured_solver_batches_columns_exactly():
     family = build_kernel(PARAMS, BASIS)
     grid = TimeGrid(1.0, 64)
     rhs = np.random.default_rng(6).normal(size=(65, 3, BASIS.size))
-    batched = scanned(family, rhs, grid.dt)
+    batched = scanned(PARAMS, BASIS, grid, rhs)
     ker = kernel_samples(family, grid.times)[0]
     for col in range(3):
-        single = scanned(family, rhs[:, col], grid.dt)
+        single = scanned(PARAMS, BASIS, grid, rhs[:, col])
         assert np.array_equal(batched[:, col], single)
         slow = solve_direct(ker, rhs[:, col], grid.dt, rule="trapezoid")
         assert np.max(np.abs(batched[:, col] - slow)) < 1e-12
@@ -303,9 +305,9 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
     assert len(rows) >= 3
     late, early = rows[2].start + 3, rows[1].start + 1
 
-    def spoiled(kernels, v, dt, scan=reduction._scan_group):
+    def spoiled(plan, v, scan=reduction._scan_group):
         # one mode group: v holds every column of the (steps+1, 3, modes) view
-        scan(kernels, v, dt)
+        scan(plan, v)
         v[late, 0, 1] = np.inf
         v[early, 1, 2] = np.nan
 
@@ -359,8 +361,10 @@ def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
 
 @pytest.mark.parametrize("steps", [cosine.ANCHOR - 3, 3 * CHUNK_ELEMENTS // BASIS.size])
 def test_assembly_takes_trig_at_anchor_rows_only(monkeypatch, steps):
-    # cos and sin each run on at most (ceil((S+1)/B) + B) N values per
-    # group, B the anchor spacing, where a table on every row takes (S+1) N
+    # building a group's plan runs cos and sin on at most
+    # (ceil((S+1)/B) + B) N values, B the anchor spacing, where a table on
+    # every row takes (S+1) N; sin also on the scan's 2 N step angles.  An
+    # assembly on the built plan takes no trig at all
     counts = {"cos": 0, "sin": 0}
 
     def counting(name, fn):
@@ -372,13 +376,17 @@ def test_assembly_takes_trig_at_anchor_rows_only(monkeypatch, steps):
     grid = TimeGrid(1.0, steps)
     # polynomial data in time, so that sampling it takes no trig
     data = make_scenario(BASIS, ScenarioSpec(seed=3, f_family="poly", g_family="poly"))
-    assemble = _assembly(data, PARAMS, grid)[2]
+    assemble = _assembly(data, PARAMS, grid)[1]
     out = np.empty((3, grid.steps + 1, BASIS.size))
+    reduction.group_plan.cache_clear()
     for name in counts:
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     assemble(out, slice(0, BASIS.size))
     bound = (-(-(grid.steps + 1) // cosine.ANCHOR) + cosine.ANCHOR) * BASIS.size
-    assert 0 < counts["cos"] <= bound and 0 < counts["sin"] <= bound
+    assert 0 < counts["cos"] <= bound and 0 < counts["sin"] <= bound + 2 * BASIS.size
+    counts.update(cos=0, sin=0)
+    assemble(out, slice(0, BASIS.size))
+    assert counts == {"cos": 0, "sin": 0}
 
 
 PLANE_CASES = [(kind, forcing, boundary) for kind in ("interval", "square")
@@ -480,7 +488,7 @@ def test_solve_mgt_picard_agrees_with_direct():
     grid = TimeGrid(1.0, 1500)
     kernels, _, rhs = assembled(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
     ker = kernel_samples(kernels, grid.times)[0]
-    direct = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)
+    direct = scanned(PARAMS, BASIS, grid, np.moveaxis(rhs, 0, 1))
     for col in range(3):
         values, terms, converged, _ = solve_picard(ker, rhs[col], grid.dt, rule="trapezoid")
         assert converged and terms >= 1
@@ -565,8 +573,8 @@ def test_transform_round_trip():
     grid = TimeGrid(1.0, 500)
     data = make_scenario(BASIS, ScenarioSpec(seed=6))
     bundle = solve_mgt(data, PARAMS, grid)
-    kernels, sig, rhs = assembled(data, PARAMS, grid)
-    v = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)[:, 0]
+    _, sig, rhs = assembled(data, PARAMS, grid)
+    v = scanned(PARAMS, BASIS, grid, np.moveaxis(rhs, 0, 1))[:, 0]
     damp = np.exp(-0.5 * PARAMS.gamma * grid.times)[:, None]
     assert np.allclose(bundle.w, damp * (v - lifted_boundary(sig, grid)), atol=1e-14)
 
@@ -575,8 +583,8 @@ def test_gamma_zero_degeneracy():
     params = MgtParams(alpha=1.0, b=1.0, c=1.0)
     grid = TimeGrid(1.0, 400)
     data = make_scenario(BASIS, ScenarioSpec(seed=8))
-    kernels, _, rhs = assembled(data, params, grid)
-    v = scanned(kernels, np.moveaxis(rhs, 0, 1), grid.dt)[:, 0]
+    rhs = assembled(data, params, grid)[2]
+    v = scanned(params, BASIS, grid, np.moveaxis(rhs, 0, 1))[:, 0]
     assert np.array_equal(v, rhs[0])
 
 

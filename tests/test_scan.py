@@ -27,7 +27,7 @@ from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
                                prefix_exponential, prefix_trapezoid, row_chunks,
                                scan_blocks)
-from mgtlab.reduction import MgtData, MgtParams, _assembly, _scan_group, build_kernel, solve_mgt
+from mgtlab.reduction import MgtData, MgtParams, _assembly, _scan_group, group_plan, solve_mgt
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
 from reference import ModeOde, integrate_mode, kernel_samples, solve_direct
 
@@ -35,14 +35,19 @@ PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 64), 4)
 # block length 10 at 100 rows: one below, at and above a square, and a prime
 SCAN_STEPS = (1, 2, 7, 99, 100, 101, 97)
+# plans of 1-, 16- and 33-mode groups of a 50-mode basis
+WIDE = build_basis(DomainSpec("interval", 64), 50)
+SCAN_GROUPS = (slice(0, 1), slice(1, 17), slice(17, 50))
 
 
-def structured_error(params, basis, grid, seed):
-    """Worst sup-relative gap of the scan to solve_direct over 3 columns."""
-    family = build_kernel(params, basis)
-    rhs = np.random.default_rng(seed).normal(size=(grid.steps + 1, 3, basis.size))
+def structured_error(params, basis, grid, seed, cols=None):
+    """Worst sup-relative gap of the scan of the modes cols (all by
+    default), through their plan, to solve_direct over 3 columns."""
+    plan = group_plan(params, basis, grid, cols or slice(0, basis.size))
+    family = plan.kernels
+    rhs = np.random.default_rng(seed).normal(size=(grid.steps + 1, 3, family.size))
     fast = rhs.copy()
-    _scan_group(family, fast, grid.dt)
+    _scan_group(plan, fast)
     ker = kernel_samples(family, grid.times)[0]
     worst = 0.0
     for col in range(3):
@@ -158,8 +163,31 @@ def test_power_increments_match_matrix_power():
 
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)
-def test_structured_scan_matches_collocation(steps):
-    assert structured_error(PARAMS, BASIS, TimeGrid(1.0, steps), steps) < 1e-12
+def test_structured_scan_matches_collocation(monkeypatch, steps):
+    # through the plans of 1-, 16- and 33-mode groups, with the default
+    # chunk (the read-outs take each segment whole) and with 1000 values
+    # per chunk, where they run over runs of blocks: at 100 steps 2 blocks
+    # at a time for 16 modes, 1 for 33
+    grid = TimeGrid(1.0, steps)
+    assert structured_error(PARAMS, BASIS, grid, steps) < 1e-12
+    for chunk in (CHUNK_ELEMENTS, 1000):
+        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
+        for cols in SCAN_GROUPS:
+            assert structured_error(PARAMS, WIDE, grid, steps, cols) < 1e-12, (chunk, cols)
+
+
+@pytest.mark.parametrize("steps", SCAN_STEPS)
+def test_structured_scan_bits_do_not_depend_on_the_runs(monkeypatch, steps):
+    # read-outs over whole segments, runs of 2 blocks and single blocks
+    grid = TimeGrid(1.0, steps)
+    rhs = np.random.default_rng(steps).normal(size=(steps + 1, 3, 16))
+    outs = []
+    for chunk in (CHUNK_ELEMENTS, 1000, 1):
+        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
+        out = rhs.copy()
+        _scan_group(group_plan(PARAMS, WIDE, grid, slice(1, 17)), out)
+        outs.append(out)
+    assert all(np.array_equal(out, outs[0]) for out in outs[1:])
 
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)
@@ -298,10 +326,10 @@ def test_chunked_rhs_equals_one_chunk(edge, forcing, boundary, seed):
     data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
                    g=spec.g if boundary else None)
     chunks, whole = np.empty((2, 3, rows, BASIS.size))
-    _assembly(data, PARAMS, grid)[2](chunks, slice(0, BASIS.size))
+    _assembly(data, PARAMS, grid)[1](chunks, slice(0, BASIS.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "CHUNK_ELEMENTS", rows * BASIS.size)
-        _assembly(data, PARAMS, grid)[2](whole, slice(0, BASIS.size))
+        _assembly(data, PARAMS, grid)[1](whole, slice(0, BASIS.size))
     assert np.array_equal(chunks, whole)
 
 
