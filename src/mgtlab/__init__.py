@@ -12,7 +12,6 @@ from .reduction import (
     ForcingData,
     MgtData,
     MgtParams,
-    SolutionBundle,
     build_kernel,
     forcing_transform,
     solve_mgt,

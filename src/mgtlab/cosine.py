@@ -1,9 +1,10 @@
-"""Cosine/sine operator families: phase rows and boundary probes.
+"""Phase rows of a wave family and the boundary-convolution probe.
 
-All operators act diagonally on eigen-coefficients through the real-valued
-primitives cos(omega_k t) and sin(omega_k t)/sqrt(mu_k) with
-omega_k = speed * sqrt(mu_k); no complex arithmetic is needed because every
-formula pairs operator powers so that products are real.
+PhaseRows gives cos(omega_k t) and sin(omega_k t), omega_k = speed *
+sqrt(mu_k), on any rows of a uniform grid; the Volterra assembly reads them
+through its group plan.  boundary_convolution_probe is the
+boundary-to-interior witness of the symbols runner.  Both act on
+eigen-coefficients mode by mode, in real arithmetic.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ import numpy as np
 
 from .generators import ScenarioSpec, make_boundary, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
-from .quadrature import row_chunks
-from .reduction import MgtParams, SolutionBundle, solve_mgt
-from .spectral import DomainSpec, TimeGrid, build_basis, gram_forms, gram_rows, row_forms
+from .quadrature import composite_weights, row_chunks
+from .reduction import MgtParams, solve_mgt
+from .spectral import (DomainSpec, TimeGrid, Trajectory, build_basis, gram_forms, gram_rows,
+                       row_forms)
 from .symbols import estimate_probe, lopatinskii_sweep
 from .cosine import boundary_convolution_probe
 
@@ -244,7 +245,7 @@ def _finish(experiment: str, prefix: str, out_dir: str | Path, rows: list[Report
 # -- shared measurement helpers ----------------------------------------------
 
 
-def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
+def norm_series(bundle: Trajectory, n: int, stride: int = 1) -> dict:
     """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes.
 
     The grid norms on the (n+1)-point grid are taken as Gram quadratic forms
@@ -266,27 +267,21 @@ def norm_series(bundle: SolutionBundle, n: int, stride: int = 1) -> dict:
     return out
 
 
-def trace_space_norms(bundle: SolutionBundle) -> tuple[float, float]:
+def trace_space_norms(bundle: Trajectory) -> tuple[float, float]:
     """(H^1(Sigma) norm of d_nu w, L^2(Sigma) norm of d_nu w_t).
 
     The time derivative of the trace of w is the trace of w_t, so no
-    differencing enters the H^1 lateral norm.
+    differencing enters the H^1 lateral norm.  The time integrals are
+    trapezoid weights over the per-time sums, as in the estimate probes.
     """
-    dt = bundle.grid.dt
-    sq = lambda arr: np.trapezoid((arr**2).sum(axis=1), dx=dt)
-    trace_w, trace_wt = bundle.trace("w").series, bundle.trace("wt").series
-    h1 = float(np.sqrt(sq(trace_w) + sq(trace_wt)))
-    l2 = float(np.sqrt(sq(trace_wt)))
-    return h1, l2
+    weights = composite_weights(bundle.grid.steps, bundle.grid.dt)
+    sq_w, sq_wt = (weights @ (bundle.trace(which).series**2).sum(axis=1) for which in ("w", "wt"))
+    return float(np.sqrt(sq_w + sq_wt)), float(np.sqrt(sq_wt))
 
 
-def sup_interior_norms(bundle: SolutionBundle, n: int, stride: int = 10) -> dict:
+def sup_interior_norms(bundle: Trajectory, n: int, stride: int = 10) -> dict:
     series = norm_series(bundle, n, stride)
-    return {
-        "w_H2": float(series["w_H2"].max()),
-        "wt_H1": float(series["wt_H1"].max()),
-        "wtt_L2": float(series["wtt_L2"].max()),
-    }
+    return {key: float(series[key].max()) for key in ("w_H2", "wt_H1", "wtt_L2")}
 
 
 def _rel_change(new: float, old: float) -> float:
@@ -313,25 +308,20 @@ def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(num) / max(np.sqrt(den), 1e-300))
 
 
-def discrete_equation_residual(bundle: SolutionBundle) -> float:
-    """Sup-t L2 residual of w_ttt + alpha w_tt - c^2 Lap w - b Lap w_t - f.
+def discrete_equation_residual(bundle: Trajectory, params: MgtParams) -> float:
+    """Sup-t L2 residual of w_ttt + alpha w_tt - c^2 Lap w - b Lap w_t - f,
+    for the trajectory bundle of the equation with constants params.
 
     One-sided (backward) differencing of w_tt supplies the third derivative,
     so the residual decays at first order in dt.
     """
-    params = bundle.params
-    basis = bundle.basis
-    grid = bundle.grid
+    basis, grid = bundle.basis, bundle.grid
     mu = basis.eigenvalues
-    w = bundle.total("w")
-    wt = bundle.total("wt")
-    wtt = bundle.total("wtt")
-    dt = grid.dt
-    wttt = (wtt[1:] - wtt[:-1]) / dt
+    w, wt, wtt = (bundle.total(which) for which in ("w", "wt", "wtt"))
+    wttt = (wtt[1:] - wtt[:-1]) / grid.dt
     tail = slice(1, grid.steps + 1)
     flux = basis.boundary_flux()
-    q = bundle.boundary.values @ flux
-    qd = bundle.boundary.dvalues @ flux
+    q, qd = bundle.boundary.values @ flux, bundle.boundary.dvalues @ flux
     rhs = -params.c**2 * q - params.b * qd + bundle.interior("f")
     resid = (wttt + params.alpha * wtt[tail] + params.b * mu * wt[tail]
              + params.c**2 * mu * w[tail] - rhs[tail])
@@ -495,7 +485,7 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         exact_o = exact(ogrid.times)[0]
         oracle = solve_by_modes(data, params, ogrid)
         errs_oracle.append(float(np.max(np.abs(oracle.w[:, 0] - exact_o))))
-        resids.append(discrete_equation_residual(bundle))
+        resids.append(discrete_equation_residual(bundle, params))
 
     orders_v = _observed_orders(errs_volterra)
     orders_o = _observed_orders(errs_oracle)

@@ -23,8 +23,8 @@ from .quadrature import (
     row_chunks,
     scan_blocks,
 )
-from .reduction import MgtData, MgtParams
-from .spectral import EigenBasis, TimeGrid, Trajectory, group_plans
+from .reduction import MgtData, MgtParams, _solved
+from .spectral import EigenBasis, TimeGrid, Trajectory, _samples, group_plans
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     """Integrate every projected mode with RK4; the cross-validation oracle.
 
     The states are total eigen-coefficients, so the trajectory carries no
-    boundary signal.
+    boundary signal; it carries the forcing and the metadata of solve_mgt's.
 
     Each mode group (quadrature.mode_groups) runs on its own core and
     weights the source into its columns of the state buffer, one row chunk
@@ -112,8 +112,9 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
             src = (data.f.sample(ts, size)[:, cols] if data.f is not None
                    else np.zeros((len(ts), cols.stop - cols.start)))
             if data.g is not None:
-                src = src - c2 * (data.g.g(ts) @ plan.flux)
-                src -= b * (data.g.gt(ts) @ plan.flux)
+                g, gt = (_samples(fn, ts, data.g.nodes) for fn in (data.g.g, data.g.gt))
+                src = src - c2 * (g @ plan.flux)
+                src -= b * (gt @ plan.flux)
             return src
 
         # the sources at each distinct stage time of a chunk's steps: its
@@ -137,7 +138,8 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
         raise FloatingPointError(
             f"RK4 oracle: non-finite state from t = {grid.times[bad]:.6g} on: "
             "dt may be past the RK4 stability limit of the highest mode")
-    return Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None)
+    return _solved(Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None,
+                              forcing=data.f), data)
 
 
 def _scan_group(pw: np.ndarray, states: np.ndarray) -> None:

@@ -205,12 +205,6 @@ def _even_split(size: int, count: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def runs(count: int, width: int) -> list[slice]:
-    """Slices covering range(count) in order, as equal as they go, each of
-    at most max(1, CHUNK_ELEMENTS // width) items of width values."""
-    return _even_split(count, -(-count // max(1, CHUNK_ELEMENTS // width)))
-
-
 def row_chunks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, as equal as they go, of at most
     max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is

@@ -35,7 +35,6 @@ from .quadrature import (
     prefix_exponential,
     prefix_trapezoid,
     row_chunks,
-    runs,
     scan_blocks,
 )
 from .spectral import (
@@ -45,6 +44,7 @@ from .spectral import (
     SpectralField,
     TimeGrid,
     Trajectory,
+    _samples,
     group_plans,
 )
 
@@ -68,8 +68,10 @@ class MgtParams:
     c: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.b <= 0 or self.c <= 0:
-            raise ValueError("alpha, b, c must all be positive")
+        for name in ("alpha", "b", "c"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def gamma(self) -> float:
@@ -123,10 +125,7 @@ class ForcingData:
 
     def sample(self, times: np.ndarray, size: int) -> np.ndarray:
         """The eigen-coefficients at times, of shape (len(times), size)."""
-        out = np.asarray(self.modes(times), dtype=float)
-        if out.shape != (len(times), size):
-            raise ValueError("forcing callable must map (T,) times to (T, modes) values")
-        return out
+        return _samples(self.modes, times, size, "forcing callable", "modes")
 
     @classmethod
     def separable(cls, time_profile: Callable[[np.ndarray], np.ndarray],
@@ -159,19 +158,13 @@ class MgtData:
         nodes = basis.domain.boundary_size
         if self.g is not None and self.g.nodes != nodes:
             raise ValueError(f"Dirichlet data has {self.g.nodes} boundary nodes, the {kind} {nodes}")
-        g0, gt0 = self._boundary_at_zero()
+        g0 = gt0 = np.zeros(nodes)
+        if self.g is not None:
+            g0, gt0 = (_samples(fn, np.zeros(1), nodes)[0] for fn in (self.g.g, self.g.gt))
         self.compatible_position = bool(
             np.max(np.abs(self.w0.boundary_values() - g0)) <= COMPAT_TOL)
         self.compatible_velocity = bool(
             np.max(np.abs(self.w1.boundary_values() - gt0)) <= COMPAT_TOL)
-
-    def _boundary_at_zero(self):
-        nodes = self.w0.basis.domain.boundary_size
-        if self.g is None:
-            return np.zeros(nodes), np.zeros(nodes)
-        zero = np.zeros(1)
-        return (np.asarray(self.g.g(zero), dtype=float)[0],
-                np.asarray(self.g.gt(zero), dtype=float)[0])
 
     @property
     def basis(self) -> EigenBasis:
@@ -441,11 +434,11 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
     be a strided view.  The zero-state pass updates all three frame
     components of every block of a segment at once; the carry pass then
     carries the block-start states X from block to block and subtracts
-    their read-outs dt k^T M^i X from a run of blocks at a time, each run
-    a chunk's worth of values (quadrature.runs).  The k right-hand sides go
-    through the same elementwise float operations as k separate solves, so
-    neither batching, mode grouping, the runs nor the layout of v changes a
-    bit.
+    their read-outs dt k^T M^i X from a run of blocks at a time, the runs
+    the row chunks of the segment's blocks (quadrature.row_chunks).  The k
+    right-hand sides go through the same elementwise float operations as k
+    separate solves, so neither batching, mode grouping, the runs nor the
+    layout of v changes a bit.
     """
     k, dt, em1 = v.shape[1], plan.dt, plan.em1
     kvec, turn, counter, reads, carry = (table[..., :k, :] for table in (
@@ -480,7 +473,7 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
     for seg in scan_blocks(v[1:]):
         ends = zero_state(seg)
         rows = seg.shape[1]
-        for part in runs(len(seg), seg[0].size):
+        for part in row_chunks(len(seg), seg[0].size):
             n = part.stop - part.start
             starts = np.empty((n + 1,) + x.shape)
             starts[0] = x
@@ -499,33 +492,24 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
             seg[part] -= acc
 
 
-@dataclass
-class SolutionBundle(Trajectory):
-    """The solved trajectory, the forcing it was solved with, and diagnostics.
-
-    w/wt/wtt are zero-trace coefficients completed by the lifting of the
-    sampled Dirichlet data (boundary).  forcing is the interior forcing
-    callable, None when the problem has none; the component "f" samples it
-    on the grid on each read (zeros without forcing) and has no boundary
-    part, so no forcing table outlives a read.
-    """
-
-    params: MgtParams
-    forcing: ForcingData | None
-    metadata: dict
-
-    def interior(self, which: str) -> np.ndarray:
-        if which != "f":
-            return super().interior(which)
-        if self.forcing is None:
-            return np.zeros((self.grid.steps + 1, self.basis.size))
-        return self.forcing.sample(self.grid.times, self.basis.size)
-
-    def boundary_values(self, which: str) -> np.ndarray | None:
-        return None if which == "f" else super().boundary_values(which)
+def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
+    """traj, a solution of data by either route, with the solve's metadata:
+    the compatibility flags, the mode-group and BLAS thread counts and, on
+    the interval, the convergence flags of the normal traces of w and w_t."""
+    traj.metadata.update(compatible_position=data.compatible_position,
+                         compatible_velocity=data.compatible_velocity,
+                         mode_groups=len(mode_groups(data.basis.size)),
+                         blas_threads=blas_threads())
+    if data.basis.domain.kind == "interval":
+        traj.metadata.update(trace_w_converged=traj.trace("w").converged,
+                             trace_wt_converged=traj.trace("wt").converged)
+    else:
+        # pointwise normal traces are an interval-only diagnostic
+        traj.metadata["traces"] = "unavailable on the square"
+    return traj
 
 
-def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundle:
+def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     """Solve the MGT Cauchy-Dirichlet problem through the Volterra reduction.
 
     Three per-mode Volterra solves produce v, v_t, v_tt with right-hand sides
@@ -535,7 +519,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
     runs the whole route on its columns of one (3, steps+1, modes) buffer:
     it assembles the right-hand sides into the three planes, scans them in
     place as a (steps+1, 3, cols) view, and overwrites each plane with its
-    output chunk by chunk; the planes are the bundle's w, wt and wtt.
+    output chunk by chunk; the planes are the trajectory's w, wt and wtt.
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
@@ -581,15 +565,4 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> SolutionBundl
                 f"non-finite {name} from t = {min(found):.6g} on: the "
                 "exponentially weighted transform left the float range")
 
-    meta = {"compatible_position": data.compatible_position,
-            "compatible_velocity": data.compatible_velocity,
-            "mode_groups": len(mode_groups(basis.size)), "blas_threads": blas_threads()}
-    bundle = SolutionBundle(basis, grid, *buf, sig, params=params,
-                            forcing=data.f, metadata=meta)
-    if basis.domain.kind == "interval":
-        meta["trace_w_converged"] = bundle.trace("w").converged
-        meta["trace_wt_converged"] = bundle.trace("wt").converged
-    else:
-        # pointwise normal traces are an interval-only diagnostic
-        meta["traces"] = "unavailable on the square"
-    return bundle
+    return _solved(Trajectory(basis, grid, *buf, sig, forcing=data.f), data)

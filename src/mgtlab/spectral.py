@@ -12,11 +12,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .quadrature import composite_weights
+
+if TYPE_CHECKING:
+    from .reduction import ForcingData
 
 SQRT2 = np.sqrt(2.0)
 
@@ -321,6 +324,18 @@ def normal_trace(basis: EigenBasis, interior: np.ndarray,
 # -- time-sampled boundary data ----------------------------------------------
 
 
+def _samples(fn, times: np.ndarray, width: int, what: str = "boundary callables",
+             cols: str = "nodes") -> np.ndarray:
+    """fn(times) as floats of shape (len(times), width): the one read of a
+    data callable, what, whose width columns are cols; by default one of
+    the Dirichlet data's."""
+    out = np.asarray(fn(times), dtype=float)
+    if out.shape != (len(times), width):
+        raise ValueError(f"{what} must map (T,) times to (T, {cols}) values: got "
+                         f"{out.shape} for {len(times)} times and {width} {cols}")
+    return out
+
+
 @dataclass
 class BoundarySignal:
     """Dirichlet data sampled in time at each boundary node/edge.
@@ -363,26 +378,23 @@ class BoundaryData:
     nodes: int = 2
 
     def sample(self, grid: TimeGrid) -> BoundarySignal:
-        times = grid.times
-        return BoundarySignal(grid, *(self._sampled(fn, times)
+        return BoundarySignal(grid, *(_samples(fn, grid.times, self.nodes)
                                       for fn in (self.g, self.gt, self.gtt)))
-
-    def _sampled(self, fn, times: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(times), dtype=float)
-        if out.shape != (len(times), self.nodes):
-            raise ValueError("boundary callables must map (T,) times to (T, nodes) values")
-        return out
 
 
 @dataclass
 class Trajectory:
-    """Coefficient trajectories of (w, w_t, w_tt), each of shape (steps+1, modes).
+    """The solution of either route: (w, w_t, w_tt), each (steps+1, modes).
 
     As in SpectralField, the coefficients are the whole function when
     boundary is None; otherwise they are the zero-trace part, and the harmonic
     lifting of boundary.values / dvalues / ddvalues completes w / w_t / w_tt.
-    The normal traces and the Gram rows are computed once each, on first
-    use, and kept read-only.
+    forcing is the interior forcing callable (a reduction.ForcingData), None
+    when the problem has none; the component "f" samples it on the grid on
+    each read (zeros without forcing) and has no boundary part, so no forcing
+    table outlives a read.  metadata holds the solve's diagnostics.  The
+    normal traces and the Gram rows are computed once each, on first use,
+    and kept read-only.
     """
 
     basis: EigenBasis
@@ -391,16 +403,22 @@ class Trajectory:
     wt: np.ndarray
     wtt: np.ndarray
     boundary: BoundarySignal | None
+    forcing: ForcingData | None = None
+    metadata: dict = dataclasses.field(default_factory=dict)
     traces: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                      compare=False)
     rows: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                    compare=False)
 
     def interior(self, which: str) -> np.ndarray:
-        return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
+        if which != "f":
+            return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
+        if self.forcing is None:
+            return np.zeros((self.grid.steps + 1, self.basis.size))
+        return self.forcing.sample(self.grid.times, self.basis.size)
 
     def boundary_values(self, which: str) -> np.ndarray | None:
-        if self.boundary is None:
+        if self.boundary is None or which == "f":
             return None
         sig = self.boundary
         return {"w": sig.values, "wt": sig.dvalues, "wtt": sig.ddvalues}[which]

@@ -1,4 +1,4 @@
-"""Print sha256 digests of both solution routes' w, w_t and w_tt.
+"""Print sha256 digests of both solution routes' outputs and of their measurements.
 
 A refactor that promises the same bits runs this on the parent commit and on
 the change and compares the output line by line:
@@ -7,7 +7,7 @@ the change and compares the output line by line:
 
 A change with intended drift saves the outputs on the parent commit and
 reads them back on the change, which prints the worst relative sup drift
-max|new - old| / max|old| per case, route and component:
+max|new - old| / max|old| per case and output:
 
     PYTHONPATH=src python tests/digest.py --save /tmp/before.npz
     PYTHONPATH=src python tests/digest.py --against /tmp/before.npz
@@ -16,8 +16,12 @@ The cases are acceptance criterion 1's ten scenarios (interval, 32 modes,
 10^4 steps), one 16x16 square solved as 1, 2 and 3 mode groups, whose
 digests must also agree with each other, and criterion 8's small solves
 (interval, 16 modes, the default scenario at seeds 0-2) on 400 steps and
-on 401, whose last scan segment is a leftover block.  numpy's BLAS is
-pinned to one thread before numpy loads, since matrix products round
+on 401, whose last scan segment is a leftover block.  Each route's lines
+digest its w, w_t and w_tt.  Each interval case also digests the
+measurements taken on them: the sup interior norms on a 1024-point grid,
+the two trace-space norms, both estimate-probe ratios on a 256-point grid
+and the cross-route relative sup errors of w, w_t and w_tt.  numpy's BLAS
+is pinned to one thread before numpy loads, since matrix products round
 differently with more threads.  pytest does not collect this file.
 """
 
@@ -35,19 +39,35 @@ import numpy as np  # noqa: E402
 
 from mgtlab import quadrature  # noqa: E402
 from mgtlab.generators import ScenarioSpec, make_scenario  # noqa: E402
+from mgtlab.harness import (relative_sup_error, sup_interior_norms,  # noqa: E402
+                            trace_space_norms)
 from mgtlab.modal_oracle import solve_by_modes  # noqa: E402
 from mgtlab.reduction import solve_mgt  # noqa: E402
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis  # noqa: E402
+from mgtlab.symbols import estimate_probe  # noqa: E402
 from test_acceptance import DOMAIN, PARAMS, SCENARIOS  # noqa: E402
 
 
 def outputs(label, data, grid):
-    """{"<label> <route> <component>": array} of both routes on one case."""
+    """{"<label> <route> <component>": array} of both routes on one case,
+    and {"<label> measure <name>": array} of the measurements on the interval."""
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
-    return {f"{label} {route} {which}": np.ascontiguousarray(getattr(sol, which))
-            for route, sol in (("solve_mgt", bundle), ("solve_by_modes", oracle))
-            for which in ("w", "wt", "wtt")}
+    out = {f"{label} {route} {which}": np.ascontiguousarray(getattr(sol, which))
+           for route, sol in (("solve_mgt", bundle), ("solve_by_modes", oracle))
+           for which in ("w", "wt", "wtt")}
+    if data.basis.domain.kind == "interval":
+        measured = {
+            "sup_interior_norms": list(sup_interior_norms(bundle, 1024).values()),
+            "trace_space_norms": trace_space_norms(bundle),
+            "estimate_probes": [estimate_probe(bundle, data, which, space_points=256).ratio
+                                for which in ("resolvent_4a", "semigroup_10")],
+            "cross_route_errors": [relative_sup_error(bundle.total(which), getattr(oracle, which))
+                                   for which in ("w", "wt", "wtt")],
+        }
+        out.update({f"{label} measure {name}": np.array(values, dtype=float)
+                    for name, values in measured.items()})
+    return out
 
 
 def cases():

@@ -217,7 +217,7 @@ def test_criterion_9_convergence_orders():
         exact_w = exact(grid.times)[0]
         bundle = solve_mgt(data, PARAMS, grid)
         errs_v.append(np.max(np.abs(bundle.total("w")[:, 0] - exact_w)))
-        resids.append(discrete_equation_residual(bundle))
+        resids.append(discrete_equation_residual(bundle, PARAMS))
         ogrid = TimeGrid(1.0, osteps)
         oracle = solve_by_modes(data, PARAMS, ogrid)
         exact_o = exact(ogrid.times)[0]

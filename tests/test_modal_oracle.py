@@ -8,7 +8,8 @@ import pytest
 from mgtlab.generators import ScenarioSpec, make_scenario, manufactured_mode_case
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
-from mgtlab.spectral import DomainSpec, SpectralField, TimeGrid, build_basis
+from mgtlab.spectral import (BoundaryData, DomainSpec, SpectralField, TimeGrid, Trajectory,
+                             build_basis)
 from reference import ModeOde, characteristic_roots, exact_exponential_solution, integrate_mode
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -194,4 +195,44 @@ def test_both_routes_reject_a_forcing_of_the_wrong_width(solve):
     forcing = ForcingData(modes=lambda t: np.sin(t)[:, None])
     data = MgtData(w0=zero, w1=zero, w2=zero, f=forcing)
     with pytest.raises(ValueError, match=r"\(T, modes\)"):
+        solve(data, PARAMS, TimeGrid(1.0, 100))
+
+
+@pytest.mark.parametrize("basis", [BASIS, build_basis(DomainSpec("square", 32), 3)],
+                         ids=["interval", "square"])
+def test_both_routes_return_one_trajectory_type(basis):
+    grid = TimeGrid(1.0, 200)
+    data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
+    bundle, oracle = (solve(data, PARAMS, grid) for solve in (solve_mgt, solve_by_modes))
+    assert type(bundle) is Trajectory and type(oracle) is Trajectory
+    assert bundle.forcing is data.f and oracle.forcing is data.f
+    assert np.array_equal(bundle.interior("f"), oracle.interior("f"))
+    assert oracle.boundary_values("f") is None
+    assert bundle.metadata.keys() == oracle.metadata.keys()
+    for key in ("compatible_position", "compatible_velocity", "mode_groups", "blas_threads"):
+        assert bundle.metadata[key] == oracle.metadata[key]
+
+
+def data_with_boundary(bad: str, fn) -> MgtData:
+    """Zero data on BASIS whose Dirichlet callable bad is fn, the others zeros."""
+    zero = SpectralField(BASIS, np.zeros(BASIS.size))
+    good = lambda t: np.zeros((len(t), 2))
+    g = BoundaryData(**{"g": good, "gt": good, "gtt": good, bad: fn})
+    return MgtData(w0=zero, w1=zero, w2=zero, g=g)
+
+
+@pytest.mark.parametrize("bad", ["g", "gt"])
+def test_data_rejects_a_boundary_callable_of_the_wrong_shape(bad):
+    # values of shape (T,) would broadcast into the compatibility flags
+    with pytest.raises(ValueError, match=r"boundary callables must map .*\(T, nodes\)"):
+        data_with_boundary(bad, lambda t: np.zeros(len(t)))
+
+
+@pytest.mark.parametrize("solve", [solve_by_modes, solve_mgt])
+@pytest.mark.parametrize("bad", ["g", "gt"])
+def test_both_routes_reject_a_boundary_callable_of_one_row(solve, bad):
+    # right at t = 0 alone, so the data build, and one row would broadcast
+    # over every stage time; both routes read g and g_t through the sampler
+    data = data_with_boundary(bad, lambda t: np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="boundary callables must map"):
         solve(data, PARAMS, TimeGrid(1.0, 100))

@@ -99,10 +99,19 @@ def test_derived_constants_reference_values():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be positive"):
         MgtParams(alpha=0.0, b=1.0, c=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b must be positive"):
         MgtParams(alpha=1.0, b=-1.0, c=1.0)
+
+
+@pytest.mark.parametrize("name, value", [("alpha", np.nan), ("b", np.inf), ("c", np.nan),
+                                         ("alpha", -np.inf)])
+def test_params_reject_non_finite_constants(name, value):
+    # NaN passes every "<= 0" test, and a NaN or infinite constant would
+    # fail only deep inside a solve, under another name
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        MgtParams(**{"alpha": 2.0, "b": 1.0, "c": 1.0, name: value})
 
 
 def test_coefficient_functions_consistent_with_transform():
@@ -674,7 +683,7 @@ def test_equation_residual_decays_first_order():
     for steps in (500, 1000, 2000):
         grid = TimeGrid(1.0, steps)
         bundle = solve_mgt(data, PARAMS, grid)
-        resids.append(discrete_equation_residual(bundle))
+        resids.append(discrete_equation_residual(bundle, PARAMS))
     orders = [np.log2(resids[i] / resids[i + 1]) for i in range(2)]
     # asymptotic rate 1; pairwise slopes carry a small finite-dt bias
     assert min(orders) >= 0.99

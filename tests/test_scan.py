@@ -166,8 +166,8 @@ def test_power_increments_match_matrix_power():
 def test_structured_scan_matches_collocation(monkeypatch, steps):
     # through the plans of 1-, 16- and 33-mode groups, with the default
     # chunk (the read-outs take each segment whole) and with 1000 values
-    # per chunk, where they run over runs of blocks: at 100 steps 2 blocks
-    # at a time for 16 modes, 1 for 33
+    # per chunk, where they run over runs of blocks (quadrature.row_chunks):
+    # at 100 steps 2 blocks at a time for 16 and for 33 modes
     grid = TimeGrid(1.0, steps)
     assert structured_error(PARAMS, BASIS, grid, steps) < 1e-12
     for chunk in (CHUNK_ELEMENTS, 1000):
@@ -178,11 +178,12 @@ def test_structured_scan_matches_collocation(monkeypatch, steps):
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)
 def test_structured_scan_bits_do_not_depend_on_the_runs(monkeypatch, steps):
-    # read-outs over whole segments, runs of 2 blocks and single blocks
+    # read-outs over whole segments and over the smallest runs that
+    # row_chunks makes, two or three blocks
     grid = TimeGrid(1.0, steps)
     rhs = np.random.default_rng(steps).normal(size=(steps + 1, 3, 16))
     outs = []
-    for chunk in (CHUNK_ELEMENTS, 1000, 1):
+    for chunk in (CHUNK_ELEMENTS, 1):
         monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
         out = rhs.copy()
         _scan_group(group_plan(PARAMS, WIDE, grid, slice(1, 17)), out)
