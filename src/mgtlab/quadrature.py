@@ -15,7 +15,7 @@ import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,6 @@ GROUP_MODES = 64
 # rebasing factors within 2^+-32
 EXP_BLOCK = 32
 _EXP_RANGE = 32 * math.log(2)
-
-# (executor, worker count), made by the first call with two or more parts;
-# a forked child has none of the parent's threads, so it makes its own
-_pool: tuple[ThreadPoolExecutor, int] | None = None
 
 
 def composite_weights(m: int, dt: float) -> np.ndarray:
@@ -272,40 +268,18 @@ def each_part(work, parts: list) -> list:
     """[work(part) for part in parts], the parts concurrently.
 
     The first part runs on the calling thread, the others on a thread pool
-    made on first use, each in a copy of the caller's context, so
-    np.errstate carries over; numpy releases the GIL inside its loops.
-    Returns when every part is done, raising the first part's error.  One
-    part runs on the calling thread alone.
+    of their own, made for this call, each in a copy of the caller's
+    context, so np.errstate carries over; numpy releases the GIL inside its
+    loops.  Returns when every part is done, raising the first part's
+    error.  One part runs on the calling thread alone, with no pool.
     """
-    futures = []
-    if len(parts) > 1:
-        pool = _pool_of(len(parts) - 1)
+    if len(parts) == 1:
+        return [work(parts[0])]
+    with ThreadPoolExecutor(len(parts) - 1, thread_name_prefix="mgtlab") as pool:
         futures = [pool.submit(contextvars.copy_context().run, work, part)
                    for part in parts[1:]]
-    try:
         first = work(parts[0])
-    finally:
-        wait(futures)
     return [first] + [future.result() for future in futures]
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_of(workers: int) -> ThreadPoolExecutor:
-    """The module's thread pool, made or grown to at least workers threads."""
-    global _pool
-    if _pool is None or _pool[1] < workers:
-        if _pool is not None:
-            _pool[0].shutdown(wait=False)
-        workers = max(workers, _cores() - 1)
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="mgtlab"), workers
-    return _pool[0]
 
 
 @functools.cache

@@ -495,14 +495,19 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
 def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
     """traj, a solution of data by either route, with the solve's metadata:
     the compatibility flags, the mode-group and BLAS thread counts and, on
-    the interval, the convergence flags of the normal traces of w and w_t."""
+    the interval, the convergence flags of the normal traces of w and w_t.
+    The flags Cauchy-test zero-trace coefficients; the oracle's are whole
+    functions, whose eigen-sums fail the test whenever g != 0, so it records
+    None and takes no trace."""
     traj.metadata.update(compatible_position=data.compatible_position,
                          compatible_velocity=data.compatible_velocity,
                          mode_groups=len(mode_groups(data.basis.size)),
                          blas_threads=blas_threads())
     if data.basis.domain.kind == "interval":
-        traj.metadata.update(trace_w_converged=traj.trace("w").converged,
-                             trace_wt_converged=traj.trace("wt").converged)
+        zero_trace = traj.boundary is not None
+        traj.metadata.update({f"trace_{which}_converged":
+                              traj.trace(which).converged if zero_trace else None
+                              for which in ("w", "wt")})
     else:
         # pointwise normal traces are an interval-only diagnostic
         traj.metadata["traces"] = "unavailable on the square"

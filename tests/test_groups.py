@@ -292,10 +292,10 @@ def test_each_part_keeps_the_callers_errstate():
 
 
 def test_one_group_solves_never_ask_for_the_pool(monkeypatch):
-    def no_pool(workers):
+    def no_pool(*args, **kwargs):
         raise AssertionError("a one-group solve asked for the thread pool")
 
-    monkeypatch.setattr(quadrature, "_pool_of", no_pool)
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
     basis = build_basis(DomainSpec("interval", 128), 32)
     data = make_scenario(basis, ScenarioSpec(seed=4, g_family="poly"))
     grid = TimeGrid(1.0, 2000)

@@ -16,7 +16,6 @@ from mgtlab.harness import (
     ScenarioConfig,
     relative_sup_error,
     run_compare_oracle,
-    run_convergence,
     run_regularity_witness,
     run_solve,
     run_symbol_suite,
@@ -149,14 +148,6 @@ def test_symbol_suite_solves_each_scenario_once(monkeypatch, tmp_path):
     assert sorted(steps) == [40] * 8 + [80] * 8
 
 
-def test_run_witness_clauses(tmp_path):
-    cfg = small_config(modes=[16, 32], steps=250)
-    report = run_regularity_witness(cfg, tmp_path)
-    names = {r.name: r for r in report.rows}
-    assert names["d_incompatible_H2_growth"].passed
-    assert report.all_passed
-
-
 def test_run_witness_flags_kinked_boundary(tmp_path):
     cfg = small_config(modes=[16, 32], steps=250,
                        scenario={"g_family": "ramp_kink"})
@@ -191,16 +182,6 @@ def test_run_compare_oracle_rows(tmp_path):
     report = run_compare_oracle(cfg, tmp_path)
     assert len(report.rows) == 2
     assert report.all_passed
-
-
-def test_run_convergence_orders(tmp_path):
-    cfg = small_config(modes=[8, 16], steps=400, horizon=1.0)
-    report = run_convergence(cfg, tmp_path)
-    names = {r.name: r for r in report.rows}
-    assert names["volterra_order"].passed
-    assert names["oracle_order"].passed
-    assert names["residual_order"].passed
-    assert names["nonsmooth_f_order"].passed is None
 
 
 def test_csv_bodies_deterministic(tmp_path):

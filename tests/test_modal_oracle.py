@@ -213,6 +213,20 @@ def test_both_routes_return_one_trajectory_type(basis):
         assert bundle.metadata[key] == oracle.metadata[key]
 
 
+def test_oracle_takes_no_normal_trace(monkeypatch):
+    # the oracle's coefficients are whole functions: it records no trace flags
+    from mgtlab import spectral
+
+    def no_trace(*args):
+        raise AssertionError("the oracle took a normal trace")
+
+    monkeypatch.setattr(spectral, "normal_trace", no_trace)
+    data = make_scenario(BASIS, ScenarioSpec(seed=5, g_family="poly"))
+    oracle = solve_by_modes(data, PARAMS, TimeGrid(1.0, 200))
+    assert oracle.metadata["trace_w_converged"] is None
+    assert oracle.metadata["trace_wt_converged"] is None
+
+
 def data_with_boundary(bad: str, fn) -> MgtData:
     """Zero data on BASIS whose Dirichlet callable bad is fn, the others zeros."""
     zero = SpectralField(BASIS, np.zeros(BASIS.size))
