@@ -43,46 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (built-in defaults when omitted)")
         p.add_argument("--out", type=str, default="out",
                        help="output directory for CSV/JSON artifacts")
-        p.add_argument("--modes", type=str, default=None,
-                       help="comma-separated mode counts, e.g. 32,64")
-        p.add_argument("--dt", type=float, default=None,
-                       help="time step (overrides steps as horizon/dt)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="override one named tolerance (repeatable)")
     return parser
 
 
-def load_config(args) -> ScenarioConfig:
-    """The config file (or the defaults) with the flags applied as edits, loaded."""
+def load_config(path: str | None) -> ScenarioConfig:
+    """The config file at path (the defaults when None), loaded."""
     raw = {}
-    if args.config is not None:
+    if path is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:  # ValueError: not valid JSON
             raise ConfigError(f"cannot read config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be an object, got {raw!r}")
-    if args.modes is not None:
-        try:
-            raw["modes"] = [int(tok) for tok in args.modes.split(",") if tok]
-        except ValueError as exc:
-            raise ConfigError(f"bad --modes value: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    for item in args.tol:
-        name, _, value = item.partition("=")
-        try:
-            raw["tolerances"] = {**raw.get("tolerances", {}), name: float(value)}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}: {exc}") from exc
-    cfg = ScenarioConfig.from_dict(raw)
-    if args.dt is not None:  # the step count follows from the checked horizon
-        if not 0 < args.dt <= cfg.horizon:
-            raise ConfigError("--dt must lie in (0, horizon]")
-        cfg = ScenarioConfig.from_dict({**raw, "steps": max(2, round(cfg.horizon / args.dt))})
-    return cfg
+    return ScenarioConfig.from_dict(raw)
 
 
 def print_report(report: Report) -> None:
@@ -98,12 +70,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
-        cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = RUNNERS[args.command](cfg, out_dir)
+        report = RUNNERS[args.command](load_config(args.config), out_dir)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -62,7 +62,7 @@ def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySigna
     sine convolution is sin(omega t) Pc - cos(omega t) Ps, with Pc and Ps the
     running integrals of cos(omega s) and sin(omega s) times the lifted data.
     """
-    dhat = g.values @ basis.lift_matrix()
+    dhat = g.values @ basis.lift_matrix
     omega = speed * basis.sqrt_eigenvalues
     cos, sin = PhaseRows(omega, grid.times, grid.dt).rows(slice(0, grid.steps + 1))
     conv_s = sin * prefix_trapezoid(cos * dhat, grid.dt) - cos * prefix_trapezoid(sin * dhat,

@@ -68,7 +68,7 @@ def oracle_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slic
                                    np.broadcast_to(e3, a1.shape)])
     powers = power_increments(step.astype(np.longdouble), block_length(grid.steps)).astype(float)
     tables = (np.ascontiguousarray(np.moveaxis(weights, -1, 1)),
-              np.ascontiguousarray(basis.boundary_flux()[:, cols]),
+              np.ascontiguousarray(basis.boundary_flux[:, cols]),
               np.ascontiguousarray(np.moveaxis(powers, 1, -1)))
     for table in tables:
         table.flags.writeable = False

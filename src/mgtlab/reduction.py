@@ -91,25 +91,6 @@ class MgtParams:
         return -self.gamma * (self.gamma - self.alpha) ** 2
 
 
-def _data_source(params: MgtParams, times: np.ndarray, w0tot: np.ndarray,
-                 w1tot: np.ndarray) -> np.ndarray:
-    """h0(t) w0 + h1(t) w1, the initial-data part of the transformed source.
-
-    The signs of h0 and h1 are fixed by consistency of the transformed
-    problem with the original equation: the memory residual
-    R = v_tt + b mu v - beta v - K*v satisfies R' = rho R, hence
-    R(t) = e^{rho t} [w2_k + gamma w1_k + (gamma^2/4 - beta + b mu) w0_k],
-    which identifies h0 = gamma (gamma - alpha) e^{rho t} and
-    h1 = gamma e^{rho t}; the remaining term is h2 = e^{rho t} times
-    w2 - b Lap w0.  (At gamma = 0 the operator factorizes as
-    (d/dt + alpha)(d^2/dt^2 + b mu) and only the h2 term survives, which the
-    formulas reproduce.)  The cross-route oracle agreement pins these signs.
-    """
-    gamma = params.gamma
-    hs = np.exp(params.decay_exponent * times)[:, None]
-    return gamma * (gamma - params.alpha) * hs * w0tot + gamma * hs * w1tot
-
-
 @dataclass
 class ForcingData:
     """Interior forcing as a callable: times (T,) -> eigen-coefficients (T, modes).
@@ -283,7 +264,7 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
 
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
-    lift = basis.lift_matrix()
+    lift = basis.lift_matrix
 
     w0tot = data.w0.total_coeffs()
     w1tot = data.w1.total_coeffs()
@@ -298,9 +279,15 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
 
     # interior source h0 w0 + h1 w1 + h2 (w2 - b Lap w0); the lifting part of
     # w0 is harmonic so Lap w0 only sees the zero-trace coefficients.  Every
-    # h is a constant times e^{rho t}, so the source is e^{rho t} source_0
+    # h is a constant times e^{rho t}, so the source is e^{rho t} source_0.
+    # Consistency with the original equation fixes the signs: the memory
+    # residual R = v_tt + b mu v - beta v - K*v satisfies R' = rho R, hence
+    # R(t) = e^{rho t} [w2 + gamma w1 + (gamma^2/4 - beta + b mu) w0], so
+    # h0 = gamma (gamma - alpha) e^{rho t}, h1 = gamma e^{rho t} and
+    # h2 = e^{rho t}.  (At gamma = 0 the operator factorizes as (d/dt + alpha)
+    # (d^2/dt^2 + b mu) and only h2 survives.)  The oracle pins these signs.
     source_fixed = w2tot + params.b * basis.eigenvalues * data.w0.coeffs
-    source_0 = _data_source(params, times[:1], w0tot, w1tot)[0] + source_fixed  # h2(0) = 1
+    source_0 = gamma * (gamma - params.alpha) * w0tot + gamma * w1tot + source_fixed
 
     def assemble(out, cols):
         carry, plan = defaultdict(dict), group_plan(params, basis, grid, cols)
@@ -535,7 +522,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
         gamma = params.gamma
         times = grid.times
         sig, assemble = _assembly(data, params, grid)
-        lift = basis.lift_matrix()
+        lift = basis.lift_matrix
         buf = np.empty((3, grid.steps + 1, basis.size))
 
         def solve_group(cols):

@@ -79,20 +79,31 @@ class TimeGrid:
         return _grid_times(self.horizon, self.steps)
 
 
-def _once(method):
-    """A basis array built on first use and kept, read-only, on the basis."""
-    name = "_" + method.__name__
+def _boundary_flux(kind: str, indices: np.ndarray) -> np.ndarray:
+    """(boundary_size, modes) pairings  integral_Gamma_i  d_nu e_k  dsigma.
 
-    @functools.wraps(method)
-    def stored(self):
-        arr = self.__dict__.get(name)
-        if arr is None:
-            arr = method(self)
-            arr.flags.writeable = False
-            setattr(self, name, arr)
-        return arr
-
-    return stored
+    For the interval the boundary measure is counting measure, so the rows
+    are the pointwise normal derivatives of each mode at x=0 and x=1
+    (outward normals -d/dx and +d/dx).  For the square each row is the
+    line integral of d_nu e over one edge (x=0, x=1, y=0, y=1) against
+    constant edge data.
+    """
+    if kind == INTERVAL:
+        k = indices[:, 0]
+        d0 = -SQRT2 * k * np.pi
+        d1 = SQRT2 * k * np.pi * np.where(k % 2 == 0, 1.0, -1.0)
+        return np.vstack([d0, d1])
+    j = indices[:, 0].astype(float)
+    k = indices[:, 1].astype(float)
+    oscil_k = 1.0 - np.where(indices[:, 1] % 2 == 0, 1.0, -1.0)
+    oscil_j = 1.0 - np.where(indices[:, 0] % 2 == 0, 1.0, -1.0)
+    sign_j = np.where(indices[:, 0] % 2 == 0, 1.0, -1.0)
+    sign_k = np.where(indices[:, 1] % 2 == 0, 1.0, -1.0)
+    fx0 = -2.0 * j * oscil_k / k
+    fx1 = 2.0 * j * sign_j * oscil_k / k
+    fy0 = -2.0 * k * oscil_j / j
+    fy1 = 2.0 * k * sign_k * oscil_j / j
+    return np.vstack([fx0, fx1, fy0, fy1])
 
 
 class EigenBasis:
@@ -113,6 +124,11 @@ class EigenBasis:
             self.indices = np.column_stack([j.ravel(), k.ravel()])
             self.eigenvalues = ((self.indices**2).sum(axis=1)) * np.pi**2
         self.sqrt_eigenvalues = np.sqrt(self.eigenvalues)
+        # (boundary_size, modes) each; row i of the lift, <D(delta_i), e_k> = -flux/mu_k,
+        # is the harmonic extension of a unit value on boundary node/edge i
+        self.boundary_flux = _boundary_flux(domain.kind, self.indices)
+        self.lift_matrix = -self.boundary_flux / self.eigenvalues
+        self.boundary_flux.flags.writeable = self.lift_matrix.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -128,42 +144,6 @@ class EigenBasis:
     def grid_points(self, n: int | None = None) -> np.ndarray:
         n = n or self.domain.grid_points_per_axis
         return np.linspace(0.0, 1.0, n + 1)
-
-    @_once
-    def boundary_flux(self) -> np.ndarray:
-        """(boundary_size, modes) pairings  integral_Gamma_i  d_nu e_k  dsigma.
-
-        For the interval the boundary measure is counting measure, so the rows
-        are the pointwise normal derivatives of each mode at x=0 and x=1
-        (outward normals -d/dx and +d/dx).  For the square each row is the
-        line integral of d_nu e over one edge (x=0, x=1, y=0, y=1) against
-        constant edge data.
-        """
-        if self.domain.kind == INTERVAL:
-            k = self.indices[:, 0]
-            d0 = -SQRT2 * k * np.pi
-            d1 = SQRT2 * k * np.pi * np.where(k % 2 == 0, 1.0, -1.0)
-            return np.vstack([d0, d1])
-        j = self.indices[:, 0].astype(float)
-        k = self.indices[:, 1].astype(float)
-        oscil_k = 1.0 - np.where(self.indices[:, 1] % 2 == 0, 1.0, -1.0)
-        oscil_j = 1.0 - np.where(self.indices[:, 0] % 2 == 0, 1.0, -1.0)
-        sign_j = np.where(self.indices[:, 0] % 2 == 0, 1.0, -1.0)
-        sign_k = np.where(self.indices[:, 1] % 2 == 0, 1.0, -1.0)
-        fx0 = -2.0 * j * oscil_k / k
-        fx1 = 2.0 * j * sign_j * oscil_k / k
-        fy0 = -2.0 * k * oscil_j / j
-        fy1 = 2.0 * k * sign_k * oscil_j / j
-        return np.vstack([fx0, fx1, fy0, fy1])
-
-    @_once
-    def lift_matrix(self) -> np.ndarray:
-        """(boundary_size, modes) eigen-coefficients of unit boundary data.
-
-        Row i holds <D(delta_i), e_k> = -(1/mu_k) * flux, the coefficients of
-        the harmonic extension of a unit value on boundary node/edge i.
-        """
-        return -self.boundary_flux() / self.eigenvalues
 
 
 def build_basis(domain: DomainSpec, mode_count: int) -> EigenBasis:
@@ -228,7 +208,7 @@ class SpectralField:
         """L2 eigen-coefficients of the full function, lifting included."""
         if self.boundary is None:
             return self.coeffs.copy()
-        return self.coeffs + self.boundary @ self.basis.lift_matrix()
+        return self.coeffs + self.boundary @ self.basis.lift_matrix
 
     def boundary_values(self) -> np.ndarray:
         if self.boundary is None:
@@ -309,7 +289,7 @@ def normal_trace(basis: EigenBasis, interior: np.ndarray,
     """
     if basis.domain.kind != INTERVAL:
         raise NotImplementedError("normal traces are implemented on the interval")
-    dn = basis.boundary_flux()
+    dn = basis.boundary_flux
     series = interior @ dn.T
     half = slice(0, max(1, basis.size // 2))
     part = interior[:, half] @ dn[:, half].T
@@ -427,7 +407,7 @@ class Trajectory:
         """L2 eigen-coefficients of the whole function, lifting included."""
         if self.boundary is None:
             return self.interior(which)
-        lifted = self.boundary_values(which) @ self.basis.lift_matrix()
+        lifted = self.boundary_values(which) @ self.basis.lift_matrix
         return np.add(self.interior(which), lifted, out=lifted)
 
     def trace(self, which: str) -> NormalTrace:

@@ -65,17 +65,11 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
                            np.maximum(np.abs(raw[:, 1]), beta_min)])
     eta = np.concatenate([np.outer(rim, np.sin(angles)).ravel(), raw[:, 2]])
 
-    # onto the unit sphere, then |B z| / |z| = 1 / |(1, lam_-, lam_-^2)|; |z|^2
-    # is summed as the pointwise referee in tests/reference.py sums it (real
-    # parts, then imaginary) because the minimum is attained on whole
-    # circles, where the last bit decides which sample is reported as the
-    # argmin
+    # onto the unit sphere, then |B z| / |z| = 1 / |(1, lam_-, lam_-^2)|
     scale = np.sqrt(tau**2 + beta**2 + eta**2)
     tau, beta, eta = tau / scale, beta / scale, eta / scale
     lam = _stable_eigenvalue(tau, beta, eta**2, b)
-    re, im = lam.real, lam.imag
-    re2, im2 = re * re - im * im, 2.0 * re * im
-    ratio = 1.0 / np.sqrt((1.0 + re * re + re2 * re2) + (im * im + im2 * im2))
+    ratio = 1.0 / np.sqrt(1.0 + np.abs(lam)**2 + np.abs(lam**2)**2)
     rows = np.column_stack([tau, beta, eta, ratio])
     i = int(np.argmin(ratio))
     return SweepResult(minimum=float(ratio[i]), argmin=i,
@@ -123,11 +117,8 @@ def _probe_sides(bundle, data, which: str, beta: float,
     y_w, y_wt, y_wtt = (bundle.gram_rows(comp) for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
-    # f is sampled once per bundle, through its cached rows; rows of an
-    # all-zero forcing count as no forcing
+    # f is sampled once per bundle, through its cached rows
     y_f = None if bundle.forcing is None else bundle.gram_rows("f")
-    if y_f is not None and not y_f.any():
-        y_f = None
     sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":

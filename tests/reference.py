@@ -8,9 +8,10 @@ the package.  pytest does not collect this file; the test modules import it.
   at anchor rows (cosine.PhaseRows) and folds the memory kernels into
   per-mode constants: phase_table (np.cos/np.sin of outer(times, omega)),
   kernel_samples (the kernels and their derivatives on it), sincos_conv
-  (the sin/cos convolution from one pair of prefix sums) and
-  assembled_planes (the right-hand side planes term by term, as one chunk
-  on the whole grid).
+  (the sin/cos convolution from one pair of prefix sums), data_source (the
+  initial-data part of the source on a time grid, where the assembly forms
+  its value at t = 0 once) and assembled_planes (the right-hand side planes
+  term by term, as one chunk on the whole grid).
 - The Volterra scan (reduction._scan_group): solve_direct, forward
   substitution of the collocated equation one row per step, and
   solve_picard, its Neumann series through convolve_product (an FFT
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mgtlab.quadrature import composite_weights, prefix_trapezoid
-from mgtlab.reduction import MgtParams, _data_source, _gtilde, build_kernel, forcing_transform
+from mgtlab.reduction import MgtParams, _gtilde, build_kernel, forcing_transform
 from mgtlab.spectral import BoundarySignal, SpectralField, TimeGrid
 from mgtlab.symbols import _stable_eigenvalue
 
@@ -70,6 +71,15 @@ def sincos_conv(cos, sin, f, dt, carry=None):
     return sin * pc - cos * ps, cos * pc + sin * ps
 
 
+def data_source(params: MgtParams, times, w0tot, w1tot):
+    """h0(t) w0 + h1(t) w1, the initial-data part of the transformed source,
+    with h0 = gamma (gamma - alpha) e^{rho t} and h1 = gamma e^{rho t}
+    (reduction._assembly derives the signs)."""
+    gamma = params.gamma
+    hs = np.exp(params.decay_exponent * times)[:, None]
+    return gamma * (gamma - params.alpha) * hs * w0tot + gamma * hs * w1tot
+
+
 def assembled_planes(data, params, grid):
     """The (3, steps+1, modes) right-hand sides H, H_t - k v0 and
     H_tt - k' v0 - k v1 of the Volterra route, term by term on the whole
@@ -82,7 +92,7 @@ def assembled_planes(data, params, grid):
     om = kernels.omega
     sig = (data.g.sample(grid) if data.g is not None
            else BoundarySignal.zero(grid, basis.domain.boundary_size))
-    lift = basis.lift_matrix()
+    lift = basis.lift_matrix
     w0tot, w1tot = data.w0.total_coeffs(), data.w1.total_coeffs()
     g0, gt0 = sig.values[0], sig.dvalues[0]
     a0 = data.w0.coeffs + (data.w0.boundary_values() - g0) @ lift
@@ -91,12 +101,12 @@ def assembled_planes(data, params, grid):
              - 0.5 * gamma * g0 - gt0) @ lift)
     v1 = 0.5 * gamma * w0tot + w1tot
     source_fixed = data.w2.total_coeffs() + params.b * basis.eigenvalues * data.w0.coeffs
-    source_0 = _data_source(params, t[:1], w0tot, w1tot)[0] + source_fixed
+    source_0 = data_source(params, t[:1], w0tot, w1tot)[0] + source_fixed
     ct, st = phase_table(om, t)
     dhat, dhat_t, dhat_tt = (x @ lift for x in _gtilde(sig, gamma, t))
     fsamp = (data.f.sample(t, basis.size) if data.f is not None
              else np.zeros((len(t), basis.size)))
-    source = (_data_source(params, t, w0tot, w1tot)
+    source = (data_source(params, t, w0tot, w1tot)
               + np.exp(rho * t)[:, None] * source_fixed)
     ftilde, ftilde_t = forcing_transform(fsamp, params, grid)
     conv_dtt, conv_dtt_c = sincos_conv(ct, st, dhat_tt, dt)

@@ -145,7 +145,7 @@ def test_boundary_probe_is_the_sine_convolution_norm():
                      gt=lambda t: np.column_stack([3.0 * np.cos(3.0 * t), 2.0 * t]),
                      gtt=lambda t: np.column_stack([-9.0 * np.sin(3.0 * t), 2.0 + 0.0 * t]))
     sig = g.sample(grid)
-    dhat = sig.values @ basis.lift_matrix()
+    dhat = sig.values @ basis.lift_matrix
     conv = sincos_conv(*phase_table(2.0 * basis.sqrt_eigenvalues, grid.times), dhat, grid.dt)[0]
     want = np.linalg.norm(basis.sqrt_eigenvalues * conv, axis=1)
     got = boundary_convolution_probe(basis, 2.0, sig, grid)

@@ -219,29 +219,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
     # failing tolerance -> nonzero status with fail rows
+    path.write_text(json.dumps({**cfg, "tolerances": {"cross_route": 1e-12}}))
     code = main(["compare-oracle", "--config", str(path),
-                 "--out", str(tmp_path / "out3"), "--tol", "cross_route=1e-12"])
+                 "--out", str(tmp_path / "out3")])
     assert code == 1
 
 
 def test_cli_bad_tolerance_name(tmp_path):
-    code = main(["solve", "--out", str(tmp_path), "--tol", "nope=1"])
-    assert code == 2
     # a misspelled name in a config file is rejected, not silently ignored
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"tolerances": {"cross_rout": 1e-3}}))
-    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
+    for name in ("nope", "cross_rout"):
+        path.write_text(json.dumps({"tolerances": {name: 1e-3}}))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--modes", "8"], ["--dt", "0.005"], ["--seed", "1"],
+                                   ["--tol", "cross_route=1e-3"]])
+def test_cli_takes_no_config_override_flags(tmp_path, capsys, flags):
+    # the config file is the one way to set a config value
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--out", str(tmp_path / "o"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("flags", [["--modes", "0"], ["--modes=-3,4"], ["--modes", ","],
-                                   ["--tol", "cross_route=0"],
-                                   ["--modes", "4", "--dt", "0.05", "--seed", "-1"]])
-def test_cli_invalid_override_is_config_error(tmp_path, flags):
-    code = main(["solve", "--out", str(tmp_path / "o"), *flags])
-    assert code == 2
-    assert not (tmp_path / "o" / "error.json").exists()
 
 
 @pytest.mark.parametrize("command,raw", [
@@ -263,6 +265,9 @@ def test_cli_invalid_override_is_config_error(tmp_path, flags):
     ("compare-oracle", {"n_scenarios": True}),
     # loaded, then failed inside the run (exit 1) before ScenarioSpec's range checks
     ("solve", {"scenario": {"active_modes": -1}}),
+    # once passed as command-line flags, now set in the config file alone
+    ("solve", {"modes": [0]}), ("solve", {"modes": [-3, 4]}), ("solve", {"modes": []}),
+    ("solve", {"tolerances": {"cross_route": 0}}),
 ])
 def test_cli_rejects_invalid_config_at_load(tmp_path, command, raw):
     # caught before any work: exit 2 and no error record, never a failed run
@@ -343,14 +348,6 @@ def test_cli_every_subcommand_on_the_square(tmp_path):
     assert codes["solve"] == codes["witness"] == codes["symbols"] == 2
     assert codes["convergence"] == 0
     assert (tmp_path / "compare-oracle" / "compare_report.csv").is_file()
-
-
-def test_cli_dt_override(tmp_path):
-    code = main(["solve", "--out", str(tmp_path / "o"), "--modes", "8",
-                 "--dt", "0.005"])
-    assert code == 0
-    summary = json.loads((tmp_path / "o" / "solve_summary.json").read_text())
-    assert summary["steps"] == 200
 
 
 def test_solve_norm_matches_oracle_built_value():
@@ -441,7 +438,6 @@ def test_cross_route_helpers_make_no_grid_sized_temporaries():
     traj = Trajectory(basis, grid, rng.standard_normal((rows, modes)), None, None,
                       BoundarySignal(grid, edge, edge, edge))
     other = rng.standard_normal((rows, modes))
-    basis.lift_matrix()
     nbytes = rows * modes * 8
     tracemalloc.start()
     try:

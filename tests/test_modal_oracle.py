@@ -133,7 +133,7 @@ def test_solve_by_modes_matches_scalar_integrate_mode(kind, modes, g_family, f_f
                                              f_family=f_family))
     grid = TimeGrid(1.0, 200)
     oracle = solve_by_modes(data, PARAMS, grid)
-    flux = basis.boundary_flux()
+    flux = basis.boundary_flux
     c2, b = PARAMS.c**2, PARAMS.b
     init = np.stack([data.w0.total_coeffs(), data.w1.total_coeffs(),
                      data.w2.total_coeffs()])

@@ -20,13 +20,13 @@ from mgtlab.reduction import (
     group_plan,
     solve_mgt,
     _assembly,
-    _data_source,
     _gtilde,
     _scan_group,
 )
 from mgtlab.spectral import DomainSpec, EigenBasis, SpectralField, TimeGrid, build_basis
 from reference import (
     assembled_planes,
+    data_source,
     kernel_samples,
     phase_table,
     sincos_conv,
@@ -82,7 +82,7 @@ def histories(kernels, rhs, data, grid):
 def lifted_boundary(sig, grid):
     """dhat: eigen-coefficients of the lifting of g-tilde = e^{gamma t/2} g."""
     gtilde = _gtilde(sig, PARAMS.gamma, grid.times)[0]
-    return gtilde @ BASIS.lift_matrix()
+    return gtilde @ BASIS.lift_matrix
 
 
 def memory_weight(params, t):
@@ -119,7 +119,7 @@ def test_coefficient_functions_consistent_with_transform():
     # R(0) = w2 + gamma w1 + (gamma^2/4 - beta + b mu) w0 per mode; h2(0) = 1
     gamma = PARAMS.gamma
     w0, w1, w2 = 0.7, -0.3, 0.4
-    lhs = _data_source(PARAMS, np.zeros(1), np.array([w0]), np.array([w1]))[0, 0] + w2
+    lhs = data_source(PARAMS, np.zeros(1), np.array([w0]), np.array([w1]))[0, 0] + w2
     rhs = (gamma**2 / 4 - PARAMS.volterra_beta) * w0 + gamma * w1 + w2
     assert lhs == pytest.approx(rhs)
 
@@ -236,7 +236,7 @@ def test_affine_matches_term_by_term_quadrature():
     gamma = PARAMS.gamma
     for t in (0.25, 0.5, 1.0):
         s = np.linspace(0.0, t, 40001)
-        h0 = _data_source(PARAMS, s, np.ones(1), np.zeros(1))[:, 0]
+        h0 = data_source(PARAMS, s, np.ones(1), np.zeros(1))[:, 0]
         source = h0 + np.exp(PARAMS.decay_exponent * s) * mu * PARAMS.b
         conv = np.trapezoid(np.sin(omega * (t - s)) * source, s)
         expected = (np.cos(omega * t) + 0.5 * gamma * np.sin(omega * t) / omega
@@ -258,7 +258,7 @@ def test_affine_rewritten_equals_raw_form():
     cos, sin = phase_table(omega, times)
     w0tot = data.w0.total_coeffs()
     source_fixed = data.w2.total_coeffs() + PARAMS.b * BASIS.eigenvalues * data.w0.coeffs
-    source = (_data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
+    source = (data_source(PARAMS, times, w0tot, data.w1.total_coeffs())
               + np.exp(PARAMS.decay_exponent * times)[:, None] * source_fixed)
     ftilde = forcing_transform(data.f.sample(times, BASIS.size), PARAMS, grid)[0]
     H_raw = (cos * w0tot + sin / omega * initial_v(data)[1]
@@ -432,26 +432,35 @@ def test_no_forcing_gives_the_bits_of_a_zero_forcing():
 
 
 def test_basis_geometry_built_once_per_basis(monkeypatch):
-    # a solve and both estimate probes read one stored, read-only array of each
+    # the flux (and the lift from it) is built with each basis, read-only; a
+    # solve and both probes build it for no basis of their own, and the bases
+    # of the plan and Gram caches once per shape
+    from mgtlab import spectral
     from mgtlab.symbols import estimate_probe
 
-    seen = {}
-    for name in ("lift_matrix", "boundary_flux"):
-        def spy(self, method=getattr(EigenBasis, name), name=name):
-            arr = method(self)
-            seen.setdefault(name, []).append(arr)
-            return arr
+    calls, bases = [], []
 
-        monkeypatch.setattr(EigenBasis, name, spy)
+    def spy(*args, build=spectral._boundary_flux):
+        calls.append(args)
+        return build(*args)
+
+    def counted_init(self, *args, init=EigenBasis.__init__):
+        bases.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(spectral, "_boundary_flux", spy)
+    monkeypatch.setattr(EigenBasis, "__init__", counted_init)
     basis = build_basis(DomainSpec("interval", 256), 16)
+    assert len(calls) == len(bases) == 1
+    assert not basis.boundary_flux.flags.writeable
+    assert not basis.lift_matrix.flags.writeable
     data = make_scenario(basis, ScenarioSpec(seed=4, g_family="poly", g_amp=0.1))
-    bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 400))
-    for which in ("resolvent_4a", "semigroup_10"):
-        estimate_probe(bundle, data, which)
-    assert sorted(seen) == ["boundary_flux", "lift_matrix"]
-    for arrays in seen.values():
-        assert all(arr is arrays[0] for arr in arrays)
-        assert not arrays[0].flags.writeable
+    for warm in (False, True):
+        del calls[:], bases[:]
+        bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 400))
+        for which in ("resolvent_4a", "semigroup_10"):
+            estimate_probe(bundle, data, which)
+        assert len(calls) == (0 if warm else len(bases))
 
 
 def test_solve_mgt_memory_is_a_few_solution_arrays():

@@ -59,7 +59,7 @@ def structured_error(params, basis, grid, seed, cols=None):
 def mode_odes(data, params):
     """(ModeOde, initial state) of each mode of data, for integrate_mode."""
     basis = data.basis
-    flux = basis.boundary_flux()
+    flux = basis.boundary_flux
     c2, b = params.c**2, params.b
     init = np.stack([data.w0.total_coeffs(), data.w1.total_coeffs(),
                      data.w2.total_coeffs()])

@@ -113,8 +113,8 @@ def test_flux_identity_all_modes(domain):
     basis = build_basis(domain, 6)
     rng = np.random.default_rng(1)
     phi = rng.normal(size=domain.boundary_size)
-    coeffs = phi @ basis.lift_matrix()
-    pairing = phi @ basis.boundary_flux()
+    coeffs = phi @ basis.lift_matrix
+    pairing = phi @ basis.boundary_flux
     assert np.max(np.abs(basis.eigenvalues * coeffs + pairing)) < 1e-12
 
 
@@ -248,7 +248,7 @@ def test_normal_trace_reads_the_lower_half_as_views(decay):
     rng = np.random.default_rng(int(decay))
     interior = rng.normal(size=(2001, 128)) / np.arange(1, 129) ** decay
     boundary = rng.normal(size=(2001, 2))
-    dn = basis.boundary_flux()
+    dn = basis.boundary_flux
     half = np.argsort(basis.eigenvalues, kind="stable")[:64]
     series = interior @ dn.T
     part = interior[:, half] @ dn[:, half].T
@@ -279,7 +279,7 @@ def test_trajectory_total_trace_and_field():
                          rng.normal(size=(4, 2)))
     lifted = Trajectory(basis, grid, w, wt, wtt, sig)
     whole = Trajectory(basis, grid, w, wt, wtt, None)
-    lift = basis.lift_matrix()
+    lift = basis.lift_matrix
     for which, interior, edge in (("w", w, sig.values), ("wt", wt, sig.dvalues),
                                   ("wtt", wtt, sig.ddvalues)):
         assert lifted.total(which) == pytest.approx(interior + edge @ lift)
@@ -289,7 +289,7 @@ def test_trajectory_total_trace_and_field():
         fld = SpectralField(basis, lifted.interior(which)[2], edge[2])
         assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])
     a, b = sig.values[:, 0], sig.values[:, 1]
-    expected = w @ basis.boundary_flux().T + np.column_stack([a - b, b - a])
+    expected = w @ basis.boundary_flux.T + np.column_stack([a - b, b - a])
     assert np.array_equal(lifted.trace("w").series, expected)
 
 
