@@ -32,13 +32,14 @@ class OraclePlan:
     """The tables of one mode group's RK4 scan on one grid, read-only.
 
     weights (3, 3, n): the source weights dt/6 (P_0, P_1/2, P_1), each
-    component j a contiguous row; flux (nodes, n): the group's columns of
-    the boundary flux; powers (L+1, 3, 3, n): R^i - I for i = 0..L,
-    component-major.  The powers multiply whole states in the carry, so
-    their rounding is the scan's largest error where a state's components
-    differ in scale: they are taken in extended precision (where numpy's
-    longdouble has it) and rounded once.  A 128-mode group on 10^4 steps
-    holds 0.95 MB.
+    component j a contiguous row (the last, dt/6 e_3, is exactly zero in
+    components 0 and 1, so the input build adds it to component 2 alone);
+    flux (nodes, n): the group's columns of the boundary flux; powers
+    (L+1, 3, 3, n): R^i - I for i = 0..L, component-major.  The powers
+    multiply whole states in the carry, so their rounding is the scan's
+    largest error where a state's components differ in scale: they are
+    taken in extended precision (where numpy's longdouble has it) and
+    rounded once.  A 128-mode group on 10^4 steps holds 0.95 MB.
     """
 
     weights: np.ndarray
@@ -84,7 +85,9 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
     Each mode group (quadrature.mode_groups) runs on its own core and
     weights the source into its columns of the state buffer, one row chunk
     at a time; a chunk samples RK4's stage times once each, its step ends
-    t_m (shared by neighbouring steps) and midpoints t_m + dt/2.  For
+    t_m (shared by neighbouring steps) and midpoints t_m + dt/2, and weights
+    them in one broadcast pass (the end weight, dt/6 e_3, into component 2
+    alone).  For
     y' = A y + e_3 s(t) one RK4 step is exactly
     y_{m+1} = R y_m + dt/6 (P_0 s_m + P_1/2 s_{m+1/2} + P_1 s_{m+1}) with R
     the degree-4 Taylor polynomial of dt A, so the steps run as a blocked
@@ -119,14 +122,13 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
 
         # the sources at each distinct stage time of a chunk's steps: its
         # step ends t_m (shared by neighbouring steps) and midpoints
+        w0, w1, w2 = plan.weights
         for rows in row_chunks(steps, cols.stop - cols.start):
             t = np.arange(rows.start, rows.stop + 1) * dt
             ends = source(t)
             out = body[rows, :, cols]
-            out[:] = 0.0
-            for weight, src in zip(plan.weights, (ends[:-1], source(t[:-1] + dt / 2), ends[1:])):
-                for j in range(3):
-                    out[:, j] += weight[j] * src
+            np.add(w0 * ends[:-1, None], w1 * source(t[:-1] + dt / 2)[:, None], out=out)
+            out[:, 2] += w2[2] * ends[1:]
         # past RK4's stability limit the scan overflows: one error below, no warnings
         with np.errstate(over="ignore", invalid="ignore"):
             _scan_group(plan.powers, states[..., cols])
@@ -145,20 +147,29 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
 def _scan_group(pw: np.ndarray, states: np.ndarray) -> None:
     """solve_by_modes' scan on the (steps+1, 3, modes) columns states, whose
     row 0 holds the initial state and later rows the inputs; pw holds
-    R^i - I for i = 0..L (OraclePlan.powers)."""
+    R^i - I for i = 0..L (OraclePlan.powers).
+
+    The zero-state pass runs inside every block of a run of blocks at once,
+    the runs the row chunks of each segment's blocks by the width of one
+    block row (quadrature.row_chunks), so that its working arrays stay in
+    cache; the carry pass then adds R^{i+1} times the state before each
+    block, block by block.  Every block takes the same float operations
+    however the blocks are grouped."""
     segments = scan_blocks(states[1:])
     # each pass sums its three products ((p0 + p1) + p2) in buffers
     one = pw[1]
     for seg in segments:
-        # zero-state pass inside every block at once
-        acc, tmp = np.empty((2,) + seg[:, 0].shape)
-        for i in range(1, seg.shape[1]):
-            prev, row = seg[:, i - 1], seg[:, i]
-            np.multiply(one[:, 0], prev[:, 0, None], out=acc)
-            for j in (1, 2):
-                acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
-            row += acc
-            row += prev
+        # zero-state pass inside every block of a run at once
+        for part in row_chunks(len(seg), seg[0, 0].size):
+            blocks = seg[part]
+            acc, tmp = np.empty((2,) + blocks[:, 0].shape)
+            for i in range(1, blocks.shape[1]):
+                prev, row = blocks[:, i - 1], blocks[:, i]
+                np.multiply(one[:, 0], prev[:, 0, None], out=acc)
+                for j in (1, 2):
+                    acc += np.multiply(one[:, j], prev[:, j, None], out=tmp)
+                row += acc
+                row += prev
     prev = states[0]
     acc, tmp = np.empty((2,) + segments[0][0].shape)
     for seg in segments:

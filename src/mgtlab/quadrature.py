@@ -225,8 +225,9 @@ def scan_blocks(rows: np.ndarray) -> list[np.ndarray]:
     """Views of the leading axis of rows cut into blocks for a linear scan.
 
     A recurrence x_{m+1} = M x_m + u_m over S rows is evaluated in two
-    levels: a zero-state pass runs inside every block at once, then the
-    block-start states are carried from block to block with powers of M.
+    levels: a zero-state pass runs inside every block of a run of blocks at
+    once, then the block-start states are carried from block to block with
+    powers of M.
     With blocks of length L = ceil(sqrt(S)) that is about 2 sqrt(S)
     vectorised steps where a step loop makes S.
 

@@ -4,13 +4,14 @@ Pipeline: take the constants of the exponential transform v = e^{gamma t/2} w
 from MgtParams, assemble the per-mode memory kernel and the right-hand sides
 built from the affine histories H, H_t, H_tt, run three collocated Volterra
 solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
-with the Dirichlet data.  Assembly and recovery stream over row chunks of
-the time grid, so that no grid-length phase table, history or forcing table
-is formed.  Modes are independent through the whole route, so it runs in one
-pass over mode groups (quadrature.mode_groups, each_part), one per core on
-wide bases: each group assembles, scans and recovers its own columns of one
-buffer, with its own carries and its columns of the lifting products, and
-with the tables of its plan, built once per problem shape (group_plan).
+with the Dirichlet data.  Assembly streams over row chunks of the time grid,
+and recovery over the row ranges that the scan finishes, so that no
+grid-length phase table, history or forcing table is formed.  Modes are
+independent through the whole route, so it runs in one pass over mode
+groups (quadrature.mode_groups, each_part), one per core on wide bases:
+each group assembles, scans and recovers its own columns of one buffer,
+with its own carries and its columns of the lifting products, and with the
+tables of its plan, built once per problem shape (group_plan).
 
 The solution fields are kept as zero-trace eigen-expansions plus the exact
 harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
@@ -402,7 +403,8 @@ def group_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slice
                      _rows(np.transpose(pw[length], (2, 1, 0))))
 
 
-def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
+def _scan_group(plan: GroupPlan, v: np.ndarray,
+                done: Callable[[slice], None] | None = None) -> None:
     """Trapezoid collocation for the structured kernel, as a blocked linear scan.
 
     In the rotating frame X_m = sum_{j<m} w_j (cos, sin, e^rho)(t_m - t_j) v_j
@@ -419,24 +421,30 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
     v holds the right-hand sides, shape (steps+1, k, modes), k <= 3, for the
     modes of plan (GroupPlan), and is overwritten with the solution; it may
     be a strided view.  The zero-state pass updates all three frame
-    components of every block of a segment at once; the carry pass then
-    carries the block-start states X from block to block and subtracts
-    their read-outs dt k^T M^i X from a run of blocks at a time, the runs
-    the row chunks of the segment's blocks (quadrature.row_chunks).  The k
-    right-hand sides go through the same elementwise float operations as k
-    separate solves, so neither batching, mode grouping, the runs nor the
-    layout of v changes a bit.
+    components of a run of blocks of a segment at once, the runs the row
+    chunks of the segment's blocks by the width of one block row
+    (quadrature.row_chunks), so that its working arrays stay in cache; the
+    carry pass then carries the block-start states X from block to block
+    and subtracts their read-outs dt k^T M^i X from a run of blocks at a
+    time, the row chunks of the segment's blocks by their whole width.
+    done, when given, is called with each range of rows as soon as its
+    read-outs are subtracted, while they are in cache: slices of v's rows,
+    in order, covering 0..steps once, each of at least two rows (a row left
+    alone at the end joins the range before it), since numpy rounds a
+    one-row matrix product by another routine.  The k right-hand sides go
+    through the same elementwise float operations as k separate solves, so
+    neither batching, mode grouping, the runs nor the layout of v changes a
+    bit.
     """
     k, dt, em1 = v.shape[1], plan.dt, plan.em1
     kvec, turn, counter, reads, carry = (table[..., :k, :] for table in (
         plan.kvec, plan.turn, plan.counter, plan.reads, plan.carry))
 
-    def zero_state(blocks):
-        # the collocation inside every block at once, from X = 0, on the
-        # frame states x = (cos, sin, exp); each product goes through a
-        # buffer, and B xc + A xs and cm1 xc + (-sn xs) round as the plain
-        # A xs + B xc and cm1 xc - sn xs do
-        x = np.zeros((3,) + blocks[:, 0].shape)
+    def zero_state(blocks, x):
+        # the collocation inside every block of a run at once, from X = 0
+        # (x, zero on entry), on the frame states x = (cos, sin, exp); each
+        # product goes through a buffer, and B xc + A xs and cm1 xc + (-sn xs)
+        # round as the plain A xs + B xc and cm1 xc - sn xs do
         scratch = np.empty((4,) + x.shape[1:])
         prod, turned, back = scratch[:3], scratch[:2], scratch[2:]
         for i in range(blocks.shape[1]):
@@ -452,13 +460,16 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
             turned += np.multiply(counter[:, None], x[1], out=back)
             x[:2] += turned
             x[2] += np.multiply(em1, x[2], out=prod[0])
-        return x
 
     # X at row 1 is G e v_0 / 2; carry it from block to block
     x = 0.5 * np.stack([(1.0 + turn[0]) * v[0], turn[1] * v[0], (1.0 + em1) * v[0]])
     terms = np.empty((3,) + x.shape)
+    # rows 0..stop are solved, rows 0..handed handed to done
+    handed, stop = 0, 1
     for seg in scan_blocks(v[1:]):
-        ends = zero_state(seg)
+        ends = np.zeros((3,) + seg[:, 0].shape)
+        for part in row_chunks(len(seg), seg[0, 0].size):
+            zero_state(seg[part], ends[:, part])
         rows = seg.shape[1]
         for part in row_chunks(len(seg), seg[0].size):
             n = part.stop - part.start
@@ -477,6 +488,10 @@ def _scan_group(plan: GroupPlan, v: np.ndarray) -> None:
             for j in (1, 2):
                 acc += np.multiply(reads[:rows, j], starts[:n, None, j], out=tmp)
             seg[part] -= acc
+            stop += n * rows
+            if done is not None and len(v) - stop != 1:
+                done(slice(handed, stop))
+                handed = stop
 
 
 def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
@@ -511,7 +526,9 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     runs the whole route on its columns of one (3, steps+1, modes) buffer:
     it assembles the right-hand sides into the three planes, scans them in
     place as a (steps+1, 3, cols) view, and overwrites each plane with its
-    output chunk by chunk; the planes are the trajectory's w, wt and wtt.
+    output one range of rows at a time, each as soon as the scan's carry
+    pass has finished it and while it is in cache (_scan_group's done); the
+    planes are the trajectory's w, wt and wtt.
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
@@ -527,11 +544,11 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
 
         def solve_group(cols):
             assemble(buf, cols)
-            _scan_group(group_plan(params, basis, grid, cols),
-                        np.moveaxis(buf[..., cols], 0, 1))
             bad = {}
             lift_cols = lift[:, cols]
-            for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
+
+            def recover(rows):
+                # undo the transform on rows the scan has just finished
                 t = times[rows]
                 dhats = [x @ lift_cols for x in _gtilde(sig, gamma, t, rows)]
                 damp = np.exp(-0.5 * gamma * t)[:, None]
@@ -542,10 +559,13 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
                 np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
                             out=wtt_int)
                 for name, chunk in zip(names, outs):
-                    # min/max propagate NaN and +-inf, read while the chunk is in cache
+                    # min/max propagate NaN and +-inf, read while the rows are in cache
                     if name not in bad and not (np.isfinite(chunk.min())
                                                 and np.isfinite(chunk.max())):
                         bad[name] = t[np.argmin(np.all(np.isfinite(chunk), axis=1))]
+
+            _scan_group(group_plan(params, basis, grid, cols),
+                        np.moveaxis(buf[..., cols], 0, 1), recover)
             return bad
 
         first_bad = each_part(solve_group, mode_groups(basis.size))

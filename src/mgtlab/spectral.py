@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import composite_weights
+from .quadrature import composite_weights, row_chunks
 
 if TYPE_CHECKING:
     from .reduction import ForcingData
@@ -407,8 +407,13 @@ class Trajectory:
         """L2 eigen-coefficients of the whole function, lifting included."""
         if self.boundary is None:
             return self.interior(which)
-        lifted = self.boundary_values(which) @ self.basis.lift_matrix
-        return np.add(self.interior(which), lifted, out=lifted)
+        interior, edge = self.interior(which), self.boundary_values(which)
+        out = np.empty(interior.shape)
+        # lift a row chunk at a time and add the interior while it is in cache
+        for rows in row_chunks(len(out), out.shape[1]):
+            chunk = np.matmul(edge[rows], self.basis.lift_matrix, out=out[rows])
+            np.add(interior[rows], chunk, out=chunk)
+        return out
 
     def trace(self, which: str) -> NormalTrace:
         if which not in self.traces:

@@ -15,8 +15,9 @@ max|new - old| / max|old| per case and output:
 The cases are acceptance criterion 1's ten scenarios (interval, 32 modes,
 10^4 steps), one 16x16 square solved as 1, 2 and 3 mode groups, whose
 digests must also agree with each other, and criterion 8's small solves
-(interval, 16 modes, the default scenario at seeds 0-2) on 400 steps and
-on 401, whose last scan segment is a leftover block.  Each route's lines
+(interval, 16 modes, the default scenario at seeds 0-2) on 400 steps, on
+401, whose last scan segment is a leftover block, and on 111, whose last
+scan segment is a single row.  Each route's lines
 digest its w, w_t and w_tt.  Each interval case also digests the
 measurements taken on them: the sup interior norms on a 1024-point grid,
 the two trace-space norms, both estimate-probe ratios on a 256-point grid
@@ -83,7 +84,7 @@ def cases():
         yield f"square-groups{groups}", data, TimeGrid(1.0, 3000)
     quadrature._cores = cores_of_host
     small = build_basis(DOMAIN, 16)
-    for steps in (400, 401):
+    for steps in (400, 401, 111):
         for seed in range(3):
             yield (f"small-steps{steps}-seed{seed}", make_scenario(small, ScenarioSpec(seed=seed)),
                    TimeGrid(1.0, steps))

@@ -62,20 +62,56 @@ def test_mode_groups_cover_the_basis_in_order(monkeypatch):
 @pytest.mark.parametrize("forcing", [True, False])
 @pytest.mark.parametrize("boundary", [True, False])
 def test_groups_give_the_bits_of_one_group(monkeypatch, domain, forcing, boundary):
+    # at 111 steps the last scan segment (block length 11) is a single row
     basis = BASES[domain]
     spec = make_scenario(basis, ScenarioSpec(seed=3, g_family="poly"))
     data = MgtData(spec.w0, spec.w1, spec.w2, f=spec.f if forcing else None,
                    g=spec.g if boundary else None)
-    grid = TimeGrid(1.0, 300)
-    want, groups = outputs(data, grid)
-    assert groups == 1
-    for count in (1, 2, 3):
-        with monkeypatch.context() as mp:
-            grouped(mp, count)
-            got, groups = outputs(data, grid)
-        assert groups == count
-        for key, value in want.items():
-            assert np.array_equal(got[key], value), (count, key)
+    recovered = recovered_ranges(monkeypatch)
+    for steps in (300, 111):
+        grid = TimeGrid(1.0, steps)
+        recovered.clear()
+        want, groups = outputs(data, grid)
+        assert groups == 1
+        assert_cover(recovered, steps, groups)
+        for count in (1, 2, 3):
+            recovered.clear()
+            with monkeypatch.context() as mp:
+                grouped(mp, count)
+                got, groups = outputs(data, grid)
+            assert groups == count
+            assert_cover(recovered, steps, groups)
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), (steps, count, key)
+
+
+def recovered_ranges(monkeypatch):
+    """A list that gets, for each scan of solve_mgt, the list of the row
+    ranges it hands to the recovery."""
+    recovered = []
+
+    def recording(plan, v, done, scan=reduction._scan_group):
+        ranges = []
+        recovered.append(ranges)
+
+        def record(rows):
+            ranges.append(rows)
+            done(rows)
+
+        scan(plan, v, record)
+
+    monkeypatch.setattr(reduction, "_scan_group", recording)
+    return recovered
+
+
+def assert_cover(recovered, steps, groups):
+    """Each of the groups' scans handed rows 0..steps to the recovery once,
+    in order, in ranges of two or more rows."""
+    assert len(recovered) == groups
+    for ranges in recovered:
+        assert ranges[0].start == 0 and ranges[-1].stop == steps + 1
+        assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+        assert all(r.stop - r.start >= 2 for r in ranges), ranges
 
 
 @pytest.mark.parametrize("module,route", [(reduction, "solve_mgt"),
@@ -190,14 +226,20 @@ def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_c
     data = make_scenario(BASES["interval"], ScenarioSpec(seed=1))
     omega = reduction.build_kernel(PARAMS, data.basis).omega
 
-    def spoiled(plan, v, scan=reduction._scan_group):
+    def spoiled(plan, v, done, scan=reduction._scan_group):
         # v holds a group's columns only: column col of the basis is its
-        # column col - start
-        scan(plan, v)
+        # column col - start; a row is spoiled as its range is handed to
+        # the recovery
         start = int(np.flatnonzero(omega == plan.kernels.omega[0])[0])
-        for row, col, bad in ((late, late_col, np.inf), (early, early_col, np.nan)):
-            if col is not None and start <= col < start + plan.kernels.size:
-                v[row, 0, col - start] = bad
+
+        def spoil(rows):
+            for row, col, bad in ((late, late_col, np.inf), (early, early_col, np.nan)):
+                if (col is not None and start <= col < start + plan.kernels.size
+                        and rows.start <= row < rows.stop):
+                    v[row, 0, col - start] = bad
+            done(rows)
+
+        scan(plan, v, spoil)
 
     monkeypatch.setattr(reduction, "_scan_group", spoiled)
     first = late if early_col is None else early

@@ -76,6 +76,17 @@ def test_another_problem_shape_gets_another_plan(plan_of, change):
                for a, b in zip(arrays(plans[0]), arrays(plans[1])))
 
 
+@pytest.mark.parametrize("steps", [1, 400])
+def test_oracle_end_weight_is_dt_over_six_in_component_2_alone(steps):
+    # the input build adds the end weight dt/6 e_3 to component 2 only
+    grid = TimeGrid(1.0, steps)
+    weights = oracle_plan(PARAMS, build_basis(DOMAIN, 8), grid, slice(2, 7)).weights
+    want = np.zeros((3, 5))
+    want[2] = grid.dt / 6.0
+    assert np.array_equal(weights[2], want)
+    assert not np.signbit(weights[2]).any()
+
+
 @pytest.mark.parametrize("steps", [400, 401])
 def test_routes_give_the_same_bits_with_a_cold_and_a_warm_cache(steps):
     basis = build_basis(DOMAIN, 16)

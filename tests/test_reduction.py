@@ -307,18 +307,25 @@ def test_solve_mgt_rejects_non_finite_output():
 
 
 def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
-    # the check runs chunk by chunk, but reports as a check of whole arrays
+    # the check runs range by range, but reports as a check of whole arrays
     # would: w before wt before wtt, each at its first bad time
     grid = TimeGrid(1.0, 10000)
     rows = row_chunks(grid.steps + 1, BASIS.size)
     assert len(rows) >= 3
     late, early = rows[2].start + 3, rows[1].start + 1
+    spoiled_in = {}
 
-    def spoiled(plan, v, scan=reduction._scan_group):
-        # one mode group: v holds every column of the (steps+1, 3, modes) view
-        scan(plan, v)
-        v[late, 0, 1] = np.inf
-        v[early, 1, 2] = np.nan
+    def spoiled(plan, v, done, scan=reduction._scan_group):
+        # one mode group: v holds every column of the (steps+1, 3, modes)
+        # view; a row is spoiled as its range is handed to the recovery
+        def spoil(rows):
+            for row, comp, col, bad in ((late, 0, 1, np.inf), (early, 1, 2, np.nan)):
+                if rows.start <= row < rows.stop:
+                    v[row, comp, col] = bad
+                    spoiled_in[row] = rows
+            done(rows)
+
+        scan(plan, v, spoil)
 
     monkeypatch.setattr(reduction, "_scan_group", spoiled)
     with warnings.catch_warnings():
@@ -326,6 +333,8 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
         with pytest.raises(ReductionError,
                            match=f"non-finite w from t = {grid.times[late]:.6g} on"):
             solve_mgt(eigen_data(0), PARAMS, grid)
+    # the bad wt comes first, in an earlier range than the bad w
+    assert spoiled_in[early].stop <= spoiled_in[late].start
 
 
 def test_solve_mgt_matches_oracle_eigenmode():

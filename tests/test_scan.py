@@ -1,11 +1,11 @@
 """Blocked linear scans of both routes against their plain step-by-step forms.
 
 The structured Volterra solve and the RK4 oracle each run as a two-level
-scan (quadrature.scan_blocks): a zero-state pass inside every block at once,
-then the block-start states carried with powers of the one-step map.  The
-references are the generic trapezoid collocation (solve_direct) and the
-scalar RK4 integrator (integrate_mode) of tests/reference.py, both of which
-step once per row.
+scan (quadrature.scan_blocks): a zero-state pass inside every block of a run
+of blocks at once, then the block-start states carried with powers of the
+one-step map.  The references are the generic trapezoid collocation
+(solve_direct) and the scalar RK4 integrator (integrate_mode) of
+tests/reference.py, both of which step once per row.
 The prefix sums and the right-hand sides streamed in row chunks are checked
 bit for bit against one call on all the rows.
 """
@@ -21,9 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mgtlab
-from mgtlab import quadrature
+from mgtlab import modal_oracle, quadrature
 from mgtlab.generators import ScenarioSpec, make_scenario
-from mgtlab.modal_oracle import solve_by_modes
+from mgtlab.modal_oracle import oracle_plan, solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
                                prefix_exponential, prefix_trapezoid, row_chunks,
                                scan_blocks)
@@ -178,17 +178,22 @@ def test_structured_scan_matches_collocation(monkeypatch, steps):
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)
 def test_structured_scan_bits_do_not_depend_on_the_runs(monkeypatch, steps):
-    # read-outs over whole segments and over the smallest runs that
-    # row_chunks makes, two or three blocks
+    # both routes' scans: zero-state passes and read-outs over whole
+    # segments and over the smallest runs that row_chunks makes, two or
+    # three blocks
     grid = TimeGrid(1.0, steps)
     rhs = np.random.default_rng(steps).normal(size=(steps + 1, 3, 16))
-    outs = []
-    for chunk in (CHUNK_ELEMENTS, 1):
-        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
-        out = rhs.copy()
-        _scan_group(group_plan(PARAMS, WIDE, grid, slice(1, 17)), out)
-        outs.append(out)
-    assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+    for scan, plan in ((_scan_group, group_plan(PARAMS, WIDE, grid, slice(1, 17))),
+                       (modal_oracle._scan_group,
+                        oracle_plan(PARAMS, WIDE, grid, slice(1, 17)).powers)):
+        outs = []
+        for chunk in (CHUNK_ELEMENTS, 1):
+            monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
+            out = rhs.copy()
+            scan(plan, out)
+            assert np.isfinite(out).all()
+            outs.append(out)
+        assert np.array_equal(outs[1], outs[0]), scan.__module__
 
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtlab import spectral
+from mgtlab import quadrature, spectral
+from mgtlab.quadrature import CHUNK_ELEMENTS
 from mgtlab.spectral import (
     BoundaryData,
     BoundarySignal,
@@ -270,19 +271,25 @@ def test_normal_trace_rejects_square():
         normal_trace(build_basis(SQUARE, 2), np.zeros((1, 4)))
 
 
-def test_trajectory_total_trace_and_field():
+def random_trajectories(basis, steps, seed):
+    """A trajectory with random interior arrays and boundary signal, and one
+    with the same arrays and no boundary signal."""
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(seed)
+    w, wt, wtt = (rng.normal(size=(steps + 1, basis.size)) for _ in range(3))
+    nodes = basis.domain.boundary_size
+    sig = BoundarySignal(grid, *(rng.normal(size=(steps + 1, nodes)) for _ in range(3)))
+    return (Trajectory(basis, grid, w, wt, wtt, sig),
+            Trajectory(basis, grid, w, wt, wtt, None))
+
+
+def test_trajectory_total_trace_and_field(monkeypatch):
     basis = build_basis(INTERVAL, 8)
-    grid = TimeGrid(1.0, 3)
-    rng = np.random.default_rng(2)
-    w, wt, wtt = (rng.normal(size=(4, 8)) for _ in range(3))
-    sig = BoundarySignal(grid, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)),
-                         rng.normal(size=(4, 2)))
-    lifted = Trajectory(basis, grid, w, wt, wtt, sig)
-    whole = Trajectory(basis, grid, w, wt, wtt, None)
-    lift = basis.lift_matrix
-    for which, interior, edge in (("w", w, sig.values), ("wt", wt, sig.dvalues),
-                                  ("wtt", wtt, sig.ddvalues)):
-        assert lifted.total(which) == pytest.approx(interior + edge @ lift)
+    lifted, whole = random_trajectories(basis, 3, 2)
+    w, sig = lifted.w, lifted.boundary
+    for which, interior, edge in (("w", w, sig.values), ("wt", lifted.wt, sig.dvalues),
+                                  ("wtt", lifted.wtt, sig.ddvalues)):
+        assert np.array_equal(lifted.total(which), interior + edge @ basis.lift_matrix)
         assert whole.total(which) is interior
         assert whole.boundary_values(which) is None
         assert lifted.boundary_values(which) is edge
@@ -291,6 +298,17 @@ def test_trajectory_total_trace_and_field():
     a, b = sig.values[:, 0], sig.values[:, 1]
     expected = w @ basis.boundary_flux.T + np.column_stack([a - b, b - a])
     assert np.array_equal(lifted.trace("w").series, expected)
+    # total lifts row chunk by row chunk, with the bits of one product on
+    # the whole grid: on one step (two rows), on one chunk and on several
+    for chunk in (CHUNK_ELEMENTS, 64):
+        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
+        for domain, steps in ((INTERVAL, 1), (INTERVAL, 300), (SQUARE, 1), (SQUARE, 300)):
+            basis = build_basis(domain, 8 if domain is INTERVAL else 3)
+            lifted, whole = random_trajectories(basis, steps, steps)
+            for which in ("w", "wt", "wtt"):
+                want = lifted.interior(which) + lifted.boundary_values(which) @ basis.lift_matrix
+                assert np.array_equal(lifted.total(which), want), (chunk, domain, steps, which)
+                assert whole.total(which) is whole.interior(which)
 
 
 def test_boundary_signal_shape_validation():
