@@ -6,7 +6,6 @@ certification of the uniform Lopatinskii condition for the equivalent
 first-order system.
 """
 
-from .cosine import boundary_convolution_probe
 from .modal_oracle import solve_by_modes
 from .reduction import (
     ForcingData,
@@ -27,7 +26,7 @@ from .spectral import (
     build_basis,
     normal_trace,
 )
-from .symbols import estimate_probe, lopatinskii_sweep
+from .symbols import boundary_convolution_probe, estimate_probe, lopatinskii_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

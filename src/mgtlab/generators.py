@@ -125,16 +125,11 @@ def make_boundary(spec: ScenarioSpec, nodes: int) -> BoundaryData:
                              knot=spec.knot)
                 for i in range(nodes)]
 
-    def g(t):
-        return np.stack([p[0](t) for p in profiles], axis=-1)
+    def stacked(k):
+        # the k-th time derivative at every node, (T,) -> (T, nodes)
+        return lambda t: np.stack([p[k](t) for p in profiles], axis=-1)
 
-    def gt(t):
-        return np.stack([p[1](t) for p in profiles], axis=-1)
-
-    def gtt(t):
-        return np.stack([p[2](t) for p in profiles], axis=-1)
-
-    return BoundaryData(g=g, gt=gt, gtt=gtt, nodes=nodes)
+    return BoundaryData(*(stacked(k) for k in range(3)), nodes=nodes)
 
 
 def make_scenario(basis: EigenBasis, spec: ScenarioSpec) -> MgtData:
@@ -163,7 +158,7 @@ def make_scenario(basis: EigenBasis, spec: ScenarioSpec) -> MgtData:
         coeffs = space_modes(basis, rng, spec.active_modes, spec.decay, spec.f_amp)
         prof = time_profile(spec.f_family, amp=1.0, freq=spec.f_freq,
                             knot=spec.knot)[0]
-        f = ForcingData.separable(prof, coeffs)
+        f = ForcingData(modes=lambda t: prof(t)[:, None] * coeffs)
     return MgtData(w0=w0, w1=w1, w2=w2, f=f, g=g)
 
 
@@ -185,9 +180,7 @@ def manufactured_mode_case(basis: EigenBasis, params: MgtParams, mode: int = 0,
 
     def fmode(t):
         # w''' + a w'' + b mu w' + c^2 mu w for the manufactured trajectory
-        w = amp * np.sin(s * t)
-        w1 = amp * s * np.cos(s * t)
-        w2 = -amp * s**2 * np.sin(s * t)
+        w, w1, w2 = exact(t)
         w3 = -amp * s**3 * np.cos(s * t)
         return w3 + a * w2 + b * mu * w1 + c2 * mu * w
 
@@ -196,15 +189,10 @@ def manufactured_mode_case(basis: EigenBasis, params: MgtParams, mode: int = 0,
         out[:, mode] = fmode(t)
         return out
 
-    zero = np.zeros(basis.size)
-    init0 = zero.copy()
-    init1 = zero.copy()
-    init2 = zero.copy()
+    init1 = np.zeros(basis.size)
     init1[mode] = amp * s
-    data = MgtData(
-        w0=SpectralField(basis, init0),
-        w1=SpectralField(basis, init1),
-        w2=SpectralField(basis, init2),
-        f=ForcingData(modes=modes),
-        g=None)
+    data = MgtData(w0=SpectralField(basis, np.zeros(basis.size)),
+                   w1=SpectralField(basis, init1),
+                   w2=SpectralField(basis, np.zeros(basis.size)),
+                   f=ForcingData(modes=modes))
     return data, exact

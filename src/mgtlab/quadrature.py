@@ -2,8 +2,9 @@
 
 On grids t_j = j*dt: composite trapezoid weights over [0, t_m], and running
 integrals (trapezoid, and exponentially weighted) carried across row chunks.
-Around them sit the row chunks and blocked scans of the time loops, and the
-mode groups that run each solution route on every core.  The fourth-order
+Around them sit the row chunks and blocked scans of the time loops, the
+cos/sin phase rows of a wave family on any rows of the grid, and the mode
+groups that run each solution route on every core.  The fourth-order
 Gregory rule and the product-quadrature convolution of the Volterra
 referees are in tests/reference.py.
 """
@@ -35,6 +36,10 @@ CHUNK_ELEMENTS = 2**15
 # for handing it to another thread: on a 2-vCPU host, 32 modes per group ran
 # slower than one group and 64 or more ran faster.
 GROUP_MODES = 64
+
+# Anchor spacing of PhaseRows: trig on one row in 64 plus a 64-row offset
+# table per mode group, both small next to a row chunk.
+ANCHOR = 64
 
 # prefix_exponential's blocks: up to EXP_BLOCK rows, two levels of them, and
 # rebasing factors within 2^+-32
@@ -214,6 +219,40 @@ def row_chunks(rows: int, width: int) -> list[slice]:
     if rows >= 2:
         count = min(count, rows // 2)
     return _even_split(rows, count)
+
+
+class PhaseRows:
+    """cos(omega t) and sin(omega t) on any rows of a uniform grid.
+
+    cos/sin are evaluated only at the anchor rows n = a*ANCHOR and at the
+    in-block offsets j*dt; row a*ANCHOR + j is
+        cos = cos_a cos_j - sin_a sin_j,  sin = sin_a cos_j + cos_a sin_j,
+    so a row's bits depend on its absolute index alone, whichever rows a
+    call asks for, and the trig work on a grid of S+1 rows and N modes is
+    (ceil((S+1)/ANCHOR) + ANCHOR) N values instead of (S+1) N.  The result
+    is within a few ulp of |omega t| of cos/sin of outer(times, omega).
+    The tables are read-only, so that one PhaseRows can serve every solve
+    on its grid (reduction.group_plan).
+    """
+
+    def __init__(self, omega: np.ndarray, times: np.ndarray, dt: float):
+        self._anchor_cos, self._anchor_sin = _cos_sin(np.outer(times[::ANCHOR], omega))
+        offsets = np.arange(min(ANCHOR, len(times))) * dt
+        self._step_cos, self._step_sin = _cos_sin(np.outer(offsets, omega))
+        for table in vars(self).values():
+            table.flags.writeable = False
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of omega t on the grid rows rows, (len, modes) each."""
+        anchor, step = np.divmod(np.arange(rows.start, rows.stop), ANCHOR)
+        ca, sa = self._anchor_cos[anchor], self._anchor_sin[anchor]
+        cj, sj = self._step_cos[step], self._step_sin[step]
+        return ca * cj - sa * sj, sa * cj + ca * sj
+
+
+def _cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phase) and sin(phase), sin computed in the phase buffer."""
+    return np.cos(phase), np.sin(phase, out=phase)
 
 
 def block_length(rows: int) -> int:

@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cosine import PhaseRows
 from .quadrature import (
+    PhaseRows,
     blas_threads,
     block_length,
     each_part,
@@ -50,10 +50,6 @@ from .spectral import (
 )
 
 COMPAT_TOL = 1e-8
-
-
-class ReductionError(RuntimeError):
-    """Raised when a Volterra solve fails to converge or yields non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,6 @@ class ForcingData:
     def sample(self, times: np.ndarray, size: int) -> np.ndarray:
         """The eigen-coefficients at times, of shape (len(times), size)."""
         return _samples(self.modes, times, size, "forcing callable", "modes")
-
-    @classmethod
-    def separable(cls, time_profile: Callable[[np.ndarray], np.ndarray],
-                  coeffs: np.ndarray) -> "ForcingData":
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(modes=lambda t: time_profile(t)[:, None] * coeffs)
 
 
 @dataclass
@@ -344,7 +334,7 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
 class GroupPlan:
     """The tables of one mode group's Volterra route on one grid, read-only.
 
-    kernels and phase (PhaseRows) serve the assembly; the rest the scan
+    kernels and phase (quadrature.PhaseRows) serve the assembly; the rest the scan
     (_scan_group): dt, em1 = e^{rho dt} - 1 and, each laid out as
     contiguous (3, modes) rows, one per right-hand side, so that the scan's
     updates of (..., 3, modes) states run as 3 x modes inner loops:
@@ -403,8 +393,7 @@ def group_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slice
                      _rows(np.transpose(pw[length], (2, 1, 0))))
 
 
-def _scan_group(plan: GroupPlan, v: np.ndarray,
-                done: Callable[[slice], None] | None = None) -> None:
+def _scan_group(plan: GroupPlan, v: np.ndarray, done: Callable[[slice], None]) -> None:
     """Trapezoid collocation for the structured kernel, as a blocked linear scan.
 
     In the rotating frame X_m = sum_{j<m} w_j (cos, sin, e^rho)(t_m - t_j) v_j
@@ -427,14 +416,13 @@ def _scan_group(plan: GroupPlan, v: np.ndarray,
     carry pass then carries the block-start states X from block to block
     and subtracts their read-outs dt k^T M^i X from a run of blocks at a
     time, the row chunks of the segment's blocks by their whole width.
-    done, when given, is called with each range of rows as soon as its
-    read-outs are subtracted, while they are in cache: slices of v's rows,
-    in order, covering 0..steps once, each of at least two rows (a row left
-    alone at the end joins the range before it), since numpy rounds a
-    one-row matrix product by another routine.  The k right-hand sides go
-    through the same elementwise float operations as k separate solves, so
-    neither batching, mode grouping, the runs nor the layout of v changes a
-    bit.
+    done is called with each range of rows as soon as its read-outs are
+    subtracted, while they are in cache: slices of v's rows, in order,
+    covering 0..steps once, each of at least two rows (a row left alone at
+    the end joins the range before it), since numpy rounds a one-row matrix
+    product by another routine.  The k right-hand sides go through the same
+    elementwise float operations as k separate solves, so neither batching,
+    mode grouping, the runs nor the layout of v changes a bit.
     """
     k, dt, em1 = v.shape[1], plan.dt, plan.em1
     kvec, turn, counter, reads, carry = (table[..., :k, :] for table in (
@@ -489,7 +477,7 @@ def _scan_group(plan: GroupPlan, v: np.ndarray,
                 acc += np.multiply(reads[:rows, j], starts[:n, None, j], out=tmp)
             seg[part] -= acc
             stop += n * rows
-            if done is not None and len(v) - stop != 1:
+            if len(v) - stop != 1:
                 done(slice(handed, stop))
                 handed = stop
 
@@ -573,7 +561,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     for name in names:
         found = [bad[name] for bad in first_bad if name in bad]
         if found:
-            raise ReductionError(
+            raise FloatingPointError(
                 f"non-finite {name} from t = {min(found):.6g} on: the "
                 "exponentially weighted transform left the float range")
 

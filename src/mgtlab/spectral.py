@@ -64,8 +64,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -141,8 +141,7 @@ class EigenBasis:
         k = self.indices[:, 0]
         return SQRT2 * np.sin(np.outer(k, np.pi * x))
 
-    def grid_points(self, n: int | None = None) -> np.ndarray:
-        n = n or self.domain.grid_points_per_axis
+    def grid_points(self, n: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, n + 1)
 
 
@@ -219,7 +218,7 @@ class SpectralField:
 # -- Sobolev norms ----------------------------------------------------------
 
 
-def gram_forms(basis: EigenBasis, n: int | None = None) -> tuple[np.ndarray, ...]:
+def gram_forms(basis: EigenBasis, n: int) -> tuple[np.ndarray, ...]:
     """Gram matrices (G0, G1, G2) of the grid norms on the interval.
 
     The grid norms act on rows y = (interior coefficients, a, b), where a, b
@@ -232,7 +231,7 @@ def gram_forms(basis: EigenBasis, n: int | None = None) -> tuple[np.ndarray, ...
     """
     if basis.domain.kind != INTERVAL:
         raise NotImplementedError("Gram forms are implemented on the interval")
-    return _interval_grams(basis.mode_count, n or basis.domain.grid_points_per_axis)
+    return _interval_grams(basis.mode_count, n)
 
 
 # a few (modes, n) pairs are in use at once; an entry holds 3 (modes+2)^2 floats
@@ -404,10 +403,11 @@ class Trajectory:
         return {"w": sig.values, "wt": sig.dvalues, "wtt": sig.ddvalues}[which]
 
     def total(self, which: str) -> np.ndarray:
-        """L2 eigen-coefficients of the whole function, lifting included."""
-        if self.boundary is None:
-            return self.interior(which)
+        """L2 eigen-coefficients of the whole function, lifting included:
+        the interior itself where the component has no boundary part."""
         interior, edge = self.interior(which), self.boundary_values(which)
+        if edge is None:
+            return interior
         out = np.empty(interior.shape)
         # lift a row chunk at a time and add the interior while it is in cache
         for rows in row_chunks(len(out), out.shape[1]):

@@ -7,17 +7,19 @@ lambda A^d z = G z whose stable subspace carries the uniform Lopatinskii
 check |Bz| >= const * |z| over the normalized frequency sphere.  The sweep
 evaluates the stable eigenvalue in closed form over arrays of frequencies;
 the pencil itself and its per-point eigenstructure are the sweep's
-reference in tests/reference.py.
+reference in tests/reference.py.  Beside the sweep sit the estimate probes
+and the boundary-to-interior probe of the symbols runner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import composite_weights
-from .spectral import gram_forms, gram_rows, row_forms
+from .quadrature import PhaseRows, composite_weights, prefix_trapezoid
+from .spectral import BoundarySignal, EigenBasis, TimeGrid, gram_forms, gram_rows, row_forms
 
 
 def _stable_eigenvalue(tau, beta, eta_sq, b: float):
@@ -37,7 +39,6 @@ def analytic_ratio_floor(b: float) -> float:
 @dataclass
 class SweepResult:
     minimum: float
-    argmin: int  # the row of the minimum in rows
     floor: float
     rows: np.ndarray  # columns: tau, beta, eta, ratio
 
@@ -71,9 +72,7 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
     lam = _stable_eigenvalue(tau, beta, eta**2, b)
     ratio = 1.0 / np.sqrt(1.0 + np.abs(lam)**2 + np.abs(lam**2)**2)
     rows = np.column_stack([tau, beta, eta, ratio])
-    i = int(np.argmin(ratio))
-    return SweepResult(minimum=float(ratio[i]), argmin=i,
-                       floor=analytic_ratio_floor(b), rows=rows)
+    return SweepResult(minimum=float(ratio.min()), floor=analytic_ratio_floor(b), rows=rows)
 
 
 # -- estimate probes ----------------------------------------------------------
@@ -81,7 +80,7 @@ def lopatinskii_sweep(b: float, samples: int = 10000, beta_min: float = 1e-6,
 
 @dataclass
 class ProbeResult:
-    ratio: float  # left side over right side, 0 when both vanish
+    ratio: float  # left side over right side: 0 if both vanish, inf if only the right does
 
 
 def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
@@ -92,14 +91,18 @@ def estimate_probe(bundle, data, which: str, weight_beta: float = 2.0,
     (1/beta)||e^{-bt} f||_Q^2 + ||u||_{2,b,S}^2 for u = e^{-beta t} w.
     which="semigroup_10": the finite-horizon, unweighted energy estimate with
     terminal norms, interior H^2(Q) norm and the H^1(Sigma) trace norm on the
-    left, data norms on the right.  Ratios are reported, never asserted
-    against a specific constant.
+    left, data norms on the right.  The ratio is left side over right side:
+    0 when both sides vanish, inf when only the right side does.  Ratios are
+    reported, never asserted against a specific constant.
     """
     if which not in ("resolvent_4a", "semigroup_10"):
         raise ValueError(f"unknown probe {which!r}")
     lhs, rhs = _probe_sides(bundle, data, which, weight_beta, space_points)
-    ratio = 0.0 if rhs == 0.0 and lhs == 0.0 else lhs / rhs
-    return ProbeResult(ratio)
+    if rhs == 0.0:
+        # resolvent_4a's right side has no initial-data term, so it vanishes
+        # under nonzero initial data without Dirichlet data or forcing
+        return ProbeResult(0.0 if lhs == 0.0 else math.inf)
+    return ProbeResult(lhs / rhs)
 
 
 def _probe_sides(bundle, data, which: str, beta: float,
@@ -150,3 +153,23 @@ def _probe_sides(bundle, data, which: str, beta: float,
         rhs += y @ gram @ y
     return float(lhs), float(rhs)
 
+
+
+# -- boundary-to-interior probe ----------------------------------------------
+
+
+def boundary_convolution_probe(basis: EigenBasis, speed: float, g: BoundarySignal,
+                               grid: TimeGrid) -> np.ndarray:
+    """C([0,T]; L2) norm series witnessing boundary-to-interior regularity.
+
+    Returns the (steps+1,) L2 norms of A int R_-(t-s) D g(s) ds for the wave
+    family of frequencies omega = speed * sqrt(mu): by angle addition the
+    sine convolution is sin(omega t) Pc - cos(omega t) Ps, with Pc and Ps the
+    running integrals of cos(omega s) and sin(omega s) times the lifted data.
+    """
+    dhat = g.values @ basis.lift_matrix
+    omega = speed * basis.sqrt_eigenvalues
+    cos, sin = PhaseRows(omega, grid.times, grid.dt).rows(slice(0, grid.steps + 1))
+    conv_s = sin * prefix_trapezoid(cos * dhat, grid.dt) - cos * prefix_trapezoid(sin * dhat,
+                                                                                 grid.dt)
+    return np.linalg.norm(basis.sqrt_eigenvalues * conv_s, axis=1)

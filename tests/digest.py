@@ -17,13 +17,16 @@ The cases are acceptance criterion 1's ten scenarios (interval, 32 modes,
 digests must also agree with each other, and criterion 8's small solves
 (interval, 16 modes, the default scenario at seeds 0-2) on 400 steps, on
 401, whose last scan segment is a leftover block, and on 111, whose last
-scan segment is a single row.  Each route's lines
-digest its w, w_t and w_tt.  Each interval case also digests the
-measurements taken on them: the sup interior norms on a 1024-point grid,
-the two trace-space norms, both estimate-probe ratios on a 256-point grid
-and the cross-route relative sup errors of w, w_t and w_tt.  numpy's BLAS
-is pinned to one thread before numpy loads, since matrix products round
-differently with more threads.  pytest does not collect this file.
+scan segment is a single row.  One more small solve on 400 steps has no
+Dirichlet data (seed 0, g_family "zero"; the forcing is kept, so both
+probes stay finite): it is the case of each route's g = None path.  Each
+route's lines digest its w, w_t and w_tt.  Each interval case also
+digests the measurements taken on them: the sup interior norms on a
+1024-point grid, the two trace-space norms, both estimate-probe ratios on
+a 256-point grid and the cross-route relative sup errors of w, w_t and
+w_tt.  numpy's BLAS is pinned to one thread before numpy loads, since
+matrix products round differently with more threads.  pytest does not
+collect this file.
 """
 
 import os
@@ -88,6 +91,8 @@ def cases():
         for seed in range(3):
             yield (f"small-steps{steps}-seed{seed}", make_scenario(small, ScenarioSpec(seed=seed)),
                    TimeGrid(1.0, steps))
+    yield ("small-steps400-no-dirichlet",
+           make_scenario(small, ScenarioSpec(seed=0, g_family="zero")), TimeGrid(1.0, 400))
 
 
 def main():

@@ -5,7 +5,7 @@ production path computes in a structured or vectorised way; none is part of
 the package.  pytest does not collect this file; the test modules import it.
 
 - The Volterra assembly (reduction._assembly), which evaluates cos/sin only
-  at anchor rows (cosine.PhaseRows) and folds the memory kernels into
+  at anchor rows (quadrature.PhaseRows) and folds the memory kernels into
   per-mode constants: phase_table (np.cos/np.sin of outer(times, omega)),
   kernel_samples (the kernels and their derivatives on it), sincos_conv
   (the sin/cos convolution from one pair of prefix sums), data_source (the
@@ -324,7 +324,7 @@ def exact_exponential_solution(params, mu, initial, times):
 # -- grid norms ----------------------------------------------------------------
 
 
-def evaluate(field: SpectralField, n=None):
+def evaluate(field: SpectralField, n: int):
     """Values of an interval field on the uniform (n+1)-point grid, its
     affine lifting a + (b - a) x included."""
     x = field.basis.grid_points(n)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgtlab.cosine import boundary_convolution_probe
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.harness import (
     ScenarioConfig,
@@ -32,6 +31,7 @@ from mgtlab.harness import (
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import MgtParams, build_kernel, solve_mgt
 from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
+from mgtlab.symbols import boundary_convolution_probe
 from reference import characteristic_roots, kernel_samples, solve_direct, solve_picard
 
 CONFIGS = Path(__file__).parents[1] / "configs"

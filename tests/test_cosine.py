@@ -1,10 +1,13 @@
-"""Phase rows, the sin/cos convolution, the smoothing convolution, boundary probes."""
+"""The wave equation's cosine and sine family: its phase rows
+(quadrature.PhaseRows), the sin/cos convolution, the smoothing convolution
+and the boundary-to-interior probe (symbols.boundary_convolution_probe)."""
 
 import numpy as np
 import pytest
 
-from mgtlab.cosine import ANCHOR, PhaseRows, boundary_convolution_probe
+from mgtlab.quadrature import ANCHOR, PhaseRows
 from mgtlab.spectral import BoundaryData, BoundarySignal, DomainSpec, TimeGrid, build_basis
+from mgtlab.symbols import boundary_convolution_probe
 from reference import phase_table, sincos_conv
 
 BASIS = build_basis(DomainSpec("interval", 256), 8)

@@ -21,7 +21,7 @@ from mgtlab import modal_oracle, quadrature, reduction
 from mgtlab.generators import ScenarioSpec, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import each_part, mode_groups, row_chunks
-from mgtlab.reduction import ForcingData, MgtData, MgtParams, ReductionError, solve_mgt
+from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import BoundaryData, DomainSpec, TimeGrid, build_basis
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
@@ -210,7 +210,7 @@ def test_groups_raise_the_overflow_error_of_one_group(monkeypatch):
                    TimeGrid(400.0, 400))
     assert len(found) == 1
     kind, message = found.pop()
-    assert kind is ReductionError and message.startswith("non-finite w from t = ")
+    assert kind is FloatingPointError and message.startswith("non-finite w from t = ")
 
 
 @pytest.mark.parametrize("early_col,late_col", [(6, 0), (0, 6), (None, 3)])
@@ -243,7 +243,7 @@ def test_groups_name_the_earliest_bad_time_of_all(monkeypatch, early_col, late_c
 
     monkeypatch.setattr(reduction, "_scan_group", spoiled)
     first = late if early_col is None else early
-    with pytest.raises(ReductionError,
+    with pytest.raises(FloatingPointError,
                        match=f"non-finite w from t = {grid.times[first]:.6g} on"):
         solve_mgt(data, PARAMS, grid)
 

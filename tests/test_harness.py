@@ -1,5 +1,6 @@
 """Config validation, runners, CSV determinism, CLI exit codes."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -302,8 +303,30 @@ def test_cli_non_finite_solve_writes_record(tmp_path):
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     record = json.loads((tmp_path / "o" / "error.json").read_text())
-    assert record["error"] == "ReductionError"
+    assert record["error"] == "FloatingPointError"
     assert "non-finite w" in record["message"]
+
+
+def test_cli_symbols_without_boundary_data_or_forcing(tmp_path):
+    # resolvent_4a's ratio is inf on every scenario: its rows fail, and the
+    # run still writes its report, with no error record
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "modes": [6, 12], "steps": 100, "horizon": 0.5, "grid_points_per_axis": 128,
+        "scenario": {"g_family": "zero", "f_family": "zero"},
+        "symbol": {"b_grid": [1.0], "samples": 1000, "probe_scenarios": 4,
+                   "probe_modes": 4, "probe_steps": 40}}))
+    code = main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert not (tmp_path / "o" / "error.json").exists()
+    rows = csv.DictReader((tmp_path / "o" / "symbols_report.csv").read_text().splitlines())
+    probe = {row["name"]: row["passed"] for row in rows if row["level"] == "probe"}
+    assert probe["resolvent_4a_max_over_median"] == probe["resolvent_4a_refinement_drift"] == "fail"
+    assert probe["semigroup_10_max_over_median"] == "pass"
+    ratios = list(csv.DictReader((tmp_path / "o" / "estimate_probes.csv").read_text()
+                                 .splitlines()))
+    assert {row["resolvent_4a"] for row in ratios} == {"inf"}
+    assert all(math.isfinite(float(row["semigroup_10"])) for row in ratios)
 
 
 def test_cli_unstable_oracle_writes_record(tmp_path):

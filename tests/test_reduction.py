@@ -6,15 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from mgtlab import cosine, reduction
+from mgtlab import reduction
 from mgtlab.generators import ScenarioSpec, make_boundary, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
-from mgtlab.quadrature import CHUNK_ELEMENTS, prefix_exponential, row_chunks
+from mgtlab.quadrature import ANCHOR, CHUNK_ELEMENTS, PhaseRows, prefix_exponential, row_chunks
 from mgtlab.reduction import (
     ForcingData,
     MgtData,
     MgtParams,
-    ReductionError,
     build_kernel,
     forcing_transform,
     group_plan,
@@ -68,7 +67,7 @@ def scanned(params, basis, grid, rhs):
     sides rhs, solved by the structured scan, the basis as one group."""
     out = rhs.copy()
     plan = group_plan(params, basis, grid, slice(0, basis.size))
-    _scan_group(plan, out.reshape(out.shape[0], -1, out.shape[-1]))
+    _scan_group(plan, out.reshape(out.shape[0], -1, out.shape[-1]), lambda rows: None)
     return out
 
 
@@ -301,7 +300,7 @@ def test_solve_mgt_rejects_non_finite_output():
     data = make_scenario(basis, ScenarioSpec(seed=0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("error")
-        with pytest.raises(ReductionError, match="non-finite w "):
+        with pytest.raises(FloatingPointError, match="non-finite w "):
             solve_mgt(data, PARAMS, TimeGrid(2000.0, 2000))
     assert caught == []
 
@@ -330,11 +329,22 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
     monkeypatch.setattr(reduction, "_scan_group", spoiled)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ReductionError,
+        with pytest.raises(FloatingPointError,
                            match=f"non-finite w from t = {grid.times[late]:.6g} on"):
             solve_mgt(eigen_data(0), PARAMS, grid)
     # the bad wt comes first, in an earlier range than the bad w
     assert spoiled_in[early].stop <= spoiled_in[late].start
+
+
+def test_forcing_component_totals_to_its_interior_on_both_routes():
+    # "f" has no boundary part: total is the interior, also where w, w_t
+    # and w_tt have one
+    data = make_scenario(BASIS, ScenarioSpec(seed=2))
+    grid = TimeGrid(1.0, 50)
+    for solve in (solve_mgt, solve_by_modes):
+        traj = solve(data, PARAMS, grid)
+        assert traj.boundary_values("f") is None
+        assert np.array_equal(traj.total("f"), traj.interior("f")), solve.__name__
 
 
 def test_solve_mgt_matches_oracle_eigenmode():
@@ -364,11 +374,11 @@ def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
     # the chunks cover the grid once, in order
     built = []
 
-    def counting(self, rows, build=cosine.PhaseRows.rows):
+    def counting(self, rows, build=PhaseRows.rows):
         built.append(rows)
         return build(self, rows)
 
-    monkeypatch.setattr(cosine.PhaseRows, "rows", counting)
+    monkeypatch.setattr(PhaseRows, "rows", counting)
     grid = TimeGrid(1.0, 3 * CHUNK_ELEMENTS // BASIS.size)
     solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=9)), PARAMS, grid)
     assert len(built) == 4
@@ -377,7 +387,7 @@ def test_solve_mgt_builds_phase_rows_once_in_chunks(monkeypatch):
     assert all((r.stop - r.start) * BASIS.size <= CHUNK_ELEMENTS for r in built)
 
 
-@pytest.mark.parametrize("steps", [cosine.ANCHOR - 3, 3 * CHUNK_ELEMENTS // BASIS.size])
+@pytest.mark.parametrize("steps", [ANCHOR - 3, 3 * CHUNK_ELEMENTS // BASIS.size])
 def test_assembly_takes_trig_at_anchor_rows_only(monkeypatch, steps):
     # building a group's plan runs cos and sin on at most
     # (ceil((S+1)/B) + B) N values, B the anchor spacing, where a table on
@@ -400,7 +410,7 @@ def test_assembly_takes_trig_at_anchor_rows_only(monkeypatch, steps):
     for name in counts:
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     assemble(out, slice(0, BASIS.size))
-    bound = (-(-(grid.steps + 1) // cosine.ANCHOR) + cosine.ANCHOR) * BASIS.size
+    bound = (-(-(grid.steps + 1) // ANCHOR) + ANCHOR) * BASIS.size
     assert 0 < counts["cos"] <= bound and 0 < counts["sin"] <= bound + 2 * BASIS.size
     counts.update(cos=0, sin=0)
     assemble(out, slice(0, BASIS.size))

@@ -52,6 +52,12 @@ def test_rejects_tiny_grid():
         DomainSpec("interval", 4)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_time_grid_rejects_a_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {horizon!r}"):
+        TimeGrid(horizon, 50)
+
+
 def test_orthonormality_by_grid_quadrature():
     # trapezoid quadrature is exact here once the modes are resolved
     basis = build_basis(INTERVAL, 16)

@@ -5,6 +5,8 @@ Weighted norms and both probes read the Gram forms of the grid norms
 grid norms of tests/reference.py, is the probes' reference.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_sweep_other_b_values():
         sweep = lopatinskii_sweep(b, samples=2000, seed=0)
         assert sweep.minimum > 0.0
         assert sweep.minimum >= analytic_ratio_floor(b) - 1e-9
-        assert sweep.rows[sweep.argmin, 3] == sweep.minimum
+        assert sweep.rows[np.argmin(sweep.rows[:, 3]), 3] == sweep.minimum
 
 
 def test_sweep_rejects_small_sample_count():
@@ -183,7 +185,7 @@ def test_sweep_rows_match_pointwise_ratio():
                 for t, be, e in zip(tau, beta, eta)]
         np.testing.assert_allclose(ratio, want, rtol=0, atol=1e-14)
         assert sweep.minimum == ratio.min()
-        assert sweep.argmin == np.argmin(ratio)
+        assert np.argmin(sweep.rows[:, 3]) == np.argmin(ratio)
 
 
 def weighted_norm(field, k, beta, n):
@@ -242,6 +244,17 @@ def test_probe_zero_data_ratio_zero():
     bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 200))
     res = estimate_probe(bundle, data, "semigroup_10")
     assert res.ratio == 0.0
+
+
+def test_probe_without_boundary_data_or_forcing():
+    # resolvent_4a's right side has no initial-data term: it vanishes under
+    # nonzero initial data, and the ratio is inf; semigroup_10 reads the
+    # initial data and stays finite
+    data = make_scenario(BASIS, ScenarioSpec(seed=0, g_family="zero", f_family="zero"))
+    bundle = solve_mgt(data, PARAMS, TimeGrid(1.0, 200))
+    assert _probe_sides(bundle, data, "resolvent_4a", 2.0, 256)[1] == 0.0
+    assert estimate_probe(bundle, data, "resolvent_4a").ratio == math.inf
+    assert 0.0 < estimate_probe(bundle, data, "semigroup_10").ratio < math.inf
 
 
 def test_probe_refinement_stability():
