@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import ScenarioSpec, make_boundary, make_scenario, manufactured_mode_case
 from .modal_oracle import solve_by_modes
-from .quadrature import composite_weights, row_chunks
+from .quadrature import _even_split, composite_weights, each_part, mode_groups, row_chunks
 from .reduction import MgtParams, solve_mgt
 from .spectral import (DomainSpec, TimeGrid, Trajectory, build_basis, gram_forms, gram_rows,
                        row_forms)
@@ -210,12 +210,25 @@ def write_series_csv(path: Path, header: list[str], columns: list[np.ndarray]) -
 
 
 def write_summary_json(path: Path, summary: dict) -> None:
+    """summary as RFC 8259 JSON, each non-finite float written as null."""
     payload = dict(summary)
     payload["metadata"] = dict(payload.get("metadata", {}))
     payload["metadata"]["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    """value with each non-finite float in its dicts, lists and tuples as None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _finish(experiment: str, prefix: str, out_dir: str | Path, rows: list[ReportRow],
@@ -288,20 +301,31 @@ def _rel_change(new: float, old: float) -> float:
 def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     """Relative sup-in-time L2 distance between coefficient trajectories.
 
-    The squared row norms are summed chunk by chunk (quadrature.row_chunks)
-    in one chunk buffer, so no temporary the size of the trajectories is
-    formed, and one square root is taken of each running maximum: sqrt is
-    monotone and correctly rounded, so this gives the bits of the largest
-    np.linalg.norm of the rows.  np.maximum keeps a NaN or inf row in the
-    result.
+    The squared row norms are summed chunk by chunk (quadrature.row_chunks),
+    each run of chunks in one chunk buffer, so no temporary the size of the
+    trajectories is formed, and one square root is taken of each running
+    maximum: sqrt is monotone and correctly rounded, so this gives the bits
+    of the largest np.linalg.norm of the rows.  The chunks are cut into one
+    contiguous run per mode group of b's width (quadrature.mode_groups),
+    the runs concurrent (quadrature.each_part); a maximum does not depend
+    on the grouping, and np.maximum keeps a NaN or inf row in the result.
     """
-    num = den = -np.inf
-    for rows in row_chunks(len(b), b.shape[1]):
-        sq = np.subtract(a[rows], b[rows])
-        sq *= sq
-        num = np.maximum(num, np.max(np.add.reduce(sq, axis=1)))
-        np.multiply(b[rows], b[rows], out=sq)
-        den = np.maximum(den, np.max(np.add.reduce(sq, axis=1)))
+    chunks = row_chunks(len(b), b.shape[1])
+
+    def maxima(run):
+        # the largest squared row norms of a - b and of b on the rows of run
+        buf = np.empty((max(rows.stop - rows.start for rows in run),) + b.shape[1:])
+        num = den = -np.inf
+        for rows in run:
+            sq = np.subtract(a[rows], b[rows], out=buf[:rows.stop - rows.start])
+            sq *= sq
+            num = np.maximum(num, np.max(np.add.reduce(sq, axis=1)))
+            np.multiply(b[rows], b[rows], out=sq)
+            den = np.maximum(den, np.max(np.add.reduce(sq, axis=1)))
+        return num, den
+
+    runs = _even_split(len(chunks), min(len(chunks), len(mode_groups(b.shape[1]))))
+    num, den = np.maximum.reduce(each_part(maxima, [chunks[run] for run in runs]))
     return float(np.sqrt(num) / max(np.sqrt(den), 1e-300))
 
 

@@ -116,19 +116,28 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
                    else np.zeros((len(ts), cols.stop - cols.start)))
             if data.g is not None:
                 g, gt = (_samples(fn, ts, data.g.nodes) for fn in (data.g.g, data.g.gt))
-                src = src - c2 * (g @ plan.flux)
-                src -= b * (gt @ plan.flux)
+                # src - c^2 (g flux) - b (gt flux), in the fresh products
+                flux = g @ plan.flux
+                flux *= c2
+                src = np.subtract(src, flux, out=flux)
+                flux = gt @ plan.flux
+                flux *= b
+                src -= flux
             return src
 
         # the sources at each distinct stage time of a chunk's steps: its
-        # step ends t_m (shared by neighbouring steps) and midpoints
+        # step ends t_m (shared by neighbouring steps) and midpoints, each
+        # weighted term through one scratch
         w0, w1, w2 = plan.weights
-        for rows in row_chunks(steps, cols.stop - cols.start):
+        chunks = row_chunks(steps, cols.stop - cols.start)
+        scratch = np.empty((max(c.stop - c.start for c in chunks), 3, cols.stop - cols.start))
+        for rows in chunks:
             t = np.arange(rows.start, rows.stop + 1) * dt
             ends = source(t)
-            out = body[rows, :, cols]
-            np.add(w0 * ends[:-1, None], w1 * source(t[:-1] + dt / 2)[:, None], out=out)
-            out[:, 2] += w2[2] * ends[1:]
+            out, term = body[rows, :, cols], scratch[:rows.stop - rows.start]
+            np.multiply(w0, ends[:-1, None], out=out)
+            out += np.multiply(w1, source(t[:-1] + dt / 2)[:, None], out=term)
+            out[:, 2] += np.multiply(w2[2], ends[1:], out=term[:, 2])
         # past RK4's stability limit the scan overflows: one error below, no warnings
         with np.errstate(over="ignore", invalid="ignore"):
             _scan_group(plan.powers, states[..., cols])

@@ -61,21 +61,24 @@ def composite_weights(m: int, dt: float) -> np.ndarray:
 def prefix_trapezoid(values: np.ndarray, dt: float, carry: dict | None = None) -> np.ndarray:
     """Running trapezoid integrals P_m = int_0^{t_m} along axis 0; P_0 = 0.
 
-    carry, a dict that starts empty, continues the integrals over consecutive
-    row chunks of one sequence: each call leaves there the first row and the
-    last running sum.  The sums add one row at a time, so chunked calls give
-    the bits of one call on all the rows.
+    The integrals overwrite values, a float array, which is returned: a
+    caller that reads its samples again passes a copy.  carry, a dict that
+    starts empty, continues the integrals over consecutive row chunks of one
+    sequence: each call leaves there the first row and the last running
+    sum.  The sums add one row at a time, so chunked calls give the bits of
+    one call on all the rows.
     """
     carry = {} if carry is None else carry
-    cs = np.array(values, dtype=float)
-    first = carry.setdefault("first", cs[0].copy())
-    cs[0] += carry.get("sum", 0.0)
-    carry["sum"] = _running_sum(cs, 0)[-1].copy()
-    # dt * (cs - 0.5 values - 0.5 first), in place
-    cs -= np.multiply(values, 0.5, dtype=float)
-    cs -= 0.5 * first
-    cs *= dt
-    return cs
+    values = np.asarray(values, dtype=float)
+    half = np.multiply(values, 0.5)
+    first = carry.setdefault("first", values[0].copy())
+    values[0] += carry.get("sum", 0.0)
+    carry["sum"] = _running_sum(values, 0)[-1].copy()
+    # dt * (sums - 0.5 values - 0.5 first), in place
+    values -= half
+    values -= 0.5 * first
+    values *= dt
+    return values
 
 
 def _running_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -111,7 +114,7 @@ def prefix_exponential(rate: float, values: np.ndarray, dt: float,
     """
     values = np.asarray(values, dtype=float)
     if abs(rate) < 1e-14:
-        return prefix_trapezoid(values, dt, carry)
+        return prefix_trapezoid(values.copy(), dt, carry)
     carry = {} if carry is None else carry
     e, w_left, w_right, lengths = _exp_weights(rate, dt)
     rows = values.reshape(len(values), -1)
@@ -247,7 +250,12 @@ class PhaseRows:
         anchor, step = np.divmod(np.arange(rows.start, rows.stop), ANCHOR)
         ca, sa = self._anchor_cos[anchor], self._anchor_sin[anchor]
         cj, sj = self._step_cos[step], self._step_sin[step]
-        return ca * cj - sa * sj, sa * cj + ca * sj
+        # each product into a gathered table that it reads last
+        cos = ca * cj
+        sin = np.multiply(sa, cj, out=cj)
+        np.subtract(cos, np.multiply(sa, sj, out=sa), out=cos)
+        sin += np.multiply(ca, sj, out=sj)
+        return cos, sin
 
 
 def _cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

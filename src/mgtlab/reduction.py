@@ -164,10 +164,22 @@ def forcing_transform(f_samples: np.ndarray, params: MgtParams, grid: TimeGrid,
     envelope = np.exp(0.5 * gamma * grid.times[rows])
     if f_samples.ndim == 2:
         envelope = envelope[:, None]
-    ftilde = envelope * (lam + gamma * conv)
-    lam_t = f_samples - params.alpha * lam
-    conv_t = lam - (params.c**2 / params.b) * conv
-    ftilde_t = 0.5 * gamma * ftilde + envelope * (lam_t + gamma * conv_t)
+    # in place in the fresh lam and conv, f_samples left as it is:
+    # ftilde = envelope (lam + gamma conv), lam_t = f - alpha lam,
+    # conv_t = lam - (c^2/b) conv and
+    # ftilde_t = gamma/2 ftilde + envelope (lam_t + gamma conv_t)
+    ftilde = np.multiply(conv, gamma)
+    np.add(lam, ftilde, out=ftilde)
+    ftilde *= envelope
+    conv *= params.c**2 / params.b
+    conv_t = np.subtract(lam, conv, out=conv)
+    lam *= params.alpha
+    lam_t = np.subtract(f_samples, lam, out=lam)
+    conv_t *= gamma
+    lam_t += conv_t
+    lam_t *= envelope
+    ftilde_t = np.multiply(ftilde, 0.5 * gamma, out=conv_t)
+    ftilde_t += lam_t
     return ftilde, ftilde_t
 
 
@@ -247,7 +259,9 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     of the group's plan (group_plan) and the integrals and the forcing
     transform carried from chunk to chunk; the group takes its columns of
     the lifting products and of the forcing samples at the chunk's times,
-    and no forcing table is kept.  Each chunk temporary is dropped once read.
+    and no forcing table is kept.  Each plane is formed in place in its rows
+    of out, the chunk arrays that are read for the last time serving as
+    scratch, so a chunk allocates few temporaries.
     """
     basis = data.basis
     gamma, rho = params.gamma, params.decay_exponent
@@ -295,19 +309,19 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
         lift_cols = lift[:, cols]
 
         def sums(ct, st, u, name):
-            # Pc and Ps of u, carried under name
-            return (prefix_trapezoid(ct * u, dt, carry[name + " cos"]),
-                    prefix_trapezoid(st * u, dt, carry[name + " sin"]))
+            # Pc and Ps of u, carried under name, in place in fresh
+            # products, the second in u, which is read no more
+            return (prefix_trapezoid(np.multiply(ct, u), dt, carry[name + " cos"]),
+                    prefix_trapezoid(np.multiply(st, u, out=u), dt, carry[name + " sin"]))
 
         for rows in row_chunks(grid.steps + 1, cols.stop - cols.start):
             t = times[rows]
             ct, st = plan.phase.rows(rows)
             dhat, dhat_t, dhat_tt = (x @ lift_cols for x in _gtilde(sig, gamma, t, rows))
             pc1, ps1 = sums(ct, st, dhat_tt, "dtt")
-            del dhat_tt
             grow = np.exp(rho * t)[:, None]
             source = grow * s0
-            source_t = rho * source
+            source_t = np.multiply(source, rho)
             if data.f is not None:
                 ftilde, ftilde_t = forcing_transform(data.f.sample(t, basis.size)[:, cols],
                                                      params, grid, rows, carry["forcing"])
@@ -315,17 +329,44 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
                 source_t += ftilde_t
                 del ftilde, ftilde_t
             pc3, ps3 = sums(ct, st, source, "source")
-            del source
+            # each plane is formed in its view of out, arrays read for the
+            # last time serving as scratch; every operation keeps the
+            # operands and association of the formula above its chain
             h, ht, htt = (plane[rows, cols] for plane in out)
-            h[:] = dhat + ct * (h_cos + (ps1 - ps3) * inv) + st * (h_sin + (pc3 - pc1) * inv)
-            del pc3, ps3, dhat
+            # h = dhat + ct (h_cos + (ps1 - ps3) inv) + st (h_sin + (pc3 - pc1) inv)
+            x = np.subtract(ps1, ps3, out=ps3)
+            x *= inv
+            x += h_cos
+            x *= ct
+            np.add(dhat, x, out=h)
+            y = np.subtract(pc3, pc1, out=pc3)
+            y *= inv
+            y += h_sin
+            y *= st
+            h += y
             pc2, ps2 = sums(ct, st, source_t, "source_t")
-            del source_t
-            ht[:] = (dhat_t + grow * ht_exp + ct * (ht_cos - pc1 - ps2 * inv)
-                     + st * (ht_sin - ps1 + pc2 * inv))
-            del dhat_t
-            htt[:] = (grow * htt_exp + ct * (htt_cos + pc2 - om * ps1)
-                      + st * (htt_sin + ps2 + om * pc1))
+            # ht = dhat_t + grow ht_exp + ct (ht_cos - pc1 - ps2 inv)
+            #      + st (ht_sin - ps1 + pc2 inv)
+            np.add(dhat_t, np.multiply(grow, ht_exp, out=x), out=ht)
+            np.subtract(ht_cos, pc1, out=x)
+            x -= np.multiply(ps2, inv, out=y)
+            x *= ct
+            ht += x
+            np.subtract(ht_sin, ps1, out=x)
+            x += np.multiply(pc2, inv, out=y)
+            x *= st
+            ht += x
+            # htt = grow htt_exp + ct (htt_cos + pc2 - om ps1)
+            #       + st (htt_sin + ps2 + om pc1)
+            np.multiply(grow, htt_exp, out=htt)
+            pc2 += htt_cos
+            pc2 -= np.multiply(om, ps1, out=ps1)
+            pc2 *= ct
+            htt += pc2
+            ps2 += htt_sin
+            ps2 += np.multiply(om, pc1, out=pc1)
+            ps2 *= st
+            htt += ps2
 
     return sig, assemble
 
@@ -541,11 +582,15 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
                 dhats = [x @ lift_cols for x in _gtilde(sig, gamma, t, rows)]
                 damp = np.exp(-0.5 * gamma * t)[:, None]
                 w_int, wt_int, wtt_int = outs = [plane[rows, cols] for plane in buf]
-                v_int, vt_int, vtt_int = (out - dhat for out, dhat in zip(outs, dhats))
+                v_int, vt_int, vtt_int = (np.subtract(out, dhat, out=dhat)
+                                          for out, dhat in zip(outs, dhats))
                 np.multiply(damp, v_int, out=w_int)
-                np.multiply(damp, vt_int - 0.5 * gamma * v_int, out=wt_int)
-                np.multiply(damp, vtt_int - gamma * vt_int + 0.25 * gamma**2 * v_int,
-                            out=wtt_int)
+                # damp (vt - gamma/2 v) and damp (vtt - gamma vt + gamma^2/4 v)
+                x = np.multiply(v_int, 0.5 * gamma)
+                np.multiply(damp, np.subtract(vt_int, x, out=x), out=wt_int)
+                vtt_int -= np.multiply(vt_int, gamma, out=x)
+                vtt_int += np.multiply(v_int, 0.25 * gamma**2, out=x)
+                np.multiply(damp, vtt_int, out=wtt_int)
                 for name, chunk in zip(names, outs):
                     # min/max propagate NaN and +-inf, read while the rows are in cache
                     if name not in bad and not (np.isfinite(chunk.min())

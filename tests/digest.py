@@ -5,6 +5,14 @@ the change and compares the output line by line:
 
     PYTHONPATH=src python tests/digest.py
 
+--check does the comparison: it reads the lines printed on the parent
+commit from a file, prints its own as it compares them, and exits 1 at the
+first line that differs, naming it (a line missing or extra differs too),
+else 0:
+
+    PYTHONPATH=src python tests/digest.py > parent.txt    # on the parent
+    PYTHONPATH=src python tests/digest.py --check parent.txt
+
 A change with intended drift saves the outputs on the parent commit and
 reads them back on the change, which prints the worst relative sup drift
 max|new - old| / max|old| per case and output:
@@ -37,6 +45,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import sys  # noqa: E402
 import zipfile  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -100,7 +109,24 @@ def main():
     parser.add_argument("--save", metavar="PATH", help="save every output array to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH",
                         help="print the relative sup drift from the arrays saved at PATH")
+    parser.add_argument("--check", metavar="PATH",
+                        help="exit 1 naming the first line that differs from the digest at PATH")
     args = parser.parse_args()
+    if args.check and args.against:
+        parser.error("--check compares digests, --against prints drift: give one")
+    saved = None
+    if args.check:
+        with open(args.check) as fh:
+            saved = iter(fh.read().splitlines())
+    number = 0
+
+    def differs(got):
+        # exit 1 at a line that is not the saved digest's line
+        want = next(saved, None)
+        if want != got:
+            sys.exit(f"digest differs from {args.check} first at line {number}: "
+                     f"expected {want!r}, got {got!r}")
+
     # an .npz archive written one array at a time, so one case is in memory
     with (np.load(args.against) if args.against else contextlib.nullcontext()) as old, \
             (zipfile.ZipFile(args.save, "w") if args.save else contextlib.nullcontext()) as save:
@@ -110,12 +136,20 @@ def main():
                     with save.open(f"{key}.npy", "w", force_zip64=True) as member:
                         np.lib.format.write_array(member, arr)
                 if old is None:
-                    print(f"{key} {hashlib.sha256(arr.tobytes()).hexdigest()}")
+                    line = f"{key} {hashlib.sha256(arr.tobytes()).hexdigest()}"
+                    print(line, flush=True)
+                    number += 1
+                    if saved is not None:
+                        differs(line)
                 else:
                     ref = old[key]
                     drift = np.max(np.abs(arr - ref)) / max(np.max(np.abs(ref)),
                                                             np.finfo(float).tiny)
                     print(f"{key} {drift:.3e}")
+    if saved is not None:
+        number += 1
+        differs(None)
+        print(f"all {number - 1} lines match {args.check}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ the package.  pytest does not collect this file; the test modules import it.
 - The Volterra assembly (reduction._assembly), which evaluates cos/sin only
   at anchor rows (quadrature.PhaseRows) and folds the memory kernels into
   per-mode constants: phase_table (np.cos/np.sin of outer(times, omega)),
-  kernel_samples (the kernels and their derivatives on it), sincos_conv
-  (the sin/cos convolution from one pair of prefix sums), data_source (the
+  kernel_samples (the kernels and their derivatives on it),
+  copied_trapezoid (the running trapezoid integrals of a copy, which
+  quadrature.prefix_trapezoid takes in place), sincos_conv (the sin/cos
+  convolution from one pair of prefix sums), data_source (the
   initial-data part of the source on a time grid, where the assembly forms
   its value at t = 0 once) and assembled_planes (the right-hand side planes
   term by term, as one chunk on the whole grid).
@@ -56,6 +58,23 @@ def kernel_samples(family, times):
             - family.cos_coeff * family.omega * sin
             + family.rho * family.exp_coeff * grow)
     return ker, kdot
+
+
+def copied_trapezoid(values, dt, carry=None):
+    """Running trapezoid integrals of values along axis 0, values untouched:
+    the running sums of a copy, less half of each row and half of the
+    sequence's first row, times dt; carry continues them over consecutive
+    row chunks, as quadrature.prefix_trapezoid's does."""
+    carry = {} if carry is None else carry
+    sums = np.array(values, dtype=float)
+    first = carry.setdefault("first", sums[0].copy())
+    sums[0] += carry.get("sum", 0.0)
+    np.cumsum(sums, axis=0, out=sums)
+    carry["sum"] = sums[-1].copy()
+    sums -= np.multiply(values, 0.5)
+    sums -= 0.5 * first
+    sums *= dt
+    return sums
 
 
 def sincos_conv(cos, sin, f, dt, carry=None):

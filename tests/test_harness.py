@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtlab import harness
+from mgtlab import harness, quadrature
 from mgtlab.cli import main
 from mgtlab.harness import (
     ConfigError,
@@ -450,6 +450,59 @@ def test_relative_sup_error_keeps_non_finite_rows(bad, side):
         got, want = relative_sup_error(a, b), sup_error_at_once(a, b)
     assert not math.isfinite(got)
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+def test_relative_sup_error_is_the_same_float_on_one_or_two_parts(monkeypatch, bad):
+    # 256 modes make two mode groups on two cores, so two row runs; a bad
+    # row in either run reaches the result
+    modes = 256
+    rows = 5 * chunk_rows(modes) + 3
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((rows, modes)) * np.exp(rng.uniform(-3, 3, (rows, 1)))
+    a = b + 1e-7 * rng.standard_normal((rows, modes))
+    got = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(quadrature, "_cores", lambda cores=cores: cores)
+        assert len(quadrature.mode_groups(modes)) == cores
+        for row in (1, rows - 2):
+            bent = a.copy()
+            if bad is not None:
+                bent[row, 3] = bad
+            with np.errstate(invalid="ignore"):
+                got[cores, row] = relative_sup_error(bent, b)
+    for row in (1, rows - 2):
+        one, two = got[1, row], got[2, row]
+        if bad is None:
+            assert one == two == sup_error_at_once(a, b)
+        else:
+            assert not math.isfinite(two)
+            assert one == two or (math.isnan(one) and math.isnan(two))
+
+
+def test_summary_json_writes_non_finite_values_as_null(tmp_path):
+    # with zero Dirichlet data and zero forcing the resolvent probe's ratio
+    # is infinite; the summary stays strict JSON and says null
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {"g_family": "zero", "f_family": "zero"},
+                                "symbol": {"probe_scenarios": 2, "probe_steps": 40},
+                                "modes": [4, 8], "steps": 100}))
+    assert main(["symbols", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def no_constants(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    text = (tmp_path / "o" / "symbols_summary.json").read_text()
+    summary = json.loads(text, parse_constant=no_constants)
+    assert summary["probe_medians"]["resolvent_4a"] is None
+    assert summary["probe_max"]["resolvent_4a"] is None
+    # a non-finite value that reaches the encoder another way fails loudly
+    with pytest.raises(ValueError, match="JSON"):
+        harness.write_summary_json(tmp_path / "s.json", {"z": np.array(np.nan)})
+    harness.write_summary_json(tmp_path / "s.json", {"x": (1.0, {"y": float("nan")}),
+                                                     "z": np.float32("-inf"), "n": np.int64(3)})
+    summary = json.loads((tmp_path / "s.json").read_text(), parse_constant=no_constants)
+    assert (summary["x"], summary["z"], summary["n"]) == ([1.0, {"y": None}], None, 3.0)
 
 
 def test_cross_route_helpers_make_no_grid_sized_temporaries():

@@ -27,9 +27,10 @@ from mgtlab.modal_oracle import oracle_plan, solve_by_modes
 from mgtlab.quadrature import (CHUNK_ELEMENTS, EXP_BLOCK, power_increments,
                                prefix_exponential, prefix_trapezoid, row_chunks,
                                scan_blocks)
-from mgtlab.reduction import MgtData, MgtParams, _assembly, _scan_group, group_plan, solve_mgt
+from mgtlab.reduction import (MgtData, MgtParams, _assembly, _scan_group, forcing_transform,
+                              group_plan, solve_mgt)
 from mgtlab.spectral import DomainSpec, TimeGrid, build_basis
-from reference import ModeOde, integrate_mode, kernel_samples, solve_direct
+from reference import ModeOde, copied_trapezoid, integrate_mode, kernel_samples, solve_direct
 
 PARAMS = MgtParams(alpha=2.0, b=1.0, c=1.0)
 BASIS = build_basis(DomainSpec("interval", 64), 4)
@@ -318,9 +319,48 @@ def test_carried_prefix_sums_equal_one_call(rows, cols, seed, rate, data):
     dt = 0.01
     for prefix in (lambda v, c: prefix_trapezoid(v, dt, c),
                    lambda v, c: prefix_exponential(rate, v, dt, c)):
-        whole = prefix(values, None)
+        # prefix_trapezoid overwrites its samples: each call takes a copy
+        whole = prefix(values.copy(), None)
         assert np.all(np.isfinite(whole))
-        assert np.array_equal(chunked(prefix, values, cuts), whole)
+        assert np.array_equal(chunked(prefix, values.copy(), cuts), whole)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.sampled_from([1, 2, 3, 8]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_prefix_trapezoid_integrates_in_place(rows, cols, seed, data):
+    # the integrals overwrite the very array given, chunk by chunk too, with
+    # the bits of a referee that integrates a copy (an odd column count
+    # takes the one-lane running sum, an even one the complex lanes)
+    values = np.random.default_rng(seed).normal(size=(rows, cols))
+    dt = 0.01
+    want = copied_trapezoid(values, dt)
+    given_array = values.copy()
+    assert prefix_trapezoid(given_array, dt) is given_array
+    assert np.array_equal(given_array, want)
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=5))) if rows > 1 else []
+    referee_carry = {}
+    edges = [0, *cuts, rows]
+    referee = np.concatenate([copied_trapezoid(values[a:b], dt, referee_carry)
+                              for a, b in zip(edges, edges[1:])])
+    assert np.array_equal(referee, want)
+    assert np.array_equal(chunked(lambda v, c: prefix_trapezoid(v, dt, c), values.copy(), cuts),
+                          want)
+
+
+@pytest.mark.parametrize("rate", [-2.0, 0.7, -1e-15])
+def test_exponential_prefix_and_forcing_transform_leave_their_input(rate):
+    # at |rate| < 1e-14 prefix_exponential is the trapezoid prefix, which
+    # works in place: the samples are copied first, since the forcing
+    # transform reads them again; the transform's rates are -alpha and
+    # -c^2/b, both -|rate| here
+    values = np.random.default_rng(5).normal(size=(50, 4))
+    kept = values.copy()
+    prefix_exponential(rate, values, 0.01)
+    assert np.array_equal(values, kept)
+    params = MgtParams(alpha=abs(rate), b=1.0 / abs(rate), c=1.0)
+    forcing_transform(values, params, TimeGrid(0.49, 49))
+    assert np.array_equal(values, kept)
 
 
 @settings(max_examples=16, deadline=None)

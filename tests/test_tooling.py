@@ -44,3 +44,16 @@ def test_digest_tool_imports_and_parses_its_options():
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert "--against" in run.stdout
+
+
+def test_digest_check_exits_at_the_first_line_that_differs(tmp_path):
+    # the first case's first line is compared as soon as it is printed, so
+    # a wrong first line ends the run there, naming line 1
+    saved = tmp_path / "parent.txt"
+    saved.write_text("interval-seed0 solve_mgt w 0\nnext line\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"), "--check", str(saved)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr
+    assert "first at line 1: expected 'interval-seed0 solve_mgt w 0'" in run.stderr
+    assert len(run.stdout.splitlines()) == 1
