@@ -162,37 +162,39 @@ def make_scenario(basis: EigenBasis, spec: ScenarioSpec) -> MgtData:
     return MgtData(w0=w0, w1=w1, w2=w2, f=f, g=g)
 
 
-def manufactured_mode_case(basis: EigenBasis, params: MgtParams, mode: int = 0,
-                           freq: float = 1.0, amp: float = 1.0):
-    """Manufactured solution w_k(t) = amp sin(freq t) on one mode, g = 0.
+def exact_dirichlet_case(basis: EigenBasis, params: MgtParams, s: complex):
+    """Closed-form solution w = Im(W e^{st}) driven by g = Im(e^{st}) on
+    boundary node or edge 0, with f = 0.
 
-    Returns (MgtData, exact) where exact(t) gives the per-mode trajectory
-    (value, first, second derivative); the forcing is chosen so the projected
-    equation holds identically.
+    With kappa^2 = s^2 (s + alpha) / (c^2 + b s), mode k's projected equation
+    holds for the total coefficient u_k e^{st}, u_k = -boundary_flux[0, k] /
+    (kappa^2 + mu_k), so every mode count solves the problem exactly and time
+    stepping is the only error left.  The initial data w0, w1, w2 have the
+    zero-trace parts Im((u - lift_matrix[0]) s^j) and the value Im(s^j) on
+    node or edge 0, j = 0, 1, 2.
+    Returns (MgtData, exact): exact(t) gives the total coefficients of
+    (w, w_t, w_tt) at the times t.  Raises ValueError when s is at a root of
+    a mode's cubic s^3 + alpha s^2 + (b s + c^2) mu_k, where u_k is unbounded.
     """
-    mu = basis.eigenvalues[mode]
-    a, b, c2 = params.alpha, params.b, params.c**2
-    s = freq
+    mu, nodes = basis.eigenvalues, basis.domain.boundary_size
+    cubic = s**3 + params.alpha * s**2 + (params.b * s + params.c**2) * mu
+    size = abs(s)**3 + params.alpha * abs(s)**2 + (params.b * abs(s) + params.c**2) * mu
+    if np.any(np.abs(cubic) <= 1e-10 * size):
+        raise ValueError(f"rate {s!r} is at a root of a mode's cubic")
+    # -flux / (kappa^2 + mu), written over the cubic so that c^2 + b s = 0 is no pole
+    coeffs = -(params.c**2 + params.b * s) * basis.boundary_flux[0] / cubic
 
     def exact(t):
-        return (amp * np.sin(s * t), amp * s * np.cos(s * t),
-                -amp * s**2 * np.sin(s * t))
+        phase = np.exp(s * np.asarray(t, dtype=float))[..., None] * coeffs
+        return tuple((phase * s**j).imag for j in range(3))
 
-    def fmode(t):
-        # w''' + a w'' + b mu w' + c^2 mu w for the manufactured trajectory
-        w, w1, w2 = exact(t)
-        w3 = -amp * s**3 * np.cos(s * t)
-        return w3 + a * w2 + b * mu * w1 + c2 * mu * w
+    def driven(j):
+        def values(t):
+            out = np.zeros((len(t), nodes))
+            out[:, 0] = (s**j * np.exp(s * t)).imag
+            return out
+        return values
 
-    def modes(t):
-        out = np.zeros((len(t), basis.size))
-        out[:, mode] = fmode(t)
-        return out
-
-    init1 = np.zeros(basis.size)
-    init1[mode] = amp * s
-    data = MgtData(w0=SpectralField(basis, np.zeros(basis.size)),
-                   w1=SpectralField(basis, init1),
-                   w2=SpectralField(basis, np.zeros(basis.size)),
-                   f=ForcingData(modes=modes))
-    return data, exact
+    w = [SpectralField(basis, ((coeffs - basis.lift_matrix[0]) * s**j).imag,
+                       np.eye(nodes)[0] * (s**j).imag) for j in range(3)]
+    return MgtData(*w, g=BoundaryData(*(driven(j) for j in range(3)), nodes=nodes)), exact

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generators import ScenarioSpec, make_boundary, make_scenario, manufactured_mode_case
+from .generators import ScenarioSpec, exact_dirichlet_case, make_boundary, make_scenario
 from .modal_oracle import solve_by_modes
 from .quadrature import _even_split, composite_weights, each_part, mode_groups, row_chunks
 from .reduction import MgtParams, solve_mgt
@@ -33,6 +33,9 @@ H2_VIOLATING_FAMILIES = ("ramp_kink",)
 
 # the keys of a solve's metadata that a run summary records, from its widest solve
 RUN_METADATA = ("mode_groups", "blas_threads")
+
+# the time rate s of the convergence runner's exact Dirichlet solution
+EXACT_RATE = 4j
 
 
 class ConfigError(ValueError):
@@ -95,7 +98,6 @@ class Tolerances:
     probe_refinement: float = 0.10
     volterra_order_min: float = 1.8
     oracle_order_min: float = 3.8
-    residual_order_min: float = 1.0
 
     __post_init__ = _all_positive
 
@@ -329,26 +331,6 @@ def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(num) / max(np.sqrt(den), 1e-300))
 
 
-def discrete_equation_residual(bundle: Trajectory, params: MgtParams) -> float:
-    """Sup-t L2 residual of w_ttt + alpha w_tt - c^2 Lap w - b Lap w_t - f,
-    for the trajectory bundle of the equation with constants params.
-
-    One-sided (backward) differencing of w_tt supplies the third derivative,
-    so the residual decays at first order in dt.
-    """
-    basis, grid = bundle.basis, bundle.grid
-    mu = basis.eigenvalues
-    w, wt, wtt = (bundle.total(which) for which in ("w", "wt", "wtt"))
-    wttt = (wtt[1:] - wtt[:-1]) / grid.dt
-    tail = slice(1, grid.steps + 1)
-    flux = basis.boundary_flux
-    q, qd = bundle.boundary.values @ flux, bundle.boundary.dvalues @ flux
-    rhs = -params.c**2 * q - params.b * qd + bundle.interior("f")
-    resid = (wttt + params.alpha * wtt[tail] + params.b * mu * wt[tail]
-             + params.c**2 * mu * w[tail] - rhs[tail])
-    return float(np.max(np.linalg.norm(resid, axis=1)))
-
-
 # -- runners ------------------------------------------------------------------
 
 
@@ -487,7 +469,7 @@ def _observed_orders(errors: list[float]) -> list[float]:
 
 
 def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
-    """Observed orders on a manufactured smooth solution, plus residual decay."""
+    """Observed orders of both routes against an exact Dirichlet solution."""
     params = cfg.params
     tol = cfg.tolerances
     basis = build_basis(cfg.domain(), cfg.modes[0])
@@ -495,33 +477,21 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     # the RK4 route needs a coarser ladder to stay above the rounding floor
     oracle_levels = [max(50, cfg.steps // 16) * 2**k for k in range(3)]
 
-    errs_volterra, errs_oracle, resids = [], [], []
-    for steps, osteps in zip(levels, oracle_levels):
-        grid = TimeGrid(cfg.horizon, steps)
-        data, exact = manufactured_mode_case(basis, params, mode=0, freq=1.0)
-        exact_w = exact(grid.times)[0]
-        bundle = solve_mgt(data, params, grid)
-        errs_volterra.append(float(np.max(np.abs(bundle.total("w")[:, 0] - exact_w))))
-        ogrid = TimeGrid(cfg.horizon, osteps)
-        exact_o = exact(ogrid.times)[0]
-        oracle = solve_by_modes(data, params, ogrid)
-        errs_oracle.append(float(np.max(np.abs(oracle.w[:, 0] - exact_o))))
-        resids.append(discrete_equation_residual(bundle, params))
-
-    orders_v = _observed_orders(errs_volterra)
-    orders_o = _observed_orders(errs_oracle)
-    orders_r = _observed_orders(resids)
-    rows = [
-        ReportRow("convergence", "dt-halving", "volterra_order", min(orders_v),
-                  tol.volterra_order_min, tol.volterra_order_min,
-                  min(orders_v) >= tol.volterra_order_min),
-        ReportRow("convergence", "dt-halving", "oracle_order", min(orders_o),
-                  tol.oracle_order_min, tol.oracle_order_min,
-                  min(orders_o) >= tol.oracle_order_min),
-        ReportRow("convergence", "dt-halving", "residual_order", min(orders_r),
-                  tol.residual_order_min, tol.residual_order_min,
-                  min(orders_r) >= tol.residual_order_min),
-    ]
+    data, exact = exact_dirichlet_case(basis, params, EXACT_RATE)
+    errors, orders, rows = {}, {}, []
+    for name, route, ladder, least in (
+            ("volterra", solve_mgt, levels, tol.volterra_order_min),
+            ("oracle", solve_by_modes, oracle_levels, tol.oracle_order_min)):
+        errs = errors[name] = []
+        for steps in ladder:
+            grid = TimeGrid(cfg.horizon, steps)
+            traj = route(data, params, grid)
+            # the worst relative sup error of w, w_t and w_tt
+            errs.append(max(relative_sup_error(traj.total(which), ref)
+                            for which, ref in zip(("w", "wt", "wtt"), exact(grid.times))))
+        orders[name] = _observed_orders(errs)
+        rows.append(ReportRow("convergence", "dt-halving", f"{name}_order", min(orders[name]),
+                              least, least, min(orders[name]) >= least))
 
     # degraded order for a non-smooth forcing is reported, not failed
     rough = cfg.scenario_spec(f_family="step", g_family="zero", f_amp=0.5)
@@ -562,18 +532,19 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
 
     summary = {
         "levels": levels,
-        "volterra_errors": errs_volterra,
-        "oracle_errors": errs_oracle,
-        "residuals": resids,
-        "orders": {"volterra": orders_v, "oracle": orders_o, "residual": orders_r},
+        "exact_rate": [EXACT_RATE.real, EXACT_RATE.imag],
+        "exact_driven": ("node" if cfg.domain_kind == "interval" else "edge") + " 0",
+        "volterra_errors": errors["volterra"],
+        "oracle_errors": errors["oracle"],
+        "orders": orders,
         "nonsmooth_errors": errs_rough,
         "truncation_diffs": diffs,
         "metadata": {k: ref_bundle.metadata[k] for k in RUN_METADATA},
     }
-    errors = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_err", "residual"],
-              [np.array(levels, dtype=float), np.array(errs_volterra),
-               np.array(errs_oracle), np.array(resids)])
-    return _finish("convergence", "convergence", out_dir, rows, summary, errors)
+    table = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_err"],
+             [np.array(levels, dtype=float), np.array(errors["volterra"]),
+              np.array(errors["oracle"])])
+    return _finish("convergence", "convergence", out_dir, rows, summary, table)
 
 
 def run_compare_oracle(cfg: ScenarioConfig, out_dir: str | Path) -> Report:

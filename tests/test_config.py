@@ -69,7 +69,7 @@ def nested(path, value) -> dict:
 def test_every_record_is_walked():
     records = {path[-1] for path, tp in FIELDS if is_dataclass(tp)}
     assert records == {"params", "scenario", "tolerances", "symbol"}
-    assert len(FIELDS) == 11 + 3 + 15 + 11 + 7
+    assert len(FIELDS) == 11 + 3 + 15 + 10 + 7
 
 
 @pytest.mark.parametrize("value", [None, [], *NON_FINITE], ids=repr)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mgtlab.generators import (
     TIME_FAMILIES,
     ScenarioSpec,
+    exact_dirichlet_case,
     make_boundary,
     make_scenario,
     space_modes,
@@ -114,12 +115,33 @@ def test_square_domain_cross_route():
     assert bundle.metadata["traces"] == "unavailable on the square"
 
 
-def test_manufactured_case_initial_data():
-    from mgtlab.generators import manufactured_mode_case
-
+@pytest.mark.parametrize("kind, s", [("interval", 4j), ("interval", 0.5 + 2j),
+                                     ("square", -0.3 + 4j)])
+def test_exact_dirichlet_case_initial_data(kind, s):
+    # the complex coefficients u, read back from exact(0) = (Im u, Im us, Im us^2),
+    # solve each mode's cubic: (s^3 + alpha s^2 + (b s + c^2) mu) u = -(c^2 + b s) flux_0
     params = MgtParams(alpha=2.0, b=1.0, c=1.0)
-    data, exact = manufactured_mode_case(BASIS, params, mode=2, freq=1.5, amp=0.7)
+    basis = build_basis(DomainSpec(kind, 64), 4)
+    data, exact = exact_dirichlet_case(basis, params, s)
     w, wt, wtt = exact(0.0)
-    assert w == 0.0
-    assert data.w1.coeffs[2] == pytest.approx(wt)
-    assert data.w2.coeffs[2] == pytest.approx(wtt)
+    u = (wt - w * s.real) / s.imag + 1j * w
+    mu = basis.eigenvalues
+    cubic = s**3 + params.alpha * s**2 + (params.b * s + params.c**2) * mu
+    np.testing.assert_allclose(cubic * u, -(params.c**2 + params.b * s) * basis.boundary_flux[0],
+                               rtol=1e-13, atol=1e-13)
+    for field, ref in zip((data.w0, data.w1, data.w2), (w, wt, wtt)):
+        np.testing.assert_allclose(field.total_coeffs(), ref, rtol=1e-14, atol=1e-14)
+    assert data.compatible_position and data.compatible_velocity and data.f is None
+    np.testing.assert_allclose(exact(np.array([0.3]))[2][0],
+                               (u * s**2 * np.exp(0.3 * s)).imag, rtol=1e-14, atol=1e-14)
+
+
+def test_exact_dirichlet_case_rejects_a_resonant_rate():
+    # at a root of mode 2's cubic the coefficient of that mode is unbounded
+    params = MgtParams(alpha=2.0, b=1.0, c=1.0)
+    mu = BASIS.eigenvalues[1]
+    roots = np.roots([1.0, params.alpha, params.b * mu, params.c**2 * mu])
+    root = complex(roots[np.argmax(roots.imag)])
+    with pytest.raises(ValueError, match="root of a mode's cubic"):
+        exact_dirichlet_case(BASIS, params, root)
+    exact_dirichlet_case(BASIS, params, root + 0.01)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mgtlab.generators import ScenarioSpec, make_scenario, manufactured_mode_case
+from mgtlab.generators import ScenarioSpec, exact_dirichlet_case, make_scenario
+from mgtlab.harness import relative_sup_error
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import (BoundaryData, DomainSpec, SpectralField, TimeGrid, Trajectory,
@@ -46,16 +47,29 @@ def test_integrate_manufactured_solution():
     assert np.max(np.abs(states[:, 0] - np.sin(grid.times))) < 1e-8
 
 
-def test_integrate_observed_order_four():
-    data, exact = manufactured_mode_case(BASIS, PARAMS, mode=0)
+def exact_case_errors(basis, steps):
+    """The RK4 oracle's relative sup errors in (w, w_t, w_tt) on the exact
+    Dirichlet case at rate 4i, one horizon-1 solve per entry of steps."""
+    data, exact = exact_dirichlet_case(basis, PARAMS, 4j)
     errs = []
-    for steps in (50, 100, 200):
-        grid = TimeGrid(1.0, steps)
+    for n in steps:
+        grid = TimeGrid(1.0, n)
         oracle = solve_by_modes(data, PARAMS, grid)
-        ref = exact(grid.times)[0]
-        errs.append(np.max(np.abs(oracle.w[:, 0] - ref)))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        errs.append([relative_sup_error(oracle.total(which), ref)
+                     for which, ref in zip(("w", "wt", "wtt"), exact(grid.times))])
+    return np.array(errs)
+
+
+def test_integrate_observed_order_four():
+    errs = exact_case_errors(BASIS, (50, 100, 200)).max(axis=1)
+    orders = np.log2(errs[:-1] / errs[1:])
     assert min(orders) > 3.8
+
+
+def test_oracle_reaches_rounding_on_the_exact_dirichlet_case():
+    # every mode of the Dirichlet-driven family is solved to rounding at 16,000 steps
+    errs = exact_case_errors(build_basis(DomainSpec("interval", 256), 32), (16000,))
+    assert np.all(errs < 1e-13), errs
 
 
 def test_characteristic_roots_residual():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mgtlab import reduction
-from mgtlab.generators import ScenarioSpec, make_boundary, make_scenario
+from mgtlab.generators import ScenarioSpec, exact_dirichlet_case, make_boundary, make_scenario
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.quadrature import ANCHOR, CHUNK_ELEMENTS, PhaseRows, prefix_exponential, row_chunks
 from mgtlab.reduction import (
@@ -703,15 +703,18 @@ def test_cross_route_general_parameters(alpha, b, c):
         assert num / den < 1e-5
 
 
-def test_equation_residual_decays_first_order():
-    from mgtlab.harness import discrete_equation_residual
+def test_volterra_order_two_on_the_exact_dirichlet_case():
+    # the worst relative sup error of (w, w_t, w_tt) against the closed form
+    # falls fourfold per step halving, on the interval and on the square
+    from mgtlab.harness import relative_sup_error
 
-    data = eigen_data(0)
-    resids = []
-    for steps in (500, 1000, 2000):
-        grid = TimeGrid(1.0, steps)
-        bundle = solve_mgt(data, PARAMS, grid)
-        resids.append(discrete_equation_residual(bundle, PARAMS))
-    orders = [np.log2(resids[i] / resids[i + 1]) for i in range(2)]
-    # asymptotic rate 1; pairwise slopes carry a small finite-dt bias
-    assert min(orders) >= 0.99
+    for basis in (BASIS, build_basis(DomainSpec("square", 64), 4)):
+        data, exact = exact_dirichlet_case(basis, PARAMS, 4j)
+        errs = []
+        for steps in (500, 1000, 2000):
+            grid = TimeGrid(1.0, steps)
+            bundle = solve_mgt(data, PARAMS, grid)
+            errs.append(max(relative_sup_error(bundle.total(which), ref)
+                            for which, ref in zip(("w", "wt", "wtt"), exact(grid.times))))
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(np.abs(orders - 2.0) < 0.05), (basis.domain.kind, orders)

@@ -1,4 +1,4 @@
-"""The test tooling: the pytest configuration and the digest tool."""
+"""The test tooling: the pytest configuration, the digest tool and the line count."""
 
 import os
 import subprocess
@@ -57,3 +57,14 @@ def test_digest_check_exits_at_the_first_line_that_differs(tmp_path):
     assert run.returncode == 1, run.stderr
     assert "first at line 1: expected 'interval-seed0 solve_mgt w 0'" in run.stderr
     assert len(run.stdout.splitlines()) == 1
+
+
+def test_linecount_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    # pytest does not collect tests/linecount.py; 7 lines, of which 2 hold code
+    (tmp_path / "mod.py").write_text('"""Doc\nstring."""\n\n# comment\n'
+                                     'def f():\n    """Doc."""\n    return 1  # one\n')
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "linecount.py"), str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[1:] == [f"{'mod.py':<20} {7:>6} {2:>6}",
+                                           f"{'total':<20} {7:>6} {2:>6}"]
