@@ -532,6 +532,7 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
 
     summary = {
         "levels": levels,
+        "oracle_levels": oracle_levels,
         "exact_rate": [EXACT_RATE.real, EXACT_RATE.imag],
         "exact_driven": ("node" if cfg.domain_kind == "interval" else "edge") + " 0",
         "volterra_errors": errors["volterra"],
@@ -541,9 +542,9 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "truncation_diffs": diffs,
         "metadata": {k: ref_bundle.metadata[k] for k in RUN_METADATA},
     }
-    table = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_err"],
+    table = ("convergence_errors.csv", ["steps", "volterra_err", "oracle_steps", "oracle_err"],
              [np.array(levels, dtype=float), np.array(errors["volterra"]),
-              np.array(errors["oracle"])])
+              np.array(oracle_levels, dtype=float), np.array(errors["oracle"])])
     return _finish("convergence", "convergence", out_dir, rows, summary, table)
 
 

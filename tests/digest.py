@@ -14,8 +14,12 @@ else 0:
     PYTHONPATH=src python tests/digest.py --check parent.txt
 
 A change with intended drift saves the outputs on the parent commit and
-reads them back on the change, which prints the worst relative sup drift
-max|new - old| / max|old| per case and output:
+reads them back on the change, which prints the worst drift per case and
+output: relative to the sup, max|new - old| / max|old|, except for the
+cross-route errors, which are already relative to a solution's sup and
+drift in absolute terms, max|new - old|.  It exits 1 at the first line
+whose drift passes 1e-12, naming it, and at a key missing from either
+side:
 
     PYTHONPATH=src python tests/digest.py --save /tmp/before.npz
     PYTHONPATH=src python tests/digest.py --against /tmp/before.npz
@@ -49,6 +53,9 @@ import sys  # noqa: E402
 import zipfile  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+# --against's bound on a drift, the benchmark fingerprint's tolerance
+DRIFT = 1e-12
 
 from mgtlab import quadrature  # noqa: E402
 from mgtlab.generators import ScenarioSpec, make_scenario  # noqa: E402
@@ -108,7 +115,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="PATH", help="save every output array to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH",
-                        help="print the relative sup drift from the arrays saved at PATH")
+                        help="print the drift from the arrays saved at PATH; exit 1 naming "
+                             "the first past 1e-12")
     parser.add_argument("--check", metavar="PATH",
                         help="exit 1 naming the first line that differs from the digest at PATH")
     args = parser.parse_args()
@@ -118,7 +126,7 @@ def main():
     if args.check:
         with open(args.check) as fh:
             saved = iter(fh.read().splitlines())
-    number = 0
+    number, seen = 0, set()
 
     def differs(got):
         # exit 1 at a line that is not the saved digest's line
@@ -142,10 +150,19 @@ def main():
                     if saved is not None:
                         differs(line)
                 else:
+                    if key not in old:
+                        sys.exit(f"{key} is not saved in {args.against}")
+                    seen.add(key)
                     ref = old[key]
-                    drift = np.max(np.abs(arr - ref)) / max(np.max(np.abs(ref)),
-                                                            np.finfo(float).tiny)
-                    print(f"{key} {drift:.3e}")
+                    scale = 1.0 if key.endswith("cross_route_errors") else np.max(np.abs(ref))
+                    drift = np.max(np.abs(arr - ref)) / max(scale, np.finfo(float).tiny)
+                    line = f"{key} {drift:.3e}"
+                    print(line, flush=True)
+                    if not drift <= DRIFT:
+                        sys.exit(f"drift from {args.against} passes {DRIFT:g} at {line!r}")
+        if old is not None and set(old.files) - seen:
+            sys.exit(f"saved in {args.against} but not computed: "
+                     f"{', '.join(sorted(set(old.files) - seen))}")
     if saved is not None:
         number += 1
         differs(None)

@@ -5,6 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from mgtlab.generators import make_scenario
+from mgtlab.reduction import solve_mgt
+from mgtlab.spectral import TimeGrid, build_basis
+from test_acceptance import DOMAIN, PARAMS, SCENARIOS
+
 ROOT = Path(__file__).parents[1]
 PYTEST_INI = ROOT / "pytest.ini"
 
@@ -57,6 +65,28 @@ def test_digest_check_exits_at_the_first_line_that_differs(tmp_path):
     assert run.returncode == 1, run.stderr
     assert "first at line 1: expected 'interval-seed0 solve_mgt w 0'" in run.stderr
     assert len(run.stdout.splitlines()) == 1
+
+
+@pytest.mark.parametrize("shift, message", [
+    (2e-12, "passes 1e-12 at 'interval-seed0 solve_mgt w 2.000e-12'"),
+    (5e-13, "interval-seed0 solve_mgt wt is not saved in"),
+])
+def test_digest_against_exits_at_a_drift_or_a_missing_key(tmp_path, shift, message):
+    # a doctored archive holds the first case's first output alone, one
+    # entry moved by shift of its sup: past 1e-12 the run ends at that
+    # line; within it, at the next output, whose key is not saved
+    data = make_scenario(build_basis(DOMAIN, 32), SCENARIOS[0])
+    w = solve_mgt(data, PARAMS, TimeGrid(1.0, 10000)).w
+    w[np.unravel_index(np.argmax(np.abs(w)), w.shape)] += shift * np.max(np.abs(w))
+    doctored = tmp_path / "doctored.npz"
+    np.savez(doctored, **{"interval-seed0 solve_mgt w": w})
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"),
+                          "--against", str(doctored)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr
+    assert message in run.stderr
+    assert run.stdout.splitlines() == [f"interval-seed0 solve_mgt w {shift:.3e}"]
 
 
 def test_linecount_leaves_out_blanks_comments_and_docstrings(tmp_path):
