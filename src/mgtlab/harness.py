@@ -21,10 +21,10 @@ import numpy as np
 
 from .generators import ScenarioSpec, exact_dirichlet_case, make_boundary, make_scenario
 from .modal_oracle import solve_by_modes
-from .quadrature import _even_split, composite_weights, each_part, mode_groups, row_chunks
-from .reduction import MgtParams, solve_mgt
-from .spectral import (DomainSpec, TimeGrid, Trajectory, build_basis, gram_forms, gram_rows,
-                       row_forms)
+from .quadrature import composite_weights, row_chunks
+from .reduction import MgtData, MgtParams, solve_mgt
+from .spectral import (DomainSpec, EigenBasis, TimeGrid, Trajectory, build_basis, gram_forms,
+                       gram_rows, row_forms)
 from .symbols import boundary_convolution_probe, estimate_probe, lopatinskii_sweep
 
 # boundary time families that violate the square-integrable-second-derivative
@@ -303,31 +303,25 @@ def _rel_change(new: float, old: float) -> float:
 def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     """Relative sup-in-time L2 distance between coefficient trajectories.
 
-    The squared row norms are summed chunk by chunk (quadrature.row_chunks),
-    each run of chunks in one chunk buffer, so no temporary the size of the
-    trajectories is formed, and one square root is taken of each running
-    maximum: sqrt is monotone and correctly rounded, so this gives the bits
-    of the largest np.linalg.norm of the rows.  The chunks are cut into one
-    contiguous run per mode group of b's width (quadrature.mode_groups),
-    the runs concurrent (quadrature.each_part); a maximum does not depend
-    on the grouping, and np.maximum keeps a NaN or inf row in the result.
+    a and b are (rows, modes) arrays of one shape.  The squared row norms
+    are summed chunk by chunk (quadrature.row_chunks) in one chunk buffer,
+    so no temporary the size of the trajectories is formed, and one square
+    root is taken of each running maximum: sqrt is monotone and correctly
+    rounded, so this gives the bits of the largest np.linalg.norm of the
+    rows.  np.maximum keeps a NaN or inf row in the result.
     """
+    if a.shape != b.shape:
+        raise ValueError(f"relative_sup_error needs arrays of one shape, got {a.shape} "
+                         f"and {b.shape}")
     chunks = row_chunks(len(b), b.shape[1])
-
-    def maxima(run):
-        # the largest squared row norms of a - b and of b on the rows of run
-        buf = np.empty((max(rows.stop - rows.start for rows in run),) + b.shape[1:])
-        num = den = -np.inf
-        for rows in run:
-            sq = np.subtract(a[rows], b[rows], out=buf[:rows.stop - rows.start])
-            sq *= sq
-            num = np.maximum(num, np.max(np.add.reduce(sq, axis=1)))
-            np.multiply(b[rows], b[rows], out=sq)
-            den = np.maximum(den, np.max(np.add.reduce(sq, axis=1)))
-        return num, den
-
-    runs = _even_split(len(chunks), min(len(chunks), len(mode_groups(b.shape[1]))))
-    num, den = np.maximum.reduce(each_part(maxima, [chunks[run] for run in runs]))
+    buf = np.empty((max(rows.stop - rows.start for rows in chunks),) + b.shape[1:])
+    num = den = -np.inf
+    for rows in chunks:
+        sq = np.subtract(a[rows], b[rows], out=buf[:rows.stop - rows.start])
+        sq *= sq
+        num = np.maximum(num, np.max(np.add.reduce(sq, axis=1)))
+        np.multiply(b[rows], b[rows], out=sq)
+        den = np.maximum(den, np.max(np.add.reduce(sq, axis=1)))
     return float(np.sqrt(num) / max(np.sqrt(den), 1e-300))
 
 
@@ -468,6 +462,25 @@ def _observed_orders(errors: list[float]) -> list[float]:
     return [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
 
 
+def _nested(data: MgtData, basis: EigenBasis) -> tuple[MgtData, typing.Callable]:
+    """data on basis, a wider basis of its domain, and the map that puts an
+    array of data's mode columns into basis's: each coefficient goes to its
+    own mode's column.  The boundary values and g are kept."""
+    idx = data.w0.basis.indices - 1
+    cols = np.ravel_multi_index(tuple(idx.T), (basis.mode_count,) * idx.shape[1])
+
+    def pad(values):
+        out = np.zeros(values.shape[:-1] + (basis.size,))
+        out[..., cols] = values
+        return out
+
+    changes = {name: replace(part, basis=basis, coeffs=pad(part.coeffs))
+               for name, part in (("w0", data.w0), ("w1", data.w1), ("w2", data.w2))}
+    if data.f is not None:
+        changes["f"] = replace(data.f, modes=lambda t, modes=data.f.modes: pad(modes(t)))
+    return replace(data, **changes), pad
+
+
 def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
     """Observed orders of both routes against an exact Dirichlet solution."""
     params = cfg.params
@@ -508,23 +521,17 @@ def run_convergence(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                           min(_observed_orders(errs_rough)), float("nan"),
                           float("nan"), None, note="degraded order reported"))
 
-    # spectral truncation decay with N for fixed smooth data
-    ref_n = 2 * max(cfg.modes)
-    ref_basis = build_basis(cfg.domain(), ref_n)
+    # spectral truncation decay with N: each N-mode solution against its own
+    # smooth data solved on the 2x-mode basis
+    ref_basis = build_basis(cfg.domain(), 2 * max(cfg.modes))
     grid = TimeGrid(cfg.horizon, cfg.steps)
-    spec = cfg.scenario_spec()
-    ref_bundle = solve_mgt(make_scenario(ref_basis, spec), params, grid)
-    ref_w = ref_bundle.total("w")
     diffs = []
     for n in cfg.modes:
-        bundle = solve_mgt(make_scenario(build_basis(cfg.domain(), n), spec),
-                           params, grid)
-        # each coefficient goes to its own mode's column of the 2x-mode reference
-        idx = bundle.basis.indices - 1
-        cols = np.ravel_multi_index(tuple(idx.T), (ref_n,) * idx.shape[1])
-        padded = np.zeros_like(ref_w)
-        padded[:, cols] = bundle.total("w")
-        diffs.append(relative_sup_error(padded, ref_w))
+        data = make_scenario(build_basis(cfg.domain(), n), cfg.scenario_spec())
+        ref_data, pad = _nested(data, ref_basis)
+        ref_bundle = solve_mgt(ref_data, params, grid)
+        diffs.append(relative_sup_error(pad(solve_mgt(data, params, grid).total("w")),
+                                        ref_bundle.total("w")))
     decreasing = all(diffs[i + 1] <= diffs[i] + 1e-12 for i in range(len(diffs) - 1))
     rows.append(ReportRow("convergence", f"N={cfg.modes}", "truncation_decay",
                           diffs[-1], diffs[0], float("nan"), decreasing,

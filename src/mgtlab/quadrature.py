@@ -21,13 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-# glibc's malloc maps each block above its threshold (128 KiB at start)
-# afresh, page faults and all, until it frees a mapped block; it then serves
-# blocks up to that size from its heap.  Freeing 1 MiB here spares a small
-# solve's temporaries those faults: a 400-step, 16-mode solve with both
-# estimate probes made 275 of them without it, none with it.
-np.empty(2**17)
-
 # Values per (rows x columns) array of a chunk of a streamed time loop: 256 KiB
 # of float64, so that a chunk's arrays stay in cache.
 CHUNK_ELEMENTS = 2**15

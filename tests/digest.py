@@ -32,13 +32,13 @@ digests must also agree with each other, and criterion 8's small solves
 scan segment is a single row.  One more small solve on 400 steps has no
 Dirichlet data (seed 0, g_family "zero"; the forcing is kept, so both
 probes stay finite): it is the case of each route's g = None path.  Each
-route's lines digest its w, w_t and w_tt.  Each interval case also
-digests the measurements taken on them: the sup interior norms on a
-1024-point grid, the two trace-space norms, both estimate-probe ratios on
-a 256-point grid and the cross-route relative sup errors of w, w_t and
-w_tt.  numpy's BLAS is pinned to one thread before numpy loads, since
-matrix products round differently with more threads.  pytest does not
-collect this file.
+route's lines digest its w, w_t and w_tt.  Each case also digests the
+cross-route relative sup errors of w, w_t and w_tt, and each interval case
+the other measurements taken on it: the sup interior norms on a 1024-point
+grid, the two trace-space norms and both estimate-probe ratios on a
+256-point grid.  numpy's BLAS is pinned to one thread before numpy loads,
+since matrix products round differently with more threads.  pytest does
+not collect this file.
 """
 
 import os
@@ -70,23 +70,26 @@ from test_acceptance import DOMAIN, PARAMS, SCENARIOS  # noqa: E402
 
 def outputs(label, data, grid):
     """{"<label> <route> <component>": array} of both routes on one case,
-    and {"<label> measure <name>": array} of the measurements on the interval."""
+    and {"<label> measure <name>": array} of the measurements on it: all of
+    them on the interval, the cross-route errors alone on the square."""
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
     out = {f"{label} {route} {which}": np.ascontiguousarray(getattr(sol, which))
            for route, sol in (("solve_mgt", bundle), ("solve_by_modes", oracle))
            for which in ("w", "wt", "wtt")}
+    measured = {}
     if data.basis.domain.kind == "interval":
         measured = {
             "sup_interior_norms": list(sup_interior_norms(bundle, 1024).values()),
             "trace_space_norms": trace_space_norms(bundle),
             "estimate_probes": [estimate_probe(bundle, data, which, space_points=256).ratio
                                 for which in ("resolvent_4a", "semigroup_10")],
-            "cross_route_errors": [relative_sup_error(bundle.total(which), getattr(oracle, which))
-                                   for which in ("w", "wt", "wtt")],
         }
-        out.update({f"{label} measure {name}": np.array(values, dtype=float)
-                    for name, values in measured.items()})
+    measured["cross_route_errors"] = [relative_sup_error(bundle.total(which),
+                                                         getattr(oracle, which))
+                                      for which in ("w", "wt", "wtt")]
+    out.update({f"{label} measure {name}": np.array(values, dtype=float)
+                for name, values in measured.items()})
     return out
 
 

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtlab import harness, quadrature
+from mgtlab import harness
 from mgtlab.cli import main
+from mgtlab.generators import make_scenario
 from mgtlab.harness import (
     ConfigError,
     ScenarioConfig,
     relative_sup_error,
     run_compare_oracle,
+    run_convergence,
     run_regularity_witness,
     run_solve,
     run_symbol_suite,
@@ -373,6 +375,40 @@ def test_cli_every_subcommand_on_the_square(tmp_path):
     assert (tmp_path / "compare-oracle" / "compare_report.csv").is_file()
 
 
+def test_square_truncation_row_compares_each_n_with_its_own_data(tmp_path):
+    # on the square an N-mode scenario fills other multi-indices than the
+    # 2x-mode one, so each N's reference solves that N's own data, every
+    # coefficient and forcing column moved to its (j, k) on the wider basis
+    from mgtlab.reduction import ForcingData, MgtData, solve_mgt
+    from mgtlab.spectral import SpectralField
+
+    cfg = ScenarioConfig.from_dict({"domain_kind": "square", "modes": [3, 4], "steps": 64,
+                                    "grid_points_per_axis": 32})
+    run_convergence(cfg, tmp_path)
+    summary = json.loads((tmp_path / "convergence_summary.json").read_text())
+    ref_basis = build_basis(cfg.domain(), 8)
+    column = {tuple(ix): c for c, ix in enumerate(ref_basis.indices)}
+    grid = TimeGrid(cfg.horizon, cfg.steps)
+    want = []
+    for n in cfg.modes:
+        data = make_scenario(build_basis(cfg.domain(), n), cfg.scenario_spec())
+        cols = [column[tuple(ix)] for ix in data.w0.basis.indices]
+
+        def wide(values, cols=cols):
+            out = np.zeros(values.shape[:-1] + (ref_basis.size,))
+            out[..., cols] = values
+            return out
+
+        fields = [SpectralField(ref_basis, wide(part.coeffs), part.boundary)
+                  for part in (data.w0, data.w1, data.w2)]
+        forcing = ForcingData(modes=lambda t, modes=data.f.modes, wide=wide: wide(modes(t)))
+        ref = solve_mgt(MgtData(*fields, f=forcing, g=data.g), cfg.params, grid)
+        want.append(relative_sup_error(wide(solve_mgt(data, cfg.params, grid).total("w")),
+                                       ref.total("w")))
+    assert summary["truncation_diffs"] == want
+    assert want[1] < want[0]
+
+
 def test_solve_norm_matches_oracle_built_value():
     # sup_t H2 norm of the eigenmode case, rebuilt from oracle coefficients
     from mgtlab.harness import sup_interior_norms
@@ -453,31 +489,33 @@ def test_relative_sup_error_keeps_non_finite_rows(bad, side):
 
 
 @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
-def test_relative_sup_error_is_the_same_float_on_one_or_two_parts(monkeypatch, bad):
-    # 256 modes make two mode groups on two cores, so two row runs; a bad
-    # row in either run reaches the result
+def test_relative_sup_error_keeps_bad_rows_of_the_first_and_last_chunk(bad):
+    # a 256-mode input over six chunks; a bad row in its first or last chunk
+    # reaches the result
     modes = 256
     rows = 5 * chunk_rows(modes) + 3
+    assert len(row_chunks(rows, modes)) == 6
     rng = np.random.default_rng(11)
     b = rng.standard_normal((rows, modes)) * np.exp(rng.uniform(-3, 3, (rows, 1)))
     a = b + 1e-7 * rng.standard_normal((rows, modes))
-    got = {}
-    for cores in (1, 2):
-        monkeypatch.setattr(quadrature, "_cores", lambda cores=cores: cores)
-        assert len(quadrature.mode_groups(modes)) == cores
-        for row in (1, rows - 2):
-            bent = a.copy()
-            if bad is not None:
-                bent[row, 3] = bad
-            with np.errstate(invalid="ignore"):
-                got[cores, row] = relative_sup_error(bent, b)
     for row in (1, rows - 2):
-        one, two = got[1, row], got[2, row]
-        if bad is None:
-            assert one == two == sup_error_at_once(a, b)
-        else:
-            assert not math.isfinite(two)
-            assert one == two or (math.isnan(one) and math.isnan(two))
+        bent = a.copy()
+        if bad is not None:
+            bent[row, 3] = bad
+        with np.errstate(invalid="ignore"):
+            got, want = relative_sup_error(bent, b), sup_error_at_once(bent, b)
+        if bad is not None:
+            assert not math.isfinite(got)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("shape", [(150, 8), (1, 8), (100, 1)])
+def test_relative_sup_error_rejects_another_shape(shape):
+    # 50 extra rows past b's chunks, or a row or a column that would broadcast
+    b = np.random.default_rng(5).standard_normal((100, 8))
+    with pytest.raises(ValueError) as caught:
+        relative_sup_error(np.full(shape, 1e6), b)
+    assert str(shape) in str(caught.value) and "(100, 8)" in str(caught.value)
 
 
 def test_summary_json_writes_non_finite_values_as_null(tmp_path):
