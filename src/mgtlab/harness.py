@@ -261,7 +261,8 @@ def norm_series(bundle: Trajectory, n: int, stride: int = 1) -> dict:
     """Grid Sobolev norm time series of (w, w_t, w_tt) plus trace magnitudes.
 
     The grid norms on the (n+1)-point grid are taken as Gram quadratic forms
-    of the coefficient rows (spectral.gram_forms), with no grid evaluation.
+    of the zero-trace rows on the strided rows alone (spectral.gram_forms,
+    Trajectory.interior), with no grid evaluation.
     """
     basis = bundle.basis
     sel = slice(None, None, stride)
@@ -270,10 +271,12 @@ def norm_series(bundle: Trajectory, n: int, stride: int = 1) -> dict:
     for which, key, gram in (("w", "w_H2", g0 + g1 + g2), ("wt", "wt_H1", g0 + g1),
                              ("wtt", "wtt_L2", g0)):
         edge = bundle.boundary_values(which)
-        rows = gram_rows(bundle.interior(which)[sel], None if edge is None else edge[sel])
+        interior = bundle.interior(which, sel)
+        rows = gram_rows(interior, None if edge is None else edge[sel])
         out[key] = np.sqrt(row_forms(rows, gram))
-    out["w_H2_spectral_interior"] = np.sqrt(
-        ((1.0 + basis.eigenvalues) ** 2 * bundle.w[sel] ** 2).sum(axis=1))
+        if which == "w":
+            out["w_H2_spectral_interior"] = np.sqrt(
+                ((1.0 + basis.eigenvalues) ** 2 * interior**2).sum(axis=1))
     for which in ("w", "wt"):
         out[f"trace_{which}"] = np.linalg.norm(bundle.trace(which).series[sel], axis=1)
     return out
@@ -313,6 +316,8 @@ def relative_sup_error(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"relative_sup_error needs arrays of one shape, got {a.shape} "
                          f"and {b.shape}")
+    if not len(b):
+        raise ValueError(f"relative_sup_error needs at least one row, got shape {b.shape}")
     chunks = row_chunks(len(b), b.shape[1])
     buf = np.empty((max(rows.stop - rows.start for rows in chunks),) + b.shape[1:])
     num = den = -np.inf

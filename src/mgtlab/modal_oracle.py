@@ -39,12 +39,17 @@ class OraclePlan:
     multiply whole states in the carry, so their rounding is the scan's
     largest error where a state's components differ in scale: they are
     taken in extended precision (where numpy's longdouble has it) and
-    rounded once.  A 128-mode group on 10^4 steps holds 0.95 MB.
+    rounded once.  A 128-mode group on 10^4 steps holds 0.95 MB.  unstable
+    is None, or (column, |R(dt lambda)|) of the group's mode whose root
+    lambda of A, with Re lambda <= 0, RK4 amplifies the most past 1 + 1e-9,
+    where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: dt is past RK4's stability
+    limit there.
     """
 
     weights: np.ndarray
     flux: np.ndarray
     powers: np.ndarray
+    unstable: tuple[int, float] | None
 
 
 @group_plans
@@ -73,7 +78,13 @@ def oracle_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slic
               np.ascontiguousarray(np.moveaxis(powers, 1, -1)))
     for table in tables:
         table.flags.writeable = False
-    return OraclePlan(*tables)
+    # RK4's amplification of each decaying or neutral root of dt A
+    z = np.linalg.eigvals(ha)
+    growth = np.where(z.real <= 0.0, np.abs(1 + z * (1 + z * (1 + z * (1 + z / 4) / 3) / 2)),
+                      0.0).max(axis=1)
+    worst = int(np.argmax(growth))
+    unstable = (cols.start + worst, float(growth[worst])) if growth[worst] > 1 + 1e-9 else None
+    return OraclePlan(*tables, unstable)
 
 
 def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
@@ -141,14 +152,21 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
         # past RK4's stability limit the scan overflows: one error below, no warnings
         with np.errstate(over="ignore", invalid="ignore"):
             _scan_group(plan.powers, states[..., cols])
+        return plan.unstable
 
-    each_part(solve_group, mode_groups(size))
+    unstable = [found for found in each_part(solve_group, mode_groups(size)) if found]
     # non-finite states are absorbing in the linear scan: the last one tells
     if not np.isfinite(states[-1]).all():
         bad = np.argmin(np.isfinite(states).all(axis=(1, 2)))
         raise FloatingPointError(
             f"RK4 oracle: non-finite state from t = {grid.times[bad]:.6g} on: "
             "dt may be past the RK4 stability limit of the highest mode")
+    # past the limit the states can also stay finite, and wrong
+    if unstable:
+        col, growth = max(unstable, key=lambda found: found[1])
+        raise FloatingPointError(
+            f"RK4 oracle: mode {col} (eigenvalue {basis.eigenvalues[col]:.6g}) is past the "
+            f"RK4 stability limit at dt = {dt:.6g}: |R(dt lambda)| = {growth:.6g} > 1")
     return _solved(Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None,
                               forcing=data.f), data)
 

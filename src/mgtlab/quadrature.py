@@ -169,6 +169,7 @@ def row_chunks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows) in order, as equal as they go, of at most
     max(3, CHUNK_ELEMENTS // width) rows each and at least two unless rows is
     1: numpy rounds a one-row matrix product by another (vector) routine.
+    No rows give no slices.
 
     Each mode group chunks its row loop by its own width, so that its chunk
     arrays stay in its core's cache; the running sums carried from chunk to
@@ -177,7 +178,7 @@ def row_chunks(rows: int, width: int) -> list[slice]:
     count = -(-rows // max(1, CHUNK_ELEMENTS // width))
     if rows >= 2:
         count = min(count, rows // 2)
-    return _even_split(rows, count)
+    return _even_split(rows, count) if rows else []
 
 
 class PhaseRows:

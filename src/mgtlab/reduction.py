@@ -3,8 +3,8 @@
 Pipeline: take the constants of the exponential transform v = e^{gamma t/2} w
 from MgtParams, assemble the per-mode memory kernel and the right-hand sides
 built from the affine histories H, H_t, H_tt, run three collocated Volterra
-solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt)
-with the Dirichlet data.  Assembly streams over row chunks of the time grid,
+solves for (v, v_t, v_tt), and undo the transform to recover (w, w_t, w_tt),
+the whole function's.  Assembly streams over row chunks of the time grid,
 and recovery over the row ranges that the scan finishes, so that no
 grid-length phase table, history or forcing table is formed.  Modes are
 independent through the whole route, so it runs in one pass over mode
@@ -13,9 +13,9 @@ each group assembles, scans and recovers its own columns of one buffer,
 with its own carries and its columns of the lifting products, and with the
 tables of its plan, built once per problem shape (group_plan).
 
-The solution fields are kept as zero-trace eigen-expansions plus the exact
-harmonic lifting of the Dirichlet data, which keeps Sobolev norms and normal
-traces honest for nonzero boundary data.
+The Trajectory carries the Dirichlet data, and takes the zero-trace part out
+with its exact harmonic lifting where Sobolev norms and normal traces read
+it, which keeps them honest for nonzero boundary data.
 """
 
 from __future__ import annotations
@@ -527,9 +527,9 @@ def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
     """traj, a solution of data by either route, with the solve's metadata:
     the compatibility flags, the mode-group and BLAS thread counts and, on
     the interval, the convergence flags of the normal traces of w and w_t.
-    The flags Cauchy-test zero-trace coefficients; the oracle's are whole
-    functions, whose eigen-sums fail the test whenever g != 0, so it records
-    None and takes no trace."""
+    The flags Cauchy-test the zero-trace part, taken out with the boundary
+    signal, which the oracle does not carry: it records None and takes no
+    trace."""
     traj.metadata.update(compatible_position=data.compatible_position,
                          compatible_velocity=data.compatible_velocity,
                          mode_groups=len(mode_groups(data.basis.size)),
@@ -557,7 +557,7 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     place as a (steps+1, 3, cols) view, and overwrites each plane with its
     output one range of rows at a time, each as soon as the scan's carry
     pass has finished it and while it is in cache (_scan_group's done); the
-    planes are the trajectory's w, wt and wtt.
+    planes are the trajectory's w, wt and wtt, whole-function coefficients.
     """
     # overflow of the exponential weights is reported once, by the
     # finite-output check below, not as a stream of numpy warnings; each
@@ -568,29 +568,25 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
         gamma = params.gamma
         times = grid.times
         sig, assemble = _assembly(data, params, grid)
-        lift = basis.lift_matrix
         buf = np.empty((3, grid.steps + 1, basis.size))
 
         def solve_group(cols):
             assemble(buf, cols)
             bad = {}
-            lift_cols = lift[:, cols]
 
             def recover(rows):
-                # undo the transform on rows the scan has just finished
+                # undo the transform in place on rows the scan has just finished,
+                # damp (v_tt - gamma v_t + gamma^2/4 v), damp (v_t - gamma/2 v), damp v
                 t = times[rows]
-                dhats = [x @ lift_cols for x in _gtilde(sig, gamma, t, rows)]
                 damp = np.exp(-0.5 * gamma * t)[:, None]
-                w_int, wt_int, wtt_int = outs = [plane[rows, cols] for plane in buf]
-                v_int, vt_int, vtt_int = (np.subtract(out, dhat, out=dhat)
-                                          for out, dhat in zip(outs, dhats))
-                np.multiply(damp, v_int, out=w_int)
-                # damp (vt - gamma/2 v) and damp (vtt - gamma vt + gamma^2/4 v)
-                x = np.multiply(v_int, 0.5 * gamma)
-                np.multiply(damp, np.subtract(vt_int, x, out=x), out=wt_int)
-                vtt_int -= np.multiply(vt_int, gamma, out=x)
-                vtt_int += np.multiply(v_int, 0.25 * gamma**2, out=x)
-                np.multiply(damp, vtt_int, out=wtt_int)
+                v, vt, vtt = outs = [plane[rows, cols] for plane in buf]
+                x = np.multiply(vt, gamma)
+                vtt -= x
+                vtt += np.multiply(v, 0.25 * gamma**2, out=x)
+                vtt *= damp
+                vt -= np.multiply(v, 0.5 * gamma, out=x)
+                vt *= damp
+                v *= damp
                 for name, chunk in zip(names, outs):
                     # min/max propagate NaN and +-inf, read while the rows are in cache
                     if name not in bad and not (np.isfinite(chunk.min())

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import composite_weights, row_chunks
+from .quadrature import composite_weights
 
 if TYPE_CHECKING:
     from .reduction import ForcingData
@@ -275,23 +275,26 @@ class NormalTrace(NamedTuple):
     converged: bool
 
 
-def normal_trace(basis: EigenBasis, interior: np.ndarray,
+def normal_trace(basis: EigenBasis, coefficients: np.ndarray,
                  boundary: np.ndarray | None = None) -> NormalTrace:
     """Outward normal derivative series of a trajectory on the interval.
 
-    interior holds zero-trace coefficients (steps+1, modes); boundary, when
-    given, holds the node values (steps+1, 2) whose affine lifting a + (b-a)x
-    contributes d_nu = [a - b, b - a].  The eigen-sum is Cauchy-tested on the
-    zero-trace part: partial sums over the lower half of the spectrum must
+    coefficients are the whole function's (steps+1, modes); boundary, when
+    given, the node values (steps+1, 2) of its affine lifting a + (b-a)x, with
+    d_nu = [a - b, b - a].  The eigen-sum is Cauchy-tested with the lifting's
+    fluxes taken out: partial sums over the lower half of the spectrum must
     stay within 5% of the sup of the full series.  Interval eigenvalues
     ascend, so that half is the leading columns, read as views.
     """
     if basis.domain.kind != INTERVAL:
         raise NotImplementedError("normal traces are implemented on the interval")
     dn = basis.boundary_flux
-    series = interior @ dn.T
     half = slice(0, max(1, basis.size // 2))
-    part = interior[:, half] @ dn[:, half].T
+    series = coefficients @ dn.T
+    part = coefficients[:, half] @ dn[:, half].T
+    if boundary is not None:
+        series -= boundary @ (basis.lift_matrix @ dn.T)
+        part -= boundary @ (basis.lift_matrix[:, half] @ dn[:, half].T)
     scale = np.max(np.abs(series)) + 1e-12
     converged = bool(np.max(np.abs(series - part)) <= _TRACE_RTOL * scale)
     if boundary is not None:
@@ -365,15 +368,16 @@ class BoundaryData:
 class Trajectory:
     """The solution of either route: (w, w_t, w_tt), each (steps+1, modes).
 
-    As in SpectralField, the coefficients are the whole function when
-    boundary is None; otherwise they are the zero-trace part, and the harmonic
-    lifting of boundary.values / dvalues / ddvalues completes w / w_t / w_tt.
-    forcing is the interior forcing callable (a reduction.ForcingData), None
-    when the problem has none; the component "f" samples it on the grid on
-    each read (zeros without forcing) and has no boundary part, so no forcing
-    table outlives a read.  metadata holds the solve's diagnostics.  The
-    normal traces and the Gram rows are computed once each, on first use,
-    and kept read-only.
+    On both routes the coefficients are the whole function's, lifting
+    included.  boundary, when given, is the Dirichlet signal whose harmonic
+    lifting of values / dvalues / ddvalues the zero-trace part of w / w_t /
+    w_tt (interior) leaves out; the normal traces and the Gram rows read
+    that part.  forcing is the interior forcing callable (a
+    reduction.ForcingData), None when the problem has none; the component
+    "f" samples it on the grid on each read (zeros without forcing) and has
+    no boundary part, so no forcing table outlives a read.  metadata holds
+    the solve's diagnostics.  The normal traces and the Gram rows are
+    computed once each, on first use, and kept read-only.
     """
 
     basis: EigenBasis
@@ -389,7 +393,8 @@ class Trajectory:
     rows: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                    compare=False)
 
-    def interior(self, which: str) -> np.ndarray:
+    def total(self, which: str) -> np.ndarray:
+        """L2 eigen-coefficients of the whole function: the stored array."""
         if which != "f":
             return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
         if self.forcing is None:
@@ -402,22 +407,18 @@ class Trajectory:
         sig = self.boundary
         return {"w": sig.values, "wt": sig.dvalues, "wtt": sig.ddvalues}[which]
 
-    def total(self, which: str) -> np.ndarray:
-        """L2 eigen-coefficients of the whole function, lifting included:
-        the interior itself where the component has no boundary part."""
-        interior, edge = self.interior(which), self.boundary_values(which)
+    def interior(self, which: str, rows: slice = slice(None)) -> np.ndarray:
+        """The zero-trace part of total(which) on rows: less the harmonic
+        lifting of the boundary values, where the component has any."""
+        total, edge = self.total(which)[rows], self.boundary_values(which)
         if edge is None:
-            return interior
-        out = np.empty(interior.shape)
-        # lift a row chunk at a time and add the interior while it is in cache
-        for rows in row_chunks(len(out), out.shape[1]):
-            chunk = np.matmul(edge[rows], self.basis.lift_matrix, out=out[rows])
-            np.add(interior[rows], chunk, out=chunk)
-        return out
+            return total
+        out = np.matmul(edge[rows], self.basis.lift_matrix)
+        return np.subtract(total, out, out=out)
 
     def trace(self, which: str) -> NormalTrace:
         if which not in self.traces:
-            res = normal_trace(self.basis, self.interior(which), self.boundary_values(which))
+            res = normal_trace(self.basis, self.total(which), self.boundary_values(which))
             res.series.flags.writeable = False
             self.traces[which] = res
         return self.traces[which]

@@ -32,11 +32,13 @@ digests must also agree with each other, and criterion 8's small solves
 scan segment is a single row.  One more small solve on 400 steps has no
 Dirichlet data (seed 0, g_family "zero"; the forcing is kept, so both
 probes stay finite): it is the case of each route's g = None path.  Each
-route's lines digest its w, w_t and w_tt.  Each case also digests the
-cross-route relative sup errors of w, w_t and w_tt, and each interval case
-the other measurements taken on it: the sup interior norms on a 1024-point
-grid, the two trace-space norms and both estimate-probe ratios on a
-256-point grid.  numpy's BLAS is pinned to one thread before numpy loads,
+route's lines digest the whole-function coefficients total(which) of its w,
+w_t and w_tt, and the Volterra route's lines also their zero-trace parts
+interior(which), so that a line means the same whichever of the two a route
+stores.  Each case also digests the cross-route relative sup errors of w,
+w_t and w_tt, and each interval case the other measurements taken on it:
+the sup interior norms on a 1024-point grid, the two trace-space norms and
+both estimate-probe ratios on a 256-point grid.  numpy's BLAS is pinned to one thread before numpy loads,
 since matrix products round differently with more threads.  pytest does
 not collect this file.
 """
@@ -74,9 +76,11 @@ def outputs(label, data, grid):
     them on the interval, the cross-route errors alone on the square."""
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
-    out = {f"{label} {route} {which}": np.ascontiguousarray(getattr(sol, which))
+    out = {f"{label} {route} {which}": np.ascontiguousarray(sol.total(which))
            for route, sol in (("solve_mgt", bundle), ("solve_by_modes", oracle))
            for which in ("w", "wt", "wtt")}
+    out.update({f"{label} solve_mgt interior {which}": bundle.interior(which)
+                for which in ("w", "wt", "wtt")})
     measured = {}
     if data.basis.domain.kind == "interval":
         measured = {
@@ -86,7 +90,7 @@ def outputs(label, data, grid):
                                 for which in ("resolvent_4a", "semigroup_10")],
         }
     measured["cross_route_errors"] = [relative_sup_error(bundle.total(which),
-                                                         getattr(oracle, which))
+                                                         oracle.total(which))
                                       for which in ("w", "wt", "wtt")]
     out.update({f"{label} measure {name}": np.array(values, dtype=float)
                 for name, values in measured.items()})

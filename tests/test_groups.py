@@ -40,8 +40,8 @@ def grouped(monkeypatch, count):
 def outputs(data, grid):
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
-    out = {f"mgt_{k}": bundle.interior(k) for k in ("w", "wt", "wtt", "f")}
-    out.update({f"oracle_{k}": oracle.interior(k) for k in ("w", "wt", "wtt")})
+    out = {f"mgt_{k}": bundle.total(k) for k in ("w", "wt", "wtt", "f")}
+    out.update({f"oracle_{k}": oracle.total(k) for k in ("w", "wt", "wtt")})
     if bundle.basis.domain.kind == "interval":
         out.update({f"trace_{k}": bundle.trace(k).series for k in ("w", "wt")})
     return out, bundle.metadata["mode_groups"]

@@ -518,6 +518,11 @@ def test_relative_sup_error_rejects_another_shape(shape):
     assert str(shape) in str(caught.value) and "(100, 8)" in str(caught.value)
 
 
+def test_relative_sup_error_rejects_no_rows():
+    with pytest.raises(ValueError, match=r"at least one row, got shape \(0, 4\)"):
+        relative_sup_error(np.zeros((0, 4)), np.zeros((0, 4)))
+
+
 def test_summary_json_writes_non_finite_values_as_null(tmp_path):
     # with zero Dirichlet data and zero forcing the resolvent probe's ratio
     # is infinite; the summary stays strict JSON and says null

@@ -227,6 +227,42 @@ def test_both_routes_return_one_trajectory_type(basis):
         assert bundle.metadata[key] == oracle.metadata[key]
 
 
+@pytest.mark.parametrize("basis", [BASIS, build_basis(DomainSpec("square", 32), 3)],
+                         ids=["interval", "square"])
+def test_both_routes_store_whole_coefficients(basis):
+    # the stored arrays are the whole function's; the zero-trace part is
+    # derived from the boundary signal, on any rows, and a trace taken on
+    # the whole coefficients is that of the zero-trace part plus the slope
+    grid = TimeGrid(1.0, 200)
+    data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
+    rows = slice(3, None, 10)
+    for traj in (solve(data, PARAMS, grid) for solve in (solve_mgt, solve_by_modes)):
+        for c in ("w", "wt", "wtt"):
+            total, edge = traj.total(c), traj.boundary_values(c)
+            assert total is getattr(traj, c)
+            lifting = 0.0 if edge is None else edge @ basis.lift_matrix
+            assert np.max(np.abs(traj.interior(c) + lifting - total)) <= (
+                1e-15 * np.max(np.abs(total)))
+            assert np.array_equal(traj.interior(c, rows), traj.interior(c)[rows])
+            if edge is not None and basis.domain.kind == "interval":
+                slope = edge[:, 0] - edge[:, 1]
+                want = (traj.interior(c) @ basis.boundary_flux.T
+                        + np.column_stack([slope, -slope]))
+                assert np.max(np.abs(traj.trace(c).series - want)) <= (
+                    1e-13 * np.max(np.abs(want)))
+
+
+def test_rk4_past_its_stability_limit_raises():
+    # the stiff root -alpha of every mode: at dt = 5e-3, alpha dt = 5 and
+    # RK4 amplifies it 13.8 times a step while the states stay finite
+    basis = build_basis(DomainSpec("interval", 256), 16)
+    data = make_scenario(basis, ScenarioSpec(seed=2, active_modes=16))
+    params = MgtParams(alpha=1001.0, b=1e-3, c=1.0)
+    with pytest.raises(FloatingPointError, match=r"mode 0 .* RK4 stability limit .* 13\.77"):
+        solve_by_modes(data, params, TimeGrid(1.0, 200))
+    assert np.isfinite(solve_by_modes(data, params, TimeGrid(1.0, 2000)).w).all()
+
+
 def test_oracle_takes_no_normal_trace(monkeypatch):
     # the oracle's coefficients are whole functions: it records no trace flags
     from mgtlab import spectral

@@ -201,7 +201,10 @@ def test_structured_scan_bits_do_not_depend_on_the_runs(monkeypatch, steps):
 
 @pytest.mark.parametrize("steps", SCAN_STEPS)
 def test_oracle_scan_matches_scalar_rk4(steps):
-    assert oracle_error(PARAMS, BASIS, TimeGrid(1.0, steps), steps) < 1e-13
+    # one or two steps on [0, 1] are past RK4's stability limit, where
+    # solve_by_modes raises (test_modal_oracle): those run on [0, steps/10]
+    grid = TimeGrid(1.0 if steps > 2 else steps / 10, steps)
+    assert oracle_error(PARAMS, BASIS, grid, steps) < 1e-13
 
 
 @st.composite
@@ -393,6 +396,10 @@ def test_row_chunks_never_make_a_one_row_chunk(width):
         sizes = [c.stop - c.start for c in chunks]
         assert min(sizes) >= (1 if rows == 1 else 2), (rows, sizes)
         assert max(sizes) <= max(3, CHUNK_ELEMENTS // width)
+
+
+def test_row_chunks_of_no_rows_are_none():
+    assert row_chunks(0, 4) == []
 
 
 def test_row_chunks_of_narrow_widths_are_unchanged():

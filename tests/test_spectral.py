@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtlab import quadrature, spectral
-from mgtlab.quadrature import CHUNK_ELEMENTS
+from mgtlab import spectral
 from mgtlab.spectral import (
     BoundaryData,
     BoundarySignal,
@@ -228,7 +227,7 @@ def test_normal_trace_eigenfunctions():
 def test_normal_trace_lifting_only():
     basis = build_basis(INTERVAL, 8)
     lift = SpectralField(basis, np.zeros(basis.size), [1.0, 3.0])  # slope 2
-    res = normal_trace(basis, lift.coeffs[None], lift.boundary[None])
+    res = normal_trace(basis, lift.total_coeffs()[None], lift.boundary[None])
     assert res.converged
     assert res.series[0, 1] == pytest.approx(2.0)
     assert res.series[0, 0] == pytest.approx(-2.0)
@@ -249,27 +248,30 @@ def test_normal_trace_flags_slow_tail():
 def test_normal_trace_reads_the_lower_half_as_views(decay):
     # interval eigenvalues ascend, so the lower half of the spectrum is the
     # leading columns: the series and the flag keep the bits of the half
-    # taken by argsort, and no half-plane copy is made
+    # taken by argsort, the lifting's fluxes taken out of both sums, and
+    # neither a half-plane copy nor a zero-trace array is made
     basis = build_basis(INTERVAL, 128)
     assert np.all(np.diff(basis.eigenvalues) > 0)
     rng = np.random.default_rng(int(decay))
     interior = rng.normal(size=(2001, 128)) / np.arange(1, 129) ** decay
     boundary = rng.normal(size=(2001, 2))
-    dn = basis.boundary_flux
+    dn, lift = basis.boundary_flux, basis.lift_matrix
+    whole = interior + boundary @ lift
     half = np.argsort(basis.eigenvalues, kind="stable")[:64]
-    series = interior @ dn.T
-    part = interior[:, half] @ dn[:, half].T
+    series = whole @ dn.T - boundary @ (lift @ dn.T)
+    part = whole[:, half] @ dn[:, half].T - boundary @ (lift[:, half] @ dn[:, half].T)
     scale = np.max(np.abs(series)) + 1e-12
     converged = bool(np.max(np.abs(series - part)) <= spectral._TRACE_RTOL * scale)
     slope = boundary[:, 0] - boundary[:, 1]
-    got = normal_trace(basis, interior, boundary)
+    got = normal_trace(basis, whole, boundary)
     assert got.converged == converged and converged == (decay > 2.0)
     assert np.array_equal(got.series, series + np.column_stack([slope, -slope]))
+    assert np.allclose(series, interior @ dn.T, rtol=0.0, atol=1e-13 * scale)
     tracemalloc.start()
-    normal_trace(basis, interior)
+    normal_trace(basis, whole, boundary)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < interior.nbytes // 8
+    assert peak < whole.nbytes // 8
 
 
 def test_normal_trace_rejects_square():
@@ -278,8 +280,8 @@ def test_normal_trace_rejects_square():
 
 
 def random_trajectories(basis, steps, seed):
-    """A trajectory with random interior arrays and boundary signal, and one
-    with the same arrays and no boundary signal."""
+    """A trajectory with random whole-function arrays and boundary signal,
+    and one with the same arrays and no boundary signal."""
     grid = TimeGrid(1.0, steps)
     rng = np.random.default_rng(seed)
     w, wt, wtt = (rng.normal(size=(steps + 1, basis.size)) for _ in range(3))
@@ -289,32 +291,22 @@ def random_trajectories(basis, steps, seed):
             Trajectory(basis, grid, w, wt, wtt, None))
 
 
-def test_trajectory_total_trace_and_field(monkeypatch):
+def test_trajectory_total_trace_and_field():
     basis = build_basis(INTERVAL, 8)
     lifted, whole = random_trajectories(basis, 3, 2)
-    w, sig = lifted.w, lifted.boundary
-    for which, interior, edge in (("w", w, sig.values), ("wt", lifted.wt, sig.dvalues),
-                                  ("wtt", lifted.wtt, sig.ddvalues)):
-        assert np.array_equal(lifted.total(which), interior + edge @ basis.lift_matrix)
-        assert whole.total(which) is interior
+    sig = lifted.boundary
+    for which, total, edge in (("w", lifted.w, sig.values), ("wt", lifted.wt, sig.dvalues),
+                               ("wtt", lifted.wtt, sig.ddvalues)):
+        assert np.array_equal(lifted.interior(which), total - edge @ basis.lift_matrix)
+        assert lifted.total(which) is whole.total(which) is total
+        assert np.array_equal(whole.interior(which), total)
         assert whole.boundary_values(which) is None
         assert lifted.boundary_values(which) is edge
         fld = SpectralField(basis, lifted.interior(which)[2], edge[2])
         assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])
     a, b = sig.values[:, 0], sig.values[:, 1]
-    expected = w @ basis.boundary_flux.T + np.column_stack([a - b, b - a])
-    assert np.array_equal(lifted.trace("w").series, expected)
-    # total lifts row chunk by row chunk, with the bits of one product on
-    # the whole grid: on one step (two rows), on one chunk and on several
-    for chunk in (CHUNK_ELEMENTS, 64):
-        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", chunk)
-        for domain, steps in ((INTERVAL, 1), (INTERVAL, 300), (SQUARE, 1), (SQUARE, 300)):
-            basis = build_basis(domain, 8 if domain is INTERVAL else 3)
-            lifted, whole = random_trajectories(basis, steps, steps)
-            for which in ("w", "wt", "wtt"):
-                want = lifted.interior(which) + lifted.boundary_values(which) @ basis.lift_matrix
-                assert np.array_equal(lifted.total(which), want), (chunk, domain, steps, which)
-                assert whole.total(which) is whole.interior(which)
+    expected = lifted.interior("w") @ basis.boundary_flux.T + np.column_stack([a - b, b - a])
+    assert lifted.trace("w").series == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
 def test_boundary_signal_shape_validation():

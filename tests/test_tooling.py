@@ -74,19 +74,24 @@ def test_digest_check_exits_at_the_first_line_that_differs(tmp_path):
 def test_digest_against_exits_at_a_drift_or_a_missing_key(tmp_path, shift, message):
     # a doctored archive holds the first case's first output alone, one
     # entry moved by shift of its sup: past 1e-12 the run ends at that
-    # line; within it, at the next output, whose key is not saved
+    # line; within it, at the next output, whose key is not saved.  The
+    # move rounds to the entry's ulp, a few 1e-4 of shift, so the printed
+    # drift is read off the doctored entry
     data = make_scenario(build_basis(DOMAIN, 32), SCENARIOS[0])
-    w = solve_mgt(data, PARAMS, TimeGrid(1.0, 10000)).w
-    w[np.unravel_index(np.argmax(np.abs(w)), w.shape)] += shift * np.max(np.abs(w))
+    w = solve_mgt(data, PARAMS, TimeGrid(1.0, 10000)).total("w")
+    peak = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+    moved = w.copy()
+    moved[peak] += shift * np.max(np.abs(w))
+    line = f"interval-seed0 solve_mgt w {abs(moved[peak] - w[peak]) / np.max(np.abs(moved)):.3e}"
     doctored = tmp_path / "doctored.npz"
-    np.savez(doctored, **{"interval-seed0 solve_mgt w": w})
+    np.savez(doctored, **{"interval-seed0 solve_mgt w": moved})
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, str(ROOT / "tests" / "digest.py"),
                           "--against", str(doctored)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 1, run.stderr
     assert message in run.stderr
-    assert run.stdout.splitlines() == [f"interval-seed0 solve_mgt w {shift:.3e}"]
+    assert run.stdout.splitlines() == [line]
 
 
 def test_linecount_leaves_out_blanks_comments_and_docstrings(tmp_path):
