@@ -459,9 +459,7 @@ def _scan_group(plan: GroupPlan, v: np.ndarray, done: Callable[[slice], None]) -
     time, the row chunks of the segment's blocks by their whole width.
     done is called with each range of rows as soon as its read-outs are
     subtracted, while they are in cache: slices of v's rows, in order,
-    covering 0..steps once, each of at least two rows (a row left alone at
-    the end joins the range before it), since numpy rounds a one-row matrix
-    product by another routine.  The k right-hand sides go through the same
+    covering 0..steps once.  The k right-hand sides go through the same
     elementwise float operations as k separate solves, so neither batching,
     mode grouping, the runs nor the layout of v changes a bit.
     """
@@ -518,9 +516,8 @@ def _scan_group(plan: GroupPlan, v: np.ndarray, done: Callable[[slice], None]) -
                 acc += np.multiply(reads[:rows, j], starts[:n, None, j], out=tmp)
             seg[part] -= acc
             stop += n * rows
-            if len(v) - stop != 1:
-                done(slice(handed, stop))
-                handed = stop
+            done(slice(handed, stop))
+            handed = stop
 
 
 def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
