@@ -270,9 +270,8 @@ def norm_series(bundle: Trajectory, n: int, stride: int = 1) -> dict:
     out = {"t": bundle.grid.times[sel]}
     for which, key, gram in (("w", "w_H2", g0 + g1 + g2), ("wt", "wt_H1", g0 + g1),
                              ("wtt", "wtt_L2", g0)):
-        edge = bundle.boundary_values(which)
         interior = bundle.interior(which, sel)
-        rows = gram_rows(interior, None if edge is None else edge[sel])
+        rows = gram_rows(interior, bundle.boundary_values(which)[sel])
         out[key] = np.sqrt(row_forms(rows, gram))
         if which == "w":
             out["w_H2_spectral_interior"] = np.sqrt(
@@ -358,6 +357,8 @@ def run_solve(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
                       float(series[name].max()), float("nan"),
                       float("nan"), None)
             for name in ("w_H2", "wt_H1", "wtt_L2")]
+    # the traces' convergence flags, from the traces that norm_series took
+    traces = {f"trace_{which}_converged": bundle.trace(which).converged for which in ("w", "wt")}
     summary = {
         "modes": cfg.modes[0],
         "steps": cfg.steps,
@@ -372,7 +373,7 @@ def run_solve(cfg: ScenarioConfig, out_dir: str | Path) -> Report:
         "sup_norms": {name: float(series[name].max()) for name in keys[1:]},
         "compatible_position": data.compatible_position,
         "compatible_velocity": data.compatible_velocity,
-        "metadata": dict(bundle.metadata),
+        "metadata": {**bundle.metadata, **traces},
     }
     return _finish("solve", "solve", out_dir, rows, summary,
                    ("solve_series.csv", keys, [series[k] for k in keys]))

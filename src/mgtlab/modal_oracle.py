@@ -90,8 +90,10 @@ def oracle_plan(params: MgtParams, basis: EigenBasis, grid: TimeGrid, cols: slic
 def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
     """Integrate every projected mode with RK4; the cross-validation oracle.
 
-    The states are total eigen-coefficients, so the trajectory carries no
-    boundary signal; it carries the forcing and the metadata of solve_mgt's.
+    The states are whole-function eigen-coefficients, as solve_mgt's, and
+    the trajectory carries the same sampled Dirichlet signal
+    (MgtData.signal) and metadata keys, so its zero-trace part, traces and
+    norms read as solve_mgt's do.
 
     Each mode group (quadrature.mode_groups) runs on its own core and
     weights the source into its columns of the state buffer, one row chunk
@@ -167,8 +169,8 @@ def solve_by_modes(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajecto
         raise FloatingPointError(
             f"RK4 oracle: mode {col} (eigenvalue {basis.eigenvalues[col]:.6g}) is past the "
             f"RK4 stability limit at dt = {dt:.6g}: |R(dt lambda)| = {growth:.6g} > 1")
-    return _solved(Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2], None,
-                              forcing=data.f), data)
+    return _solved(Trajectory(basis, grid, states[:, 0], states[:, 1], states[:, 2],
+                              data.signal(grid)), data)
 
 
 def _scan_group(pw: np.ndarray, states: np.ndarray) -> None:

@@ -142,6 +142,12 @@ class MgtData:
     def basis(self) -> EigenBasis:
         return self.w0.basis
 
+    def signal(self, grid: TimeGrid) -> BoundarySignal:
+        """g sampled on grid, or the zero signal without Dirichlet data."""
+        if self.g is None:
+            return BoundarySignal.zero(grid, self.basis.domain.boundary_size)
+        return self.g.sample(grid)
+
 
 def forcing_transform(f_samples: np.ndarray, params: MgtParams, grid: TimeGrid,
                       rows: slice = slice(None),
@@ -267,8 +273,7 @@ def _assembly(data: MgtData, params: MgtParams, grid: TimeGrid):
     gamma, rho = params.gamma, params.decay_exponent
     times, dt = grid.times, grid.dt
 
-    sig = (data.g.sample(grid) if data.g is not None
-           else BoundarySignal.zero(grid, basis.domain.boundary_size))
+    sig = data.signal(grid)
     lift = basis.lift_matrix
 
     w0tot = data.w0.total_coeffs()
@@ -522,23 +527,11 @@ def _scan_group(plan: GroupPlan, v: np.ndarray, done: Callable[[slice], None]) -
 
 def _solved(traj: Trajectory, data: MgtData) -> Trajectory:
     """traj, a solution of data by either route, with the solve's metadata:
-    the compatibility flags, the mode-group and BLAS thread counts and, on
-    the interval, the convergence flags of the normal traces of w and w_t.
-    The flags Cauchy-test the zero-trace part, taken out with the boundary
-    signal, which the oracle does not carry: it records None and takes no
-    trace."""
+    the compatibility flags and the mode-group and BLAS thread counts."""
     traj.metadata.update(compatible_position=data.compatible_position,
                          compatible_velocity=data.compatible_velocity,
                          mode_groups=len(mode_groups(data.basis.size)),
                          blas_threads=blas_threads())
-    if data.basis.domain.kind == "interval":
-        zero_trace = traj.boundary is not None
-        traj.metadata.update({f"trace_{which}_converged":
-                              traj.trace(which).converged if zero_trace else None
-                              for which in ("w", "wt")})
-    else:
-        # pointwise normal traces are an interval-only diagnostic
-        traj.metadata["traces"] = "unavailable on the square"
     return traj
 
 
@@ -603,4 +596,4 @@ def solve_mgt(data: MgtData, params: MgtParams, grid: TimeGrid) -> Trajectory:
                 f"non-finite {name} from t = {min(found):.6g} on: the "
                 "exponentially weighted transform left the float range")
 
-    return _solved(Trajectory(basis, grid, *buf, sig, forcing=data.f), data)
+    return _solved(Trajectory(basis, grid, *buf, sig), data)

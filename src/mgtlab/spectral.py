@@ -12,14 +12,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .quadrature import composite_weights
-
-if TYPE_CHECKING:
-    from .reduction import ForcingData
 
 SQRT2 = np.sqrt(2.0)
 
@@ -180,12 +177,19 @@ def group_plans(build):
 # -- fields ----------------------------------------------------------------
 
 
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class SpectralField:
     """Zero-trace eigen-expansion plus an optional harmonic-lifting part.
 
     The represented function is sum_k coeffs_k e_k + D(boundary), where D is
-    the harmonic extension of the boundary node/edge values.
+    the harmonic extension of the boundary node/edge values. Both arrays are
+    read-only copies, so the finite checks hold for the field's lifetime.
     """
 
     basis: EigenBasis
@@ -193,11 +197,13 @@ class SpectralField:
     boundary: np.ndarray | None = None
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        self.coeffs = _frozen(self.coeffs)
         if self.coeffs.shape != (self.basis.size,):
             raise ValueError("coefficient length must match the basis")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients must be finite")
         if self.boundary is not None:
-            self.boundary = np.asarray(self.boundary, dtype=float)
+            self.boundary = _frozen(self.boundary)
             if self.boundary.shape != (self.basis.domain.boundary_size,):
                 raise ValueError("boundary value count must match the domain")
             if not np.all(np.isfinite(self.boundary)):
@@ -276,11 +282,11 @@ class NormalTrace(NamedTuple):
 
 
 def normal_trace(basis: EigenBasis, coefficients: np.ndarray,
-                 boundary: np.ndarray | None = None) -> NormalTrace:
+                 boundary: np.ndarray) -> NormalTrace:
     """Outward normal derivative series of a trajectory on the interval.
 
-    coefficients are the whole function's (steps+1, modes); boundary, when
-    given, the node values (steps+1, 2) of its affine lifting a + (b-a)x, with
+    coefficients are the whole function's (steps+1, modes); boundary the
+    node values (steps+1, 2) of its affine lifting a + (b-a)x, with
     d_nu = [a - b, b - a].  The eigen-sum is Cauchy-tested with the lifting's
     fluxes taken out: partial sums over the lower half of the spectrum must
     stay within 5% of the sup of the full series.  Interval eigenvalues
@@ -292,14 +298,12 @@ def normal_trace(basis: EigenBasis, coefficients: np.ndarray,
     half = slice(0, max(1, basis.size // 2))
     series = coefficients @ dn.T
     part = coefficients[:, half] @ dn[:, half].T
-    if boundary is not None:
-        series -= boundary @ (basis.lift_matrix @ dn.T)
-        part -= boundary @ (basis.lift_matrix[:, half] @ dn[:, half].T)
+    series -= boundary @ (basis.lift_matrix @ dn.T)
+    part -= boundary @ (basis.lift_matrix[:, half] @ dn[:, half].T)
     scale = np.max(np.abs(series)) + 1e-12
     converged = bool(np.max(np.abs(series - part)) <= _TRACE_RTOL * scale)
-    if boundary is not None:
-        slope = boundary[:, 0] - boundary[:, 1]
-        series += np.column_stack([slope, -slope])
+    slope = boundary[:, 0] - boundary[:, 1]
+    series += np.column_stack([slope, -slope])
     return NormalTrace(series, converged)
 
 
@@ -369,15 +373,12 @@ class Trajectory:
     """The solution of either route: (w, w_t, w_tt), each (steps+1, modes).
 
     On both routes the coefficients are the whole function's, lifting
-    included.  boundary, when given, is the Dirichlet signal whose harmonic
-    lifting of values / dvalues / ddvalues the zero-trace part of w / w_t /
-    w_tt (interior) leaves out; the normal traces and the Gram rows read
-    that part.  forcing is the interior forcing callable (a
-    reduction.ForcingData), None when the problem has none; the component
-    "f" samples it on the grid on each read (zeros without forcing) and has
-    no boundary part, so no forcing table outlives a read.  metadata holds
-    the solve's diagnostics.  The normal traces and the Gram rows are
-    computed once each, on first use, and kept read-only.
+    included, and boundary is the sampled Dirichlet signal (zeros without
+    Dirichlet data), whose harmonic lifting of values / dvalues / ddvalues
+    the zero-trace part of w / w_t / w_tt (interior) leaves out; the normal
+    traces and the Gram rows read that part.  metadata holds what only the
+    solve knows.  The normal traces and the Gram rows are computed once
+    each, on first use, and kept read-only.
     """
 
     basis: EigenBasis
@@ -385,8 +386,7 @@ class Trajectory:
     w: np.ndarray
     wt: np.ndarray
     wtt: np.ndarray
-    boundary: BoundarySignal | None
-    forcing: ForcingData | None = None
+    boundary: BoundarySignal
     metadata: dict = dataclasses.field(default_factory=dict)
     traces: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                      compare=False)
@@ -395,26 +395,17 @@ class Trajectory:
 
     def total(self, which: str) -> np.ndarray:
         """L2 eigen-coefficients of the whole function: the stored array."""
-        if which != "f":
-            return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
-        if self.forcing is None:
-            return np.zeros((self.grid.steps + 1, self.basis.size))
-        return self.forcing.sample(self.grid.times, self.basis.size)
+        return {"w": self.w, "wt": self.wt, "wtt": self.wtt}[which]
 
-    def boundary_values(self, which: str) -> np.ndarray | None:
-        if self.boundary is None or which == "f":
-            return None
+    def boundary_values(self, which: str) -> np.ndarray:
         sig = self.boundary
         return {"w": sig.values, "wt": sig.dvalues, "wtt": sig.ddvalues}[which]
 
     def interior(self, which: str, rows: slice = slice(None)) -> np.ndarray:
         """The zero-trace part of total(which) on rows: less the harmonic
-        lifting of the boundary values, where the component has any."""
-        total, edge = self.total(which)[rows], self.boundary_values(which)
-        if edge is None:
-            return total
-        out = np.matmul(edge[rows], self.basis.lift_matrix)
-        return np.subtract(total, out, out=out)
+        lifting of the boundary values."""
+        out = np.matmul(self.boundary_values(which)[rows], self.basis.lift_matrix)
+        return np.subtract(self.total(which)[rows], out, out=out)
 
     def trace(self, which: str) -> NormalTrace:
         if which not in self.traces:

@@ -120,8 +120,7 @@ def _probe_sides(bundle, data, which: str, beta: float,
     y_w, y_wt, y_wtt = (bundle.gram_rows(comp) for comp in ("w", "wt", "wtt"))
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
-    # f is sampled once per bundle, through its cached rows
-    y_f = None if bundle.forcing is None else bundle.gram_rows("f")
+    y_f = None if data.f is None else gram_rows(data.f.sample(grid.times, bundle.basis.size))
     sq = lambda arr: (arr**2).sum(axis=1)
 
     if which == "resolvent_4a":

@@ -31,16 +31,16 @@ digests must also agree with each other, and criterion 8's small solves
 401, whose last scan segment is a leftover block, and on 111, whose last
 scan segment is a single row.  One more small solve on 400 steps has no
 Dirichlet data (seed 0, g_family "zero"; the forcing is kept, so both
-probes stay finite): it is the case of each route's g = None path.  Each
-route's lines digest the whole-function coefficients total(which) of its w,
-w_t and w_tt, and the Volterra route's lines also their zero-trace parts
-interior(which), so that a line means the same whichever of the two a route
-stores.  Each case also digests the cross-route relative sup errors of w,
-w_t and w_tt, and each interval case the other measurements taken on it:
-the sup interior norms on a 1024-point grid, the two trace-space norms and
-both estimate-probe ratios on a 256-point grid.  numpy's BLAS is pinned to one thread before numpy loads,
-since matrix products round differently with more threads.  pytest does
-not collect this file.
+probes stay finite): it is the case of each route's zero-signal path.
+Each route's lines digest the whole-function coefficients total(which) of
+its w, w_t and w_tt, and their zero-trace parts interior(which), taken out
+with the Dirichlet signal that both routes carry.  Each case also digests
+the cross-route relative sup errors of w, w_t and w_tt, and each interval
+case the other measurements taken on it: the sup interior norms on a
+1024-point grid and the two trace-space norms of both routes, and both
+estimate-probe ratios on a 256-point grid.  numpy's BLAS is pinned to one
+thread before numpy loads, since matrix products round differently with
+more threads.  pytest does not collect this file.
 """
 
 import os
@@ -76,11 +76,11 @@ def outputs(label, data, grid):
     them on the interval, the cross-route errors alone on the square."""
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
+    routes = (("solve_mgt", bundle), ("solve_by_modes", oracle))
     out = {f"{label} {route} {which}": np.ascontiguousarray(sol.total(which))
-           for route, sol in (("solve_mgt", bundle), ("solve_by_modes", oracle))
-           for which in ("w", "wt", "wtt")}
-    out.update({f"{label} solve_mgt interior {which}": bundle.interior(which)
-                for which in ("w", "wt", "wtt")})
+           for route, sol in routes for which in ("w", "wt", "wtt")}
+    out.update({f"{label} {route} interior {which}": sol.interior(which)
+                for route, sol in routes for which in ("w", "wt", "wtt")})
     measured = {}
     if data.basis.domain.kind == "interval":
         measured = {
@@ -88,6 +88,9 @@ def outputs(label, data, grid):
             "trace_space_norms": trace_space_norms(bundle),
             "estimate_probes": [estimate_probe(bundle, data, which, space_points=256).ratio
                                 for which in ("resolvent_4a", "semigroup_10")],
+            "solve_by_modes sup_interior_norms": list(sup_interior_norms(oracle,
+                                                                         1024).values()),
+            "solve_by_modes trace_space_norms": trace_space_norms(oracle),
         }
     measured["cross_route_errors"] = [relative_sup_error(bundle.total(which),
                                                          oracle.total(which))

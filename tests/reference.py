@@ -37,7 +37,7 @@ import numpy as np
 
 from mgtlab.quadrature import composite_weights, prefix_trapezoid
 from mgtlab.reduction import MgtParams, _gtilde, build_kernel, forcing_transform
-from mgtlab.spectral import BoundarySignal, SpectralField, TimeGrid
+from mgtlab.spectral import SpectralField, TimeGrid
 from mgtlab.symbols import _stable_eigenvalue
 
 # -- the Volterra assembly -----------------------------------------------------
@@ -109,8 +109,7 @@ def assembled_planes(data, params, grid):
     t, dt = grid.times, grid.dt
     kernels = build_kernel(params, basis)
     om = kernels.omega
-    sig = (data.g.sample(grid) if data.g is not None
-           else BoundarySignal.zero(grid, basis.domain.boundary_size))
+    sig = data.signal(grid)
     lift = basis.lift_matrix
     w0tot, w1tot = data.w0.total_coeffs(), data.w1.total_coeffs()
     g0, gt0 = sig.values[0], sig.dvalues[0]

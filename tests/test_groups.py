@@ -40,7 +40,7 @@ def grouped(monkeypatch, count):
 def outputs(data, grid):
     bundle = solve_mgt(data, PARAMS, grid)
     oracle = solve_by_modes(data, PARAMS, grid)
-    out = {f"mgt_{k}": bundle.total(k) for k in ("w", "wt", "wtt", "f")}
+    out = {f"mgt_{k}": bundle.total(k) for k in ("w", "wt", "wtt")}
     out.update({f"oracle_{k}": oracle.total(k) for k in ("w", "wt", "wtt")})
     if bundle.basis.domain.kind == "interval":
         out.update({f"trace_{k}": bundle.trace(k).series for k in ("w", "wt")})
@@ -163,7 +163,8 @@ def test_solve_samples_the_forcing_one_chunk_at_a_time(monkeypatch, domain, coun
 def test_oracle_samples_each_distinct_time_once_per_chunk(monkeypatch, count):
     # a chunk of a group's steps samples its step ends, shared by neighbouring
     # steps, and its midpoints: 2S + chunks times per group, not the 3S of
-    # three stage times per step
+    # three stage times per step; the trajectory's Dirichlet signal samples
+    # g, gt and gtt once more on the S+1 grid times
     grouped(monkeypatch, count)
     spec = make_scenario(BASES["interval"], ScenarioSpec(seed=2, g_family="poly"))
     asked = Counter()
@@ -187,7 +188,8 @@ def test_oracle_samples_each_distinct_time_once_per_chunk(monkeypatch, count):
     want = sum(2 * grid.steps + len(row_chunks(grid.steps, cols.stop - cols.start))
                for cols in groups)
     assert len(groups) == count
-    assert asked == {"g": want, "gt": want, "f": want}
+    signal = grid.steps + 1
+    assert asked == {"g": want + signal, "gt": want + signal, "gtt": signal, "f": want}
 
 
 def errors(monkeypatch, solve, data, grid):

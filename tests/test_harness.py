@@ -121,7 +121,12 @@ def test_run_solve_writes_series_and_summary(tmp_path):
     assert (tmp_path / "solve_series.csv").exists()
     summary = json.loads((tmp_path / "solve_summary.json").read_text())
     assert summary["sup_norms"]["w_H2"] > 0
-    assert "generated_at" in summary["metadata"]
+    # the solve's metadata, then the flags of the traces that the series took
+    assert summary["metadata"].keys() == {
+        "compatible_position", "compatible_velocity", "mode_groups", "blas_threads",
+        "trace_w_converged", "trace_wt_converged", "generated_at"}
+    assert summary["metadata"]["trace_w_converged"] in (True, False)
+    assert summary["metadata"]["trace_wt_converged"] in (True, False)
     assert summary["metadata"]["mode_groups"] == 1
     assert summary["metadata"]["blas_threads"] is None or summary["metadata"]["blas_threads"] >= 1
     assert report.all_passed  # informational rows only

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mgtlab.generators import ScenarioSpec, exact_dirichlet_case, make_scenario
-from mgtlab.harness import relative_sup_error
+from mgtlab.harness import relative_sup_error, sup_interior_norms, trace_space_norms
 from mgtlab.modal_oracle import solve_by_modes
 from mgtlab.reduction import ForcingData, MgtData, MgtParams, solve_mgt
 from mgtlab.spectral import (BoundaryData, DomainSpec, SpectralField, TimeGrid, Trajectory,
@@ -219,32 +219,36 @@ def test_both_routes_return_one_trajectory_type(basis):
     data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
     bundle, oracle = (solve(data, PARAMS, grid) for solve in (solve_mgt, solve_by_modes))
     assert type(bundle) is Trajectory and type(oracle) is Trajectory
-    assert bundle.forcing is data.f and oracle.forcing is data.f
-    assert np.array_equal(bundle.interior("f"), oracle.interior("f"))
-    assert oracle.boundary_values("f") is None
+    for c in ("w", "wt", "wtt"):
+        assert np.array_equal(bundle.boundary_values(c), oracle.boundary_values(c))
     assert bundle.metadata.keys() == oracle.metadata.keys()
     for key in ("compatible_position", "compatible_velocity", "mode_groups", "blas_threads"):
         assert bundle.metadata[key] == oracle.metadata[key]
 
 
-@pytest.mark.parametrize("basis", [BASIS, build_basis(DomainSpec("square", 32), 3)],
-                         ids=["interval", "square"])
-def test_both_routes_store_whole_coefficients(basis):
+# the interval with the default scenario's Dirichlet data on 32 modes
+INTERVAL_32 = build_basis(DomainSpec("interval", 256), 32)
+
+
+@pytest.mark.parametrize("basis, spec, steps", [
+    (BASIS, ScenarioSpec(seed=5, g_family="poly"), 200),
+    (build_basis(DomainSpec("square", 32), 3), ScenarioSpec(seed=5, g_family="poly"), 200),
+    (INTERVAL_32, ScenarioSpec(seed=5), 2000)], ids=["interval", "square", "interval-32"])
+def test_both_routes_store_whole_coefficients(basis, spec, steps):
     # the stored arrays are the whole function's; the zero-trace part is
     # derived from the boundary signal, on any rows, and a trace taken on
     # the whole coefficients is that of the zero-trace part plus the slope
-    grid = TimeGrid(1.0, 200)
-    data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
+    grid = TimeGrid(1.0, steps)
+    data = make_scenario(basis, spec)
     rows = slice(3, None, 10)
     for traj in (solve(data, PARAMS, grid) for solve in (solve_mgt, solve_by_modes)):
         for c in ("w", "wt", "wtt"):
             total, edge = traj.total(c), traj.boundary_values(c)
             assert total is getattr(traj, c)
-            lifting = 0.0 if edge is None else edge @ basis.lift_matrix
-            assert np.max(np.abs(traj.interior(c) + lifting - total)) <= (
+            assert np.max(np.abs(traj.interior(c) + edge @ basis.lift_matrix - total)) <= (
                 1e-15 * np.max(np.abs(total)))
             assert np.array_equal(traj.interior(c, rows), traj.interior(c)[rows])
-            if edge is not None and basis.domain.kind == "interval":
+            if basis.domain.kind == "interval":
                 slope = edge[:, 0] - edge[:, 1]
                 want = (traj.interior(c) @ basis.boundary_flux.T
                         + np.column_stack([slope, -slope]))
@@ -263,18 +267,35 @@ def test_rk4_past_its_stability_limit_raises():
     assert np.isfinite(solve_by_modes(data, params, TimeGrid(1.0, 2000)).w).all()
 
 
-def test_oracle_takes_no_normal_trace(monkeypatch):
-    # the oracle's coefficients are whole functions: it records no trace flags
+def test_oracle_measures_read_as_the_volterra_routes():
+    # the oracle carries the Dirichlet signal, so its interior norms and
+    # trace norms read the zero-trace part as the Volterra route's do
+    grid = TimeGrid(1.0, 2000)
+    data = make_scenario(INTERVAL_32, ScenarioSpec(seed=5))
+    bundle, oracle = (solve(data, PARAMS, grid) for solve in (solve_mgt, solve_by_modes))
+    want, got = sup_interior_norms(bundle, 1024), sup_interior_norms(oracle, 1024)
+    assert want.keys() == got.keys()
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-6, abs=0.0), key
+    assert trace_space_norms(oracle) == pytest.approx(trace_space_norms(bundle), rel=1e-6,
+                                                      abs=0.0)
+
+
+def test_no_solve_takes_a_normal_trace(monkeypatch):
+    # a solve's metadata holds what only the solve knows; the normal traces
+    # are taken where they are read
     from mgtlab import spectral
 
     def no_trace(*args):
-        raise AssertionError("the oracle took a normal trace")
+        raise AssertionError("a solve took a normal trace")
 
     monkeypatch.setattr(spectral, "normal_trace", no_trace)
-    data = make_scenario(BASIS, ScenarioSpec(seed=5, g_family="poly"))
-    oracle = solve_by_modes(data, PARAMS, TimeGrid(1.0, 200))
-    assert oracle.metadata["trace_w_converged"] is None
-    assert oracle.metadata["trace_wt_converged"] is None
+    for basis in (BASIS, build_basis(DomainSpec("square", 32), 3)):
+        data = make_scenario(basis, ScenarioSpec(seed=5, g_family="poly"))
+        for solve in (solve_mgt, solve_by_modes):
+            traj = solve(data, PARAMS, TimeGrid(1.0, 200))
+            assert not [key for key in traj.metadata if "trace" in key], solve.__name__
+            assert traj.traces == {}
 
 
 def data_with_boundary(bad: str, fn) -> MgtData:

@@ -336,17 +336,6 @@ def test_solve_mgt_names_the_first_non_finite_component(monkeypatch):
     assert spoiled_in[early].stop <= spoiled_in[late].start
 
 
-def test_forcing_component_totals_to_its_interior_on_both_routes():
-    # "f" has no boundary part: total is the interior, also where w, w_t
-    # and w_tt have one
-    data = make_scenario(BASIS, ScenarioSpec(seed=2))
-    grid = TimeGrid(1.0, 50)
-    for solve in (solve_mgt, solve_by_modes):
-        traj = solve(data, PARAMS, grid)
-        assert traj.boundary_values("f") is None
-        assert np.array_equal(traj.total("f"), traj.interior("f")), solve.__name__
-
-
 def test_solve_mgt_matches_oracle_eigenmode():
     grid = TimeGrid(1.0, 10000)
     data = eigen_data(0)
@@ -551,31 +540,18 @@ def owned_arrays(obj, prefix=""):
 
 
 def test_bundle_keeps_only_the_solution():
-    # neither the transformed solution nor the histories outlive the solve;
-    # the two normal traces of the metadata are kept for later readers
+    # neither the transformed solution nor the histories outlive the solve,
+    # and no trace is taken before a reader asks for one
     bundle = solve_mgt(make_scenario(BASIS, ScenarioSpec(seed=3)), PARAMS,
                        TimeGrid(1.0, 100))
     assert owned_arrays(bundle) == {
         "w", "wt", "wtt",
-        "boundary.values", "boundary.dvalues", "boundary.ddvalues",
-        "traces.w.series", "traces.wt.series"}
+        "boundary.values", "boundary.dvalues", "boundary.ddvalues"}
+    # a trace is taken on first read, one row per time, and kept read-only
     for which in ("w", "wt"):
-        assert bundle.traces[which].series.shape == (101, 2)
-        assert not bundle.traces[which].series.flags.writeable
-
-
-def test_bundle_samples_the_forcing_on_read():
-    # "f" is the forcing callable on the grid's times, bit for bit, and zeros
-    # without forcing; it has no boundary part
-    grid = TimeGrid(1.0, 300)
-    data = make_scenario(BASIS, ScenarioSpec(seed=5, g_family="poly"))
-    bundle = solve_mgt(data, PARAMS, grid)
-    assert bundle.forcing is data.f
-    assert np.array_equal(bundle.interior("f"), data.f.modes(grid.times))
-    assert bundle.boundary_values("f") is None
-    free = solve_mgt(MgtData(data.w0, data.w1, data.w2, g=data.g), PARAMS, grid)
-    assert free.forcing is None
-    assert np.array_equal(free.interior("f"), np.zeros((grid.steps + 1, BASIS.size)))
+        series = bundle.trace(which).series
+        assert series.shape == (101, 2)
+        assert not series.flags.writeable
 
 
 def test_solve_checks_the_forcing_shape():
@@ -587,7 +563,7 @@ def test_solve_checks_the_forcing_shape():
 
 
 def test_normal_traces_computed_once_per_bundle(monkeypatch):
-    # a solve's metadata and both estimate probes share two trace series
+    # both estimate probes share the two trace series of a bundle
     from mgtlab import spectral
     from mgtlab.symbols import estimate_probe
 

@@ -109,8 +109,24 @@ def test_dirichlet_map_zero_data():
 
 def test_dirichlet_map_rejects_nonfinite():
     basis = build_basis(INTERVAL, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary values must be finite"):
         SpectralField(basis, np.zeros(basis.size), [np.nan, 0.0])
+    # a non-finite coefficient is rejected here, not met by a solver as an
+    # overflow or an RK4 instability
+    for bad in (np.nan, np.inf):
+        coeffs = np.zeros(basis.size)
+        coeffs[1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SpectralField(basis, coeffs)
+    # the field keeps read-only copies: a later write to the caller's arrays
+    # or into the field's own cannot bring a NaN past the checks
+    coeffs, boundary = np.zeros(basis.size), np.zeros(2)
+    field = SpectralField(basis, coeffs, boundary)
+    coeffs[1] = boundary[0] = np.nan
+    assert np.all(np.isfinite(field.coeffs)) and np.all(np.isfinite(field.boundary))
+    for part in (field.coeffs, field.boundary):
+        with pytest.raises(ValueError, match="read-only"):
+            part[1] = np.nan
 
 
 @pytest.mark.parametrize("domain", [INTERVAL, SQUARE])
@@ -217,7 +233,7 @@ def test_gram_forms_reject_square():
 
 def test_normal_trace_eigenfunctions():
     basis = build_basis(INTERVAL, 8)
-    res = normal_trace(basis, np.eye(8)[:1])
+    res = normal_trace(basis, np.eye(8)[:1], np.zeros((1, 2)))
     assert res.converged
     left, right = res.series[0]
     assert left == pytest.approx(-np.sqrt(2) * np.pi)
@@ -238,7 +254,7 @@ def test_normal_trace_flags_slow_tail():
     basis = build_basis(INTERVAL, 64)
     k = np.arange(1, 65)
     coeffs = ((-1.0) ** k) / (k * np.pi)
-    res = normal_trace(basis, coeffs[None])
+    res = normal_trace(basis, coeffs[None], np.zeros((1, 2)))
     assert not res.converged
     # the lifting never enters the flag: it has no eigen-sum to truncate
     assert not normal_trace(basis, coeffs[None], np.array([[5.0, -5.0]])).converged
@@ -276,19 +292,19 @@ def test_normal_trace_reads_the_lower_half_as_views(decay):
 
 def test_normal_trace_rejects_square():
     with pytest.raises(NotImplementedError):
-        normal_trace(build_basis(SQUARE, 2), np.zeros((1, 4)))
+        normal_trace(build_basis(SQUARE, 2), np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 def random_trajectories(basis, steps, seed):
     """A trajectory with random whole-function arrays and boundary signal,
-    and one with the same arrays and no boundary signal."""
+    and one with the same arrays and the zero signal."""
     grid = TimeGrid(1.0, steps)
     rng = np.random.default_rng(seed)
     w, wt, wtt = (rng.normal(size=(steps + 1, basis.size)) for _ in range(3))
     nodes = basis.domain.boundary_size
     sig = BoundarySignal(grid, *(rng.normal(size=(steps + 1, nodes)) for _ in range(3)))
     return (Trajectory(basis, grid, w, wt, wtt, sig),
-            Trajectory(basis, grid, w, wt, wtt, None))
+            Trajectory(basis, grid, w, wt, wtt, BoundarySignal.zero(grid, nodes)))
 
 
 def test_trajectory_total_trace_and_field():
@@ -300,7 +316,7 @@ def test_trajectory_total_trace_and_field():
         assert np.array_equal(lifted.interior(which), total - edge @ basis.lift_matrix)
         assert lifted.total(which) is whole.total(which) is total
         assert np.array_equal(whole.interior(which), total)
-        assert whole.boundary_values(which) is None
+        assert not np.any(whole.boundary_values(which))
         assert lifted.boundary_values(which) is edge
         fld = SpectralField(basis, lifted.interior(which)[2], edge[2])
         assert fld.total_coeffs() == pytest.approx(lifted.total(which)[2])

@@ -305,9 +305,9 @@ def grid_probe_sides(bundle, data, which, beta, space_points):
     trace_w = bundle.trace("w").series
     trace_wt = bundle.trace("wt").series
     g, g_t, g_tt = (bundle.boundary_values(comp) for comp in ("w", "wt", "wtt"))
-    fsamp = bundle.interior("f")
-    f_vals = (np.stack([evaluate(SpectralField(basis, row), space_points) for row in fsamp])
-              if np.any(fsamp) else np.zeros_like(w_vals))
+    f_vals = (np.stack([evaluate(SpectralField(basis, row), space_points)
+                        for row in data.f.sample(times, basis.size)])
+              if data.f is not None else np.zeros_like(w_vals))
     dx = lambda arr: np.gradient(arr, hx, axis=1, edge_order=2)
     lat = lambda arr: sum(l2sq(arr[:, j], (dt,)) for j in range(arr.shape[1]))
 
@@ -378,8 +378,9 @@ def test_norm_paths_evaluate_nothing_on_the_grid(monkeypatch):
 
 
 def test_probes_share_the_gram_rows_of_a_bundle(monkeypatch):
-    # both probes read the (S+1)-row rows of w, wt, wtt and f that the bundle
-    # keeps: 4 builds per bundle, not 4 per probe, with the same bits
+    # both probes read the (S+1)-row rows of w, wt and wtt that the bundle
+    # keeps, built once each, and each probe builds the rows of f from the
+    # data: 5 builds, not 8, with the same bits
     grid = TimeGrid(1.0, 200)
     data = make_scenario(BASIS, ScenarioSpec(seed=4))
     want = {}
@@ -398,15 +399,14 @@ def test_probes_share_the_gram_rows_of_a_bundle(monkeypatch):
     bundle = solve_mgt(data, PARAMS, grid)
     for which in ("resolvent_4a", "semigroup_10"):
         assert estimate_probe(bundle, data, which, space_points=128).ratio == want[which]
-    assert len(built) == 4
+    assert len(built) == 5
     with pytest.raises(ValueError):
         bundle.gram_rows("w")[0, 0] = 1.0
 
 
-def test_probes_sample_the_forcing_once_per_bundle():
-    # the two probes of a bundle read f through its cached rows: one sampling
-    # pass over the grid between them, none without forcing, and an all-zero
-    # forcing counts as none
+def test_probes_sample_the_forcing_once_per_probe():
+    # each probe samples the data's forcing in one pass over the grid, and
+    # an all-zero forcing counts as none
     grid = TimeGrid(1.0, 200)
     data = make_scenario(BASIS, ScenarioSpec(seed=4))
     asked = []
@@ -423,12 +423,11 @@ def test_probes_sample_the_forcing_once_per_bundle():
         asked.clear()
         out = [estimate_probe(bundle, case, which, space_points=128).ratio
                for which in ("resolvent_4a", "semigroup_10")]
-        return out, list(asked), bundle
+        return out, list(asked)
 
-    _, calls, _ = ratios(counted(data.f.modes))
-    assert calls == [grid.steps + 1]
-    free, _, bundle = ratios(None)
-    assert "f" not in bundle.rows
-    zero, calls, _ = ratios(counted(lambda t: np.zeros((len(t), BASIS.size))))
-    assert calls == [grid.steps + 1]
+    _, calls = ratios(counted(data.f.modes))
+    assert calls == [grid.steps + 1, grid.steps + 1]
+    free, _ = ratios(None)
+    zero, calls = ratios(counted(lambda t: np.zeros((len(t), BASIS.size))))
+    assert calls == [grid.steps + 1, grid.steps + 1]
     assert zero == free
